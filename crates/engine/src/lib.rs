@@ -55,5 +55,5 @@ pub use report::{
 pub use serve::{ServeEngine, ServeStats, MAX_BATCH, PROTOCOL_VERSION};
 pub use session::{
     AnalysisSession, DataCheck, ExactDataBound, ProductDataBound, SessionStats,
-    ENTROPY_BOUND_DENSE_CAP, ENTROPY_BOUND_VAR_CAP, ENTROPY_COLOR_DENSE_CAP, ENTROPY_COLOR_VAR_CAP,
+    ENTROPY_BOUND_DENSE_CAP, ENTROPY_BOUND_VAR_CAP, ENTROPY_COLOR_VAR_CAP,
 };

@@ -54,14 +54,10 @@ pub const ENTROPY_COLOR_VAR_CAP: usize = 14;
 /// 6.10 family's that one extra k is the honest step.
 pub const ENTROPY_BOUND_VAR_CAP: usize = 9;
 
-/// The Proposition 6.10 ceiling of the dense-tableau era. Between this
-/// and [`ENTROPY_COLOR_VAR_CAP`] the LP still solves (sparse engine),
+/// The Proposition 6.9 ceiling of the dense-tableau era. Between this
+/// and [`ENTROPY_BOUND_VAR_CAP`] the LP still solves (sparse engine),
 /// and the report carries a heuristic size warning instead of the old
 /// hard skip.
-pub const ENTROPY_COLOR_DENSE_CAP: usize = 10;
-
-/// The Proposition 6.9 ceiling of the dense-tableau era (see
-/// [`ENTROPY_COLOR_DENSE_CAP`]).
 pub const ENTROPY_BOUND_DENSE_CAP: usize = 6;
 
 /// Variable cap for the exact treewidth branch-and-bound in

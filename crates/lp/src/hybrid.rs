@@ -2,8 +2,9 @@
 //!
 //! The standard trick for making exact LP solving fast (see e.g. the
 //! QSopt_ex / SoPlex lineage): run the simplex method in `f64`
-//! (the private `float` module), which finds the optimal *basis* orders of
-//! magnitude faster than exact arithmetic, then check that basis with
+//! (the revised engine of [`crate::revised`] over `f64` instead of
+//! rationals), which finds the optimal *basis* orders of magnitude
+//! faster than exact arithmetic, then check that basis with
 //! one exact rational factorization. A basis `B` certifies optimality
 //! iff, exactly:
 //!
@@ -30,8 +31,7 @@
 use crate::revised::{Revised, SparseLu};
 use crate::simplex::{LpSolution, LpStatus, PivotRule};
 use crate::solver::SolverKind;
-use crate::{float::FloatOutcome, float::FloatSimplex, LinearProgram, Objective};
-use cq_arith::Rational;
+use crate::LinearProgram;
 use cq_telemetry::{phase, Metrics, Span};
 
 /// Solves `lp` with the float-first hybrid. See the module docs for the
@@ -48,17 +48,21 @@ pub fn solve_hybrid(lp: &LinearProgram, rule: PivotRule) -> LpSolution {
         let _p = phase("lp.canonicalize", "cq_lp_canonicalize_micros");
         Revised::new(lp)
     };
-    let (outcome, float_pivots) = {
+    let (status, basis, float_pivots) = {
         let _p = phase("lp.float_propose", "cq_lp_float_propose_micros");
-        FloatSimplex::new(&ex).run(rule)
+        let mut float = ex.to_f64();
+        let status = float.solve(rule);
+        (status, float.basis, float.stats.pivots)
     };
     Metrics::global()
         .histogram("cq_lp_float_pivots")
         .observe(float_pivots as u64);
-    if let FloatOutcome::Optimal { basis } = &outcome {
+    // Only a claimed optimum is worth verifying; infeasible and
+    // unbounded claims, and giving up, all go to the exact engine.
+    if status == Some(LpStatus::Optimal) {
         let sol = {
             let _p = phase("lp.exact_verify", "cq_lp_exact_verify_micros");
-            verify_basis(&ex, basis, float_pivots)
+            verify_basis(&ex, &basis, float_pivots)
         };
         if let Some(solution) = sol {
             Metrics::global()
@@ -97,7 +101,7 @@ fn verify_basis(ex: &Revised<'_>, basis: &[usize], float_pivots: usize) -> Optio
         in_basis[j] = true;
     }
 
-    let lu = SparseLu::try_factorize(ex.m, |p| ex.a.col(basis[p]).to_vec())?;
+    let lu = SparseLu::factorize(ex.m, |p| ex.a.col(basis[p]))?;
 
     // Primal feasibility: x_B = B⁻¹b ≥ 0, basic artificials exactly 0.
     let x_b = lu.ftran(ex.b_rhs.clone());
@@ -111,43 +115,20 @@ fn verify_basis(ex: &Revised<'_>, basis: &[usize], float_pivots: usize) -> Optio
     // non-artificial column (artificials are barred from entering in
     // phase 2, so their reduced costs are irrelevant — exactly as in
     // the pure exact engines).
-    let phase2 = ex.phase2_costs();
-    let c_b: Vec<Rational> = basis.iter().map(|&j| phase2[j].clone()).collect();
+    let c_b: Vec<_> = basis.iter().map(|&j| ex.phase2[j].clone()).collect();
     let y = lu.btran(c_b);
-    for j in 0..ex.first_art {
-        if in_basis[j] {
-            continue;
-        }
-        if (&phase2[j] - &ex.a.dot_col(j, &y)).is_positive() {
+    for (j, cost) in ex.phase2.iter().enumerate().take(ex.first_art) {
+        if !in_basis[j] && (cost - &ex.a.dot_col(j, &y)).is_positive() {
             return None;
         }
     }
 
     // Certified: emit the exact solution straight from the basis.
-    let mut values = vec![Rational::zero(); ex.n];
-    let mut raw = Rational::zero();
-    for (r, x) in x_b.iter().enumerate() {
-        if !x.is_zero() {
-            raw += &(&phase2[basis[r]] * x);
-            if basis[r] < ex.n {
-                values[basis[r]] = x.clone();
-            }
-        }
-    }
-    let objective = match ex.lp.objective() {
-        Objective::Maximize => raw,
-        Objective::Minimize => -raw,
-    };
     let mut stats = ex.stats;
     stats.solver = SolverKind::HybridFloat;
     stats.float_pivots = float_pivots;
     stats.float_verified = true;
-    Some(LpSolution {
-        status: LpStatus::Optimal,
-        objective,
-        values,
-        stats,
-    })
+    Some(ex.optimal_solution(basis, &x_b, stats))
 }
 
 #[cfg(test)]
@@ -155,6 +136,7 @@ mod tests {
     use super::*;
     use crate::problem::Relation;
     use crate::solve_revised;
+    use cq_arith::Rational;
 
     fn ri(p: i64) -> Rational {
         Rational::int(p)

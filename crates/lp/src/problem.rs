@@ -147,8 +147,8 @@ impl LinearProgram {
 
     /// Solves the program exactly, picking the engine automatically
     /// ([`crate::Solver::Auto`]): the dense tableau for small/dense
-    /// programs, the sparse revised simplex for large sparse ones (the
-    /// entropy LPs). Both engines agree on status and optimal objective
+    /// programs, the float-verified hybrid for large sparse ones (the
+    /// entropy LPs). All engines agree on status and optimal objective
     /// for every program; see `docs/SOLVER.md` for the selection policy.
     pub fn solve(&self) -> crate::simplex::LpSolution {
         crate::solver::solve_auto(self, crate::Solver::Auto)

@@ -1,4 +1,5 @@
-//! Sparse revised simplex with an LU-factorized basis.
+//! Sparse revised simplex with an LU-factorized basis, written once and
+//! run over two scalars.
 //!
 //! The dense tableau ([`crate::simplex`]) rewrites the whole
 //! `m × (n + slacks + artificials)` matrix on every pivot. This engine
@@ -18,11 +19,22 @@
 //! active nonzeros, then the row with fewest, which keeps fill-in near
 //! zero on the slack-dominated bases these LPs produce). Pivots do not
 //! refactorize: each basis change appends an **eta matrix** (the
-//! product-form update `B' = B·E`), and once [`REFACTOR_INTERVAL`] etas
-//! accumulate the file is folded back into a fresh LU of the current
-//! basis. All arithmetic is exact [`Rational`] — the factors are the
-//! exact LU, not an approximation, so the engine agrees bit-for-bit with
-//! the dense tableau on status and objective.
+//! product-form update `B' = B·E`), and once the scalar's refactor
+//! interval of etas accumulates the file is folded back into a fresh LU
+//! of the current basis.
+//!
+//! The engine is generic over its scalar. The crate-private `Scalar`
+//! trait holds every decision in which exact and floating-point
+//! arithmetic differ (tabulated in `docs/SOLVER.md`):
+//!
+//! - over [`Rational`] it is the exact engine ([`solve_revised`]): the
+//!   factors are the exact LU, not an approximation, so it agrees
+//!   bit-for-bit with the dense tableau on status and objective;
+//! - over `f64` it is the proposal phase of [`crate::hybrid`]: zero
+//!   tests, pricing and the ratio test carry tolerances, LU pivots must
+//!   pass a stability threshold, and the run is capped. Nothing it
+//!   computes is trusted — only its final basis, which the hybrid
+//!   verifies exactly.
 //!
 //! Pricing honors the same [`PivotRule`]s as the dense engine: Bland's
 //! rule never cycles; Dantzig's rule (the practical default here) falls
@@ -36,68 +48,240 @@ use crate::simplex::{LpSolution, LpStatus, PivotRule};
 use crate::solver::{constraint_nonzeros, SolveStats, SolverKind};
 use crate::sparse::SparseMatrix;
 use cq_arith::Rational;
-
-/// Number of eta updates accumulated before the basis is refactorized.
-/// Exact rationals make long eta files doubly costly — each FTRAN/BTRAN
-/// replays every eta *and* the replayed entries carry ever-larger
-/// numerators — so the interval is shorter than a floating-point code
-/// would pick.
-pub const REFACTOR_INTERVAL: usize = 32;
+use std::cmp::Ordering;
+use std::ops::{AddAssign, DivAssign, Neg};
 
 /// Consecutive degenerate (zero-step) pivots tolerated under Dantzig
 /// pricing before switching to Bland's rule (mirrors the dense engine).
 const DEGENERATE_SWITCH: usize = 64;
 
-/// Solves `lp` with the sparse revised simplex. See [`LpStatus`].
+/// `f64` values with magnitude at or below this are treated as exact
+/// zeros (dropped from LU rows, skipped in FTRAN/BTRAN).
+const DROP_TOL: f64 = 1e-11;
+
+/// An `f64` reduced cost must exceed this to make a column enter. Loose
+/// on purpose: a falsely "optimal" stop is caught by exact verification,
+/// while chasing noise-level reduced costs can cycle forever.
+const REDCOST_TOL: f64 = 1e-7;
+
+/// `f64` ratio-test rows need a pivot element above this.
+const PIVOT_TOL: f64 = 1e-9;
+
+/// `f64` LU pivot candidates must be within this factor of the column's
+/// largest magnitude (partial threshold pivoting layered on Markowitz).
+const STABILITY_RATIO: f64 = 0.05;
+
+/// Solves `lp` with the exact sparse revised simplex. See [`LpStatus`].
 pub fn solve_revised(lp: &LinearProgram, rule: PivotRule) -> LpSolution {
     Revised::new(lp).run(rule)
 }
 
+/// The scalar the engine runs over. Arithmetic the two scalars share
+/// comes from the supertraits (`Default` is zero); the items here are
+/// exactly the decisions in which exact and `f64` arithmetic differ.
+pub(crate) trait Scalar:
+    Clone
+    + Default
+    + PartialOrd
+    + Neg<Output = Self>
+    + for<'x> AddAssign<&'x Self>
+    + for<'x> DivAssign<&'x Self>
+{
+    /// Eta updates accumulated before the basis is refactorized.
+    const REFACTOR_INTERVAL: usize;
+
+    fn one() -> Self;
+
+    /// Treated as zero: skipped in FTRAN/BTRAN, dropped from LU rows and
+    /// eta columns, and a zero-length (degenerate) step.
+    fn is_zero(&self) -> bool;
+
+    /// Strictly positive beyond noise: the entering test on a reduced
+    /// cost, and the infeasibility test on a basic artificial.
+    fn is_positive(&self) -> bool;
+
+    /// Eligible as a ratio-test pivot element (and, in either sign, as
+    /// the pivot that drives an artificial out).
+    fn is_pivot(&self) -> bool;
+
+    /// The ratio-test step `x / w` for a basic value `x`.
+    fn ratio(&self, w: &Self) -> Self;
+
+    /// Orders a ratio-test step against the best so far; `Equal` is a
+    /// tie, which goes to the smaller basis column.
+    fn cmp_ratio(&self, best: &Self) -> Ordering;
+
+    /// LU threshold pivoting. Given the active entries of the pivot
+    /// column, returns the test that rules a candidate pivot out, or
+    /// `None` when no entry can pivot (numerically singular).
+    fn lu_pivot_filter(column: impl Iterator<Item = Self>) -> Option<impl Fn(&Self) -> bool>;
+
+    /// Total pivot budget before the run gives up.
+    fn iteration_cap(m: usize, cols: usize) -> usize;
+
+    /// `self += a·b`.
+    fn add_mul(&mut self, a: &Self, b: &Self);
+
+    /// `self -= a·b`.
+    fn sub_mul(&mut self, a: &Self, b: &Self);
+}
+
+/// Exact: every test is an exact sign test, nothing is capped.
+impl Scalar for Rational {
+    /// Exact rationals make long eta files doubly costly — each
+    /// FTRAN/BTRAN replays every eta *and* the replayed entries carry
+    /// ever-larger numerators — so the interval is short.
+    const REFACTOR_INTERVAL: usize = 32;
+
+    fn one() -> Self {
+        Rational::one()
+    }
+
+    fn is_zero(&self) -> bool {
+        Rational::is_zero(self)
+    }
+
+    fn is_positive(&self) -> bool {
+        Rational::is_positive(self)
+    }
+
+    fn is_pivot(&self) -> bool {
+        Rational::is_positive(self)
+    }
+
+    fn ratio(&self, w: &Self) -> Self {
+        self / w
+    }
+
+    fn cmp_ratio(&self, best: &Self) -> Ordering {
+        self.cmp(best)
+    }
+
+    fn lu_pivot_filter(_column: impl Iterator<Item = Self>) -> Option<impl Fn(&Self) -> bool> {
+        // Any nonzero pivot is exact; the column is never scanned.
+        Some(|_: &Rational| false)
+    }
+
+    fn iteration_cap(_m: usize, _cols: usize) -> usize {
+        usize::MAX
+    }
+
+    fn add_mul(&mut self, a: &Self, b: &Self) {
+        if !Rational::is_zero(b) {
+            *self += &(a * b);
+        }
+    }
+
+    fn sub_mul(&mut self, a: &Self, b: &Self) {
+        *self -= &(a * b);
+    }
+}
+
+/// Floating point: tolerances everywhere, threshold pivoting, a cap.
+impl Scalar for f64 {
+    /// Floats replay etas cheaply, so the file can run longer before the
+    /// rebuild pays for itself.
+    const REFACTOR_INTERVAL: usize = 96;
+
+    fn one() -> Self {
+        1.0
+    }
+
+    fn is_zero(&self) -> bool {
+        self.abs() <= DROP_TOL
+    }
+
+    fn is_positive(&self) -> bool {
+        *self > REDCOST_TOL
+    }
+
+    fn is_pivot(&self) -> bool {
+        *self > PIVOT_TOL
+    }
+
+    fn ratio(&self, w: &Self) -> Self {
+        // Round-off can leave a basic value a hair negative; clamp so
+        // the ratio stays admissible instead of going negative.
+        self.max(0.0) / w
+    }
+
+    fn cmp_ratio(&self, best: &Self) -> Ordering {
+        if *self < best - DROP_TOL {
+            Ordering::Less
+        } else if *self < best + DROP_TOL {
+            Ordering::Equal
+        } else {
+            Ordering::Greater
+        }
+    }
+
+    fn lu_pivot_filter(column: impl Iterator<Item = Self>) -> Option<impl Fn(&Self) -> bool> {
+        let col_max = column.fold(0.0f64, |max, v| max.max(v.abs()));
+        (col_max > DROP_TOL).then_some(move |v: &f64| v.abs() < STABILITY_RATIO * col_max)
+    }
+
+    /// Generous — these LPs finish in `O(m)` pivots in practice — but
+    /// finite, so a float-arithmetic cycle cannot hang the solve.
+    fn iteration_cap(m: usize, cols: usize) -> usize {
+        1_000 + 20 * (m + cols)
+    }
+
+    // Separate multiply and subtract, never a fused multiply-add: the
+    // rounding, and with it every pivot choice, stays as specified.
+    fn add_mul(&mut self, a: &Self, b: &Self) {
+        *self += a * b;
+    }
+
+    fn sub_mul(&mut self, a: &Self, b: &Self) {
+        *self -= a * b;
+    }
+}
+
 /// One step of the sparse LU: pivot position, the recorded eliminations
 /// (`L`), and the pivot row's surviving entries (`U`).
-struct LuStep {
+struct LuStep<S> {
     /// Pivot row (a constraint index).
     prow: usize,
     /// Pivot column (a basis position).
     pcol: usize,
-    pivot: Rational,
+    pivot: S,
     /// `(row, factor)`: during FTRAN's forward pass,
     /// `v[row] -= factor · v[prow]`.
-    lower: Vec<(usize, Rational)>,
+    lower: Vec<(usize, S)>,
     /// `(col, value)` of the pivot row over columns pivoted later.
-    urow: Vec<(usize, Rational)>,
+    urow: Vec<(usize, S)>,
 }
 
 /// Sparse LU factorization of a basis matrix (columns indexed by basis
 /// position, rows by constraint index).
-pub(crate) struct SparseLu {
+pub(crate) struct SparseLu<S> {
     m: usize,
-    steps: Vec<LuStep>,
+    steps: Vec<LuStep<S>>,
 }
 
-impl SparseLu {
+impl<S: Scalar> SparseLu<S> {
     /// Factorizes the `m × m` matrix whose column `p` is `cols(p)`
-    /// (row-sorted nonzeros). Panics if the matrix is singular — a
-    /// simplex basis never is, so a failure here is a bookkeeping bug.
-    fn factorize(m: usize, cols: impl Fn(usize) -> Vec<(usize, Rational)>) -> SparseLu {
-        SparseLu::try_factorize(m, cols).expect("singular basis")
-    }
-
-    /// Fallible [`SparseLu::factorize`]: `None` if the matrix is
-    /// singular. The engine's own bases are never singular, but a
-    /// *candidate* basis proposed by the float phase (see
-    /// [`crate::hybrid`]) carries no such guarantee — float round-off
-    /// can nominate an exactly dependent column set, and that must
-    /// read as "verification failed", not a panic.
-    pub(crate) fn try_factorize(
+    /// (row-sorted entries); `None` if the matrix is singular — for
+    /// `f64`, if no entry of some column clears the stability threshold.
+    /// The exact engine's own bases never are, but a *candidate* basis
+    /// proposed by the float phase (see [`crate::hybrid`]) carries no
+    /// such guarantee, and float round-off can make any basis look
+    /// singular: that must read as "verification failed" or "gave up",
+    /// never as a panic.
+    pub(crate) fn factorize<'c>(
         m: usize,
-        cols: impl Fn(usize) -> Vec<(usize, Rational)>,
-    ) -> Option<SparseLu> {
+        cols: impl Fn(usize) -> &'c [(usize, S)],
+    ) -> Option<SparseLu<S>>
+    where
+        S: 'c,
+    {
         // Row-major working form; each row stays sorted by column.
-        let mut rows: Vec<Vec<(usize, Rational)>> = vec![Vec::new(); m];
+        let mut rows: Vec<Vec<(usize, S)>> = vec![Vec::new(); m];
         for j in 0..m {
             for (i, v) in cols(j) {
-                rows[i].push((j, v));
+                if !v.is_zero() {
+                    rows[*i].push((j, v.clone()));
+                }
             }
         }
         // Column → candidate rows (append-only; stale entries are
@@ -112,7 +296,6 @@ impl SparseLu {
         }
         let mut row_count: Vec<usize> = rows.iter().map(Vec::len).collect();
         let mut row_done = vec![false; m];
-        let mut col_done = vec![false; m];
         // Active-column list, order-perturbed by swap_remove (only the
         // tie-break is affected; selection stays deterministic).
         let mut active: Vec<usize> = (0..m).collect();
@@ -135,34 +318,39 @@ impl SparseLu {
                 return None; // a column lost all its nonzeros: singular
             }
             let pj = active.swap_remove(active_idx);
-            // … then its entry in the sparsest active row.
-            let mut best_row: Option<(usize, usize)> = None; // (count, row)
-            for &i in &col_rows[pj] {
-                if row_done[i] || rows[i].binary_search_by_key(&pj, |e| e.0).is_err() {
-                    continue;
+            // … then its entry in the sparsest active row that passes
+            // the scalar's stability threshold.
+            let pi = {
+                let entry = |i: usize| {
+                    let pos = rows[i].binary_search_by_key(&pj, |e| e.0).ok()?;
+                    (!row_done[i]).then(|| &rows[i][pos].1)
+                };
+                let too_small =
+                    S::lu_pivot_filter(col_rows[pj].iter().filter_map(|&i| entry(i).cloned()))?;
+                let mut best_row: Option<(usize, usize)> = None; // (count, row)
+                for &i in &col_rows[pj] {
+                    if entry(i).is_none_or(&too_small) {
+                        continue;
+                    }
+                    let rc = row_count[i];
+                    if best_row.is_none_or(|(bc, bi)| rc < bc || (rc == bc && i < bi)) {
+                        best_row = Some((rc, i));
+                    }
                 }
-                let rc = row_count[i];
-                if best_row.is_none_or(|(bc, bi)| rc < bc || (rc == bc && i < bi)) {
-                    best_row = Some((rc, i));
-                }
-            }
-            let (_, pi) = best_row?;
+                best_row?.1
+            };
 
             row_done[pi] = true;
-            col_done[pj] = true;
-            let prow = std::mem::take(&mut rows[pi]);
-            for (c, _) in &prow {
+            let mut urow = std::mem::take(&mut rows[pi]);
+            for (c, _) in &urow {
                 col_count[*c] -= 1;
             }
-            let ppos = prow
+            let ppos = urow
                 .binary_search_by_key(&pj, |e| e.0)
                 .expect("pivot entry present");
-            let pivot = prow[ppos].1.clone();
-            let urow: Vec<(usize, Rational)> = prow
-                .iter()
-                .filter(|(c, _)| *c != pj)
-                .map(|(c, v)| (*c, v.clone()))
-                .collect();
+            let (_, pivot) = urow.remove(ppos);
+            // U outlives this loop: drop the spare capacity the merge left.
+            urow.shrink_to_fit();
 
             // Eliminate the pivot column from every other active row.
             let mut targets: Vec<usize> = col_rows[pj]
@@ -174,50 +362,45 @@ impl SparseLu {
             targets.dedup();
             let mut lower = Vec::with_capacity(targets.len());
             for i in targets {
-                let pos = rows[i]
+                let mut old = std::mem::take(&mut rows[i]);
+                let pos = old
                     .binary_search_by_key(&pj, |e| e.0)
                     .expect("target contains pivot column");
-                let factor = &rows[i][pos].1 / &pivot;
-                // Merge: rows[i] − factor·prow, dropping the pj entry.
-                let old = std::mem::take(&mut rows[i]);
+                let (_, mut factor) = old.remove(pos);
+                factor /= &pivot;
+                col_count[pj] -= 1;
+                // Merge: rows[i] − factor·urow.
                 let mut merged = Vec::with_capacity(old.len() + urow.len());
                 let (mut a, mut b) = (old.into_iter().peekable(), urow.iter().peekable());
                 loop {
-                    match (a.peek(), b.peek()) {
-                        (Some((ca, _)), Some((cb, _))) if ca == cb => {
-                            let (c, va) = a.next().expect("peeked");
-                            let (_, vb) = b.next().expect("peeked");
-                            let nv = &va - &(&factor * vb);
-                            if nv.is_zero() {
-                                col_count[c] -= 1; // exact cancellation
-                            } else {
-                                merged.push((c, nv));
-                            }
-                        }
-                        (Some((ca, _)), Some((cb, _))) if ca < cb => {
-                            let e = a.next().expect("peeked");
-                            if e.0 == pj {
-                                col_count[pj] -= 1;
-                            } else {
-                                merged.push(e);
-                            }
-                        }
-                        (Some(_), Some(_)) | (None, Some(_)) => {
-                            let (c, vb) = b.next().expect("peeked");
-                            // Fill-in: a fresh nonzero in this row.
-                            col_count[*c] += 1;
-                            col_rows[*c].push(i);
-                            merged.push((*c, -&(&factor * vb)));
-                        }
-                        (Some(_), None) => {
-                            let e = a.next().expect("peeked");
-                            if e.0 == pj {
-                                col_count[pj] -= 1;
-                            } else {
-                                merged.push(e);
-                            }
-                        }
+                    let order = match (a.peek(), b.peek()) {
                         (None, None) => break,
+                        (Some((ca, _)), Some((cb, _))) => ca.cmp(cb),
+                        (Some(_), None) => Ordering::Less,
+                        (None, Some(_)) => Ordering::Greater,
+                    };
+                    match order {
+                        Ordering::Less => merged.push(a.next().expect("peeked")),
+                        Ordering::Equal => {
+                            let (c, mut v) = a.next().expect("peeked");
+                            v.sub_mul(&factor, &b.next().expect("peeked").1);
+                            if v.is_zero() {
+                                col_count[c] -= 1; // cancellation
+                            } else {
+                                merged.push((c, v));
+                            }
+                        }
+                        Ordering::Greater => {
+                            let (c, vb) = b.next().expect("peeked");
+                            let mut v = S::default();
+                            v.sub_mul(&factor, vb);
+                            if !v.is_zero() {
+                                // Fill-in: a fresh nonzero in this row.
+                                col_count[*c] += 1;
+                                col_rows[*c].push(i);
+                                merged.push((*c, v));
+                            }
+                        }
                     }
                 }
                 row_count[i] = merged.len();
@@ -233,31 +416,31 @@ impl SparseLu {
                 urow,
             });
         }
-        debug_assert!(col_done.iter().all(|&d| d) && row_done.iter().all(|&d| d));
         Some(SparseLu { m, steps })
     }
 
     /// Solves `B x = v`: `v` is indexed by constraint rows, the result by
     /// basis positions.
-    pub(crate) fn ftran(&self, mut v: Vec<Rational>) -> Vec<Rational> {
+    pub(crate) fn ftran(&self, mut v: Vec<S>) -> Vec<S> {
         for step in &self.steps {
             if !v[step.prow].is_zero() {
                 let pv = v[step.prow].clone();
                 for (row, factor) in &step.lower {
-                    v[*row] -= &(factor * &pv);
+                    v[*row].sub_mul(factor, &pv);
                 }
             }
         }
-        let mut x = vec![Rational::zero(); self.m];
+        let mut x = vec![S::default(); self.m];
         for step in self.steps.iter().rev() {
             let mut acc = std::mem::take(&mut v[step.prow]);
             for (c, val) in &step.urow {
                 if !x[*c].is_zero() {
-                    acc -= &(val * &x[*c]);
+                    acc.sub_mul(val, &x[*c]);
                 }
             }
             if !acc.is_zero() {
-                x[step.pcol] = &acc / &step.pivot;
+                acc /= &step.pivot;
+                x[step.pcol] = acc;
             }
         }
         x
@@ -265,13 +448,14 @@ impl SparseLu {
 
     /// Solves `Bᵀ y = c`: `c` is indexed by basis positions, the result
     /// by constraint rows.
-    pub(crate) fn btran(&self, mut c: Vec<Rational>) -> Vec<Rational> {
-        let mut z = vec![Rational::zero(); self.m];
+    pub(crate) fn btran(&self, mut c: Vec<S>) -> Vec<S> {
+        let mut z = vec![S::default(); self.m];
         for step in &self.steps {
             if !c[step.pcol].is_zero() {
-                let zv = &c[step.pcol] / &step.pivot;
+                let mut zv = std::mem::take(&mut c[step.pcol]);
+                zv /= &step.pivot;
                 for (col, val) in &step.urow {
-                    c[*col] -= &(val * &zv);
+                    c[*col].sub_mul(val, &zv);
                 }
                 z[step.prow] = zv;
             }
@@ -280,7 +464,7 @@ impl SparseLu {
             let mut acc = std::mem::take(&mut z[step.prow]);
             for (i, factor) in &step.lower {
                 if !z[*i].is_zero() {
-                    acc -= &(factor * &z[*i]);
+                    acc.sub_mul(factor, &z[*i]);
                 }
             }
             z[step.prow] = acc;
@@ -291,16 +475,16 @@ impl SparseLu {
 
 /// Product-form update `B' = B·E`: `E` is the identity with basis
 /// position `r`'s column replaced by the FTRANed entering column `w`.
-struct Eta {
+struct Eta<S> {
     r: usize,
     /// `w_r` (always nonzero: the pivot element).
-    wr: Rational,
+    wr: S,
     /// Off-diagonal nonzeros `(i, w_i)`, `i ≠ r`.
-    w: Vec<(usize, Rational)>,
+    w: Vec<(usize, S)>,
 }
 
-impl Eta {
-    fn from_dense(r: usize, w: &[Rational]) -> Eta {
+impl<S: Scalar> Eta<S> {
+    fn from_dense(r: usize, w: &[S]) -> Eta<S> {
         Eta {
             r,
             wr: w[r].clone(),
@@ -313,37 +497,48 @@ impl Eta {
     }
 
     /// Solves `E z = v` in place.
-    fn ftran(&self, v: &mut [Rational]) {
-        if v[self.r].is_zero() {
+    fn ftran(&self, v: &mut [S]) {
+        // A (numerically) zero v_r leaves v unchanged, flushed to zero.
+        let mut zr = std::mem::take(&mut v[self.r]);
+        if zr.is_zero() {
             return;
         }
-        let zr = &v[self.r] / &self.wr;
+        zr /= &self.wr;
         for (i, w) in &self.w {
-            v[*i] -= &(w * &zr);
+            v[*i].sub_mul(w, &zr);
         }
         v[self.r] = zr;
     }
 
     /// Solves `Eᵀ z = v` in place.
-    fn btran(&self, v: &mut [Rational]) {
+    fn btran(&self, v: &mut [S]) {
         let mut acc = std::mem::take(&mut v[self.r]);
         for (i, w) in &self.w {
             if !v[*i].is_zero() {
-                acc -= &(w * &v[*i]);
+                acc.sub_mul(w, &v[*i]);
             }
         }
-        v[self.r] = &acc / &self.wr;
+        acc /= &self.wr;
+        v[self.r] = acc;
     }
 }
 
 /// The factorized basis: `B = B₀ · E₁ ⋯ E_k` with `B₀` held as LU.
-struct Basis {
-    lu: SparseLu,
-    etas: Vec<Eta>,
+struct Basis<S> {
+    lu: SparseLu<S>,
+    etas: Vec<Eta<S>>,
 }
 
-impl Basis {
-    fn ftran(&self, v: Vec<Rational>) -> Vec<Rational> {
+impl<S: Scalar> Basis<S> {
+    /// A fresh LU of the basis columns with an empty eta file; `None`
+    /// if they are (numerically) singular.
+    fn factorize(a: &SparseMatrix<S>, basis: &[usize]) -> Option<Basis<S>> {
+        let lu = SparseLu::factorize(basis.len(), |p| a.col(basis[p]))?;
+        let etas = Vec::new();
+        Some(Basis { lu, etas })
+    }
+
+    fn ftran(&self, v: Vec<S>) -> Vec<S> {
         let mut x = self.lu.ftran(v);
         for eta in &self.etas {
             eta.ftran(&mut x);
@@ -351,7 +546,7 @@ impl Basis {
         x
     }
 
-    fn btran(&self, mut c: Vec<Rational>) -> Vec<Rational> {
+    fn btran(&self, mut c: Vec<S>) -> Vec<S> {
         for eta in self.etas.iter().rev() {
             eta.btran(&mut c);
         }
@@ -359,25 +554,26 @@ impl Basis {
     }
 }
 
-/// The exact revised-simplex state. `pub(crate)` so the hybrid engine
-/// ([`crate::hybrid`]) can build the canonicalized sparse form once,
-/// hand it to the float phase ([`crate::float`]), verify the candidate
-/// basis exactly against it, and only on failure consume it via
-/// [`Revised::run`] — all without re-canonicalizing the program.
-pub(crate) struct Revised<'a> {
+/// The revised-simplex state over scalar `S`. `pub(crate)` so the hybrid
+/// engine ([`crate::hybrid`]) can build the canonicalized exact form
+/// once, derive the `f64` instance from it ([`Revised::to_f64`]), verify
+/// that instance's basis exactly, and only on failure consume the exact
+/// form via [`Revised::run`] — all without re-canonicalizing the program.
+pub(crate) struct Revised<'a, S = Rational> {
     pub(crate) lp: &'a LinearProgram,
     pub(crate) m: usize,
-    pub(crate) n: usize,
     /// Columns `< first_art` are structural + slack; the rest artificial.
     pub(crate) first_art: usize,
     pub(crate) cols: usize,
-    pub(crate) a: SparseMatrix,
-    pub(crate) b_rhs: Vec<Rational>,
+    pub(crate) a: SparseMatrix<S>,
+    pub(crate) b_rhs: Vec<S>,
+    /// Phase-2 costs in maximization sense, zero on slacks/artificials.
+    pub(crate) phase2: Vec<S>,
     pub(crate) basis: Vec<usize>,
-    pub(crate) in_basis: Vec<bool>,
-    x_b: Vec<Rational>,
-    basis_factors: Basis,
-    pub(crate) any_artificial: bool,
+    in_basis: Vec<bool>,
+    x_b: Vec<S>,
+    /// `None` once a (re)factorization came out singular.
+    factors: Option<Basis<S>>,
     pub(crate) stats: SolveStats,
 }
 
@@ -471,9 +667,14 @@ impl<'a> Revised<'a> {
         for &j in &basis {
             in_basis[j] = true;
         }
+        let mut phase2: Vec<Rational> = match lp.objective() {
+            Objective::Maximize => lp.objective_coeffs().to_vec(),
+            Objective::Minimize => lp.objective_coeffs().iter().map(|c| -c).collect(),
+        };
+        phase2.resize(cols, Rational::zero());
         // The initial basis is all unit columns (slacks/artificials), so
         // the first factorization is trivially sparse.
-        let lu = SparseLu::factorize(m, |p| a.col(basis[p]).to_vec());
+        let factors = Basis::factorize(&a, &basis);
         let stats = SolveStats {
             solver: SolverKind::RevisedSparse,
             nonzeros: constraint_nonzeros(lp),
@@ -484,38 +685,137 @@ impl<'a> Revised<'a> {
         Revised {
             lp,
             m,
-            n,
             first_art,
             cols,
             a,
             x_b: b_rhs.clone(),
             b_rhs,
+            phase2,
             basis,
             in_basis,
-            basis_factors: Basis {
-                lu,
-                etas: Vec::new(),
-            },
-            any_artificial: art_cursor > first_art,
+            factors,
             stats,
         }
     }
 
-    fn refactorize(&mut self) {
-        self.basis_factors = Basis {
-            lu: SparseLu::factorize(self.m, |p| self.a.col(self.basis[p]).to_vec()),
-            etas: Vec::new(),
+    /// The same program over `f64` — the hybrid's proposal phase: the
+    /// identical column layout (structural, slack/surplus, artificial)
+    /// and initial basis, so basis indices mean the same thing on both
+    /// sides.
+    pub(crate) fn to_f64(&self) -> Revised<'a, f64> {
+        let a = self.a.map(Rational::to_f64);
+        let b_rhs: Vec<f64> = self.b_rhs.iter().map(Rational::to_f64).collect();
+        Revised {
+            lp: self.lp,
+            m: self.m,
+            first_art: self.first_art,
+            cols: self.cols,
+            factors: Basis::factorize(&a, &self.basis),
+            a,
+            x_b: b_rhs.clone(),
+            b_rhs,
+            phase2: self.phase2.iter().map(Rational::to_f64).collect(),
+            basis: self.basis.clone(),
+            in_basis: self.in_basis.clone(),
+            stats: self.stats,
+        }
+    }
+
+    /// Solves the program exactly.
+    pub(crate) fn run(mut self, rule: PivotRule) -> LpSolution {
+        // Exact bases are never singular and nothing is capped, so the
+        // exact engine cannot give up.
+        match self.solve(rule).expect("singular basis") {
+            LpStatus::Optimal => self.optimal_solution(&self.basis, &self.x_b, self.stats),
+            status => LpSolution {
+                status,
+                objective: Rational::zero(),
+                values: vec![Rational::zero(); self.lp.num_vars()],
+                stats: self.stats,
+            },
+        }
+    }
+
+    /// The optimal solution described by `basis` and its basic values
+    /// `x_b`: structural values, and the objective in the program's own
+    /// sense (phase 2 maximizes, so a minimization flips the sign).
+    pub(crate) fn optimal_solution(
+        &self,
+        basis: &[usize],
+        x_b: &[Rational],
+        stats: SolveStats,
+    ) -> LpSolution {
+        let n = self.lp.num_vars();
+        let mut values = vec![Rational::zero(); n];
+        let mut raw = Rational::zero();
+        for (r, x) in x_b.iter().enumerate() {
+            if !x.is_zero() {
+                raw += &(&self.phase2[basis[r]] * x);
+                if basis[r] < n {
+                    values[basis[r]] = x.clone();
+                }
+            }
+        }
+        let objective = match self.lp.objective() {
+            Objective::Maximize => raw,
+            Objective::Minimize => -raw,
         };
+        LpSolution {
+            status: LpStatus::Optimal,
+            objective,
+            values,
+            stats,
+        }
+    }
+}
+
+impl<S: Scalar> Revised<'_, S> {
+    /// Runs both phases and leaves the final basis in place. `None` when
+    /// the run gave up: a singular (re)factorization or the iteration
+    /// cap, neither of which the exact scalar can reach.
+    pub(crate) fn solve(&mut self, rule: PivotRule) -> Option<LpStatus> {
+        self.factors.as_ref()?;
+        if self.first_art < self.cols {
+            // Phase 1 only has work to do when some artificial starts
+            // positive; an all-zero artificial start (e.g. equalities
+            // with RHS 0 — the entropy LPs' FD rows) is already at the
+            // phase-1 optimum and goes straight to drive-out.
+            if self.artificial_positive() {
+                let mut phase1 = vec![S::default(); self.cols];
+                for cost in phase1.iter_mut().skip(self.first_art) {
+                    *cost = -S::one();
+                }
+                // Phase 1 is bounded; an unbounded claim is float noise.
+                if self.optimize(&phase1, self.cols, rule)? != LpStatus::Optimal {
+                    return None;
+                }
+            }
+            if self.artificial_positive() {
+                return Some(LpStatus::Infeasible);
+            }
+            self.drive_out_artificials();
+        }
+        let phase2 = self.phase2.clone();
+        self.optimize(&phase2, self.first_art, rule)
+    }
+
+    fn artificial_positive(&self) -> bool {
+        (0..self.m).any(|r| self.basis[r] >= self.first_art && self.x_b[r].is_positive())
+    }
+
+    fn refactorize(&mut self) {
+        self.factors = Basis::factorize(&self.a, &self.basis);
         self.stats.refactorizations += 1;
     }
 
     /// Installs `q` at basis position `r` with step length `theta`,
     /// given the FTRANed entering column `w`.
-    fn pivot(&mut self, r: usize, q: usize, theta: &Rational, w: &[Rational]) {
-        if !theta.is_zero() {
+    fn pivot(&mut self, r: usize, q: usize, theta: &S, w: &[S]) {
+        // Only an exactly-zero step leaves the other basic values alone.
+        if *theta != S::default() {
             for (i, wi) in w.iter().enumerate() {
                 if i != r && !wi.is_zero() {
-                    self.x_b[i] -= &(wi * theta);
+                    self.x_b[i].sub_mul(wi, theta);
                 }
             }
         }
@@ -523,27 +823,35 @@ impl<'a> Revised<'a> {
         self.in_basis[self.basis[r]] = false;
         self.in_basis[q] = true;
         self.basis[r] = q;
-        self.basis_factors.etas.push(Eta::from_dense(r, w));
         self.stats.pivots += 1;
-        if self.basis_factors.etas.len() >= REFACTOR_INTERVAL {
+        let factors = self.factors.as_mut().expect("pivot on a factorized basis");
+        factors.etas.push(Eta::from_dense(r, w));
+        if factors.etas.len() >= S::REFACTOR_INTERVAL {
             self.refactorize();
         }
     }
 
-    /// Simplex iterations maximizing `costs·x` over columns `< limit`.
-    /// Returns `false` when unbounded in the improving direction.
-    fn optimize(&mut self, costs: &[Rational], limit: usize, rule: PivotRule) -> bool {
+    /// Simplex iterations maximizing `costs·x` over columns `< limit`:
+    /// `Optimal` or `Unbounded` for this phase, `None` if the run gave up.
+    fn optimize(&mut self, costs: &[S], limit: usize, rule: PivotRule) -> Option<LpStatus> {
+        let cap = S::iteration_cap(self.m, self.cols);
         let mut degenerate_streak = 0usize;
         loop {
-            let c_b: Vec<Rational> = self.basis.iter().map(|&j| costs[j].clone()).collect();
-            let y = self.basis_factors.btran(c_b);
+            if self.stats.pivots >= cap {
+                return None;
+            }
+            let factors = self.factors.as_ref()?;
+            let c_b: Vec<S> = self.basis.iter().map(|&j| costs[j].clone()).collect();
+            let y = factors.btran(c_b);
             let use_bland = rule == PivotRule::Bland || degenerate_streak >= DEGENERATE_SWITCH;
-            let mut entering: Option<(usize, Rational)> = None;
+            let mut entering: Option<(usize, S)> = None;
             for (j, cost) in costs.iter().enumerate().take(limit) {
                 if self.in_basis[j] {
                     continue;
                 }
-                let d = cost - &self.a.dot_col(j, &y);
+                // d = c_j − y·A_j
+                let mut d = -self.a.dot_col(j, &y);
+                d += cost;
                 if d.is_positive() {
                     if use_bland {
                         entering = Some((j, d));
@@ -555,29 +863,27 @@ impl<'a> Revised<'a> {
                 }
             }
             let Some((q, _)) = entering else {
-                return true; // optimal for this phase
+                return Some(LpStatus::Optimal);
             };
-            let w = self.basis_factors.ftran(self.a.col_dense(q));
+            let w = factors.ftran(self.a.col_dense(q));
             // Ratio test; ties go to the smallest basis column index
             // (Bland-compatible, mirrors the dense engine).
-            let mut best: Option<(usize, Rational)> = None;
+            let mut best: Option<(usize, S)> = None;
             for (r, wr) in w.iter().enumerate() {
-                if !wr.is_positive() {
+                if !wr.is_pivot() {
                     continue;
                 }
-                let ratio = &self.x_b[r] / wr;
-                let better = match &best {
-                    None => true,
-                    Some((br, bratio)) => {
-                        ratio < *bratio || (ratio == *bratio && self.basis[r] < self.basis[*br])
-                    }
-                };
+                let ratio = self.x_b[r].ratio(wr);
+                let better = best.as_ref().is_none_or(|(br, bratio)| {
+                    let tie_break = self.basis[r].cmp(&self.basis[*br]);
+                    ratio.cmp_ratio(bratio).then(tie_break).is_lt()
+                });
                 if better {
                     best = Some((r, ratio));
                 }
             }
             let Some((r, theta)) = best else {
-                return false; // unbounded
+                return Some(LpStatus::Unbounded);
             };
             if theta.is_zero() {
                 degenerate_streak += 1;
@@ -592,100 +898,33 @@ impl<'a> Revised<'a> {
     /// value 0) for a non-artificial column when one is available; rows
     /// with no such column are redundant and keep their artificial
     /// pinned at 0 (it can never leave: its tableau row is zero over all
-    /// enterable columns).
+    /// enterable columns). For `f64` this is purely a success-rate
+    /// optimization: a basis still holding artificials has a worse
+    /// chance of exact verification (their positions must solve to
+    /// *exactly* zero).
     fn drive_out_artificials(&mut self) {
         for r in 0..self.m {
             if self.basis[r] < self.first_art {
                 continue;
             }
-            let mut e = vec![Rational::zero(); self.m];
-            e[r] = Rational::one();
-            let rho = self.basis_factors.btran(e);
-            let q = (0..self.first_art)
-                .find(|&j| !self.in_basis[j] && !self.a.dot_col(j, &rho).is_zero());
+            let Some(factors) = self.factors.as_ref() else {
+                return;
+            };
+            let mut e = vec![S::default(); self.m];
+            e[r] = S::one();
+            let rho = factors.btran(e);
+            let q = (0..self.first_art).find(|&j| {
+                if self.in_basis[j] {
+                    return false;
+                }
+                let d = self.a.dot_col(j, &rho);
+                d.is_pivot() || (-d).is_pivot()
+            });
             if let Some(q) = q {
-                let w = self.basis_factors.ftran(self.a.col_dense(q));
-                debug_assert!(!w[r].is_zero() && self.x_b[r].is_zero());
-                self.pivot(r, q, &Rational::zero(), &w);
+                let w = factors.ftran(self.a.col_dense(q));
+                debug_assert!(!w[r].is_zero());
+                self.pivot(r, q, &S::default(), &w);
             }
-        }
-    }
-
-    /// Phase-2 costs in maximization sense, zero on slacks/artificials.
-    /// Shared with the hybrid engine's verification and float phase so
-    /// all three price against the identical vector.
-    pub(crate) fn phase2_costs(&self) -> Vec<Rational> {
-        let mut phase2 = vec![Rational::zero(); self.cols];
-        for (j, c) in self.lp.objective_coeffs().iter().enumerate() {
-            phase2[j] = match self.lp.objective() {
-                Objective::Maximize => c.clone(),
-                Objective::Minimize => -c,
-            };
-        }
-        phase2
-    }
-
-    pub(crate) fn run(mut self, rule: PivotRule) -> LpSolution {
-        let phase2 = self.phase2_costs();
-
-        if self.any_artificial {
-            // Phase 1 only has work to do when some artificial starts
-            // positive; an all-zero artificial start (e.g. equalities
-            // with RHS 0 — the entropy LPs' FD rows) is already at the
-            // phase-1 optimum and goes straight to drive-out.
-            let needs_phase1 =
-                (0..self.m).any(|r| self.basis[r] >= self.first_art && !self.x_b[r].is_zero());
-            if needs_phase1 {
-                let mut phase1 = vec![Rational::zero(); self.cols];
-                for cost in phase1.iter_mut().skip(self.first_art) {
-                    *cost = -Rational::one();
-                }
-                let ok = self.optimize(&phase1, self.cols, rule);
-                debug_assert!(ok, "phase 1 cannot be unbounded");
-            }
-            let infeasible =
-                (0..self.m).any(|r| self.basis[r] >= self.first_art && !self.x_b[r].is_zero());
-            if infeasible {
-                return LpSolution {
-                    status: LpStatus::Infeasible,
-                    objective: Rational::zero(),
-                    values: vec![Rational::zero(); self.n],
-                    stats: self.stats,
-                };
-            }
-            self.drive_out_artificials();
-        }
-
-        if !self.optimize(&phase2, self.first_art, rule) {
-            return LpSolution {
-                status: LpStatus::Unbounded,
-                objective: Rational::zero(),
-                values: vec![Rational::zero(); self.n],
-                stats: self.stats,
-            };
-        }
-
-        let mut values = vec![Rational::zero(); self.n];
-        let mut raw = Rational::zero();
-        for r in 0..self.m {
-            if !self.x_b[r].is_zero() {
-                raw += &(&phase2[self.basis[r]] * &self.x_b[r]);
-                if self.basis[r] < self.n {
-                    values[self.basis[r]] = self.x_b[r].clone();
-                }
-            }
-        }
-        let objective = match self.lp.objective() {
-            Objective::Maximize => raw,
-            Objective::Minimize => -raw,
-        };
-        // b_rhs kept only for debug invariants on the feasible solution.
-        debug_assert_eq!(self.b_rhs.len(), self.m);
-        LpSolution {
-            status: LpStatus::Optimal,
-            objective,
-            values,
-            stats: self.stats,
         }
     }
 }
@@ -702,13 +941,6 @@ mod tests {
 
     fn ri(p: i64) -> Rational {
         Rational::int(p)
-    }
-
-    fn both(lp: &LinearProgram) -> (LpSolution, LpSolution) {
-        (
-            simplex::solve_with(lp, PivotRule::Bland),
-            solve_revised(lp, PivotRule::DantzigThenBland),
-        )
     }
 
     #[test]
@@ -893,7 +1125,7 @@ mod tests {
     fn refactorization_triggers_and_stays_exact() {
         // 3·REFACTOR_INTERVAL independent variables, one pivot each.
         let mut lp = LinearProgram::maximize();
-        let nv = 3 * REFACTOR_INTERVAL;
+        let nv = 3 * <Rational as Scalar>::REFACTOR_INTERVAL;
         let vars: Vec<_> = (0..nv).map(|i| lp.add_var(format!("x{i}"))).collect();
         for (i, &v) in vars.iter().enumerate() {
             lp.set_objective_coeff(v, ri(1));
@@ -951,11 +1183,80 @@ mod tests {
                 };
                 lp.add_constraint(coeffs, rel, ri(next(11) as i64 - 3));
             }
-            let (dense, sparse) = both(&lp);
-            assert_eq!(dense.status, sparse.status, "case {case}:\n{lp}");
-            if dense.status == LpStatus::Optimal {
-                assert_eq!(dense.objective, sparse.objective, "case {case}:\n{lp}");
+            let dense = simplex::solve_with(&lp, PivotRule::Bland);
+            for solve in [solve_revised, crate::solve_hybrid] {
+                let sparse = solve(&lp, PivotRule::DantzigThenBland);
+                assert_eq!(dense.status, sparse.status, "case {case}:\n{lp}");
+                if dense.status == LpStatus::Optimal {
+                    assert_eq!(dense.objective, sparse.objective, "case {case}:\n{lp}");
+                }
             }
         }
+    }
+
+    /// Factorizes the square matrix with the given dense columns.
+    fn factorize<S: Scalar>(dense: &[Vec<S>]) -> Option<SparseLu<S>> {
+        let cols: Vec<Vec<(usize, S)>> = dense
+            .iter()
+            .map(|col| {
+                col.iter()
+                    .cloned()
+                    .enumerate()
+                    .filter(|(_, v)| !v.is_zero())
+                    .collect()
+            })
+            .collect();
+        SparseLu::factorize(cols.len(), |p| &cols[p])
+    }
+
+    #[test]
+    fn singular_matrices_factorize_to_none_over_both_scalars() {
+        fn check<S: Scalar>(to: fn(i64) -> S) {
+            let matrix = |cols: &[&[i64]]| -> Vec<Vec<S>> {
+                cols.iter()
+                    .map(|c| c.iter().map(|&v| to(v)).collect())
+                    .collect()
+            };
+            // Two equal columns.
+            assert!(factorize(&matrix(&[&[1, 1], &[1, 1]])).is_none());
+            // Column 2 = column 0 + column 1: cancels during elimination.
+            assert!(factorize(&matrix(&[&[1, 0, 1], &[0, 1, 1], &[1, 1, 2]])).is_none());
+            // An all-zero column.
+            assert!(factorize(&matrix(&[&[1, 0], &[0, 0]])).is_none());
+            assert!(factorize(&matrix(&[&[1, 0], &[0, 1]])).is_some());
+        }
+        check(Rational::int);
+        check(|v| v as f64);
+        // f64 only: dependent up to round-off is singular too.
+        assert!(factorize(&[vec![1.0, 1.0], vec![1.0, 1.0 + 1e-13]]).is_none());
+    }
+
+    #[test]
+    fn f64_threshold_pivoting_skips_a_small_sparse_row() {
+        // Rows [ε 0 0], [1 1 2], [0 1 1] with ε = 1/100. Every column
+        // holds two entries, so column 0 is pivoted first. Its sparsest
+        // row is row 0, but ε is below STABILITY_RATIO · 1, so f64
+        // pivots on row 1; the exact engine takes the sparser row 0.
+        let float = factorize(&[
+            vec![0.01, 1.0, 0.0],
+            vec![0.0, 1.0, 1.0],
+            vec![0.0, 2.0, 1.0],
+        ])
+        .expect("nonsingular");
+        assert_eq!((float.steps[0].pcol, float.steps[0].prow), (0, 1));
+        let exact = factorize(&[
+            vec![r(1, 100), ri(1), ri(0)],
+            vec![ri(0), ri(1), ri(1)],
+            vec![ri(0), ri(2), ri(1)],
+        ])
+        .expect("nonsingular");
+        assert_eq!((exact.steps[0].pcol, exact.steps[0].prow), (0, 0));
+        // Either pivot order solves B x = B·(1, 2, 3).
+        let x = float.ftran(vec![0.01, 9.0, 5.0]);
+        for (got, want) in x.iter().zip([1.0, 2.0, 3.0]) {
+            assert!((got - want).abs() < 1e-12, "{x:?}");
+        }
+        let x = exact.ftran(vec![r(1, 100), ri(9), ri(5)]);
+        assert_eq!(x, vec![ri(1), ri(2), ri(3)]);
     }
 }

@@ -1,6 +1,6 @@
-//! Engine selection: dense tableau vs. sparse revised simplex.
+//! Engine selection: dense tableau, exact revised simplex, or hybrid.
 //!
-//! Both engines are exact (rationals end to end) and implement the same
+//! All three engines return exact answers and implement the same
 //! two-phase method with the same pivot rules, so for any program they
 //! agree on the status and — at optimality — on the objective value
 //! (the LP optimum is unique even when the optimal *point* is not).
@@ -11,9 +11,14 @@
 //!   pivot. Unbeatable on the paper's small combinatorial LPs.
 //! - [`Solver::RevisedSparse`] ([`crate::revised`]) keeps the constraint
 //!   matrix sparse and reconstructs only what a pivot needs through an
-//!   LU-factorized basis with eta updates. It wins once the matrix is
-//!   large and sparse — the entropy LPs of Propositions 6.9/6.10, whose
-//!   `2^k − 1` columns meet constraints touching 2–4 variables each.
+//!   LU-factorized basis with eta updates, in rational arithmetic. It
+//!   wins once the matrix is large and sparse — the entropy LPs of
+//!   Propositions 6.9/6.10, whose `2^k − 1` columns meet constraints
+//!   touching 2–4 variables each.
+//! - [`Solver::HybridFloat`] ([`crate::hybrid`]) runs the same revised
+//!   simplex over `f64` to propose a basis and verifies it with one
+//!   exact factorization, falling back to the exact engine on any doubt.
+//!   The fastest engine on the large sparse programs.
 //!
 //! [`Solver::Auto`] (the [`crate::LinearProgram::solve`] default) picks
 //! by a size/density heuristic documented at [`Solver::AUTO_MIN_DIM`];

@@ -1,4 +1,4 @@
-//! Compressed sparse-column matrices over exact rationals.
+//! Compressed sparse-column matrices.
 //!
 //! The revised simplex ([`crate::revised`]) never materializes the dense
 //! tableau: it keeps the constraint matrix in column-major sparse form
@@ -9,14 +9,16 @@
 //! handful of them — so the sparse representation is what makes the
 //! exact arithmetic scale past the dense tableau's ceiling.
 
+use crate::revised::Scalar;
 use cq_arith::Rational;
 
 /// A column-major sparse matrix: each column is a row-sorted list of
-/// `(row, value)` pairs with every stored `value` nonzero.
+/// `(row, value)` pairs with every stored `value` nonzero. Matrices are
+/// built over [`Rational`]; the hybrid's `f64` phase maps a copy.
 #[derive(Clone, Debug)]
-pub struct SparseMatrix {
+pub struct SparseMatrix<S = Rational> {
     rows: usize,
-    cols: Vec<Vec<(usize, Rational)>>,
+    cols: Vec<Vec<(usize, S)>>,
 }
 
 impl SparseMatrix {
@@ -28,6 +30,17 @@ impl SparseMatrix {
         }
     }
 
+    /// Appends a nonzero entry to column `col`. Entries of a column must
+    /// be pushed in strictly increasing row order (the natural order when
+    /// the matrix is built constraint by constraint).
+    pub fn push(&mut self, col: usize, row: usize, value: Rational) {
+        debug_assert!(row < self.rows && !value.is_zero());
+        debug_assert!(self.cols[col].last().is_none_or(|(r, _)| *r < row));
+        self.cols[col].push((row, value));
+    }
+}
+
+impl<S> SparseMatrix<S> {
     /// Number of rows.
     pub fn num_rows(&self) -> usize {
         self.rows
@@ -38,17 +51,8 @@ impl SparseMatrix {
         self.cols.len()
     }
 
-    /// Appends a nonzero entry to column `col`. Entries of a column must
-    /// be pushed in strictly increasing row order (the natural order when
-    /// the matrix is built constraint by constraint).
-    pub fn push(&mut self, col: usize, row: usize, value: Rational) {
-        debug_assert!(row < self.rows && !value.is_zero());
-        debug_assert!(self.cols[col].last().is_none_or(|(r, _)| *r < row));
-        self.cols[col].push((row, value));
-    }
-
     /// The row-sorted nonzero entries of column `j`.
-    pub fn col(&self, j: usize) -> &[(usize, Rational)] {
+    pub fn col(&self, j: usize) -> &[(usize, S)] {
         &self.cols[j]
     }
 
@@ -57,21 +61,37 @@ impl SparseMatrix {
         self.cols.iter().map(Vec::len).sum()
     }
 
+    /// The same sparsity pattern with every value mapped through `f`.
+    pub(crate) fn map<T>(&self, f: impl Fn(&S) -> T) -> SparseMatrix<T> {
+        SparseMatrix {
+            rows: self.rows,
+            cols: self
+                .cols
+                .iter()
+                .map(|col| col.iter().map(|(i, v)| (*i, f(v))).collect())
+                .collect(),
+        }
+    }
+
     /// `Σ_i col_j[i] · dense[i]` — the inner product used by pricing
     /// (reduced cost of column `j` against the dual vector).
-    pub fn dot_col(&self, j: usize, dense: &[Rational]) -> Rational {
-        let mut acc = Rational::zero();
+    pub(crate) fn dot_col(&self, j: usize, dense: &[S]) -> S
+    where
+        S: Scalar,
+    {
+        let mut acc = S::default();
         for (i, v) in &self.cols[j] {
-            if !dense[*i].is_zero() {
-                acc += &(v * &dense[*i]);
-            }
+            acc.add_mul(v, &dense[*i]);
         }
         acc
     }
 
     /// Scatters column `j` into a fresh dense vector.
-    pub fn col_dense(&self, j: usize) -> Vec<Rational> {
-        let mut out = vec![Rational::zero(); self.rows];
+    pub(crate) fn col_dense(&self, j: usize) -> Vec<S>
+    where
+        S: Scalar,
+    {
+        let mut out = vec![S::default(); self.rows];
         for (i, v) in &self.cols[j] {
             out[*i] = v.clone();
         }
