@@ -217,14 +217,14 @@ pub fn coloring_from_weights(weights: &[Rational]) -> Coloring {
     let mut denom = BigInt::one();
     for w in weights {
         let d = w.denom();
-        let g = denom.gcd(d);
-        denom = &(&denom * d) / &g;
+        let g = denom.gcd(&d);
+        denom = &(&denom * &d) / &g;
     }
     let mut next_color = 0usize;
     let labels = weights
         .iter()
         .map(|w| {
-            let count_big = (w * &Rational::from(denom.clone())).numer().clone();
+            let count_big = (w * &Rational::from(denom.clone())).numer();
             let count = count_big
                 .to_u64()
                 .expect("color counts fit in u64 for the paper's LPs")

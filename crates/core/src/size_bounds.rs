@@ -236,8 +236,9 @@ fn product_bound_with_weights(
     // common denominator L
     let mut l = BigInt::one();
     for w in &weights {
-        let g = l.gcd(w.denom());
-        l = &(&l * w.denom()) / &g;
+        let d = w.denom();
+        let g = l.gcd(&d);
+        l = &(&l * &d) / &g;
     }
     let l_u32 = l.to_u64().expect("cover denominators are small") as u32;
     let mut rhs = BigInt::one();

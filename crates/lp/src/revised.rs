@@ -628,18 +628,24 @@ impl<'a> Revised<'a> {
         let mut basis = Vec::with_capacity(m);
         let mut slack_cursor = n;
         let mut art_cursor = first_art;
-        let mut dense = vec![Rational::zero(); n];
+        let mut row: Vec<(usize, Rational)> = Vec::new();
         for (i, c) in lp.constraints().iter().enumerate() {
-            for d in dense.iter_mut() {
-                *d = Rational::zero();
-            }
-            for (v, coeff) in &c.coeffs {
-                dense[v.index()] += coeff;
-            }
+            // The row's coefficients by variable, duplicates summed and
+            // zeros dropped, in O(row length) rather than O(n).
+            row.clear();
+            row.extend(c.coeffs.iter().map(|(v, coeff)| (v.index(), coeff.clone())));
+            row.sort_by_key(|&(j, _)| j);
+            row.dedup_by(|(j, next), (k, kept)| {
+                let same = j == k;
+                if same {
+                    *kept += &*next;
+                }
+                same
+            });
             let (negate, rel, rhs) = canonical[i].clone();
-            for (j, d) in dense.iter().enumerate() {
+            for (j, d) in row.drain(..) {
                 if !d.is_zero() {
-                    a.push(j, i, if negate { -d } else { d.clone() });
+                    a.push(j, i, if negate { -d } else { d });
                 }
             }
             match rel {
@@ -941,6 +947,43 @@ mod tests {
 
     fn ri(p: i64) -> Rational {
         Rational::int(p)
+    }
+
+    #[test]
+    fn rows_sum_duplicates_and_drop_cancelled_coefficients() {
+        let mut lp = LinearProgram::maximize();
+        let x = lp.add_var("x");
+        let y = lp.add_var("y");
+        let z = lp.add_var("z");
+        let row0 = vec![(z, ri(3)), (x, ri(1)), (y, ri(2)), (x, ri(-1)), (x, ri(1))];
+        lp.add_constraint(row0, Relation::Le, ri(4));
+        let row1 = vec![(y, ri(1)), (x, ri(2)), (y, ri(-1)), (z, r(1, 2))];
+        lp.add_constraint(row1, Relation::Ge, ri(1));
+        // Ge with RHS 0: negated into a Le row.
+        let row2 = vec![(z, ri(1)), (x, ri(-1)), (z, ri(1))];
+        lp.add_constraint(row2, Relation::Ge, ri(0));
+        // Negative RHS: negated into a Ge row; y cancels entirely.
+        let row3 = vec![(y, ri(1)), (z, ri(1)), (y, ri(-1))];
+        lp.add_constraint(row3, Relation::Le, ri(-2));
+        let rv = Revised::new(&lp);
+        let expected: Vec<Vec<(usize, Rational)>> = vec![
+            vec![(0, ri(1)), (1, ri(2)), (2, ri(1))],
+            vec![(0, ri(2))],
+            vec![(0, ri(3)), (1, r(1, 2)), (2, ri(-2)), (3, ri(-1))],
+            vec![(0, ri(1))],
+            vec![(1, ri(-1))],
+            vec![(2, ri(1))],
+            vec![(3, ri(-1))],
+            vec![(1, ri(1))],
+            vec![(3, ri(1))],
+        ];
+        assert_eq!(rv.a.num_rows(), 4);
+        assert_eq!(rv.a.num_cols(), expected.len());
+        for (j, col) in expected.iter().enumerate() {
+            assert_eq!(rv.a.col(j), &col[..], "column {j}");
+        }
+        assert_eq!(rv.b_rhs, vec![ri(4), ri(1), ri(0), ri(2)]);
+        assert_eq!(rv.basis, vec![3, 7, 5, 8]);
     }
 
     #[test]

@@ -486,8 +486,7 @@ mod tests {
         {
             let outer = Span::enter("test.outer");
             assert!(outer.active());
-            let inner = Span::enter("test.inner");
-            assert_eq!(inner.id(), outer.id() + 1);
+            let _inner = Span::enter("test.inner");
         }
         let events = ctx.take_collected();
         // Children close first: inner, then outer.
