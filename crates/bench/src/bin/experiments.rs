@@ -4,7 +4,9 @@
 //! Run all: `cargo run --release -p cq-bench --bin experiments`
 //! Run one: `cargo run --release -p cq-bench --bin experiments -- e07`
 //!
-//! The output of a full run is recorded in `EXPERIMENTS.md`.
+//! Standard output holds exact values only and is recorded in
+//! `EXPERIMENTS.md`, which CI regenerates and diffs; wall-clock timings
+//! go to standard error.
 
 use cq_arith::Rational;
 use cq_bench::{clique_query, cycle_query, random_query, star_query, Table};
@@ -84,7 +86,7 @@ fn main() {
         println!("\n=== {id}: {title} ===");
         let t = Instant::now();
         f();
-        println!("[{id} done in {:.2?}]", t.elapsed());
+        eprintln!("[{id} done in {:.2?}]", t.elapsed());
     }
 }
 
@@ -244,15 +246,8 @@ fn e05() {
 fn e06() {
     let q = parse_query("S(X,Y,Z) :- R(X,Y), R(X,Z), R(Y,Z)").unwrap();
     let bound = size_bound_no_fds(&q);
-    let mut t = Table::new(&[
-        "M",
-        "rmax",
-        "|Q(D)|",
-        "max intermediate",
-        "rmax^C",
-        "plan time",
-        "backtrack time",
-    ]);
+    let mut t = Table::new(&["M", "rmax", "|Q(D)|", "max intermediate", "rmax^C"]);
+    let mut times = Table::new(&["M", "plan time", "backtrack time"]);
     for m in [4usize, 8, 16, 24] {
         let db = worst_case_database(&q, &bound.coloring, m);
         let rmax = db.rmax(&["R"]);
@@ -271,11 +266,15 @@ fn e06() {
             planned.len().to_string(),
             worst.to_string(),
             format!("{:.0}", (rmax as f64).powf(1.5)),
+        ]);
+        times.row(&[
+            m.to_string(),
             format!("{plan_t:.1?}"),
             format!("{direct_t:.1?}"),
         ]);
     }
     print!("{}", t.render());
+    eprint!("{}", times.render());
 }
 
 /// E07 — Figure 1 / Prop 5.2: before/after treewidth of the keyed
@@ -683,7 +682,8 @@ fn e17() {
     println!("Horn decision == (C > 1) on {agree}/{total} random instances (paper: all)");
     assert_eq!(agree, total);
     // timing: the decision is polynomial — clique queries of growing size
-    let mut t = Table::new(&["clique n", "atoms", "vars", "decision time"]);
+    let mut t = Table::new(&["clique n", "atoms", "vars"]);
+    let mut times = Table::new(&["clique n", "decision time"]);
     for n in [4usize, 8, 12, 16] {
         let q = clique_query(n);
         let t0 = Instant::now();
@@ -693,10 +693,11 @@ fn e17() {
             n.to_string(),
             q.num_atoms().to_string(),
             q.num_vars().to_string(),
-            format!("{:.2?}", t0.elapsed()),
         ]);
+        times.row(&[n.to_string(), format!("{:.2?}", t0.elapsed())]);
     }
     print!("{}", t.render());
+    eprint!("{}", times.render());
 }
 
 /// E18 — Prop 7.3: reduction equivalence on a fixed battery.
@@ -761,7 +762,8 @@ fn e19() {
 
 /// E20 — Prop 7.1: C(chase(Q)) computation scales polynomially in |Q|.
 fn e20() {
-    let mut t = Table::new(&["family", "atoms", "vars", "time"]);
+    let mut t = Table::new(&["family", "atoms", "vars"]);
+    let mut times = Table::new(&["family", "time"]);
     for n in [4usize, 8, 12, 16, 20] {
         let q = cycle_query(n);
         let t0 = Instant::now();
@@ -772,8 +774,8 @@ fn e20() {
             format!("cycle({n})"),
             q.num_atoms().to_string(),
             q.num_vars().to_string(),
-            format!("{dt:.2?}"),
         ]);
+        times.row(&[format!("cycle({n})"), format!("{dt:.2?}")]);
     }
     for n in [6usize, 10, 14] {
         let (q, fds) = star_query(n, true);
@@ -785,10 +787,11 @@ fn e20() {
             format!("keyed star({n})"),
             q.num_atoms().to_string(),
             q.num_vars().to_string(),
-            format!("{dt:.2?}"),
         ]);
+        times.row(&[format!("keyed star({n})"), format!("{dt:.2?}")]);
     }
     print!("{}", t.render());
+    eprint!("{}", times.render());
 }
 
 /// E21 — the algorithmic payoff of the size bound: on AGM-worst-case
@@ -797,14 +800,8 @@ fn e20() {
 fn e21() {
     let q = parse_query("S(X,Y,Z) :- R(X,Y), R(X,Z), R(Y,Z)").unwrap();
     let bound = size_bound_no_fds(&q);
-    let mut t = Table::new(&[
-        "M",
-        "rmax",
-        "|Q(D)|",
-        "binary-plan max intermediate",
-        "wcoj time",
-        "plan time",
-    ]);
+    let mut t = Table::new(&["M", "rmax", "|Q(D)|", "binary-plan max intermediate"]);
+    let mut times = Table::new(&["M", "wcoj time", "plan time"]);
     for m in [4usize, 8, 16, 24] {
         let db = worst_case_database(&q, &bound.coloring, m);
         let rmax = db.rmax(&["R"]);
@@ -821,18 +818,23 @@ fn e21() {
             rmax.to_string(),
             wcoj.len().to_string(),
             inter.iter().copied().max().unwrap().to_string(),
+        ]);
+        times.row(&[
+            m.to_string(),
             format!("{wcoj_t:.1?}"),
             format!("{plan_t:.1?}"),
         ]);
     }
     print!("{}", t.render());
+    eprint!("{}", times.render());
     println!("(wcoj never materializes more than the output — the Õ(rmax^ρ*) guarantee)");
 }
 
 /// E22 — acyclicity and Yannakakis: O(input+output) evaluation on
 /// acyclic queries, agreeing with the generic engines.
 fn e22() {
-    let mut t = Table::new(&["query", "acyclic", "|Q(D)|", "yannakakis", "backtracking"]);
+    let mut t = Table::new(&["query", "acyclic", "|Q(D)|"]);
+    let mut times = Table::new(&["query", "yannakakis", "backtracking"]);
     for text in [
         "Q(X,Z) :- R(X,Y), S(Y,Z)",
         "Q(X,Y,Z,W) :- R(X,Y), S(X,Z), T(X,W)",
@@ -854,13 +856,9 @@ fn e22() {
         } else {
             (direct.len(), "n/a (cyclic)".into())
         };
-        t.row(&[
-            text.to_string(),
-            acyclic.to_string(),
-            count.to_string(),
-            yt,
-            format!("{bt:.1?}"),
-        ]);
+        t.row(&[text.to_string(), acyclic.to_string(), count.to_string()]);
+        times.row(&[text.to_string(), yt, format!("{bt:.1?}")]);
     }
     print!("{}", t.render());
+    eprint!("{}", times.render());
 }

@@ -21,15 +21,16 @@
 
 use crate::query::{Atom, ConjunctiveQuery};
 use crate::wcoj::evaluate_wcoj;
-use cq_hypergraph::{hypertree_exact, hypertree_greedy, HypertreeDecomposition};
+use cq_hypergraph::{hypertree_capped, HypertreeDecomposition};
 use cq_relation::{natural_join, Database, Relation, Schema};
 use std::fmt;
 
 pub use crate::acyclic::semijoin;
 
 /// Variable-count ceiling for the exact decomposition search in
-/// [`decompose`]; larger queries fall back to the greedy bound.
-pub const MAX_EXACT_DECOMP_VARS: usize = 12;
+/// [`decompose`]; larger queries fall back to the greedy bound. The cap
+/// lives beside the search, in `cq_hypergraph::exact`.
+pub use cq_hypergraph::HYPERTREE_EXACT_VAR_CAP as MAX_EXACT_DECOMP_VARS;
 
 /// Why a supplied decomposition was rejected. Invalid inputs always
 /// produce an error, never a wrong answer.
@@ -57,12 +58,7 @@ impl std::error::Error for DecompEvalError {}
 /// [`MAX_EXACT_DECOMP_VARS`] variables, the greedy elimination-order
 /// upper bound beyond that. Always passes `validate`.
 pub fn decompose(q: &ConjunctiveQuery) -> HypertreeDecomposition {
-    let h = q.hypergraph();
-    if q.num_vars() <= MAX_EXACT_DECOMP_VARS {
-        hypertree_exact(&h)
-    } else {
-        hypertree_greedy(&h)
-    }
+    hypertree_capped(&q.hypergraph()).0
 }
 
 /// Evaluates `q` guided by the supplied decomposition: validates it,

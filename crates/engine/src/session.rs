@@ -22,7 +22,6 @@
 
 use crate::cache::LpCache;
 use cq_arith::Rational;
-use cq_core::MAX_EXACT_DECOMP_VARS;
 use cq_core::{
     chase, check_size_bound, color_number_entropy_lp_with_stats, color_number_lp,
     decide_size_increase_chased, entropy_upper_bound_with_stats, is_acyclic, parse_program,
@@ -30,9 +29,7 @@ use cq_core::{
     BoundCheck, ChaseResult, ConjunctiveQuery, ParseError, RemovalTrace, SizeBound,
     SizeIncreaseDecision, SolveStats, SolverKind, TwPreservation, VarFd,
 };
-use cq_hypergraph::{
-    hypertree_width_exact, hypertree_width_upper_bound, treewidth_exact, treewidth_upper_bound,
-};
+use cq_hypergraph::{hypertree_capped, treewidth_capped};
 use cq_relation::{Database, FdSet};
 use cq_telemetry::phase;
 use std::cell::{Cell, OnceCell};
@@ -60,12 +57,9 @@ pub const ENTROPY_BOUND_VAR_CAP: usize = 9;
 /// hard skip.
 pub const ENTROPY_BOUND_DENSE_CAP: usize = 6;
 
-/// Variable cap for the exact treewidth branch-and-bound in
-/// [`AnalysisSession::query_widths`]; larger queries get the
-/// min-degree/min-fill upper bound. (The hypertree search carries its
-/// own cap, [`MAX_EXACT_DECOMP_VARS`] — its per-bag set covers make the
-/// same subset search heavier per state.)
-pub const TREEWIDTH_EXACT_VAR_CAP: usize = 16;
+/// Variable cap for the exact treewidth search in
+/// [`AnalysisSession::query_widths`]; it lives beside the search.
+pub use cq_hypergraph::TREEWIDTH_EXACT_VAR_CAP;
 
 /// How many times each expensive pipeline stage actually executed.
 ///
@@ -386,31 +380,24 @@ impl AnalysisSession {
 
     /// Treewidth of the query's primal graph and generalized hypertree
     /// width of its hypergraph (the widths governing decomposition-
-    /// guided evaluation, see `cq_core::decomp_eval`). Each is exact up
-    /// to its variable cap ([`TREEWIDTH_EXACT_VAR_CAP`] /
-    /// [`MAX_EXACT_DECOMP_VARS`]) and a greedy elimination-order upper
-    /// bound beyond it; the `*_exact` flags say which was computed.
+    /// guided evaluation, see `cq_core::decomp_eval`). Both come from
+    /// the one elimination search of `cq_hypergraph::exact`, which owns
+    /// the exact-or-greedy policy: each width is exact up to its variable
+    /// cap ([`TREEWIDTH_EXACT_VAR_CAP`] /
+    /// [`cq_hypergraph::HYPERTREE_EXACT_VAR_CAP`]) and a greedy
+    /// elimination-order upper bound beyond it; the `*_exact` flags say
+    /// which was computed.
     pub fn query_widths(&self) -> &QueryWidths {
         self.widths.get_or_init(|| {
             let _p = phase("session.hypertree", "cq_session_hypertree_micros");
             bump(&self.counters.width);
-            let n = self.query.num_vars();
             let h = self.query.hypergraph();
-            let g = h.primal_graph();
-            let (treewidth, treewidth_exact) = if n <= TREEWIDTH_EXACT_VAR_CAP {
-                (treewidth_exact(&g), true)
-            } else {
-                (treewidth_upper_bound(&g), false)
-            };
-            let (hypertree_width, hypertree_exact) = if n <= MAX_EXACT_DECOMP_VARS {
-                (hypertree_width_exact(&h), true)
-            } else {
-                (hypertree_width_upper_bound(&h), false)
-            };
+            let (treewidth, treewidth_exact) = treewidth_capped(&h.primal_graph());
+            let (htd, hypertree_exact) = hypertree_capped(&h);
             QueryWidths {
                 treewidth,
                 treewidth_exact,
-                hypertree_width,
+                hypertree_width: htd.width(),
                 hypertree_exact,
             }
         })

@@ -19,10 +19,12 @@
 //!    the minimum over tree decompositions of `max ρ(bag)` is attained
 //!    on a decomposition induced by an elimination ordering (every tree
 //!    decomposition refines to a minimal triangulation, and minimal
-//!    triangulations arise from elimination orderings). Exact search can
-//!    therefore reuse the memoized subset branch-and-bound of
-//!    [`crate::exact`], swapping elimination-time degree for
-//!    elimination-time bag cover number.
+//!    triangulations arise from elimination orderings). Exact search is
+//!    therefore the memoized subset branch-and-bound of
+//!    [`crate::exact`] with the elimination bag's minimum edge cover as
+//!    its cost in place of `|bag| − 1`. The search memoizes one exact
+//!    cover per bag, and the witness bags are labelled from that memo,
+//!    so the reported width is the width that was searched.
 //!
 //! The stricter *hypertree decompositions* add a descendant condition
 //! (every cover vertex that reappears below a bag must be in the bag);
@@ -36,14 +38,15 @@
 
 use crate::decomposition::TreeDecomposition;
 use crate::elimination::{decomposition_from_ordering, min_degree_ordering, min_fill_ordering};
+use crate::exact::{mask, BagCost, EliminationSearch, MAX_EXACT_VERTICES};
 use crate::hypergraph::Hypergraph;
 use cq_util::{BitSet, FxHashMap};
+use std::cmp::Reverse;
 
-/// Hard cap on the exact solver (search state is a `u64` vertex mask).
-pub const MAX_EXACT_HYPERTREE_VERTICES: usize = 64;
-
-/// Above this many distinct candidate edges per bag the per-bag set
-/// cover falls back from branch-and-bound to plain greedy.
+/// Applies only to the covers of [`hypertree_greedy`]: above this many
+/// undominated candidate edges a bag's cover falls back from
+/// branch-and-bound to plain greedy. The exact search prices every bag
+/// with an exact cover.
 const MAX_EXACT_COVER_CANDIDATES: usize = 24;
 
 /// A generalized hypertree decomposition: a bag tree where every bag is
@@ -252,63 +255,109 @@ impl HypertreeDecomposition {
     }
 }
 
-/// Minimum set cover of `target` by the hypergraph's edges (restricted
-/// to `target`), as edge indices. Exact branch-and-bound seeded with the
-/// greedy cover when the candidate pool is small, greedy otherwise.
-/// Returns `None` if some vertex of `target` lies in no edge.
-fn min_cover(h: &Hypergraph, target: &BitSet) -> Option<Vec<usize>> {
-    if target.is_empty() {
-        return Some(Vec::new());
+/// The vertex-set operations of [`min_cover`]: `u64` masks in the exact
+/// search, [`BitSet`]s (any vertex count) on the greedy path.
+trait VertexSet: Clone {
+    fn is_empty(&self) -> bool;
+    fn and(&self, other: &Self) -> Self;
+    fn minus(&self, other: &Self) -> Self;
+    fn contains(&self, v: usize) -> bool;
+    fn is_subset(&self, other: &Self) -> bool;
+    fn len(&self) -> usize;
+    fn members(&self) -> impl Iterator<Item = usize> + '_;
+}
+
+impl VertexSet for u64 {
+    fn is_empty(&self) -> bool {
+        *self == 0
     }
+    fn and(&self, other: &u64) -> u64 {
+        self & other
+    }
+    fn minus(&self, other: &u64) -> u64 {
+        self & !other
+    }
+    fn contains(&self, v: usize) -> bool {
+        self >> v & 1 != 0
+    }
+    fn is_subset(&self, other: &u64) -> bool {
+        self & !other == 0
+    }
+    fn len(&self) -> usize {
+        self.count_ones() as usize
+    }
+    fn members(&self) -> impl Iterator<Item = usize> + '_ {
+        let mut rest = *self;
+        std::iter::from_fn(move || {
+            let v = rest.trailing_zeros() as usize;
+            rest &= rest.wrapping_sub(1);
+            (v < 64).then_some(v)
+        })
+    }
+}
+
+impl VertexSet for BitSet {
+    fn is_empty(&self) -> bool {
+        BitSet::is_empty(self)
+    }
+    fn and(&self, other: &BitSet) -> BitSet {
+        self.intersection(other)
+    }
+    fn minus(&self, other: &BitSet) -> BitSet {
+        self.difference(other)
+    }
+    fn contains(&self, v: usize) -> bool {
+        BitSet::contains(self, v)
+    }
+    fn is_subset(&self, other: &BitSet) -> bool {
+        BitSet::is_subset(self, other)
+    }
+    fn len(&self) -> usize {
+        BitSet::len(self)
+    }
+    fn members(&self) -> impl Iterator<Item = usize> + '_ {
+        self.iter()
+    }
+}
+
+/// A minimum cover of `target` by `edges`, as edge indices, or `None` if
+/// some vertex of `target` lies in no edge. Branch-and-bound seeded with
+/// the greedy cover; above `max_candidates` undominated candidate edges,
+/// the greedy cover alone.
+fn min_cover<S: VertexSet>(edges: &[S], target: &S, max_candidates: usize) -> Option<Vec<usize>> {
     // Candidates: edge restrictions to the target, dominated ones
-    // removed (keep the earliest index among duplicates for
-    // determinism).
-    let mut candidates: Vec<(usize, BitSet)> = Vec::new();
-    for (i, e) in h.edges().iter().enumerate() {
-        let r = e.intersection(target);
-        if r.is_empty() {
-            continue;
-        }
-        if candidates.iter().any(|(_, c)| r.is_subset(c)) {
+    // removed (the earliest index among duplicates is kept).
+    let mut candidates: Vec<(usize, S)> = Vec::new();
+    for (i, e) in edges.iter().enumerate() {
+        let r = e.and(target);
+        if r.is_empty() || candidates.iter().any(|(_, c)| r.is_subset(c)) {
             continue;
         }
         candidates.retain(|(_, c)| !c.is_subset(&r));
         candidates.push((i, r));
     }
-    let mut covered = BitSet::with_capacity(0);
-    for (_, c) in &candidates {
-        covered.union_with(c);
+    let mut best = Vec::new();
+    let mut uncovered = target.clone();
+    while !uncovered.is_empty() {
+        let (gain, i, c) = candidates
+            .iter()
+            .map(|(i, c)| (c.and(&uncovered).len(), *i, c))
+            .max_by_key(|&(gain, i, _)| (gain, Reverse(i)))?;
+        if gain == 0 {
+            return None;
+        }
+        best.push(i);
+        uncovered = uncovered.minus(c);
     }
-    if !target.is_subset(&covered) {
-        return None;
+    if candidates.len() <= max_candidates {
+        branch_cover(&candidates, target.clone(), &mut Vec::new(), &mut best);
     }
-    let greedy = greedy_cover(&candidates, target);
-    if candidates.len() > MAX_EXACT_COVER_CANDIDATES {
-        return Some(greedy);
-    }
-    let mut best = greedy;
-    let mut chosen = Vec::new();
-    branch_cover(&candidates, target.clone(), &mut chosen, &mut best);
     Some(best)
 }
 
-fn greedy_cover(candidates: &[(usize, BitSet)], target: &BitSet) -> Vec<usize> {
-    let mut uncovered = target.clone();
-    let mut cover = Vec::new();
-    while !uncovered.is_empty() {
-        let (idx, restr) = candidates
-            .iter()
-            .max_by_key(|(i, c)| (c.intersection(&uncovered).len(), usize::MAX - i))
-            .expect("coverable target");
-        cover.push(*idx);
-        uncovered.difference_with(restr);
-    }
-    cover
-}
-
-fn branch_cover(
-    candidates: &[(usize, BitSet)],
-    uncovered: BitSet,
+fn branch_cover<S: VertexSet>(
+    candidates: &[(usize, S)],
+    uncovered: S,
     chosen: &mut Vec<usize>,
     best: &mut Vec<usize>,
 ) {
@@ -322,25 +371,30 @@ fn branch_cover(
         return; // even one more edge cannot beat the incumbent
     }
     // Branch on the uncovered vertex with the fewest candidate edges.
+    // Some edge of every cover contains it; try each such edge against
+    // the full candidate list.
     let v = uncovered
-        .iter()
+        .members()
         .min_by_key(|&v| candidates.iter().filter(|(_, c)| c.contains(v)).count())
         .unwrap();
-    for (i, (idx, restr)) in candidates.iter().enumerate() {
-        if !restr.contains(v) {
-            continue;
+    for (i, c) in candidates {
+        if c.contains(v) {
+            chosen.push(*i);
+            branch_cover(candidates, uncovered.minus(c), chosen, best);
+            chosen.pop();
         }
-        chosen.push(*idx);
-        branch_cover(&candidates[i..], uncovered.difference(restr), chosen, best);
-        chosen.pop();
     }
 }
 
 /// Converts a tree decomposition of `primal(h)` into a generalized
 /// hypertree decomposition: strips isolated vertices from every bag,
-/// computes a minimum edge cover per bag, and contracts the bags that
-/// became empty.
-fn cover_decomposition(h: &Hypergraph, td: &TreeDecomposition) -> HypertreeDecomposition {
+/// contracts the bags that became empty, and labels each bag with
+/// `cover(bag)`.
+fn cover_decomposition(
+    h: &Hypergraph,
+    td: &TreeDecomposition,
+    mut cover: impl FnMut(&BitSet) -> Vec<usize>,
+) -> HypertreeDecomposition {
     let mut non_isolated = BitSet::with_capacity(h.num_vertices());
     for e in h.edges() {
         non_isolated.union_with(e);
@@ -376,18 +430,7 @@ fn cover_decomposition(h: &Hypergraph, td: &TreeDecomposition) -> HypertreeDecom
             }
         }
     }
-    let mut cover_memo: FxHashMap<BitSet, Vec<usize>> = FxHashMap::default();
-    let covers: Vec<Vec<usize>> = bags
-        .iter()
-        .map(|bag| {
-            cover_memo
-                .entry(bag.clone())
-                .or_insert_with(|| {
-                    min_cover(h, bag).expect("non-isolated bag vertices are coverable")
-                })
-                .clone()
-        })
-        .collect();
+    let covers: Vec<Vec<usize>> = bags.iter().map(&mut cover).collect();
     let mut htd = HypertreeDecomposition::with_bags(bags.into_iter().zip(covers).collect());
     for (a, b) in edges {
         htd.add_tree_edge(a, b);
@@ -401,11 +444,14 @@ fn cover_decomposition(h: &Hypergraph, td: &TreeDecomposition) -> HypertreeDecom
 /// (conformal + chordal) hypergraph it is exactly 1.
 pub fn hypertree_greedy(h: &Hypergraph) -> HypertreeDecomposition {
     let g = h.primal_graph();
-    let fill = cover_decomposition(h, &decomposition_from_ordering(&g, &min_fill_ordering(&g)));
-    let degree = cover_decomposition(
-        h,
-        &decomposition_from_ordering(&g, &min_degree_ordering(&g)),
-    );
+    let greedy = |order: Vec<usize>| {
+        cover_decomposition(h, &decomposition_from_ordering(&g, &order), |bag| {
+            min_cover(h.edges(), bag, MAX_EXACT_COVER_CANDIDATES)
+                .expect("non-isolated bag vertices are coverable")
+        })
+    };
+    let fill = greedy(min_fill_ordering(&g));
+    let degree = greedy(min_degree_ordering(&g));
     if degree.width() < fill.width() {
         degree
     } else {
@@ -426,60 +472,26 @@ pub fn hypertree_width_upper_bound(h: &Hypergraph) -> usize {
 /// # Panics
 /// Panics if `h` has more than 64 vertices (use [`hypertree_greedy`]).
 pub fn hypertree_exact(h: &Hypergraph) -> HypertreeDecomposition {
-    let n = h.num_vertices();
     assert!(
-        n <= MAX_EXACT_HYPERTREE_VERTICES,
-        "exact hypertree solver is limited to {MAX_EXACT_HYPERTREE_VERTICES} vertices"
+        h.num_vertices() <= MAX_EXACT_VERTICES,
+        "exact width search is limited to {MAX_EXACT_VERTICES} vertices"
     );
     let greedy = hypertree_greedy(h);
-    let upper = greedy.width();
-    if n == 0 || upper <= 1 {
+    if greedy.width() <= 1 {
         // Width 0 means no edges; width 1 is optimal whenever any edge
         // exists. Either way the greedy result cannot be improved.
         return greedy;
     }
+    // Greedy finds width 1 on every acyclic hypergraph (min-fill
+    // eliminates a chordal primal graph perfectly, and conformality
+    // puts each bag in one edge), so here ghw ≥ 2.
     let g = h.primal_graph();
-    let adj: Vec<u64> = (0..n)
-        .map(|v| {
-            let mut m = 0u64;
-            for u in g.neighbors(v).iter() {
-                m |= 1 << u;
-            }
-            m
-        })
-        .collect();
-    let edge_masks: Vec<u64> = h
-        .edges()
-        .iter()
-        .map(|e| {
-            let mut m = 0u64;
-            for v in e.iter() {
-                m |= 1 << v;
-            }
-            m
-        })
-        .collect();
-    let full: u64 = if n == 64 { u64::MAX } else { (1u64 << n) - 1 };
-    let mut solver = CoverSolver {
-        n,
-        adj,
-        edge_masks,
-        covered: 0,
-        memo: FxHashMap::default(),
-        cover_memo: FxHashMap::default(),
+    let mut search = EliminationSearch::new(&g, EdgeCover::new(h));
+    let Some(k) = search.min_width(2, greedy.width()) else {
+        return greedy;
     };
-    solver.covered = solver.edge_masks.iter().fold(0, |acc, m| acc | m);
-    for k in 1..upper {
-        solver.memo.clear();
-        if solver.can_eliminate(full, k) {
-            let order = solver.extract_ordering(full, k);
-            let td = decomposition_from_ordering(&g, &order);
-            let htd = cover_decomposition(h, &td);
-            debug_assert_eq!(htd.width(), k);
-            return htd;
-        }
-    }
-    greedy
+    let td = decomposition_from_ordering(&g, &search.witness(k));
+    cover_decomposition(h, &td, |bag| search.cost.cover(mask(bag.iter())).to_vec())
 }
 
 /// Exact generalized hypertree width of `h`.
@@ -497,156 +509,39 @@ pub fn hypertree_width_exact(h: &Hypergraph) -> usize {
     hypertree_exact(h).width()
 }
 
-/// The elimination-ordering search of [`crate::exact`], with the
-/// elimination-time bag's minimum edge-cover size as the cost.
-struct CoverSolver {
-    n: usize,
-    adj: Vec<u64>,
-    edge_masks: Vec<u64>,
-    /// Union of all hyperedges: isolated vertices are excluded from
-    /// cover targets (they are uncoverable and stripped from bags).
+/// The ghw bag cost: the size of a minimum set of hyperedges covering
+/// the bag. Isolated vertices are left out of the target: no edge covers
+/// them, and they are stripped from every bag.
+struct EdgeCover {
+    edges: Vec<u64>,
+    /// Union of all hyperedges.
     covered: u64,
-    /// remaining-set -> answer for the current width budget
-    memo: FxHashMap<u64, bool>,
-    /// bag -> its minimum cover size (budget-independent)
-    cover_memo: FxHashMap<u64, usize>,
+    /// cover target -> one minimum cover, as edge indices
+    memo: FxHashMap<u64, Vec<usize>>,
 }
 
-impl CoverSolver {
-    /// The elimination bag of `v`: itself plus remaining neighbors
-    /// reachable through eliminated vertices (cf.
-    /// `Solver::eliminated_degree` in [`crate::exact`]).
-    fn elimination_bag(&self, v: usize, remaining: u64) -> u64 {
-        let eliminated = !remaining;
-        let mut reach = 1u64 << v;
-        let mut frontier = self.adj[v];
-        let mut bag = (frontier & remaining) | (1 << v);
-        let mut interior = frontier & eliminated & !reach;
-        while interior != 0 {
-            reach |= interior;
-            frontier = 0;
-            let mut it = interior;
-            while it != 0 {
-                let u = it.trailing_zeros() as usize;
-                it &= it - 1;
-                frontier |= self.adj[u];
-            }
-            bag |= frontier & remaining;
-            interior = frontier & eliminated & !reach;
+impl EdgeCover {
+    fn new(h: &Hypergraph) -> Self {
+        let edges: Vec<u64> = h.edges().iter().map(|e| mask(e.iter())).collect();
+        EdgeCover {
+            covered: edges.iter().fold(0, |acc, e| acc | e),
+            edges,
+            memo: FxHashMap::default(),
         }
-        bag
     }
 
-    /// Minimum number of hyperedges covering `bag` (isolated vertices
-    /// excluded). Memoized greedy + branch-and-bound over `u64` masks.
-    fn cover_number(&mut self, bag: u64) -> usize {
+    /// A minimum cover of `bag`'s non-isolated vertices, memoized.
+    fn cover(&mut self, bag: u64) -> &[usize] {
         let target = bag & self.covered;
-        if target == 0 {
-            return 0;
-        }
-        if let Some(&k) = self.cover_memo.get(&target) {
-            return k;
-        }
-        let mut candidates: Vec<u64> = Vec::new();
-        for &e in &self.edge_masks {
-            let r = e & target;
-            if r == 0 || candidates.iter().any(|&c| r & !c == 0) {
-                continue;
-            }
-            candidates.retain(|&c| c & !r != 0);
-            candidates.push(r);
-        }
-        // Greedy upper bound, then branch-and-bound on mask sets.
-        let mut uncovered = target;
-        let mut upper = 0usize;
-        while uncovered != 0 {
-            let best = candidates
-                .iter()
-                .max_by_key(|&&c| (c & uncovered).count_ones())
-                .unwrap();
-            uncovered &= !best;
-            upper += 1;
-        }
-        let k = Self::branch(&candidates, target, 0, upper);
-        self.cover_memo.insert(target, k);
-        k
+        self.memo
+            .entry(target)
+            .or_insert_with(|| min_cover(&self.edges, &target, usize::MAX).expect("coverable"))
     }
+}
 
-    fn branch(candidates: &[u64], uncovered: u64, chosen: usize, best: usize) -> usize {
-        if uncovered == 0 {
-            return chosen;
-        }
-        if chosen + 1 >= best {
-            return best;
-        }
-        let v = {
-            // Uncovered vertex with the fewest covering candidates.
-            let mut pick = 0usize;
-            let mut fewest = usize::MAX;
-            let mut it = uncovered;
-            while it != 0 {
-                let u = it.trailing_zeros() as usize;
-                it &= it - 1;
-                let count = candidates.iter().filter(|&&c| c & (1 << u) != 0).count();
-                if count < fewest {
-                    fewest = count;
-                    pick = u;
-                }
-            }
-            pick
-        };
-        let mut best = best;
-        for (i, &c) in candidates.iter().enumerate() {
-            if c & (1 << v) == 0 {
-                continue;
-            }
-            best = Self::branch(&candidates[i..], uncovered & !c, chosen + 1, best);
-        }
-        best
-    }
-
-    /// Can all of `remaining` be eliminated with every elimination-time
-    /// bag cover number ≤ `budget`?
-    fn can_eliminate(&mut self, remaining: u64, budget: usize) -> bool {
-        if remaining == 0 {
-            return true;
-        }
-        if let Some(&ans) = self.memo.get(&remaining) {
-            return ans;
-        }
-        let mut ans = false;
-        for v in 0..self.n {
-            if remaining & (1 << v) == 0 {
-                continue;
-            }
-            let bag = self.elimination_bag(v, remaining);
-            if self.cover_number(bag) <= budget && self.can_eliminate(remaining & !(1 << v), budget)
-            {
-                ans = true;
-                break;
-            }
-        }
-        self.memo.insert(remaining, ans);
-        ans
-    }
-
-    /// Reconstructs a witnessing ordering after `can_eliminate(full,
-    /// budget)` returned true (the memo is warm, so this is cheap).
-    fn extract_ordering(&mut self, full: u64, budget: usize) -> Vec<usize> {
-        let mut order = Vec::with_capacity(self.n);
-        let mut remaining = full;
-        while remaining != 0 {
-            let v = (0..self.n)
-                .find(|&v| {
-                    remaining & (1 << v) != 0
-                        && self.cover_number(self.elimination_bag(v, remaining)) <= budget
-                        && self.can_eliminate(remaining & !(1 << v), budget)
-                })
-                .expect("a witnessing ordering exists");
-            order.push(v);
-            remaining &= !(1 << v);
-        }
-        order
+impl BagCost for EdgeCover {
+    fn cost(&mut self, bag: u64) -> usize {
+        self.cover(bag).len()
     }
 }
 
@@ -828,6 +723,58 @@ mod tests {
         assert!(err.contains("reappears"), "{err}");
     }
 
+    fn hypergraph(n: usize, edges: &[&[usize]]) -> Hypergraph {
+        let mut h = Hypergraph::new(n);
+        for e in edges {
+            h.add_edge_from(e.iter().copied());
+        }
+        h
+    }
+
+    #[test]
+    fn covers_found_past_the_rarest_vertex_branch() {
+        // Q(X0..X5) :- E0(X0,X1,X2), E1(X3,X1), E2(X3,X2), E3(X1,X2),
+        // E4(X0,X1,X4), E5(X3,X5,X2), E6(X4,X5). ghw 2: bag
+        // {X0,X1,X2,X4,X5} is covered by E0 + E6, bag {X1,X2,X3,X5} by
+        // E5 + E1. A cover branch that recursed only on the candidates
+        // after the one it picked missed both and reported 3.
+        let h = hypergraph(
+            6,
+            &[
+                &[0, 1, 2],
+                &[3, 1],
+                &[3, 2],
+                &[1, 2],
+                &[0, 1, 4],
+                &[3, 5, 2],
+                &[4, 5],
+            ],
+        );
+        let htd = hypertree_exact(&h);
+        htd.validate(&h).unwrap();
+        assert_eq!(htd.width(), 2);
+        let cover = min_cover(h.edges(), &BitSet::from_iter([0, 1, 2, 4, 5]), usize::MAX).unwrap();
+        assert_eq!(cover.len(), 2);
+    }
+
+    #[test]
+    fn exact_covers_have_no_candidate_cap() {
+        // A(X0..X5), B(X6..X11), C(X1..X9) and 23 triples F(X0,Xa,Xj):
+        // the primal graph is K12, and the all-variable bag has 26
+        // undominated candidate edges, past the greedy path's cap. ghw 2
+        // (A + B cover everything).
+        let mut edges: Vec<Vec<usize>> =
+            vec![(0..6).collect(), (6..12).collect(), (1..10).collect()];
+        for (a, top) in [(10, 9), (11, 9), (6, 5)] {
+            edges.extend((1..=top).map(|j| vec![0, a, j]));
+        }
+        let edges: Vec<&[usize]> = edges.iter().map(Vec::as_slice).collect();
+        let h = hypergraph(12, &edges);
+        let htd = hypertree_exact(&h);
+        htd.validate(&h).unwrap();
+        assert_eq!(htd.width(), 2);
+    }
+
     #[test]
     fn min_cover_exact_beats_greedy_trap() {
         // Classic greedy set-cover trap: universe {0..5}, greedy picks
@@ -836,7 +783,7 @@ mod tests {
         h.add_edge_from([0, 1, 2]); // optimal half
         h.add_edge_from([3, 4, 5]); // optimal half
         h.add_edge_from([1, 2, 3, 4]); // greedy bait
-        let cover = min_cover(&h, &BitSet::from_iter(0..6)).unwrap();
+        let cover = min_cover(h.edges(), &BitSet::from_iter(0..6), usize::MAX).unwrap();
         assert_eq!(cover.len(), 2);
     }
 
@@ -844,6 +791,6 @@ mod tests {
     fn min_cover_uncoverable() {
         let mut h = Hypergraph::new(3);
         h.add_edge_from([0, 1]);
-        assert!(min_cover(&h, &BitSet::from_iter([0, 2])).is_none());
+        assert!(min_cover(h.edges(), &BitSet::from_iter([0, 2]), usize::MAX).is_none());
     }
 }

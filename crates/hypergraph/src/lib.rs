@@ -12,7 +12,12 @@
 //!   the path-augmentation operation of Observation 5.6;
 //! - elimination orderings (§2 of the paper), greedy upper-bound heuristics
 //!   and the MMD lower bound;
-//! - an exact branch-and-bound treewidth solver for small graphs;
+//! - one exact branch-and-bound search over elimination orderings for
+//!   small graphs, pricing bags by size for treewidth and by minimum edge
+//!   cover for generalized hypertree width, with the exact-or-greedy
+//!   policy ([`treewidth_capped`], [`hypertree_capped`]) beside it;
+//! - generalized hypertree decompositions ([`HypertreeDecomposition`]),
+//!   greedy and exact;
 //! - rectangular grids and the Fact 5.1 certificate machinery used by the
 //!   Proposition 5.2 construction;
 //! - canonical hypergraph forms ([`canonical_form`]) — renaming-invariant
@@ -34,7 +39,10 @@ pub use elimination::{
     decomposition_from_ordering, elimination_width, min_degree_ordering, min_fill_ordering,
     treewidth_lower_bound, treewidth_upper_bound,
 };
-pub use exact::treewidth_exact;
+pub use exact::{
+    hypertree_capped, treewidth_capped, treewidth_exact, HYPERTREE_EXACT_VAR_CAP,
+    MAX_EXACT_VERTICES, TREEWIDTH_EXACT_VAR_CAP,
+};
 pub use graph::Graph;
 pub use grid::{
     grid_elimination_ordering, grid_graph, grid_lower_bound, grid_treewidth, grid_vertex,
@@ -42,5 +50,5 @@ pub use grid::{
 pub use hypergraph::Hypergraph;
 pub use hypertree::{
     hypertree_exact, hypertree_greedy, hypertree_width_exact, hypertree_width_upper_bound,
-    HypertreeDecomposition, MAX_EXACT_HYPERTREE_VERTICES,
+    HypertreeDecomposition,
 };
