@@ -1,10 +1,10 @@
 //! The entropy linear programs of §6.4.
 //!
-//! Both programs have one variable `h(S)` per nonempty subset `S` of the
-//! query variables, the per-atom normalizations `h(u_j) ≤ 1`, and one
-//! equality `h(lhs ∪ {t}) = h(lhs)` per variable-level FD; both maximize
-//! `h(u_0)`. They differ in which information inequalities constrain the
-//! feasible region:
+//! Both programs bound the worst-case size-increase exponent through the
+//! entropies `h(S)` of the query variables: per-atom normalizations
+//! `h(u_j) ≤ 1`, one equality `h(lhs ∪ {t}) = h(lhs)` per variable-level
+//! FD, and the objective `max h(u_0)`. They differ in which information
+//! inequalities constrain the feasible region:
 //!
 //! - [`entropy_upper_bound`] (Proposition 6.9) imposes the **elemental
 //!   Shannon inequalities** — `H(X_i | X_{[k]−i}) ≥ 0` and
@@ -17,16 +17,21 @@
 //!   nonnegativity of **every I-measure atom** `I(S | [k]\S) ≥ 0`; its
 //!   optimum equals the color number `C(Q)` exactly, for arbitrary FDs.
 //!
-//! Both LPs are exponential in `|var(Q)|` by construction (the paper
-//! says as much), but their constraints are *sparse* — an elemental
-//! inequality touches at most 4 of the `2^k − 1` variables — so above
-//! the dense tableau's comfort zone `cq_lp` routes them to the sparse
-//! revised simplex automatically (see `docs/SOLVER.md`). With the dense
-//! tableau the practical ceiling was about 6–7 variables for
-//! Proposition 6.9 (the elemental family has `k(k−1)·2^{k−3}`
-//! inequalities) and 8–10 for Proposition 6.10; the sparse engine moves
-//! both up by roughly two variables at interactive latencies — the
-//! engine-level caps live at `cq_engine::session`.
+//! Proposition 6.9 keeps one LP variable per `h(S)`, `2^k − 1` in all,
+//! under `k(k−1)·2^{k−3}` sparse elemental inequalities (each touches at
+//! most 4 variables), so `cq_lp` routes it to its sparse engines
+//! automatically (see `docs/SOLVER.md`). Proposition 6.10 is solved in
+//! **I-measure coordinates** instead: its variables are the atoms
+//! `y_S = I(S | [k]\S) ≥ 0` themselves, and `h(T) = Σ_{S∩T≠∅} y_S`
+//! (Yeung's I-measure; the map is invertible by Möbius inversion, so the
+//! optimum is the same number). The `2^k − 1` atom inequalities become
+//! plain variable bounds, each FD `lhs → t` deletes the atoms it forces
+//! to 0 (its equality reads `Σ_{t∈S, S∩lhs=∅} y_S = 0`), and what is left
+//! is one `≤ 1` row per query atom over at most `2^k − 1` columns. A few
+//! pivots solve it where the `h`-coordinate program
+//! ([`build_color_number_entropy_lp`], kept as the oracle the solver
+//! benches and differential tests use) needs about `2^k`. The
+//! engine-level caps on `k` live at `cq_engine::session`.
 //!
 //! ```
 //! use cq_core::{chase, color_number_entropy_lp, entropy_upper_bound,
@@ -51,7 +56,7 @@
 
 use crate::query::{ConjunctiveQuery, VarFd};
 use cq_arith::Rational;
-use cq_lp::{LinearProgram, Relation as LpRel, SolveStats, VarId};
+use cq_lp::{LinearProgram, Relation as LpRel, SolveStats, Solver, VarId};
 use cq_util::{mask_from, popcount, subsets_of};
 
 /// Hard cap on variables (the LP needs `2^k − 1` columns, so this is a
@@ -160,9 +165,13 @@ pub fn build_entropy_upper_lp(q: &ConjunctiveQuery, var_fds: &[VarFd]) -> Linear
     b.lp
 }
 
-/// Builds (without solving) the Proposition 6.10 linear program:
-/// maximize `h(u_0)` under atom normalizations, FD equalities and
-/// nonnegativity of every I-measure atom.
+/// Builds (without solving) the Proposition 6.10 linear program in
+/// entropy coordinates: maximize `h(u_0)` under atom normalizations, FD
+/// equalities and nonnegativity of every I-measure atom, one dense row
+/// per atom. [`color_number_entropy_lp`] solves the equivalent
+/// I-measure-coordinate program instead; this one stays as its oracle
+/// and as a hard LP (`2^k` rows, about `2^k` pivots) for the solver
+/// benches and differential tests.
 pub fn build_color_number_entropy_lp(q: &ConjunctiveQuery, var_fds: &[VarFd]) -> LinearProgram {
     let mut b = EntropyLpBuilder::new(q);
     b.add_query_structure(q, var_fds);
@@ -181,6 +190,65 @@ pub fn build_color_number_entropy_lp(q: &ConjunctiveQuery, var_fds: &[VarFd]) ->
         b.constraint(&terms, LpRel::Ge, Rational::zero());
     }
     b.lp
+}
+
+/// The Proposition 6.10 program in I-measure coordinates: one column
+/// `y_S ≥ 0` per nonempty `S ⊆ [k]` that no FD deletes (`lhs → t`
+/// deletes every `S` with `t ∈ S` and `S ∩ lhs = ∅`), one row
+/// `Σ_{S∩u_j≠∅} y_S ≤ 1` per query atom, objective `Σ_{S∩u_0≠∅} y_S`.
+/// Same optimum as [`build_color_number_entropy_lp`].
+fn build_color_number_atom_lp(q: &ConjunctiveQuery, var_fds: &[VarFd]) -> LinearProgram {
+    let k = q.num_vars();
+    assert!(
+        k <= MAX_ENTROPY_LP_VARS,
+        "entropy LPs need 2^k variables; {k} query variables exceeds the cap of {MAX_ENTROPY_LP_VARS}"
+    );
+    let full: u32 = ((1u64 << k) - 1) as u32;
+    let head = mask_from(q.head_var_set().iter());
+    let atoms: Vec<u32> = q
+        .body()
+        .iter()
+        .map(|atom| mask_from(atom.var_set().iter()))
+        .collect();
+    let fds: Vec<(u32, u32)> = var_fds
+        .iter()
+        .map(|fd| (mask_from(fd.lhs.iter().copied()), 1 << fd.rhs))
+        .collect();
+    let mut lp = LinearProgram::maximize();
+    let mut rows: Vec<Vec<(VarId, Rational)>> = vec![Vec::new(); atoms.len()];
+    for s in 1..=full {
+        if fds.iter().any(|&(lhs, t)| s & t != 0 && s & lhs == 0) {
+            continue;
+        }
+        let y = lp.add_var(format!("y{s:b}"));
+        if s & head != 0 {
+            lp.set_objective_coeff(y, Rational::one());
+        }
+        for (row, &u) in rows.iter_mut().zip(&atoms) {
+            if s & u != 0 {
+                row.push((y, Rational::one()));
+            }
+        }
+    }
+    for row in rows {
+        lp.add_constraint(row, LpRel::Le, Rational::one());
+    }
+    lp
+}
+
+/// Solves the I-measure-coordinate Proposition 6.10 program with
+/// `solver`.
+fn solve_color_number_atom_lp(
+    q: &ConjunctiveQuery,
+    var_fds: &[VarFd],
+    solver: Solver,
+) -> (Rational, SolveStats) {
+    let sol = build_color_number_atom_lp(q, var_fds).solve_with_solver(solver);
+    assert!(
+        sol.is_optimal(),
+        "Proposition 6.10 LP is feasible and bounded"
+    );
+    (sol.objective, sol.stats)
 }
 
 /// Proposition 6.9: the Shannon-inequality upper bound `s(Q)` on the
@@ -206,6 +274,13 @@ pub fn entropy_upper_bound_with_stats(
 
 /// Proposition 6.10: the color number `C(Q)` as an entropy LP with
 /// nonnegative I-measure atoms, for arbitrary FDs. Apply to `chase(Q)`.
+///
+/// Solved in I-measure coordinates (see the module docs): one
+/// constraint per query atom and up to `2^k − 1` columns, typically
+/// about three quarters of the matrix nonzero. That is too dense for `Solver::Auto`'s sparse
+/// routing, so the program goes straight to the engine `Auto` uses for
+/// large programs (`Solver::large_program`): the hybrid float/exact
+/// simplex, or the exact revised simplex under `CQ_LP_ENGINE=exact`.
 pub fn color_number_entropy_lp(q: &ConjunctiveQuery, var_fds: &[VarFd]) -> Rational {
     color_number_entropy_lp_with_stats(q, var_fds).0
 }
@@ -216,12 +291,7 @@ pub fn color_number_entropy_lp_with_stats(
     q: &ConjunctiveQuery,
     var_fds: &[VarFd],
 ) -> (Rational, SolveStats) {
-    let sol = build_color_number_entropy_lp(q, var_fds).solve();
-    assert!(
-        sol.is_optimal(),
-        "Proposition 6.10 LP is feasible and bounded"
-    );
-    (sol.objective, sol.stats)
+    solve_color_number_atom_lp(q, var_fds, Solver::large_program())
 }
 
 /// Proposition 6.9 strengthened with the **Zhang–Yeung non-Shannon
@@ -297,6 +367,7 @@ mod tests {
     use crate::coloring::color_number_lp;
     use crate::parser::{parse_program, parse_query};
     use crate::size_bounds::size_bound_simple_fds;
+    use cq_lp::SolverKind;
 
     fn rat(s: &str) -> Rational {
         s.parse().unwrap()
@@ -416,6 +487,45 @@ R[1,2] -> R[4]",
         let vfds = q.variable_fds(&fds);
         let zy = entropy_upper_bound_zhang_yeung(&q, &vfds);
         assert_eq!(zy, Rational::one());
+    }
+
+    /// The lab's cycle-fd program: the k-cycle plus `T(X0,X1,X2)` under
+    /// the compound FD `T[1,2] -> T[3]`.
+    fn cycle_fd(k: usize) -> String {
+        let vars: Vec<String> = (0..k).map(|i| format!("X{i}")).collect();
+        let mut body: Vec<String> = (0..k)
+            .map(|i| format!("R{i}({},{})", vars[i], vars[(i + 1) % k]))
+            .collect();
+        body.push("T(X0,X1,X2)".into());
+        format!(
+            "Q({}) :- {}\nT[1,2] -> T[3]",
+            vars.join(","),
+            body.join(", ")
+        )
+    }
+
+    /// Exact work counts of the Proposition 6.10 solve on chased cycle-fd
+    /// k = 9, 10, 11 under the default large-program engine. The columns
+    /// are `2^k − 1` minus the `2^{k−3}` atoms the FD deletes; the float
+    /// pivot counts are deterministic (the `h`-coordinate program needed
+    /// `2^k − 1` of them), so a change in either is a change in the
+    /// program or in the simplex, never noise.
+    #[test]
+    fn prop_6_10_work_counts_on_cycle_fd() {
+        let engine = cq_lp::auto_large_engine(None);
+        for (k, cols, float_pivots) in [(9, 447, 7), (10, 895, 9), (11, 1791, 9)] {
+            let (q, fds) = parse_program(&cycle_fd(k)).unwrap();
+            let chased = chase(&q, &fds).query;
+            let vfds = chased.variable_fds(&fds);
+            let (value, stats) = solve_color_number_atom_lp(&chased, &vfds, engine);
+            assert_eq!(value, Rational::int((k / 2) as i64), "k = {k}");
+            assert_eq!(stats.solver, SolverKind::HybridFloat, "k = {k}");
+            assert!(stats.float_verified, "k = {k}: {stats:?}");
+            assert_eq!(stats.exact_fallbacks, 0, "k = {k}");
+            assert_eq!(stats.rows, k + 1, "k = {k}");
+            assert_eq!(stats.cols, cols, "k = {k}");
+            assert_eq!(stats.float_pivots, float_pivots, "k = {k}");
+        }
     }
 
     #[test]

@@ -36,11 +36,12 @@ use std::cell::{Cell, OnceCell};
 use std::sync::Arc;
 
 /// Variable cap for the Proposition 6.10 entropy characterization of the
-/// color number (the LP has `2^k` variables). Raised twice: to 12 when
-/// the sparse revised simplex became the default engine (k = 12 in
-/// ~80 s), and to 14 with the hybrid float/exact engine, which verifies
-/// the float-proposed basis exactly and cuts k = 12 to single-digit
-/// seconds (`bench_simplex`, `BENCH_2026-08-07.json`).
+/// color number (the LP has up to `2^k − 1` columns, one per I-measure
+/// atom). Since the program is solved in I-measure coordinates (one row
+/// per query atom, a handful of pivots) time is no longer what binds:
+/// cycle-fd k = 11 solves in about 2 ms. The cap bounds the program's size — at
+/// k = 14 it has 16383 columns and about 170k nonzeros — and raising
+/// it is left to column generation over the atoms.
 pub const ENTROPY_COLOR_VAR_CAP: usize = 14;
 
 /// Variable cap for the Proposition 6.9 Shannon upper bound (the

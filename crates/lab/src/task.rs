@@ -82,8 +82,10 @@ pub enum Family {
     Cycle { k: usize },
     /// `cycle-fd` (`k`): the k-cycle plus a ternary atom `T(X0,X1,X2)`
     /// carrying the compound FD `T[1,2] -> T[3]`, which forces the
-    /// entropy path: the Proposition 6.10 LP with `2^k − 1` variables
-    /// (and, for `k` within the bound cap, the Proposition 6.9 LP).
+    /// entropy path: the Proposition 6.10 LP (one column per I-measure
+    /// atom the FD leaves, `2^k − 1 − 2^{k−3}` of them) and, for `k`
+    /// within the bound cap, the Proposition 6.9 LP with `2^k − 1`
+    /// variables.
     /// This is the family whose exact-vs-hybrid gap the repo's
     /// `BENCH_*.json` trajectory tracks.
     CycleFd { k: usize },

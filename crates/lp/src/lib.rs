@@ -48,5 +48,5 @@ pub use hybrid::solve_hybrid;
 pub use problem::{Constraint, LinearProgram, Objective, Relation, VarId};
 pub use revised::solve_revised;
 pub use simplex::{solve_with, LpSolution, LpStatus, PivotRule};
-pub use solver::{solve_auto, solve_lp, SolveStats, Solver, SolverKind};
+pub use solver::{auto_large_engine, solve_auto, solve_lp, SolveStats, Solver, SolverKind};
 pub use sparse::SparseMatrix;

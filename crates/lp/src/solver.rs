@@ -12,9 +12,9 @@
 //! - [`Solver::RevisedSparse`] ([`crate::revised`]) keeps the constraint
 //!   matrix sparse and reconstructs only what a pivot needs through an
 //!   LU-factorized basis with eta updates, in rational arithmetic. It
-//!   wins once the matrix is large and sparse — the entropy LPs of
-//!   Propositions 6.9/6.10, whose `2^k − 1` columns meet constraints
-//!   touching 2–4 variables each.
+//!   wins once the matrix is large and sparse — the Proposition 6.9
+//!   entropy LP, whose `2^k − 1` columns meet constraints touching 2–4
+//!   variables each.
 //! - [`Solver::HybridFloat`] ([`crate::hybrid`]) runs the same revised
 //!   simplex over `f64` to propose a basis and verifies it with one
 //!   exact factorization, falling back to the exact engine on any doubt.
@@ -98,12 +98,22 @@ impl Solver {
                 if m.max(n) >= Self::AUTO_MIN_DIM
                     && nnz.saturating_mul(Self::AUTO_MAX_DENSITY_INV) <= cells
                 {
-                    auto_large_engine(std::env::var("CQ_LP_ENGINE").ok().as_deref())
+                    Solver::large_program().resolve(lp)
                 } else {
                     SolverKind::DenseTableau
                 }
             }
         }
+    }
+
+    /// The engine `Auto` picks for large sparse programs under the
+    /// current `CQ_LP_ENGINE` (see [`auto_large_engine`]). For callers
+    /// whose program is large but too dense for `Auto`'s density test
+    /// to pick it — the Proposition 6.10 program in I-measure
+    /// coordinates is the case in point — and which should still follow
+    /// the same `CQ_LP_ENGINE` pin.
+    pub fn large_program() -> Solver {
+        auto_large_engine(std::env::var("CQ_LP_ENGINE").ok().as_deref())
     }
 }
 
@@ -143,14 +153,15 @@ pub struct SolveStats {
 }
 
 /// The engine `Auto` uses in the large-sparse regime, given the
-/// `CQ_LP_ENGINE` value. Split out as a pure function so the policy is
-/// unit-testable without mutating the process environment (concurrent
-/// `setenv`/`getenv` is undefined behavior on glibc, so tests must not
-/// call `set_var`).
-fn auto_large_engine(env: Option<&str>) -> SolverKind {
+/// `CQ_LP_ENGINE` value: `exact` pins the sparse rational engine, and
+/// anything else (unset, `hybrid`, unknown values) keeps the hybrid.
+/// A pure function so the policy is unit-testable without mutating the
+/// process environment (concurrent `setenv`/`getenv` is undefined
+/// behavior on glibc, so tests must not call `set_var`).
+pub fn auto_large_engine(env: Option<&str>) -> Solver {
     match env {
-        Some("exact") => SolverKind::RevisedSparse,
-        _ => SolverKind::HybridFloat,
+        Some("exact") => Solver::RevisedSparse,
+        _ => Solver::HybridFloat,
     }
 }
 
@@ -229,17 +240,17 @@ mod tests {
         // 128 vars, 200 constraints touching 3 each: density 3/128.
         let lp = lp_shape(128, 200, 3);
         // Env-aware so the suite also passes under a CQ_LP_ENGINE run.
-        let expected = auto_large_engine(std::env::var("CQ_LP_ENGINE").ok().as_deref());
+        let expected = Solver::large_program().resolve(&lp);
         assert_eq!(Solver::Auto.resolve(&lp), expected);
     }
 
     #[test]
     fn engine_env_knob_policy() {
-        assert_eq!(auto_large_engine(None), SolverKind::HybridFloat);
-        assert_eq!(auto_large_engine(Some("hybrid")), SolverKind::HybridFloat);
-        assert_eq!(auto_large_engine(Some("exact")), SolverKind::RevisedSparse);
+        assert_eq!(auto_large_engine(None), Solver::HybridFloat);
+        assert_eq!(auto_large_engine(Some("hybrid")), Solver::HybridFloat);
+        assert_eq!(auto_large_engine(Some("exact")), Solver::RevisedSparse);
         // Unknown values keep the default rather than erroring.
-        assert_eq!(auto_large_engine(Some("bogus")), SolverKind::HybridFloat);
+        assert_eq!(auto_large_engine(Some("bogus")), Solver::HybridFloat);
     }
 
     #[test]

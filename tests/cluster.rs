@@ -183,18 +183,33 @@ fn cluster_over_three_workers_matches_cq_analyze() {
 #[test]
 fn killing_a_worker_mid_run_resubmits_and_completes() {
     // The round-robin plan below hands worker 0 every i ≡ 0 (mod 3)
-    // input. Those are compound-FD queries whose Props 6.9/6.10
-    // entropy LPs are deliberately *not* served by the cross-query
-    // cache — tens of milliseconds of guaranteed solving each, so some
-    // thirty real LP solves stand between the victim's first analysis
-    // (the kill trigger) and an empty queue. The kill lands genuinely
-    // mid-run even on a heavily loaded machine.
+    // input: cycle-fd k = 8 (the 8-cycle plus T(X0,X1,X2) under the
+    // compound FD T[1,2] -> T[3]). Its entropy LPs are deliberately not
+    // served by the cross-query cache, and its Prop 6.9 Shannon LP (255
+    // columns, 1808 rows) takes about 20 ms per analysis (release
+    // build, 2-vCPU VM). A small compound-FD query is not enough: its
+    // whole analysis takes about 1 ms, Prop 6.10 being a few pivots, so
+    // the victim could drain its queue before the kill. With some
+    // thirty 20 ms analyses between the victim's first analysis (the
+    // kill trigger) and an empty queue, the kill lands mid-run even on
+    // a heavily loaded machine.
+    let cycle_fd_8 = {
+        let atoms: Vec<String> = (0..8)
+            .map(|i| format!("R{i}(X{i},X{})", (i + 1) % 8))
+            .collect();
+        let head: Vec<String> = (0..8).map(|i| format!("X{i}")).collect();
+        format!(
+            "Q({}) :- {}, T(X0,X1,X2)\nT[1,2] -> T[3]\n",
+            head.join(","),
+            atoms.join(", ")
+        )
+    };
     let dir = std::env::temp_dir().join(format!("cq_cluster_kill_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let paths: Vec<String> = (0..90)
         .map(|i| {
             let text = if i % 3 == 0 {
-                "Q(A,B,C,D,E) :- R(A,B,C), S(C,D,E), T(A,E)\nR[1,2] -> R[3]\n".to_owned()
+                cycle_fd_8.clone()
             } else {
                 format!("S(X,Y,Z) :- E{0}(X,Y), E{0}(X,Z), E{0}(Y,Z)\n", i / 6)
             };
