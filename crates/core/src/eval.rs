@@ -1,11 +1,14 @@
 //! Conjunctive query evaluation.
 //!
-//! Two evaluators:
+//! One planned search, two consumers, plus the Corollary 4.8 plan:
 //!
 //! - [`evaluate`] — index-nested-loop backtracking over body atoms in a
 //!   greedy connected order, with per-atom hash indexes on the positions
 //!   bound at that point of the order. Correct for every conjunctive
 //!   query (projections, repeated variables, repeated relations).
+//! - [`count_answers`] — `|Q(D)|` from the same search without building
+//!   `Q(D)`: full queries count satisfying assignments, projections
+//!   deduplicate packed head tuples.
 //! - [`join_project_plan`] / [`evaluate_by_plan`] — the Corollary 4.8
 //!   plan for queries whose head contains all variables: each atom is
 //!   reduced to a relation over its distinct variables, then the atoms
@@ -19,6 +22,7 @@
 use crate::query::{Atom, ConjunctiveQuery, VarIdx};
 use cq_relation::{natural_join, Database, Relation, Schema, Value};
 use cq_util::FxHashMap;
+use std::fmt;
 
 /// Evaluates `q` over `db`, returning the output relation (named `Q`,
 /// one column per head position).
@@ -34,148 +38,271 @@ use cq_util::FxHashMap;
 /// ```
 ///
 /// # Panics
-/// Panics if a body atom's arity differs from its relation's arity.
-/// A body atom over an absent relation yields an empty result.
+/// Panics if a body atom's arity differs from its relation's arity
+/// (see [`check_arities`]). A body atom over an absent relation yields
+/// an empty result.
 pub fn evaluate(q: &ConjunctiveQuery, db: &Database) -> Relation {
     let out_schema = Schema::with_attrs("Q", q.head().iter().map(|&v| q.var_name(v).to_owned()));
     let mut out = Relation::new(out_schema);
-
-    // Resolve atom relations; any missing relation (or empty) => empty result.
-    let mut atom_rels: Vec<&Relation> = Vec::with_capacity(q.num_atoms());
-    for atom in q.body() {
-        match db.relation(&atom.relation) {
-            Some(rel) if rel.arity() == atom.vars.len() => {
-                if rel.is_empty() {
-                    return out;
-                }
-                atom_rels.push(rel);
-            }
-            Some(rel) => panic!(
-                "atom {}(..) has arity {} but relation has arity {}",
-                atom.relation,
-                atom.vars.len(),
-                rel.arity()
-            ),
-            None => return out,
-        }
-    }
-
-    // Greedy atom order: start from the smallest relation, then prefer
-    // atoms with the most already-bound variables (ties: smaller relation).
-    let order = atom_order(q.body(), &atom_rels);
-
-    // For each atom in order, compute which positions are bound when it
-    // is reached, and build a hash index on those positions.
-    let mut bound: Vec<bool> = vec![false; q.num_vars()];
-    struct Step<'a> {
-        atom: &'a Atom,
-        rows: IndexedRows<'a>,
-        /// positions checked against the current assignment (bound vars
-        /// and repeated in-atom vars beyond first occurrence)
-        check: Vec<(usize, VarIdx)>,
-        /// positions that newly bind a variable (first occurrence)
-        binds: Vec<(usize, VarIdx)>,
-    }
-    enum IndexedRows<'a> {
-        /// index on the listed (bound) positions
-        Index(Vec<usize>, FxHashMap<Box<[Value]>, Vec<&'a [Value]>>),
-        /// full scan (no bound positions)
-        Scan(&'a Relation),
-    }
-    let mut steps: Vec<Step> = Vec::with_capacity(order.len());
-    for &ai in &order {
-        let atom = &q.body()[ai];
-        let rel = atom_rels[ai];
-        let mut index_pos: Vec<usize> = Vec::new();
-        let mut check: Vec<(usize, VarIdx)> = Vec::new();
-        let mut binds: Vec<(usize, VarIdx)> = Vec::new();
-        let mut seen_here: FxHashMap<VarIdx, usize> = FxHashMap::default();
-        for (pos, &v) in atom.vars.iter().enumerate() {
-            if bound[v] {
-                index_pos.push(pos);
-            } else if let Some(&_first) = seen_here.get(&v) {
-                check.push((pos, v)); // repeated within atom: equality check
-            } else {
-                seen_here.insert(v, pos);
-                binds.push((pos, v));
-            }
-        }
-        let rows = if index_pos.is_empty() {
-            IndexedRows::Scan(rel)
-        } else {
-            let mut map: FxHashMap<Box<[Value]>, Vec<&[Value]>> = FxHashMap::default();
-            for row in rel.iter() {
-                let key: Box<[Value]> = index_pos.iter().map(|&p| row[p]).collect();
-                map.entry(key).or_default().push(row);
-            }
-            IndexedRows::Index(index_pos, map)
-        };
-        for &(_, v) in &binds {
-            bound[v] = true;
-        }
-        steps.push(Step {
-            atom,
-            rows,
-            check,
-            binds,
+    if let Some(plan) = Plan::new(q, db) {
+        plan.search(&plan.steps, |assignment, _| {
+            let row: Vec<Value> = q.head().iter().map(|&v| bound(assignment, v)).collect();
+            out.insert(row);
         });
     }
+    out
+}
 
-    // Depth-first search over the steps.
-    let mut assignment: Vec<Option<Value>> = vec![None; q.num_vars()];
-    fn rec(
-        steps: &[Step],
-        depth: usize,
-        assignment: &mut Vec<Option<Value>>,
-        head: &[VarIdx],
-        out: &mut Relation,
-    ) {
-        if depth == steps.len() {
-            let row: Vec<Value> = head
-                .iter()
-                .map(|&v| assignment[v].expect("head variable bound"))
-                .collect();
-            out.insert(row);
-            return;
-        }
-        let step = &steps[depth];
-        let candidates: Vec<&[Value]> = match &step.rows {
-            IndexedRows::Scan(rel) => rel.iter().collect(),
-            IndexedRows::Index(pos, map) => {
-                let key: Box<[Value]> = pos
-                    .iter()
-                    .map(|&p| assignment[step.atom.vars[p]].expect("indexed var bound"))
-                    .collect();
-                match map.get(&key) {
-                    Some(rows) => rows.clone(),
-                    None => return,
-                }
-            }
+/// `|Q(D)|`, always equal to `evaluate(q, db).len()`, computed by the
+/// same planned search without building the output relation.
+///
+/// A full query (every variable of the body in the head) has one answer
+/// per satisfying assignment, so its search counts the last step's
+/// matching rows without binding them. A projection deduplicates the
+/// tuples of its distinct head variables (repeating a head variable
+/// repeats a column, not an answer); a Boolean query counts 0 or 1.
+///
+/// ```
+/// use cq_core::{count_answers, parse_query};
+/// use cq_relation::Database;
+/// let q = parse_query("P(X,Z) :- R(X,Y), R(Y,Z)").unwrap();
+/// let mut db = Database::new();
+/// db.insert_named("R", &["a", "b"]);
+/// db.insert_named("R", &["b", "c"]);
+/// assert_eq!(count_answers(&q, &db), 1); // (a, c)
+/// ```
+///
+/// # Panics
+/// As [`evaluate`].
+pub fn count_answers(q: &ConjunctiveQuery, db: &Database) -> usize {
+    let Some(plan) = Plan::new(q, db) else {
+        return 0;
+    };
+    if q.is_join_query() {
+        let Some((last, init)) = plan.steps.split_last() else {
+            return 1; // empty body: the empty substitution
         };
-        'rows: for row in candidates {
-            // within-atom repeated variables must agree
-            for &(pos, v) in &step.check {
-                let expected = step
-                    .binds
-                    .iter()
-                    .find(|&&(_, bv)| bv == v)
-                    .map(|&(p, _)| row[p])
-                    .or(assignment[v]);
-                if expected != Some(row[pos]) {
-                    continue 'rows;
-                }
-            }
-            for &(pos, v) in &step.binds {
-                assignment[v] = Some(row[pos]);
-            }
-            rec(steps, depth + 1, assignment, head, out);
-            for &(_, v) in &step.binds {
-                assignment[v] = None;
+        let mut count = 0;
+        plan.search(init, |assignment, key| {
+            count += last.candidates(assignment, key).len();
+        });
+        return count;
+    }
+    let mut head: Vec<VarIdx> = q.head().to_vec();
+    head.sort_unstable();
+    head.dedup();
+    let mut seen: TupleMap<()> = TupleMap::new(head.len());
+    let mut tuple = Vec::with_capacity(head.len());
+    plan.search(&plan.steps, |assignment, _| {
+        tuple.clear();
+        tuple.extend(head.iter().map(|&v| bound(assignment, v)));
+        seen.entry(&tuple);
+    });
+    seen.len()
+}
+
+/// A body atom whose relation has a different arity in the database.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ArityError {
+    /// The relation name.
+    pub relation: String,
+    /// Arity of the atom in the query.
+    pub query_arity: usize,
+    /// Arity of the relation in the database.
+    pub database_arity: usize,
+}
+
+impl fmt::Display for ArityError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "relation {} has {} columns in the database but the query uses it with {}",
+            self.relation, self.database_arity, self.query_arity
+        )
+    }
+}
+
+impl std::error::Error for ArityError {}
+
+/// Checks that every body atom of `q` whose relation is present in `db`
+/// has that relation's arity — the precondition under which
+/// [`evaluate`] and [`count_answers`] do not panic.
+pub fn check_arities(q: &ConjunctiveQuery, db: &Database) -> Result<(), ArityError> {
+    for atom in q.body() {
+        if let Some(rel) = db.relation(&atom.relation) {
+            if rel.arity() != atom.vars.len() {
+                return Err(ArityError {
+                    relation: atom.relation.clone(),
+                    query_arity: atom.vars.len(),
+                    database_arity: rel.arity(),
+                });
             }
         }
     }
-    rec(&steps, 0, &mut assignment, q.head(), &mut out);
-    out
+    Ok(())
+}
+
+fn bound(assignment: &[Option<Value>], v: VarIdx) -> Value {
+    assignment[v].expect("variable bound by an earlier step")
+}
+
+/// The search plan shared by [`evaluate`] and [`count_answers`]: body
+/// atoms in greedy connected order, each with its rows indexed on the
+/// positions bound when it is reached.
+struct Plan<'a> {
+    steps: Vec<Step<'a>>,
+    num_vars: usize,
+}
+
+struct Step<'a> {
+    /// Variables at the indexed positions, in position order (empty for
+    /// a full scan).
+    key_vars: Vec<VarIdx>,
+    /// Rows consistent with the atom's repeated variables, keyed on the
+    /// indexed positions.
+    rows: TupleMap<Vec<&'a [Value]>>,
+    /// Positions that newly bind a variable (first occurrence).
+    binds: Vec<(usize, VarIdx)>,
+}
+
+impl<'a> Plan<'a> {
+    /// `None` when some body atom's relation is absent or empty (the
+    /// output is then empty).
+    fn new(q: &ConjunctiveQuery, db: &'a Database) -> Option<Self> {
+        if let Err(e) = check_arities(q, db) {
+            panic!("{e}");
+        }
+        let atom_rels: Vec<&Relation> = q
+            .body()
+            .iter()
+            .map(|atom| db.relation(&atom.relation).filter(|rel| !rel.is_empty()))
+            .collect::<Option<_>>()?;
+        // Greedy atom order: start from the smallest relation, then prefer
+        // atoms with the most already-bound variables (ties: smaller relation).
+        let order = atom_order(q.body(), &atom_rels);
+
+        let mut bound: Vec<bool> = vec![false; q.num_vars()];
+        let mut steps = Vec::with_capacity(order.len());
+        for ai in order {
+            let atom = &q.body()[ai];
+            let mut key_pos: Vec<usize> = Vec::new();
+            // (position, earlier position of the same unbound variable)
+            let mut equal: Vec<(usize, usize)> = Vec::new();
+            let mut binds: Vec<(usize, VarIdx)> = Vec::new();
+            for (pos, &v) in atom.vars.iter().enumerate() {
+                if bound[v] {
+                    key_pos.push(pos);
+                } else if let Some(&(first, _)) = binds.iter().find(|&&(_, b)| b == v) {
+                    equal.push((pos, first));
+                } else {
+                    binds.push((pos, v));
+                }
+            }
+            let mut rows: TupleMap<Vec<&[Value]>> = TupleMap::new(key_pos.len());
+            let mut key = Vec::with_capacity(key_pos.len());
+            for row in atom_rels[ai].iter() {
+                if equal.iter().all(|&(p, first)| row[p] == row[first]) {
+                    key.clear();
+                    key.extend(key_pos.iter().map(|&p| row[p]));
+                    rows.entry(&key).push(row);
+                }
+            }
+            for &(_, v) in &binds {
+                bound[v] = true;
+            }
+            steps.push(Step {
+                key_vars: key_pos.iter().map(|&p| atom.vars[p]).collect(),
+                rows,
+                binds,
+            });
+        }
+        Some(Plan {
+            steps,
+            num_vars: q.num_vars(),
+        })
+    }
+
+    /// Depth-first search over `steps` (a prefix of the plan): calls
+    /// `visit` with each assignment satisfying them, in row order, and a
+    /// scratch key buffer.
+    fn search(&self, steps: &[Step<'a>], mut visit: impl FnMut(&[Option<Value>], &mut Vec<Value>)) {
+        let mut assignment = vec![None; self.num_vars];
+        let mut key = Vec::new();
+        descend(steps, &mut assignment, &mut key, &mut visit);
+    }
+}
+
+fn descend<F: FnMut(&[Option<Value>], &mut Vec<Value>)>(
+    steps: &[Step],
+    assignment: &mut [Option<Value>],
+    key: &mut Vec<Value>,
+    visit: &mut F,
+) {
+    let Some((step, rest)) = steps.split_first() else {
+        visit(assignment, key);
+        return;
+    };
+    // Variables bound here are rebound before any deeper step reads
+    // them, so backtracking needs no reset.
+    for row in step.candidates(assignment, key) {
+        for &(pos, v) in &step.binds {
+            assignment[v] = Some(row[pos]);
+        }
+        descend(rest, assignment, key, visit);
+    }
+}
+
+impl<'a> Step<'a> {
+    /// The rows agreeing with `assignment` on the indexed positions.
+    fn candidates(&self, assignment: &[Option<Value>], key: &mut Vec<Value>) -> &[&'a [Value]] {
+        key.clear();
+        key.extend(self.key_vars.iter().map(|&v| bound(assignment, v)));
+        self.rows.get(key).map_or(&[], Vec::as_slice)
+    }
+}
+
+/// A hash map keyed by value tuples of one fixed width: up to four
+/// values pack into a `u128` of their dense ids, wider tuples are boxed.
+enum TupleMap<V> {
+    Packed(FxHashMap<u128, V>),
+    Boxed(FxHashMap<Box<[Value]>, V>),
+}
+
+impl<V: Default> TupleMap<V> {
+    fn new(width: usize) -> Self {
+        if width <= 4 {
+            TupleMap::Packed(FxHashMap::default())
+        } else {
+            TupleMap::Boxed(FxHashMap::default())
+        }
+    }
+
+    fn pack(tuple: &[Value]) -> u128 {
+        tuple
+            .iter()
+            .fold(0, |acc, v| (acc << 32) | u128::from(v.id()))
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            TupleMap::Packed(m) => m.len(),
+            TupleMap::Boxed(m) => m.len(),
+        }
+    }
+
+    fn get(&self, tuple: &[Value]) -> Option<&V> {
+        match self {
+            TupleMap::Packed(m) => m.get(&Self::pack(tuple)),
+            TupleMap::Boxed(m) => m.get(tuple),
+        }
+    }
+
+    fn entry(&mut self, tuple: &[Value]) -> &mut V {
+        match self {
+            TupleMap::Packed(m) => m.entry(Self::pack(tuple)).or_default(),
+            TupleMap::Boxed(m) => m.entry(tuple.into()).or_default(),
+        }
+    }
 }
 
 /// Greedy connected atom order: smallest relation first, then prefer the

@@ -95,7 +95,10 @@ pub use entropy_lp::{
     color_number_entropy_lp_with_stats, entropy_upper_bound, entropy_upper_bound_with_stats,
     entropy_upper_bound_zhang_yeung, MAX_ENTROPY_LP_VARS,
 };
-pub use eval::{atom_relation, evaluate, evaluate_by_plan, join_project_plan};
+pub use eval::{
+    atom_relation, check_arities, count_answers, evaluate, evaluate_by_plan, join_project_plan,
+    ArityError,
+};
 // LP solver observability, re-exported so engine layers can consume
 // per-solve stats without a direct cq-lp dependency.
 pub use cq_lp::{SolveStats, SolverKind};

@@ -114,7 +114,7 @@ pub fn agm_bound(q: &ConjunctiveQuery) -> Rational {
 /// Outcome of checking a bound on a concrete database.
 #[derive(Clone, Debug)]
 pub struct BoundCheck {
-    /// `|Q(D)|`, measured by evaluation.
+    /// `|Q(D)|`, counted.
     pub measured: usize,
     /// `rmax(D)` over the query's relations.
     pub rmax: usize,
@@ -129,14 +129,14 @@ pub struct BoundCheck {
 /// Exactly checks `|Q(D)| ≤ rmax(D)^{p/q}` by comparing
 /// `|Q(D)|^q ≤ rmax^p` in big-integer arithmetic.
 pub fn check_size_bound(q: &ConjunctiveQuery, db: &Database, exponent: &Rational) -> BoundCheck {
-    let out = crate::eval::evaluate(q, db);
+    let measured = crate::eval::count_answers(q, db);
     let names: Vec<&str> = q.relation_names();
     let rmax = db.rmax(&names);
     BoundCheck {
-        measured: out.len(),
+        measured,
         rmax,
         exponent: exponent.clone(),
-        holds: pow_le(out.len(), rmax, exponent),
+        holds: pow_le(measured, rmax, exponent),
         bound_approx: (rmax as f64).powf(exponent.to_f64()),
     }
 }
@@ -173,12 +173,12 @@ pub fn corollary_4_2_witness(q: &ConjunctiveQuery) -> Option<usize> {
 /// (integer comparison `|Q|^L ≤ Π |R_j|^{y_j·L}` with `L` the common
 /// denominator).
 pub fn agm_product_bound(q: &ConjunctiveQuery, db: &Database) -> ProductBound {
-    agm_product_bound_measured(q, db, crate::eval::evaluate(q, db).len())
+    agm_product_bound_measured(q, db, crate::eval::count_answers(q, db))
 }
 
-/// As [`agm_product_bound`] with an already-measured `|Q(D)|`, so a
-/// caller that has evaluated the query (the engine's data checks)
-/// doesn't pay for a second evaluation.
+/// As [`agm_product_bound`] with an already-counted `|Q(D)|`, so a
+/// caller that has counted the answers (the engine's data checks)
+/// doesn't count them twice.
 pub fn agm_product_bound_measured(
     q: &ConjunctiveQuery,
     db: &Database,
@@ -223,7 +223,7 @@ pub fn agm_product_bound_optimized(q: &ConjunctiveQuery, db: &Database) -> Produ
         })
         .collect();
     let (_, weights) = crate::coloring::fractional_cover_weighted(q, &q.head_var_set(), &costs);
-    let measured = crate::eval::evaluate(q, db).len();
+    let measured = crate::eval::count_answers(q, db);
     product_bound_with_weights(q, db, weights, measured)
 }
 

@@ -19,11 +19,12 @@
 use crate::cache::LpCache;
 use crate::report::{AnalysisReport, ReportOptions};
 use crate::session::AnalysisSession;
-use cq_core::{ConjunctiveQuery, ParseError};
+use cq_core::{ArityError, ConjunctiveQuery, ParseError};
 use cq_hypergraph::{canonical_key, CanonicalKey};
 use cq_relation::FdSet;
 use cq_telemetry::TraceContext;
 use std::collections::HashSet;
+use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -39,6 +40,26 @@ pub struct BatchAnalyzer {
     /// each query. Inputs without an id get a fresh one when tracing.
     trace_ids: Option<Arc<Vec<Option<String>>>>,
 }
+
+/// Why one input of [`BatchAnalyzer::analyze_texts`] has no report.
+#[derive(Clone, Debug)]
+pub enum AnalyzeError {
+    /// The program text does not parse.
+    Parse(ParseError),
+    /// The query does not fit the database (a relation's arity differs).
+    Database(ArityError),
+}
+
+impl fmt::Display for AnalyzeError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            AnalyzeError::Parse(e) => e.fmt(f),
+            AnalyzeError::Database(e) => write!(f, "database error: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for AnalyzeError {}
 
 impl BatchAnalyzer {
     pub fn new() -> Self {
@@ -86,12 +107,13 @@ impl BatchAnalyzer {
     }
 
     /// Parses and analyzes `(name, program_text)` pairs. Per-input parse
-    /// errors are reported in place without sinking the batch.
+    /// errors, and queries the database of `opts` does not fit, are
+    /// reported in place without sinking the batch.
     pub fn analyze_texts(
         &self,
         inputs: &[(String, String)],
         opts: &ReportOptions<'_>,
-    ) -> Vec<Result<AnalysisReport, ParseError>> {
+    ) -> Vec<Result<AnalysisReport, AnalyzeError>> {
         // Parse up front (cheap next to any LP solve) so the miss
         // planner can see each query's canonical key before scheduling.
         let parsed: Vec<Result<(ConjunctiveQuery, FdSet), ParseError>> = inputs
@@ -105,15 +127,23 @@ impl BatchAnalyzer {
                 .map(|(q, _)| canonical_key(&q.hypergraph(), &q.head_var_set()))
         });
         self.run_waves(&waves, parsed.len(), |i| match &parsed[i] {
-            Ok((query, fds)) => Ok(self
-                .session(&inputs[i].0, query.clone(), fds.clone())
-                .report(opts)),
-            Err(e) => Err(e.clone()),
+            Ok((query, fds)) => {
+                let session = self.session(&inputs[i].0, query.clone(), fds.clone());
+                match opts.database.map(|db| session.check_database(db)) {
+                    Some(Err(e)) => Err(AnalyzeError::Database(e)),
+                    _ => Ok(session.report(opts)),
+                }
+            }
+            Err(e) => Err(AnalyzeError::Parse(e.clone())),
         })
     }
 
     /// Analyzes already-built queries (the bench generators' path —
     /// no parsing involved).
+    ///
+    /// # Panics
+    /// Panics if the database of `opts` does not fit some query (see
+    /// [`AnalysisSession::check_database`]).
     pub fn analyze_queries(
         &self,
         items: &[(String, ConjunctiveQuery, FdSet)],

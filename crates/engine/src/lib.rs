@@ -43,7 +43,7 @@ pub mod report;
 pub mod serve;
 pub mod session;
 
-pub use batch::BatchAnalyzer;
+pub use batch::{AnalyzeError, BatchAnalyzer};
 pub use cache::{
     CacheStats, LpCache, ShardStats, SnapshotError, DEFAULT_CACHE_CAPACITY, SNAPSHOT_VERSION,
 };

@@ -26,7 +26,7 @@ use cq_core::{
     chase, check_size_bound, color_number_entropy_lp_with_stats, color_number_lp,
     decide_size_increase_chased, entropy_upper_bound_with_stats, is_acyclic, parse_program,
     pull_back_coloring, remove_simple_fds, treewidth_preservation_no_fds, worst_case_database,
-    BoundCheck, ChaseResult, ConjunctiveQuery, ParseError, RemovalTrace, SizeBound,
+    ArityError, BoundCheck, ChaseResult, ConjunctiveQuery, ParseError, RemovalTrace, SizeBound,
     SizeIncreaseDecision, SolveStats, SolverKind, TwPreservation, VarFd,
 };
 use cq_hypergraph::{hypertree_capped, treewidth_capped};
@@ -453,21 +453,34 @@ impl AnalysisSession {
         Some(check_size_bound(&bound.query, &db, &bound.exponent))
     }
 
-    /// Evaluates the (original) query on a concrete database and checks
-    /// the cached bounds against the measured output. Not memoized (the
+    /// Checks that `db` fits the query: every body atom over a relation
+    /// of `db` has that relation's arity. This is the precondition of
+    /// [`Self::data_check`]; [`crate::BatchAnalyzer::analyze_texts`]
+    /// checks it first, so a mismatched database is a per-input error
+    /// rather than a panic.
+    pub fn check_database(&self, db: &Database) -> Result<(), ArityError> {
+        cq_core::check_arities(&self.query, db)
+    }
+
+    /// Counts the (original) query's answers on a concrete database and
+    /// checks the cached bounds against the count. Not memoized (the
     /// database is caller state), but reuses every cached artifact.
+    ///
+    /// # Panics
+    /// Panics if [`Self::check_database`] rejects `db`.
     pub fn data_check(&self, db: &Database) -> DataCheck {
-        let out = cq_core::evaluate(&self.query, db);
+        let _p = phase("session.data_check", "cq_session_data_check_micros");
+        let measured = cq_core::count_answers(&self.query, db);
         let rmax = db.rmax(&self.query.relation_names());
         let fds_hold = db.satisfies(&self.fds);
         let exact = self.size_bound().map(|bound| ExactDataBound {
             bound_approx: (rmax as f64).powf(bound.exponent.to_f64()),
-            holds: cq_core::pow_le(out.len(), rmax, &bound.exponent),
+            holds: cq_core::pow_le(measured, rmax, &bound.exponent),
         });
         // The head-cover product bound is valid for any query (the cover
         // LP runs over head variables), not just total join queries.
-        // Passing the measured size avoids a second evaluation — on big
-        // instances the join dominates the whole data check. The cover
+        // Passing the count avoids counting twice — on big instances
+        // the count dominates the whole data check. The cover
         // LP is structure-only, so a shared cache can answer it; any
         // feasible cover yields a valid bound, so a translated cover
         // from an isomorphic query is sound here.
@@ -479,9 +492,9 @@ impl AnalysisSession {
                 } else {
                     bump(&self.counters.cache_misses);
                 }
-                cq_core::agm_product_bound_with_cover(&self.query, db, weights, out.len())
+                cq_core::agm_product_bound_with_cover(&self.query, db, weights, measured)
             }
-            None => cq_core::agm_product_bound_measured(&self.query, db, out.len()),
+            None => cq_core::agm_product_bound_measured(&self.query, db, measured),
         };
         let product = Some(ProductDataBound {
             bound_approx: p.bound_approx,
@@ -489,7 +502,7 @@ impl AnalysisSession {
         });
         DataCheck {
             rmax,
-            measured: out.len(),
+            measured,
             fds_hold,
             exact,
             product,
@@ -521,7 +534,7 @@ pub struct QueryWidths {
 pub struct DataCheck {
     /// `rmax(D)` over the query's relations.
     pub rmax: usize,
-    /// `|Q(D)|` measured by evaluation.
+    /// `|Q(D)|`, counted.
     pub measured: usize,
     /// Whether the declared dependencies actually hold on the data.
     pub fds_hold: bool,

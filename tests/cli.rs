@@ -126,6 +126,45 @@ fn evaluates_against_supplied_database() {
 }
 
 #[test]
+fn database_arity_mismatch_is_a_per_input_error() {
+    let dir = std::env::temp_dir();
+    let bad = dir.join("cq_arity_bad.cq");
+    let good = dir.join("cq_arity_good.cq");
+    let dpath = dir.join("cq_arity.db");
+    std::fs::write(&bad, "T(X,Y,Z) :- E(X,Y), E(Y,Z), E(X,Z)\n").unwrap();
+    std::fs::write(&good, "P(X) :- E(X,Y,Z)\n").unwrap();
+    std::fs::write(&dpath, "relation E\na b c\nb c a\n").unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_cq-analyze"))
+        .args([
+            "--json",
+            "--db",
+            dpath.to_str().unwrap(),
+            bad.to_str().unwrap(),
+            good.to_str().unwrap(),
+        ])
+        .output()
+        .expect("run cq-analyze");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    // A clean failure exit, not a worker panic (exit 101).
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    let lines: Vec<&str> = stdout.lines().collect();
+    assert_eq!(lines.len(), 3, "{stdout}");
+    assert_eq!(
+        lines[0],
+        format!(
+            "{{\"name\":\"{}\",\"error\":\"database error: relation E has 3 columns \
+             in the database but the query uses it with 2\"}}",
+            bad.to_str().unwrap()
+        )
+    );
+    // The other input still gets its report and data check.
+    assert!(lines[1].contains("\"measured\":2"), "{}", lines[1]);
+    assert!(lines[2].starts_with("{\"cache_stats\""), "{}", lines[2]);
+}
+
+#[test]
 fn warns_on_violated_dependencies() {
     let dir = std::env::temp_dir();
     let qpath = dir.join("cq_analyze_warn.cq");
