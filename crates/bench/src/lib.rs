@@ -1,13 +1,11 @@
-//! Workload generation and reporting for the `cqbounds` experiments.
+//! Query generators and reporting for the `cqbounds` experiments.
 //!
 //! The experiment harness (`cargo run --release -p cq-bench --bin
 //! experiments`) regenerates every figure, example, and theorem-check of
-//! the paper; the criterion benches time the computational procedures.
-//! This library holds what both share: random query/database generators
+//! the paper. This library holds its random query/database generators
 //! and parameterized query families.
 
 use cq_core::{Atom, ConjunctiveQuery};
-use cq_engine::{AnalysisReport, BatchAnalyzer, ReportOptions};
 use cq_relation::{Database, FdSet};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -140,105 +138,6 @@ pub fn star_query(n: usize, keyed: bool) -> (ConjunctiveQuery, FdSet) {
     (q, fds)
 }
 
-/// A named analysis workload: what the engine benches and experiments
-/// feed to [`BatchAnalyzer`]. All generators below can be collected into
-/// one of these.
-pub type Workload = Vec<(String, ConjunctiveQuery, FdSet)>;
-
-/// `n` random conjunctive queries (seeds `seed0..seed0+n`), as an
-/// engine workload.
-pub fn random_workload(seed0: u64, n: usize, max_vars: usize, max_atoms: usize) -> Workload {
-    (0..n)
-        .map(|i| {
-            let seed = seed0 + i as u64;
-            (
-                format!("random/{seed}"),
-                random_query(seed, max_vars, max_atoms),
-                FdSet::new(),
-            )
-        })
-        .collect()
-}
-
-/// A structurally isomorphic copy of `q`: variables renamed through a
-/// random bijection (fresh names) and atoms shuffled; relation names
-/// are kept so any `FdSet` applies verbatim. Copies solve the same
-/// structure-only LPs as the original, which is exactly what the
-/// engine's canonical-key cache exploits.
-pub fn permuted_query(seed: u64, q: &ConjunctiveQuery) -> ConjunctiveQuery {
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
-    let n = q.num_vars();
-    let mut perm: Vec<usize> = (0..n).collect();
-    for i in (1..n).rev() {
-        let j = rng.gen_range(0..=i);
-        perm.swap(i, j);
-    }
-    // Names simply follow the new index (`W0..`): the permutation
-    // reindexes head/body below; fresh names just make the renaming
-    // visible in the Display form.
-    let var_names: Vec<String> = (0..n).map(|i| format!("W{i}")).collect();
-    let head: Vec<usize> = q.head().iter().map(|&v| perm[v]).collect();
-    let mut body: Vec<Atom> = q
-        .body()
-        .iter()
-        .map(|a| {
-            Atom::new(
-                a.relation.clone(),
-                a.vars.iter().map(|&v| perm[v]).collect::<Vec<_>>(),
-            )
-        })
-        .collect();
-    for i in (1..body.len()).rev() {
-        let j = rng.gen_range(0..=i);
-        body.swap(i, j);
-    }
-    ConjunctiveQuery::new(var_names, head, body)
-}
-
-/// An isomorphic-heavy workload: `copies` independently permuted copies
-/// of each base query — the cross-query cache's best case, and the
-/// batch/serving story's common case (application queries are generated
-/// from templates, differing only in naming).
-pub fn isomorphic_workload(
-    seed0: u64,
-    bases: &[(String, ConjunctiveQuery, FdSet)],
-    copies: usize,
-) -> Workload {
-    let mut items = Vec::with_capacity(bases.len() * copies);
-    for (b, (name, q, fds)) in bases.iter().enumerate() {
-        for c in 0..copies {
-            items.push((
-                format!("{name}/copy{c}"),
-                permuted_query(seed0 + (b * copies + c) as u64, q),
-                fds.clone(),
-            ));
-        }
-    }
-    items
-}
-
-/// The standard parameterized families (cycles, cliques, stars with and
-/// without keys) up to `max_n`, as an engine workload.
-pub fn family_workload(max_n: usize) -> Workload {
-    let mut items: Workload = Vec::new();
-    for n in 2..=max_n {
-        items.push((format!("cycle/{n}"), cycle_query(n), FdSet::new()));
-        items.push((format!("clique/{n}"), clique_query(n), FdSet::new()));
-        let (star, fds) = star_query(n, false);
-        items.push((format!("star/{n}"), star, fds));
-        let (star_k, fds_k) = star_query(n, true);
-        items.push((format!("star-keyed/{n}"), star_k, fds_k));
-    }
-    items
-}
-
-/// Runs a workload through the engine's batch layer — the single entry
-/// point the benches and experiments use, so every timed number reflects
-/// the same memoized pipeline the CLI serves.
-pub fn analyze_workload(workload: &Workload) -> Vec<AnalysisReport> {
-    BatchAnalyzer::new().analyze_queries(workload, &ReportOptions::default())
-}
-
 /// Simple aligned table printer for the experiment reports.
 pub struct Table {
     headers: Vec<String>,
@@ -336,62 +235,6 @@ mod tests {
             let db = random_database(seed, &q, &fds, 4, 10);
             assert!(db.satisfies(&fds), "seed {seed}");
         }
-    }
-
-    #[test]
-    fn workloads_route_through_the_engine() {
-        let reports = analyze_workload(&family_workload(4));
-        assert_eq!(reports.len(), 12);
-        let by_name = |name: &str| {
-            reports
-                .iter()
-                .find(|r| r.name == name)
-                .unwrap_or_else(|| panic!("missing {name}"))
-        };
-        let exp = |name: &str| {
-            by_name(name)
-                .size_bound
-                .as_ref()
-                .expect("family FDs are simple")
-                .exponent
-                .clone()
-        };
-        // The engine agrees with the known family exponents asserted in
-        // `families_have_known_color_numbers`.
-        assert_eq!(exp("cycle/4"), "2");
-        assert_eq!(exp("clique/3"), "3/2");
-        assert_eq!(exp("star/3"), "3");
-        assert_eq!(exp("star-keyed/3"), "1");
-        // Random workloads analyze cleanly too.
-        let random = analyze_workload(&random_workload(0, 10, 5, 4));
-        assert_eq!(random.len(), 10);
-        for r in &random {
-            assert!(r.size_bound.is_some(), "{}: no dependencies", r.name);
-        }
-    }
-
-    #[test]
-    fn permuted_copies_are_isomorphic_and_cache_hit() {
-        use cq_engine::LpCache;
-        let base = cycle_query(5);
-        let cache = LpCache::new();
-        let (original, _) = cache.color_number(&base);
-        for seed in 0..10 {
-            let copy = permuted_query(seed, &base);
-            assert_eq!(copy.num_atoms(), base.num_atoms());
-            let (translated, hit) = cache.color_number(&copy);
-            assert!(hit, "seed {seed}");
-            assert_eq!(original.value, translated.value);
-        }
-    }
-
-    #[test]
-    fn isomorphic_workload_shapes() {
-        let bases = family_workload(4);
-        let w = isomorphic_workload(7, &bases, 3);
-        assert_eq!(w.len(), bases.len() * 3);
-        let reports = analyze_workload(&w);
-        assert_eq!(reports.len(), w.len());
     }
 
     #[test]

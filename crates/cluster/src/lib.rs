@@ -19,9 +19,8 @@
 //! - [`ReportMerger`] — the input-ordered report sink plus
 //!   cache/solver counter summing.
 //!
-//! [`LocalWorker`] runs the same serving loop in-process for tests and
-//! benches; the `cq-cluster` binary spawns real `cq-serve` children
-//! instead when asked to self-host.
+//! [`ServeChild`] spawns real `cq-serve` children when the
+//! `cq-cluster` binary is asked to self-host.
 //!
 //! ```no_run
 //! use cq_cluster::{ClusterClient, WorkerAddr};
@@ -38,14 +37,12 @@
 
 pub mod addr;
 pub mod client;
-pub mod local;
 pub mod merge;
 pub mod plan;
 pub mod spawn;
 
 pub use addr::{WorkerAddr, WorkerConn};
 pub use client::{ClusterClient, ClusterError, ClusterRun, WorkerSummary};
-pub use local::LocalWorker;
 pub use merge::{
     cache_stats_delta, metrics_delta, CacheTotals, MetricsTotals, ReportMerger, SolverTotals,
     WidthTotals,

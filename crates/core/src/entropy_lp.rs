@@ -29,8 +29,8 @@
 //! to 0 (its equality reads `Σ_{t∈S, S∩lhs=∅} y_S = 0`), and what is left
 //! is one `≤ 1` row per query atom over at most `2^k − 1` columns. A few
 //! pivots solve it where the `h`-coordinate program
-//! ([`build_color_number_entropy_lp`], kept as the oracle the solver
-//! benches and differential tests use) needs about `2^k`. The
+//! ([`build_color_number_entropy_lp`], kept as the oracle the
+//! differential and work-count tests use) needs about `2^k`. The
 //! engine-level caps on `k` live at `cq_engine::session`.
 //!
 //! ```
@@ -156,8 +156,8 @@ impl EntropyLpBuilder {
 
 /// Builds (without solving) the Proposition 6.9 linear program: maximize
 /// `h(u_0)` under atom normalizations, FD equalities and the elemental
-/// Shannon inequalities. Exposed so benches and the differential test
-/// layer can hand the *same* program to several solver engines.
+/// Shannon inequalities. Exposed so the differential and work-count
+/// tests can hand the *same* program to several solver engines.
 pub fn build_entropy_upper_lp(q: &ConjunctiveQuery, var_fds: &[VarFd]) -> LinearProgram {
     let mut b = EntropyLpBuilder::new(q);
     b.add_query_structure(q, var_fds);
@@ -170,8 +170,8 @@ pub fn build_entropy_upper_lp(q: &ConjunctiveQuery, var_fds: &[VarFd]) -> Linear
 /// equalities and nonnegativity of every I-measure atom, one dense row
 /// per atom. [`color_number_entropy_lp`] solves the equivalent
 /// I-measure-coordinate program instead; this one stays as its oracle
-/// and as a hard LP (`2^k` rows, about `2^k` pivots) for the solver
-/// benches and differential tests.
+/// and as a hard LP (`2^k` rows, about `2^k` pivots) for the
+/// differential and work-count tests.
 pub fn build_color_number_entropy_lp(q: &ConjunctiveQuery, var_fds: &[VarFd]) -> LinearProgram {
     let mut b = EntropyLpBuilder::new(q);
     b.add_query_structure(q, var_fds);
@@ -489,7 +489,7 @@ R[1,2] -> R[4]",
         assert_eq!(zy, Rational::one());
     }
 
-    /// The lab's cycle-fd program: the k-cycle plus `T(X0,X1,X2)` under
+    /// The benchmark's cycle-fd program: the k-cycle plus `T(X0,X1,X2)` under
     /// the compound FD `T[1,2] -> T[3]`.
     fn cycle_fd(k: usize) -> String {
         let vars: Vec<String> = (0..k).map(|i| format!("X{i}")).collect();

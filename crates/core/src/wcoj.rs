@@ -14,7 +14,7 @@
 //! - repeated variables inside an atom and projection heads are handled
 //!   the same way as in [`crate::eval::evaluate`].
 //!
-//! The `bench_wcoj` benchmark and experiment E21 compare this evaluator
+//! Experiment E21 compares this evaluator
 //! against the Corollary 4.8 binary plan on AGM-worst-case inputs: the
 //! binary plan's intermediates grow like `M⁴` on the triangle family
 //! while generic join stays output-linear (`M³`).

@@ -138,7 +138,7 @@ impl BatchAnalyzer {
         })
     }
 
-    /// Analyzes already-built queries (the bench generators' path —
+    /// Analyzes already-built queries (the query generators' path —
     /// no parsing involved).
     ///
     /// # Panics

@@ -1,7 +1,7 @@
 //! # cq-engine — the unified analysis layer of `cqbounds`
 //!
 //! One memoized pipeline under every consumer. The CLI, the examples,
-//! the benches and the pipeline tests all want the same artifact chain
+//! the benchmark and the pipeline tests all want the same artifact chain
 //! from the paper — chase (Fact 2.4), FD removal (Lemma 4.7), the
 //! coloring LP (Proposition 3.6), the Theorem 4.4 size bound, the
 //! Theorem 5.10 treewidth analysis, the Theorem 7.2 growth decision and
@@ -52,7 +52,7 @@ pub use report::{
     AnalysisReport, ChaseReport, DataReport, EntropyReport, GrowthReport, ReportOptions,
     SizeBoundReport, SolverReport, TreewidthReport, WitnessReport,
 };
-pub use serve::{ServeEngine, ServeStats, MAX_BATCH, PROTOCOL_VERSION};
+pub use serve::{ServeEngine, ServeStats, MAX_BATCH, MAX_LINE_BYTES, PROTOCOL_VERSION};
 pub use session::{
     AnalysisSession, DataCheck, ExactDataBound, ProductDataBound, SessionStats,
     ENTROPY_BOUND_DENSE_CAP, ENTROPY_BOUND_VAR_CAP, ENTROPY_COLOR_VAR_CAP,

@@ -53,7 +53,7 @@ use cq_telemetry::{
     emit_event, next_span_id, now_micros, render_span_tree, Metrics, Span, SpanEvent, TraceContext,
 };
 use std::collections::BTreeMap;
-use std::io::{self, BufRead, ErrorKind, Write};
+use std::io::{self, BufRead, ErrorKind, Read, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::mpsc;
@@ -70,6 +70,14 @@ pub const PROTOCOL_VERSION: i64 = 1;
 /// `[file contents]` pastes); larger workloads should be split into
 /// multiple batch requests.
 pub const MAX_BATCH: usize = 1024;
+
+/// Upper bound on one request line, in bytes, not counting its
+/// newline. A line that runs past it (a client that never sends a
+/// newline, say) is answered with an error response and ends its
+/// connection, so a worker's read buffer stays bounded. The size fits a
+/// full [`MAX_BATCH`] batch from `cq-cluster` at 16 KiB of escaped
+/// program text per query.
+pub const MAX_LINE_BYTES: usize = 16 << 20;
 
 /// Depth of the per-connection request queue: how many pipelined
 /// requests may be admitted beyond the ones being analyzed before the
@@ -363,9 +371,30 @@ impl ServeEngine {
 
     /// Handles one request line, returning the one response line (no
     /// trailing newline). This is the entire daemon minus transport —
-    /// the benches and the protocol replay test drive it directly.
+    /// the engine's unit tests and the protocol replay test drive it
+    /// directly.
     pub fn handle_line(&self, line: &str) -> String {
         self.handle_line_meta(line, None).0
+    }
+
+    /// The error response to a request line longer than
+    /// [`MAX_LINE_BYTES`], counted as a request and as an error.
+    fn reject_oversized_line(&self) -> String {
+        self.requests.fetch_add(1, Ordering::Relaxed);
+        self.errors.fetch_add(1, Ordering::Relaxed);
+        obj([
+            ("v", Json::Int(PROTOCOL_VERSION)),
+            ("id", Json::Null),
+            ("ok", Json::Bool(false)),
+            (
+                "error",
+                Json::str(format!(
+                    "request line exceeds the limit of {MAX_LINE_BYTES} bytes; connection closed"
+                )),
+            ),
+            ("micros", Json::Int(0)),
+        ])
+        .render()
     }
 
     /// The [`ServeEngine::handle_line`] body, plus the request's trace
@@ -794,7 +823,9 @@ impl ServeEngine {
     /// Serves one connection to completion: reads newline-delimited
     /// requests until EOF (or the peer vanishes), analyzes them on a
     /// bounded worker pool, and writes responses **in request order**,
-    /// flushing after each so non-pipelining clients never stall.
+    /// flushing after each so non-pipelining clients never stall. A
+    /// line longer than [`MAX_LINE_BYTES`] gets an error response in
+    /// its turn and ends the connection.
     ///
     /// Returns the first write error if the peer stopped listening —
     /// callers serving sockets typically log and move on, since a
@@ -825,7 +856,6 @@ impl ServeEngine {
                     }
                 });
             }
-            drop(resp_tx);
             let writer_thread = scope.spawn(move || -> io::Result<()> {
                 let mut writer = writer;
                 let mut pending: BTreeMap<u64, (String, Option<ResponseMeta>)> = BTreeMap::new();
@@ -857,12 +887,24 @@ impl ServeEngine {
             });
 
             let mut seq = 0u64;
-            let mut line = String::new();
+            let mut line = Vec::new();
             loop {
                 line.clear();
-                match reader.read_line(&mut line) {
+                let limit = MAX_LINE_BYTES as u64 + 1;
+                match (&mut reader).take(limit).read_until(b'\n', &mut line) {
                     Ok(0) => break, // EOF: graceful end of the connection
+                    Ok(n) if n > MAX_LINE_BYTES && line.last() != Some(&b'\n') => {
+                        // Answered in sequence order like any other
+                        // request; the rest of the line is never read.
+                        let _ = resp_tx.send((seq, self.reject_oversized_line(), None));
+                        break;
+                    }
                     Ok(_) => {
+                        // Invalid UTF-8 ends the connection, as a
+                        // failed read does.
+                        let Ok(line) = std::str::from_utf8(&line) else {
+                            break;
+                        };
                         let request = line.trim();
                         if request.is_empty() {
                             continue; // blank keep-alive lines get no response
@@ -883,6 +925,7 @@ impl ServeEngine {
                 }
             }
             drop(job_tx);
+            drop(resp_tx);
             writer_thread.join().expect("writer thread")
         })
     }
@@ -1234,5 +1277,34 @@ mod tests {
         assert_eq!(lines.len(), 2, "blank lines get no response");
         assert!(lines[0].contains("\"ok\":false"));
         assert!(lines[1].contains("\"ok\":true"));
+    }
+
+    #[test]
+    fn serve_connection_bounds_the_request_line() {
+        let engine = ServeEngine::new();
+        // Exactly at the limit: a stats request padded with blanks.
+        let request = "{\"id\":1,\"cmd\":\"stats\"}";
+        let mut input = request.to_owned();
+        input.push_str(&" ".repeat(MAX_LINE_BYTES - request.len()));
+        input.push('\n');
+        // One byte over, with no newline in reach: answered, then the
+        // connection ends before the request after it is read.
+        input.push_str(&"x".repeat(MAX_LINE_BYTES + 1));
+        input.push_str("\n{\"id\":3,\"cmd\":\"stats\"}\n");
+        let mut out: Vec<u8> = Vec::new();
+        engine
+            .serve_connection(io::Cursor::new(input), &mut out)
+            .unwrap();
+        let lines: Vec<&str> = std::str::from_utf8(&out).unwrap().lines().collect();
+        assert_eq!(lines.len(), 2, "{lines:?}");
+        assert_eq!(parse(lines[0]).get("id").and_then(Json::as_i64), Some(1));
+        let rejected = parse(lines[1]);
+        assert_eq!(rejected.get("ok"), Some(&Json::Bool(false)));
+        assert_eq!(rejected.get("id"), Some(&Json::Null));
+        assert!(rejected
+            .get("error")
+            .and_then(Json::as_str)
+            .is_some_and(|e| e.contains("exceeds the limit")));
+        assert_eq!(engine.stats().errors, 1);
     }
 }

@@ -16,8 +16,7 @@ use cq_arith::Rational;
 /// Bland's rule is the termination-safe default (the paper's LPs are
 /// highly degenerate). Dantzig's rule (most-negative reduced cost) often
 /// pivots fewer times in practice; we guard it against cycling by
-/// switching to Bland after a degenerate stretch. The `bench_simplex`
-/// ablation measures the difference on the entropy LPs.
+/// switching to Bland after a degenerate stretch.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum PivotRule {
     /// Smallest-index improving column; never cycles.

@@ -42,17 +42,6 @@ pub enum SolverKind {
     HybridFloat,
 }
 
-impl SolverKind {
-    /// Stable lowercase name (used by reports and benches).
-    pub fn name(self) -> &'static str {
-        match self {
-            SolverKind::DenseTableau => "dense_tableau",
-            SolverKind::RevisedSparse => "revised_sparse",
-            SolverKind::HybridFloat => "hybrid_float",
-        }
-    }
-}
-
 /// Engine choice for [`LinearProgram::solve_with_solver`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum Solver {

@@ -21,10 +21,8 @@
 //!   `metrics`/`stats` commands and render per-worker / per-phase
 //!   tables without restarting anything.
 //!
-//! The `cq-trace` binary is the CLI over all four; `cq-lab` uses the
-//! same assembly to attach a `phases` object to every traced result
-//! row (see `docs/LAB.md`). Format details live in
-//! `docs/TELEMETRY.md`'s "Consuming telemetry" section.
+//! The `cq-trace` binary is the CLI over all four. Format details live
+//! in `docs/TELEMETRY.md`'s "Consuming telemetry" section.
 
 pub mod flame;
 pub mod ingest;

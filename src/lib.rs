@@ -4,7 +4,7 @@
 //!
 //! - [`engine`] — the unified analysis layer: memoized
 //!   [`engine::AnalysisSession`]s, serializable reports and batch
-//!   analysis (what the CLI, examples and benches run on);
+//!   analysis (what the CLI, examples and the benchmark run on);
 //! - [`cluster`] — sharded distributed batch execution over `cq-serve`
 //!   workers (shard planning, a retrying connection-pool client, and
 //!   an input-ordered report merger);

@@ -108,6 +108,51 @@ fn compound_fds_fall_back_to_entropy_lps() {
     assert!(stdout.contains("Prop 6.9"), "{stdout}");
 }
 
+/// The `CQ_LP_ENGINE` pin reaches the binary: the compound-FD fixture's
+/// Proposition 6.10 program goes to the hybrid engine by default and to
+/// the exact revised simplex under `CQ_LP_ENGINE=exact`, with the same
+/// bounds and these exact solver counts.
+#[test]
+fn lp_engine_pin_reaches_the_binary() {
+    let run = |engine: Option<&str>| {
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_cq-analyze"));
+        cmd.arg(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/tests/fixtures/compound.cq"
+        ))
+        .arg("--json");
+        match engine {
+            Some(value) => cmd.env("CQ_LP_ENGINE", value),
+            None => cmd.env_remove("CQ_LP_ENGINE"),
+        };
+        let out = cmd.output().expect("run cq-analyze");
+        assert!(out.status.success());
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        let report = stdout.lines().next().expect("one report line").to_owned();
+        let at = report.find("\"solver_stats\":").expect("solver_stats");
+        let end = at + report[at..].find('}').expect("closing brace") + 1;
+        (
+            report[at..end].to_owned(),
+            common::strip_solver_stats(&report),
+        )
+    };
+    let (hybrid_stats, hybrid_report) = run(None);
+    let (exact_stats, exact_report) = run(Some("exact"));
+    assert_eq!(hybrid_report, exact_report, "the pin changes no bound");
+    assert_eq!(
+        hybrid_stats,
+        "\"solver_stats\":{\"pivots\":13,\"refactorizations\":0,\"dense_solves\":1,\
+         \"sparse_solves\":0,\"hybrid_solves\":1,\"float_pivots\":1,\"float_verified\":1,\
+         \"exact_fallbacks\":0}"
+    );
+    assert_eq!(
+        exact_stats,
+        "\"solver_stats\":{\"pivots\":14,\"refactorizations\":0,\"dense_solves\":1,\
+         \"sparse_solves\":1,\"hybrid_solves\":0,\"float_pivots\":0,\"float_verified\":0,\
+         \"exact_fallbacks\":0}"
+    );
+}
+
 #[test]
 fn evaluates_against_supplied_database() {
     let dir = std::env::temp_dir();
@@ -415,7 +460,6 @@ fn help_and_version_exit_zero_on_stdout() {
         ("cq-analyze", env!("CARGO_BIN_EXE_cq-analyze")),
         ("cq-serve", env!("CARGO_BIN_EXE_cq-serve")),
         ("cq-cluster", env!("CARGO_BIN_EXE_cq-cluster")),
-        ("cq-lab", env!("CARGO_BIN_EXE_cq-lab")),
         ("cq-trace", env!("CARGO_BIN_EXE_cq-trace")),
     ] {
         for flag in ["--help", "-h"] {

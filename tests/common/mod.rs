@@ -47,12 +47,38 @@ pub fn random_query(seed: u64, max_vars: usize, max_atoms: usize) -> Conjunctive
     ConjunctiveQuery::new(var_names, used, body)
 }
 
-/// A structurally isomorphic copy of `q` (random variable renaming +
-/// atom shuffle, relation names kept): the single implementation lives
-/// in `cq_bench` so the bench workloads and the test corpus cannot
-/// drift apart.
-#[allow(unused_imports)] // like the helpers above, used by a subset of suites
-pub use cq_bench::permuted_query;
+/// A structurally isomorphic copy of `q`: variables renamed through a
+/// random bijection (fresh names `W0..`) and atoms shuffled; relation
+/// names are kept so any `FdSet` applies verbatim.
+pub fn permuted_query(seed: u64, q: &ConjunctiveQuery) -> ConjunctiveQuery {
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
+    let n = q.num_vars();
+    let mut perm: Vec<usize> = (0..n).collect();
+    for i in (1..n).rev() {
+        let j = rng.gen_range(0..=i);
+        perm.swap(i, j);
+    }
+    // Names simply follow the new index (`W0..`): the permutation
+    // reindexes head/body below; fresh names just make the renaming
+    // visible in the Display form.
+    let var_names: Vec<String> = (0..n).map(|i| format!("W{i}")).collect();
+    let head: Vec<usize> = q.head().iter().map(|&v| perm[v]).collect();
+    let mut body: Vec<Atom> = q
+        .body()
+        .iter()
+        .map(|a| {
+            Atom::new(
+                a.relation.clone(),
+                a.vars.iter().map(|&v| perm[v]).collect::<Vec<_>>(),
+            )
+        })
+        .collect();
+    for i in (1..body.len()).rev() {
+        let j = rng.gen_range(0..=i);
+        body.swap(i, j);
+    }
+    ConjunctiveQuery::new(var_names, head, body)
+}
 
 /// A random database for `q` over a domain of `domain` values with about
 /// `rows` tuples per relation, repaired to satisfy `fds` (offending

@@ -658,6 +658,53 @@ fn tcp_mode_serves_the_same_protocol() {
     signal_and_await_clean_exit(&mut child, "TERM", "tcp mode");
 }
 
+/// A request line longer than `MAX_LINE_BYTES` cannot grow a worker's
+/// memory: the daemon stops reading at the limit, answers in sequence
+/// order with an error response, and closes only that connection — the
+/// next connection is served as usual.
+#[test]
+fn oversized_request_line_is_rejected_and_closes_only_its_connection() {
+    let mut child = daemon(&["--tcp", "127.0.0.1:0"]);
+    let mut stderr = BufReader::new(child.stderr.take().unwrap());
+    let addr = {
+        let mut line = String::new();
+        stderr.read_line(&mut line).unwrap();
+        let at = line.find("listening on ").expect("announcement line");
+        line[at + "listening on ".len()..].trim().to_owned()
+    };
+
+    // One normal request, then one byte more than the limit with no
+    // newline: the daemon reads exactly what was sent, so the close is
+    // a clean end of stream for the client.
+    let mut c1 = connect_tcp_when_ready(&addr);
+    let mut writer = c1.try_clone().unwrap();
+    let sender = std::thread::spawn(move || {
+        writer.write_all(b"{\"id\":1,\"cmd\":\"stats\"}\n")?;
+        writer.write_all(&vec![b'x'; cq_engine::MAX_LINE_BYTES + 1])
+    });
+    let mut received = String::new();
+    c1.read_to_string(&mut received).unwrap();
+    sender.join().unwrap().unwrap();
+    let lines: Vec<&str> = received.lines().collect();
+    assert_eq!(lines.len(), 2, "{received}");
+    assert_eq!(parse(lines[0]).get("id").and_then(Json::as_i64), Some(1));
+    let rejected = parse(lines[1]);
+    assert_eq!(rejected.get("ok"), Some(&Json::Bool(false)), "{received}");
+    let error = rejected.get("error").and_then(Json::as_str).unwrap();
+    assert!(error.contains("exceeds the limit"), "{error}");
+
+    let mut c2 = connect_tcp_when_ready(&addr);
+    let stats = parse(&request_over_tcp(&mut c2, r#"{"id":2,"cmd":"stats"}"#));
+    let errors = stats
+        .get("stats")
+        .and_then(|s| s.get("errors"))
+        .and_then(Json::as_i64);
+    assert_eq!(errors, Some(1), "the rejection is counted as an error");
+    drop(c2);
+
+    signal_and_await_clean_exit(&mut child, "TERM", "after an oversized line");
+}
+
 /// The cache-persistence acceptance test: a snapshot written by one
 /// daemon (on SIGTERM) and loaded by another yields verified cache hits
 /// with **zero LP solves** on the replayed workload, proven by the

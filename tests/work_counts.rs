@@ -1,0 +1,229 @@
+//! Exact work counts on the solver and cache fast paths.
+//!
+//! The paper's bounds are exact LP values, and what one costs to compute
+//! is a deterministic count: simplex pivots, basis verifications, exact
+//! fallbacks, cache hits. Wall-clock time on a shared machine cannot see
+//! a solver that falls off its fast path until the slowdown is large;
+//! these counts change on the first extra pivot, on any machine, in
+//! debug and release builds alike. Timing is the benchmark's job
+//! (`perfbench/`).
+//!
+//! Pinned here, and nowhere else:
+//!
+//! 1. **Proposition 6.9 on cycle-fd, k = 8 and 9** (`Solver::Auto`, the
+//!    production path of `entropy_upper_bound_with_stats`): the engine
+//!    `Auto` picks, the float pivot count, a verified float basis, zero
+//!    exact pivots and zero exact fallbacks.
+//! 2. **The h-coordinate Proposition 6.10 program at k = 8**: `Auto`
+//!    picks the hybrid engine, its float basis verifies after a pinned
+//!    number of float pivots and without exact ones, and its objective
+//!    equals the exact engine's (whose pivot count is pinned too).
+//! 3. **The canonical-key cache on an isomorphic template workload**:
+//!    100 relabeled copies of five templates miss once per class and
+//!    hit on every other lookup, with the solves and pivots of the
+//!    cold run pinned; a warm rerun and a warm-cache session solve
+//!    nothing.
+//!
+//! The Proposition 6.10 program the engine actually solves (I-measure
+//! coordinates) has its counts pinned beside it, in
+//! `cq_core::entropy_lp`'s `prop_6_10_work_counts_on_cycle_fd`.
+//!
+//! The hybrid-engine counts hold for the default engine routing. Under
+//! `CQ_LP_ENGINE=exact`, `Auto` must pick the exact revised simplex
+//! instead, and items 1 and 2 check that routing, the program shapes,
+//! the objectives and the exact engine's pivots.
+
+mod common;
+
+use common::{permuted_query, random_query};
+use cqbounds::core::{
+    build_color_number_entropy_lp, build_entropy_upper_lp, chase, entropy_upper_bound_with_stats,
+    parse_program, Atom, ConjunctiveQuery,
+};
+use cqbounds::engine::{AnalysisReport, AnalysisSession, BatchAnalyzer, LpCache, ReportOptions};
+use cqbounds::lp::{solve_lp, PivotRule, Solver, SolverKind};
+use cqbounds::relation::FdSet;
+use std::sync::Arc;
+
+/// The engine `Auto` must pick for the large entropy programs: the
+/// hybrid float/exact simplex, or the exact revised simplex when
+/// `CQ_LP_ENGINE=exact` pins it. Spelled out rather than asked of the
+/// solver crate, so a change to the routing policy fails here.
+fn expected_large_engine() -> SolverKind {
+    match std::env::var("CQ_LP_ENGINE").ok().as_deref() {
+        Some("exact") => SolverKind::RevisedSparse,
+        _ => SolverKind::HybridFloat,
+    }
+}
+
+/// The cycle-fd program: the k-cycle plus `T(X0,X1,X2)` under the
+/// compound FD `T[1,2] -> T[3]` (the family the benchmark's entropy
+/// workload serves).
+fn cycle_fd(k: usize) -> String {
+    let vars: Vec<String> = (0..k).map(|i| format!("X{i}")).collect();
+    let mut body: Vec<String> = (0..k)
+        .map(|i| format!("R{i}({},{})", vars[i], vars[(i + 1) % k]))
+        .collect();
+    body.push("T(X0,X1,X2)".into());
+    format!(
+        "Q({}) :- {}\nT[1,2] -> T[3]",
+        vars.join(","),
+        body.join(", ")
+    )
+}
+
+/// The `k`-cycle join query `Q(X0..) :- R0(X0,X1), ..., R{k-1}(X{k-1},X0)`.
+fn cycle_query(k: usize) -> ConjunctiveQuery {
+    let vars: Vec<String> = (0..k).map(|i| format!("X{i}")).collect();
+    let body: Vec<Atom> = (0..k)
+        .map(|i| Atom::new(format!("R{i}"), vec![i, (i + 1) % k]))
+        .collect();
+    ConjunctiveQuery::new(vars, (0..k).collect(), body)
+}
+
+#[test]
+fn prop_6_9_on_cycle_fd_stays_on_the_verified_float_path() {
+    let expected = expected_large_engine();
+    // (k, rows, columns, float pivots): the columns are the 2^k - 1
+    // nonempty variable sets, the rows the atom normalizations, the FD
+    // equality and the elemental Shannon inequalities.
+    for (k, rows, cols, float_pivots) in [(8, 1810, 255, 287), (9, 4628, 511, 701)] {
+        let (q, fds) = parse_program(&cycle_fd(k)).unwrap();
+        let chased = chase(&q, &fds).query;
+        let vfds = chased.variable_fds(&fds);
+        let lp = build_entropy_upper_lp(&chased, &vfds);
+        assert_eq!(Solver::Auto.resolve(&lp), expected, "k = {k}: routing");
+
+        let (value, stats) = entropy_upper_bound_with_stats(&chased, &vfds);
+        assert_eq!(value.to_string(), "4", "k = {k}: s(Q)");
+        assert_eq!(stats.solver, expected, "k = {k}: solve() honors Auto");
+        assert_eq!(
+            (stats.rows, stats.cols),
+            (rows, cols),
+            "k = {k}: program shape"
+        );
+        if expected == SolverKind::HybridFloat {
+            assert!(stats.float_verified, "k = {k}: {stats:?}");
+            assert_eq!(stats.exact_fallbacks, 0, "k = {k}: {stats:?}");
+            assert_eq!(
+                stats.pivots, 0,
+                "k = {k}: a verified basis needs no exact pivot"
+            );
+            assert_eq!(stats.float_pivots, float_pivots, "k = {k}: {stats:?}");
+        }
+    }
+}
+
+#[test]
+fn h_coordinate_prop_6_10_program_verifies_its_float_basis() {
+    let k = 8;
+    let lp = build_color_number_entropy_lp(&cycle_query(k), &[]);
+    let expected = expected_large_engine();
+    assert_eq!(Solver::Auto.resolve(&lp), expected, "routing");
+
+    let auto = lp.solve();
+    let exact = solve_lp(&lp, Solver::RevisedSparse, PivotRule::DantzigThenBland);
+    assert_eq!(auto.stats.solver, expected, "solve() honors Auto");
+    assert_eq!(auto.objective, exact.objective, "engines agree exactly");
+    assert_eq!(auto.objective.to_string(), "4", "C(8-cycle) = 8/2");
+    assert_eq!(
+        (auto.stats.rows, auto.stats.cols),
+        (263, 255),
+        "program shape"
+    );
+    if expected == SolverKind::HybridFloat {
+        assert!(auto.stats.float_verified, "{:?}", auto.stats);
+        assert_eq!(auto.stats.exact_fallbacks, 0, "{:?}", auto.stats);
+        assert_eq!(
+            auto.stats.pivots, 0,
+            "a verified basis needs no exact pivot"
+        );
+        assert_eq!(auto.stats.float_pivots, 254, "{:?}", auto.stats);
+    }
+    assert_eq!(exact.stats.pivots, 254, "{:?}", exact.stats);
+}
+
+/// 100 queries: 20 relabeled copies each of five templates — two
+/// cycles with large fractional LPs and three asymmetric random
+/// queries, the shape template-generated application queries take.
+fn template_workload() -> Vec<(String, ConjunctiveQuery, FdSet)> {
+    let templates = [
+        ("cycle8".to_owned(), cycle_query(8)),
+        ("cycle11".to_owned(), cycle_query(11)),
+        ("template3".to_owned(), random_query(3, 8, 7)),
+        ("template11".to_owned(), random_query(11, 8, 7)),
+        ("template13".to_owned(), random_query(13, 8, 7)),
+    ];
+    let mut items = Vec::new();
+    for (t, (name, q)) in templates.iter().enumerate() {
+        for c in 0..20 {
+            let copy = permuted_query(0xcafe + (t * 20 + c) as u64, q);
+            items.push((format!("{name}/copy{c}"), copy, FdSet::new()));
+        }
+    }
+    items
+}
+
+#[test]
+fn isomorphic_template_workload_solves_each_lp_once() {
+    let workload = template_workload();
+    let opts = ReportOptions::default();
+    let cache = Arc::new(LpCache::new());
+    let analyze = || {
+        BatchAnalyzer::with_threads(1)
+            .with_cache(Arc::clone(&cache))
+            .analyze_queries(&workload, &opts)
+    };
+
+    // (LP solves, simplex pivots) summed over a run's reports.
+    let work = |reports: &[AnalysisReport]| {
+        reports.iter().fold((0, 0), |(solves, pivots), r| {
+            let s = &r.solver;
+            (
+                solves + s.dense_solves + s.sparse_solves + s.hybrid_solves,
+                pivots + s.pivots + s.float_pivots,
+            )
+        })
+    };
+
+    let reports = analyze();
+    assert_eq!(reports.len(), 100);
+    let cold = cache.stats();
+    // One coloring LP per query; each of the five classes misses once,
+    // and only the misses reach a solver.
+    assert_eq!(
+        (cold.hits, cold.misses, cold.entries),
+        (95, 5, 5),
+        "{cold:?}"
+    );
+    assert_eq!(cold.evictions, 0);
+    assert_eq!(work(&reports), (5, 23), "five solves, 23 pivots in all");
+
+    // Warm rerun: every lookup hits, nothing new is solved or stored.
+    let reports = analyze();
+    assert_eq!(work(&reports), (0, 0), "a warm rerun solves nothing");
+    let warm = cache.stats();
+    assert_eq!(warm.misses, cold.misses, "{warm:?}");
+    assert_eq!(warm.entries, cold.entries, "{warm:?}");
+    assert_eq!(warm.hits - cold.hits, cold.hits + cold.misses, "{warm:?}");
+
+    // A warm-cache hit bypasses the solver entirely: no engine is
+    // chosen, no pivot is made.
+    let (name, q, fds) = &workload[0];
+    let session =
+        AnalysisSession::from_parts(name, q.clone(), fds.clone()).with_cache(Arc::clone(&cache));
+    session.size_bound();
+    let stats = session.stats();
+    assert!(stats.cache_hits >= 1, "{stats:?}");
+    assert_eq!(stats.cache_misses, 0, "{stats:?}");
+    assert_eq!(
+        stats.lp_dense_solves + stats.lp_sparse_solves + stats.lp_hybrid_solves,
+        0,
+        "{stats:?}"
+    );
+    assert_eq!(
+        (stats.lp_pivots, stats.lp_float_pivots),
+        (0, 0),
+        "{stats:?}"
+    );
+}
