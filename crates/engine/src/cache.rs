@@ -10,6 +10,11 @@
 //! stored solution back through the canonical renaming into the
 //! namespace of the query at hand.
 //!
+//! A coloring entry also keeps, in memory only, the exact treewidth and
+//! generalized hypertree width of its class once a session has computed
+//! them: widths are isomorphism invariants too, so a warm request skips
+//! the width search. Snapshots carry the LP solutions alone.
+//!
 //! Layout: the key space is split over `SHARDS` (16) independent
 //! `RwLock`-guarded maps (concurrent batch workers rarely contend), and
 //! each shard is LRU-bounded — recency is tracked with a relaxed global
@@ -29,11 +34,11 @@ use cq_core::ConjunctiveQuery;
 use cq_core::{
     color_number_lp, coloring_from_weights, fractional_edge_cover_head, ColorNumber, SolveStats,
 };
-use cq_hypergraph::{canonical_form, CanonicalKey};
+use cq_hypergraph::{canonical_form, CanonicalForm, CanonicalKey};
 use cq_util::FxHashMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::RwLock;
+use std::sync::{OnceLock, RwLock};
 
 /// Number of independent shards (a power of two; the shard index is the
 /// low bits of the canonical hash).
@@ -134,8 +139,22 @@ impl From<std::io::Error> for SnapshotError {
 struct Entry {
     value: Rational,
     weights: Vec<Rational>,
+    /// The exact widths of the key's hypergraph (coloring entries only;
+    /// in memory only, never snapshotted). Set once, under the shard
+    /// *read* lock.
+    widths: OnceLock<ExactWidths>,
     /// Relaxed LRU stamp; updated under the shard *read* lock.
     last_used: AtomicU64,
+}
+
+/// The widths of a canonical class that came from the exact search:
+/// treewidth and generalized hypertree width are isomorphism invariants,
+/// so any query of the class may reuse them. A width the search left to
+/// the greedy bound is `None` — a greedy width depends on the labeling.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct ExactWidths {
+    pub(crate) treewidth: Option<usize>,
+    pub(crate) hypertree_width: Option<usize>,
 }
 
 #[derive(Default)]
@@ -271,7 +290,16 @@ impl LpCache {
     /// chased and FD-removed — exactly the precondition of
     /// [`cq_core::color_number_lp`] itself.
     pub fn color_number(&self, q: &ConjunctiveQuery) -> (ColorNumber, bool) {
-        let form = canonical_form(&q.hypergraph(), &q.head_var_set());
+        self.color_number_in(q, &query_form(q))
+    }
+
+    /// [`LpCache::color_number`] with `form`, the canonical form of
+    /// `q`'s hypergraph and head variables, already computed.
+    pub(crate) fn color_number_in(
+        &self,
+        q: &ConjunctiveQuery,
+        form: &CanonicalForm,
+    ) -> (ColorNumber, bool) {
         if let Some(canonical_weights) = self.lookup(LpKind::Coloring, &form.key) {
             let (value, weights) = canonical_weights;
             let weights = form.vertex_data_from_canonical(&weights);
@@ -303,7 +331,16 @@ impl LpCache {
     /// The §3.1 minimal fractional edge cover of the head variables
     /// (value, one weight per body atom), cache-translated as above.
     pub fn edge_cover_head(&self, q: &ConjunctiveQuery) -> ((Rational, Vec<Rational>), bool) {
-        let form = canonical_form(&q.hypergraph(), &q.head_var_set());
+        self.edge_cover_head_in(q, &query_form(q))
+    }
+
+    /// [`LpCache::edge_cover_head`] with `q`'s canonical form already
+    /// computed.
+    pub(crate) fn edge_cover_head_in(
+        &self,
+        q: &ConjunctiveQuery,
+        form: &CanonicalForm,
+    ) -> ((Rational, Vec<Rational>), bool) {
         if let Some((value, canonical_weights)) = self.lookup(LpKind::HeadCover, &form.key) {
             let weights = form.edge_data_from_canonical(&canonical_weights);
             return ((value, weights), true);
@@ -316,6 +353,25 @@ impl LpCache {
             form.edge_data_to_canonical(&weights),
         );
         ((value, weights), false)
+    }
+
+    /// The exact widths stored with the coloring entry of `key`, if the
+    /// entry is resident and its widths were stored. Counts as neither
+    /// a hit nor a miss.
+    pub(crate) fn exact_widths(&self, key: &CanonicalKey) -> Option<ExactWidths> {
+        let shard = self.shard_of(key).read().expect("cache lock");
+        let entry = shard.map.get(&(LpKind::Coloring, *key))?;
+        entry.widths.get().copied()
+    }
+
+    /// Stores the exact widths of `key`'s class with its coloring entry.
+    /// Without a resident entry there is nowhere to keep them, and they
+    /// are dropped; an entry keeps the first widths stored.
+    pub(crate) fn store_exact_widths(&self, key: &CanonicalKey, widths: ExactWidths) {
+        let shard = self.shard_of(key).read().expect("cache lock");
+        if let Some(entry) = shard.map.get(&(LpKind::Coloring, *key)) {
+            let _ = entry.widths.set(widths);
+        }
     }
 
     fn shard_of(&self, key: &CanonicalKey) -> &RwLock<Shard> {
@@ -395,6 +451,7 @@ impl LpCache {
             Entry {
                 value,
                 weights,
+                widths: OnceLock::new(),
                 last_used: AtomicU64::new(self.tick.fetch_add(1, Ordering::Relaxed)),
             },
         );
@@ -542,6 +599,12 @@ impl LpCache {
         let text = std::fs::read_to_string(path)?;
         self.merge_snapshot(&text)
     }
+}
+
+/// The canonical form the cached LPs are keyed on: `q`'s hypergraph with
+/// its head variables marked.
+pub(crate) fn query_form(q: &ConjunctiveQuery) -> CanonicalForm {
+    canonical_form(&q.hypergraph(), &q.head_var_set())
 }
 
 /// One decoded snapshot entry: `(kind, key, value, weights)`.

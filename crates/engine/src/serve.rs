@@ -4,7 +4,7 @@
 //! the cross-query cache from a per-invocation optimization into a
 //! serving asset. Requests arrive as newline-delimited JSON (over
 //! stdin, a Unix-domain socket or TCP — the transport is the binary's
-//! concern, this layer only sees `BufRead`/`Write` pairs) and every
+//! concern, this layer only sees `Read`/`Write` pairs) and every
 //! response is one
 //! JSON line carrying the request's `id`, the elapsed `micros`, and the
 //! rolling cache counters. The wire protocol is specified, shape by
@@ -38,11 +38,17 @@
 //! Concurrency model: [`ServeEngine`] is `Sync` — counters are atomics
 //! and the cache is already thread-safe — so one engine serves any
 //! number of connections at once. *Within* a connection,
-//! [`ServeEngine::serve_connection`] runs a bounded worker pool:
-//! pipelined requests are analyzed in parallel, and a reordering writer
-//! emits responses strictly in request order, so clients that don't
-//! pipeline see pure request/response and clients that do still get
-//! deterministic output.
+//! [`ServeEngine::serve_connection`] reads on the calling thread. A
+//! request that finds the connection idle — every earlier response
+//! written and no further bytes buffered — runs right there, with no
+//! thread hop; that is every request of a client that waits for each
+//! response. Any other request goes to a bounded worker pool, started
+//! on first use, so pipelined requests are analyzed in parallel.
+//! Responses pass through one lock-guarded sequencer: the thread that
+//! delivers a response writes every response that is then in turn, so
+//! output stays strictly in request order. A request that panics is
+//! answered with an error response in its turn, and the connection
+//! keeps serving.
 
 use crate::cache::{LpCache, SnapshotError};
 use crate::json::{obj, Json};
@@ -50,10 +56,12 @@ use crate::report::ReportOptions;
 use crate::session::AnalysisSession;
 use crate::BatchAnalyzer;
 use cq_telemetry::{
-    emit_event, next_span_id, now_micros, render_span_tree, Metrics, Span, SpanEvent, TraceContext,
+    emit_event, next_span_id, now_micros, render_span_tree, Gauge, Metrics, Span, SpanEvent,
+    TraceContext,
 };
 use std::collections::BTreeMap;
-use std::io::{self, BufRead, ErrorKind, Read, Write};
+use std::io::{self, BufRead, BufReader, ErrorKind, Read, Write};
+use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::mpsc;
@@ -87,9 +95,9 @@ const QUEUE_DEPTH: usize = 64;
 /// Command-specific fields spliced into an `"ok":true` response.
 type ResponseBody = Vec<(&'static str, Json)>;
 
-/// Trace identity of a handled request, threaded through the response
-/// channel so the writer thread can stitch its `serve.write` span into
-/// the request's tree. `None` when the request emitted no spans.
+/// Trace identity of a handled request, kept with its response so the
+/// thread that writes it can stitch a `serve.write` span into the
+/// request's tree. `None` when the request emitted no spans.
 struct ResponseMeta {
     trace_id: Option<Arc<str>>,
     request_span: u64,
@@ -382,19 +390,11 @@ impl ServeEngine {
     fn reject_oversized_line(&self) -> String {
         self.requests.fetch_add(1, Ordering::Relaxed);
         self.errors.fetch_add(1, Ordering::Relaxed);
-        obj([
-            ("v", Json::Int(PROTOCOL_VERSION)),
-            ("id", Json::Null),
-            ("ok", Json::Bool(false)),
-            (
-                "error",
-                Json::str(format!(
-                    "request line exceeds the limit of {MAX_LINE_BYTES} bytes; connection closed"
-                )),
-            ),
-            ("micros", Json::Int(0)),
-        ])
-        .render()
+        error_response(
+            Json::Null,
+            format!("request line exceeds the limit of {MAX_LINE_BYTES} bytes; connection closed"),
+            Json::Int(0),
+        )
     }
 
     /// The [`ServeEngine::handle_line`] body, plus the request's trace
@@ -407,9 +407,7 @@ impl ServeEngine {
     ) -> (String, Option<ResponseMeta>) {
         let start = Instant::now();
         self.requests.fetch_add(1, Ordering::Relaxed);
-        let in_flight_gauge = Metrics::global().gauge("cq_serve_requests_in_flight");
-        self.in_flight.fetch_add(1, Ordering::Relaxed);
-        in_flight_gauge.inc();
+        let _in_flight = InFlight::enter(&self.in_flight);
         let parsed = Json::parse(line);
         let id = parsed
             .as_ref()
@@ -484,14 +482,7 @@ impl ServeEngine {
             }
             Err(message) => {
                 self.errors.fetch_add(1, Ordering::Relaxed);
-                obj([
-                    ("v", Json::Int(PROTOCOL_VERSION)),
-                    ("id", id),
-                    ("ok", Json::Bool(false)),
-                    ("error", Json::str(message)),
-                    ("micros", micros_json),
-                ])
-                .render()
+                error_response(id, message, micros_json)
             }
         };
         if !is_metrics_probe {
@@ -500,8 +491,6 @@ impl ServeEngine {
                 .histogram("cq_serve_execute_micros")
                 .observe(micros);
         }
-        self.in_flight.fetch_sub(1, Ordering::Relaxed);
-        in_flight_gauge.dec();
         let meta = request_span.active().then(|| ResponseMeta {
             trace_id: trace_id.as_deref().map(Arc::from),
             request_span: request_span.id(),
@@ -545,6 +534,8 @@ impl ServeEngine {
             "stats" => Ok(("stats", self.stats_body())),
             "metrics" => Ok(("metrics", self.metrics_body())),
             "cache" => self.cache_cmd(req).map(|body| ("cache", body)),
+            #[cfg(test)]
+            "test" => tests::seam(req).map(|body| ("test", body)),
             other => Err(format!("unknown cmd {:?}", other)),
         }
     }
@@ -821,71 +812,29 @@ impl ServeEngine {
     }
 
     /// Serves one connection to completion: reads newline-delimited
-    /// requests until EOF (or the peer vanishes), analyzes them on a
-    /// bounded worker pool, and writes responses **in request order**,
-    /// flushing after each so non-pipelining clients never stall. A
-    /// line longer than [`MAX_LINE_BYTES`] gets an error response in
-    /// its turn and ends the connection.
+    /// requests until EOF (or the peer vanishes), analyzes them, and
+    /// writes responses **in request order**, flushing after each so
+    /// non-pipelining clients never stall. A request that arrives on an
+    /// idle connection (every earlier response written, no further
+    /// bytes buffered) runs on the reading thread; pipelined requests go
+    /// to a bounded worker pool, started on first use. A line longer
+    /// than [`MAX_LINE_BYTES`] gets an error response in its turn and
+    /// ends the connection.
     ///
     /// Returns the first write error if the peer stopped listening —
     /// callers serving sockets typically log and move on, since a
     /// client disconnect must never take the daemon down.
-    pub fn serve_connection<R: BufRead, W: Write + Send>(
+    pub fn serve_connection<R: Read, W: Write + Send>(
         &self,
-        mut reader: R,
+        reader: R,
         writer: W,
     ) -> io::Result<()> {
+        let mut reader = BufReader::new(reader);
+        let sequencer = Mutex::new(Sequencer::new(writer));
         let (job_tx, job_rx) = mpsc::sync_channel::<(u64, String, Instant)>(QUEUE_DEPTH);
         let job_rx = Mutex::new(job_rx);
-        let (resp_tx, resp_rx) = mpsc::channel::<(u64, String, Option<ResponseMeta>)>();
         std::thread::scope(|scope| {
-            for _ in 0..self.workers {
-                let job_rx = &job_rx;
-                let resp_tx = resp_tx.clone();
-                scope.spawn(move || loop {
-                    // Hold the lock only to receive; analysis runs
-                    // unlocked so workers actually overlap.
-                    let job = job_rx.lock().expect("job queue").recv();
-                    let Ok((seq, line, enqueued)) = job else {
-                        break;
-                    };
-                    let queued_for = enqueued.elapsed();
-                    let (response, meta) = self.handle_line_meta(&line, Some(queued_for));
-                    if resp_tx.send((seq, response, meta)).is_err() {
-                        break; // writer gone (peer hung up): drain and exit
-                    }
-                });
-            }
-            let writer_thread = scope.spawn(move || -> io::Result<()> {
-                let mut writer = writer;
-                let mut pending: BTreeMap<u64, (String, Option<ResponseMeta>)> = BTreeMap::new();
-                let mut next = 0u64;
-                for (seq, response, meta) in resp_rx {
-                    pending.insert(seq, (response, meta));
-                    while let Some((response, meta)) = pending.remove(&next) {
-                        let write_started = now_micros();
-                        let write_clock = Instant::now();
-                        writer.write_all(response.as_bytes())?;
-                        writer.write_all(b"\n")?;
-                        writer.flush()?;
-                        // Measured on the writer thread, stitched under
-                        // the request span via its threaded-through id.
-                        if let Some(meta) = meta {
-                            emit_event(SpanEvent {
-                                name: "serve.write",
-                                trace_id: meta.trace_id,
-                                span_id: next_span_id(),
-                                parent_id: Some(meta.request_span),
-                                start_micros: write_started,
-                                duration_micros: write_clock.elapsed().as_micros() as u64,
-                            });
-                        }
-                        next += 1;
-                    }
-                }
-                Ok(())
-            });
-
+            let mut pool_started = false;
             let mut seq = 0u64;
             let mut line = Vec::new();
             loop {
@@ -896,7 +845,11 @@ impl ServeEngine {
                     Ok(n) if n > MAX_LINE_BYTES && line.last() != Some(&b'\n') => {
                         // Answered in sequence order like any other
                         // request; the rest of the line is never read.
-                        let _ = resp_tx.send((seq, self.reject_oversized_line(), None));
+                        sequencer.lock().expect("response sequencer").deliver(
+                            seq,
+                            self.reject_oversized_line(),
+                            None,
+                        );
                         break;
                     }
                     Ok(_) => {
@@ -909,11 +862,37 @@ impl ServeEngine {
                         if request.is_empty() {
                             continue; // blank keep-alive lines get no response
                         }
-                        if job_tx
-                            .send((seq, request.to_owned(), Instant::now()))
-                            .is_err()
-                        {
-                            break; // workers exited (writer died first)
+                        // A thread writing a response holds the lock:
+                        // the connection is busy, and the reader must not
+                        // wait behind a write the peer may not drain.
+                        let idle = match sequencer.try_lock() {
+                            Ok(sequencer) => {
+                                if sequencer.error.is_some() {
+                                    break; // the peer stopped listening
+                                }
+                                sequencer.next == seq && reader.buffer().is_empty()
+                            }
+                            Err(_) => false,
+                        };
+                        if idle {
+                            let (response, meta) = self.handle_isolated(request, None);
+                            sequencer
+                                .lock()
+                                .expect("response sequencer")
+                                .deliver(seq, response, meta);
+                        } else {
+                            if !pool_started {
+                                pool_started = true;
+                                for _ in 0..self.workers {
+                                    scope.spawn(|| self.run_worker(&job_rx, &sequencer));
+                                }
+                            }
+                            if job_tx
+                                .send((seq, request.to_owned(), Instant::now()))
+                                .is_err()
+                            {
+                                break;
+                            }
                         }
                         seq += 1;
                     }
@@ -924,11 +903,171 @@ impl ServeEngine {
                     Err(_) => break,
                 }
             }
+            // Closing the queue ends the workers once it is drained; the
+            // scope joins them.
             drop(job_tx);
-            drop(resp_tx);
-            writer_thread.join().expect("writer thread")
-        })
+        });
+        match sequencer.into_inner().expect("response sequencer").error {
+            Some(e) => Err(e),
+            None => Ok(()),
+        }
     }
+
+    /// One pool worker of [`ServeEngine::serve_connection`]: handles
+    /// queued requests until the queue closes. After a write error the
+    /// rest of the queue is drained unanswered.
+    fn run_worker<W: Write>(
+        &self,
+        jobs: &Mutex<mpsc::Receiver<(u64, String, Instant)>>,
+        sequencer: &Mutex<Sequencer<W>>,
+    ) {
+        loop {
+            // Hold the lock only to receive; analysis runs unlocked so
+            // workers actually overlap.
+            let job = jobs.lock().expect("job queue").recv();
+            let Ok((seq, line, enqueued)) = job else {
+                break;
+            };
+            if sequencer
+                .lock()
+                .expect("response sequencer")
+                .error
+                .is_some()
+            {
+                continue;
+            }
+            let (response, meta) = self.handle_isolated(&line, Some(enqueued.elapsed()));
+            sequencer
+                .lock()
+                .expect("response sequencer")
+                .deliver(seq, response, meta);
+        }
+    }
+
+    /// [`ServeEngine::handle_line_meta`] with a panic turned into an
+    /// error response, so one request cannot take its connection down
+    /// or leave a gap in the response order.
+    fn handle_isolated(
+        &self,
+        line: &str,
+        queued_for: Option<Duration>,
+    ) -> (String, Option<ResponseMeta>) {
+        panic::catch_unwind(AssertUnwindSafe(|| self.handle_line_meta(line, queued_for)))
+            .unwrap_or_else(|payload| {
+                self.errors.fetch_add(1, Ordering::Relaxed);
+                let message = payload
+                    .downcast_ref::<&str>()
+                    .copied()
+                    .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                    .unwrap_or("unknown panic");
+                let id = Json::parse(line)
+                    .ok()
+                    .and_then(|req| req.get("id").cloned())
+                    .unwrap_or(Json::Null);
+                let message = format!("internal error: the request panicked: {message}");
+                (error_response(id, message, Json::Int(0)), None)
+            })
+    }
+}
+
+/// The response side of one connection: the writer plus the responses
+/// that arrived before their turn. Whichever thread delivers a response
+/// writes every response that is ready, in request order.
+struct Sequencer<W> {
+    writer: W,
+    pending: BTreeMap<u64, (String, Option<ResponseMeta>)>,
+    /// Sequence number of the next response to write.
+    next: u64,
+    /// The first write error. Once set, responses are dropped unwritten.
+    error: Option<io::Error>,
+}
+
+impl<W: Write> Sequencer<W> {
+    fn new(writer: W) -> Self {
+        Sequencer {
+            writer,
+            pending: BTreeMap::new(),
+            next: 0,
+            error: None,
+        }
+    }
+
+    /// Accepts response `seq` and writes every response now in turn.
+    fn deliver(&mut self, seq: u64, response: String, meta: Option<ResponseMeta>) {
+        if seq != self.next {
+            self.pending.insert(seq, (response, meta));
+            return;
+        }
+        self.write(response, meta);
+        while let Some((response, meta)) = self.pending.remove(&self.next) {
+            self.write(response, meta);
+        }
+    }
+
+    /// Writes the response in turn as one line and flushes it, timing
+    /// the write as a `serve.write` span under the request's span.
+    fn write(&mut self, mut response: String, meta: Option<ResponseMeta>) {
+        self.next += 1;
+        if self.error.is_some() {
+            return;
+        }
+        let write_started = now_micros();
+        let write_clock = Instant::now();
+        response.push('\n');
+        let written = self
+            .writer
+            .write_all(response.as_bytes())
+            .and_then(|()| self.writer.flush());
+        if let Err(e) = written {
+            self.error = Some(e);
+        }
+        if let Some(meta) = meta {
+            emit_event(SpanEvent {
+                name: "serve.write",
+                trace_id: meta.trace_id,
+                span_id: next_span_id(),
+                parent_id: Some(meta.request_span),
+                start_micros: write_started,
+                duration_micros: write_clock.elapsed().as_micros() as u64,
+            });
+        }
+    }
+}
+
+/// One request counted in `ServeEngine::in_flight` and the
+/// `cq_serve_requests_in_flight` gauge; dropping it (also while a panic
+/// unwinds) takes the request back out of both.
+struct InFlight<'a> {
+    count: &'a AtomicI64,
+    gauge: Arc<Gauge>,
+}
+
+impl<'a> InFlight<'a> {
+    fn enter(count: &'a AtomicI64) -> Self {
+        let gauge = Metrics::global().gauge("cq_serve_requests_in_flight");
+        count.fetch_add(1, Ordering::Relaxed);
+        gauge.inc();
+        InFlight { count, gauge }
+    }
+}
+
+impl Drop for InFlight<'_> {
+    fn drop(&mut self) {
+        self.count.fetch_sub(1, Ordering::Relaxed);
+        self.gauge.dec();
+    }
+}
+
+/// An `"ok":false` response line.
+fn error_response(id: Json, message: String, micros: Json) -> String {
+    obj([
+        ("v", Json::Int(PROTOCOL_VERSION)),
+        ("id", id),
+        ("ok", Json::Bool(false)),
+        ("error", Json::str(message)),
+        ("micros", micros),
+    ])
+    .render()
 }
 
 /// Parses the optional `"witness"` field shared by `analyze`/`batch`.
@@ -962,6 +1101,32 @@ mod tests {
     use super::*;
 
     const TRIANGLE: &str = "S(X,Y,Z) :- R(X,Y), R(X,Z), R(Y,Z)";
+
+    /// The `test` command, compiled into test builds only. It answers
+    /// with the name of the thread that ran it. `"panic":true` makes it
+    /// panic; `"meet":"GROUP"` makes it wait, for at most ten seconds,
+    /// until two requests of that group are running at once, and fail
+    /// if they never are.
+    pub(super) fn seam(req: &Json) -> Result<ResponseBody, String> {
+        if req.get("panic") == Some(&Json::Bool(true)) {
+            panic!("injected test panic");
+        }
+        if let Some(group) = req.get("meet").and_then(Json::as_str) {
+            static ARRIVED: Mutex<BTreeMap<String, usize>> = Mutex::new(BTreeMap::new());
+            static MET: std::sync::Condvar = std::sync::Condvar::new();
+            let mut arrived = ARRIVED.lock().unwrap();
+            *arrived.entry(group.to_owned()).or_insert(0) += 1;
+            MET.notify_all();
+            let (arrived, timeout) = MET
+                .wait_timeout_while(arrived, Duration::from_secs(10), |a| a[group] < 2)
+                .unwrap();
+            if timeout.timed_out() {
+                return Err(format!("group {group}: {} of 2 met", arrived[group]));
+            }
+        }
+        let thread = std::thread::current();
+        Ok(vec![("thread", Json::str(thread.name().unwrap_or("")))])
+    }
 
     fn parse(response: &str) -> Json {
         Json::parse(response).expect("responses are valid JSON")
@@ -1306,5 +1471,167 @@ mod tests {
             .and_then(Json::as_str)
             .is_some_and(|e| e.contains("exceeds the limit")));
         assert_eq!(engine.stats().errors, 1);
+    }
+
+    /// Runs `serve_connection` over `input` on its own thread, so a hang
+    /// fails the test after a timeout instead of stalling the suite.
+    fn serve_bounded<W: Write + Send + 'static>(
+        engine: ServeEngine,
+        input: String,
+        mut writer: W,
+    ) -> (io::Result<()>, W) {
+        let (done_tx, done_rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let result = engine.serve_connection(io::Cursor::new(input), &mut writer);
+            let _ = done_tx.send((result, writer));
+        });
+        done_rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("serve_connection hung")
+    }
+
+    #[test]
+    fn panicking_request_is_answered_in_turn_and_the_connection_serves_on() {
+        let engine = ServeEngine::new().with_workers(4);
+        let mut input = String::new();
+        for i in 0..8 {
+            let line = if i == 3 {
+                r#"{"id":3,"cmd":"test","panic":true}"#.to_owned()
+            } else {
+                format!(r#"{{"id":{i},"cmd":"analyze","query":"{TRIANGLE}"}}"#)
+            };
+            input.push_str(&line);
+            input.push('\n');
+        }
+        let (result, out) = serve_bounded(engine, input, Vec::new());
+        result.unwrap();
+        let lines: Vec<Json> = std::str::from_utf8(&out)
+            .unwrap()
+            .lines()
+            .map(parse)
+            .collect();
+        assert_eq!(lines.len(), 8);
+        for (i, resp) in lines.iter().enumerate() {
+            assert_eq!(resp.get("id").and_then(Json::as_i64), Some(i as i64));
+            assert_eq!(resp.get("ok"), Some(&Json::Bool(i != 3)), "{resp:?}");
+        }
+        let error = lines[3].get("error").and_then(Json::as_str).unwrap();
+        assert!(error.contains("injected test panic"), "{error}");
+
+        // Inline (a lone line on an idle connection) as well as pooled:
+        // the panic is answered and the next request still runs, and
+        // the in-flight count comes back to zero either way.
+        let engine = ServeEngine::new();
+        let mut out = Vec::new();
+        for line in [
+            r#"{"id":"p","cmd":"test","panic":true}"#,
+            r#"{"id":"s","cmd":"stats"}"#,
+        ] {
+            engine
+                .serve_connection(io::Cursor::new(format!("{line}\n")), &mut out)
+                .unwrap();
+        }
+        let lines: Vec<Json> = std::str::from_utf8(&out)
+            .unwrap()
+            .lines()
+            .map(parse)
+            .collect();
+        assert_eq!(lines[0].get("ok"), Some(&Json::Bool(false)));
+        assert_eq!(lines[0].get("id").and_then(Json::as_str), Some("p"));
+        let stats = lines[1].get("stats").unwrap();
+        assert_eq!(stats.get("errors").and_then(Json::as_i64), Some(1));
+        assert_eq!(
+            stats.get("requests_in_flight").and_then(Json::as_i64),
+            Some(1),
+            "only the stats request itself"
+        );
+        assert_eq!(engine.in_flight.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn pipelined_lines_run_in_parallel_and_a_lone_line_runs_inline() {
+        // Both lines sit in one buffer, so both go to the pool, and each
+        // answers only once the other is running too.
+        let engine = ServeEngine::new().with_workers(2);
+        let input = concat!(
+            r#"{"id":0,"cmd":"test","meet":"pair"}"#,
+            "\n",
+            r#"{"id":1,"cmd":"test","meet":"pair"}"#,
+            "\n"
+        );
+        let (result, out) = serve_bounded(engine, input.to_owned(), Vec::new());
+        result.unwrap();
+        let lines: Vec<Json> = std::str::from_utf8(&out)
+            .unwrap()
+            .lines()
+            .map(parse)
+            .collect();
+        assert_eq!(lines.len(), 2);
+        for resp in &lines {
+            assert_eq!(resp.get("ok"), Some(&Json::Bool(true)), "{resp:?}");
+        }
+
+        // A lone line on an idle connection runs on the reading thread.
+        let reader = std::thread::Builder::new()
+            .name("conn-reader".to_owned())
+            .spawn(|| {
+                let mut out = Vec::new();
+                ServeEngine::new()
+                    .serve_connection(io::Cursor::new("{\"cmd\":\"test\"}\n"), &mut out)
+                    .unwrap();
+                out
+            })
+            .unwrap();
+        let out = reader.join().unwrap();
+        let resp = parse(std::str::from_utf8(&out).unwrap().trim());
+        assert_eq!(
+            resp.get("thread").and_then(Json::as_str),
+            Some("conn-reader")
+        );
+    }
+
+    /// Accepts one write, then fails every later one.
+    struct FailAfterFirst {
+        written: Arc<Mutex<Vec<u8>>>,
+        writes: usize,
+    }
+
+    impl Write for FailAfterFirst {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            if self.writes > 1 {
+                return Err(io::Error::new(ErrorKind::BrokenPipe, "peer gone"));
+            }
+            self.written.lock().unwrap().extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_failure_ends_the_connection_and_drains_the_workers() {
+        let engine = ServeEngine::new().with_workers(2);
+        let mut input = String::new();
+        // More requests than the queue holds, so the reader is still
+        // admitting work when the write fails.
+        for i in 0..QUEUE_DEPTH * 3 {
+            input.push_str(&format!(r#"{{"id":{i},"cmd":"stats"}}"#));
+            input.push('\n');
+        }
+        let written = Arc::new(Mutex::new(Vec::new()));
+        let writer = FailAfterFirst {
+            written: Arc::clone(&written),
+            writes: 0,
+        };
+        let (result, _) = serve_bounded(engine, input, writer);
+        let err = result.expect_err("the write error is returned");
+        assert_eq!(err.kind(), ErrorKind::BrokenPipe);
+        let written = written.lock().unwrap();
+        let lines: Vec<&str> = std::str::from_utf8(&written).unwrap().lines().collect();
+        assert_eq!(lines.len(), 1);
+        assert_eq!(parse(lines[0]).get("id").and_then(Json::as_i64), Some(0));
     }
 }

@@ -20,7 +20,7 @@
 //! ran ([`SessionStats`]) so tests can assert the memoization instead of
 //! trusting it.
 
-use crate::cache::LpCache;
+use crate::cache::{query_form, ExactWidths, LpCache};
 use cq_arith::Rational;
 use cq_core::{
     chase, check_size_bound, color_number_entropy_lp_with_stats, color_number_lp,
@@ -29,7 +29,7 @@ use cq_core::{
     ArityError, BoundCheck, ChaseResult, ConjunctiveQuery, ParseError, RemovalTrace, SizeBound,
     SizeIncreaseDecision, SolveStats, SolverKind, TwPreservation, VarFd,
 };
-use cq_hypergraph::{hypertree_capped, treewidth_capped};
+use cq_hypergraph::{hypertree_capped, treewidth_capped, CanonicalForm, CanonicalKey};
 use cq_relation::{Database, FdSet};
 use cq_telemetry::phase;
 use std::cell::{Cell, OnceCell};
@@ -82,8 +82,9 @@ pub struct SessionStats {
     pub treewidth_runs: usize,
     /// Size-increase decisions (Theorem 7.2).
     pub decision_runs: usize,
-    /// Width analyses (treewidth + generalized hypertree width of the
-    /// query hypergraph).
+    /// Width searches (treewidth + generalized hypertree width of the
+    /// query hypergraph). Widths served whole from the shared
+    /// [`LpCache`] run none.
     pub width_runs: usize,
     /// LPs answered by the shared [`LpCache`] (no solve happened).
     pub cache_hits: usize,
@@ -173,6 +174,10 @@ pub struct AnalysisSession {
     query: ConjunctiveQuery,
     fds: FdSet,
     cache: Option<Arc<LpCache>>,
+    /// The canonical form of `query` (see [`Self::form`]).
+    form: OnceCell<CanonicalForm>,
+    /// The canonical key the coloring LP was looked up under.
+    coloring_key: OnceCell<CanonicalKey>,
     chase: OnceCell<ChaseResult>,
     vfds: OnceCell<Vec<VarFd>>,
     trace: OnceCell<Option<RemovalTrace>>,
@@ -201,6 +206,8 @@ impl AnalysisSession {
             query,
             fds,
             cache: None,
+            form: OnceCell::new(),
+            coloring_key: OnceCell::new(),
             chase: OnceCell::new(),
             vfds: OnceCell::new(),
             trace: OnceCell::new(),
@@ -216,11 +223,11 @@ impl AnalysisSession {
     }
 
     /// Attaches a shared cross-query LP cache (see [`LpCache`]): the
-    /// Proposition 3.6 coloring LP and the §3.1 head-cover LP are then
-    /// answered from solutions of structurally isomorphic queries when
-    /// available. Must be called before the first `size_bound()` /
-    /// `data_check()` access to have any effect (the artifact slots are
-    /// write-once).
+    /// Proposition 3.6 coloring LP, the §3.1 head-cover LP and the exact
+    /// query widths are then answered from structurally isomorphic
+    /// queries when available. Must be called before the first
+    /// `size_bound()` / `data_check()` / `query_widths()` access to have
+    /// any effect (the artifact slots are write-once).
     pub fn with_cache(mut self, cache: Arc<LpCache>) -> Self {
         self.cache = Some(cache);
         self
@@ -264,6 +271,14 @@ impl AnalysisSession {
             lp_float_verified: self.counters.lp_float_verified.get(),
             lp_exact_fallbacks: self.counters.lp_exact_fallbacks.get(),
         }
+    }
+
+    /// The canonical form of the query's hypergraph with its head
+    /// variables marked, computed once and shared by the cache lookups:
+    /// the head-cover LP always, and the coloring LP when its (chased,
+    /// FD-removed) query has the same shape.
+    fn form(&self) -> &CanonicalForm {
+        self.form.get_or_init(|| query_form(&self.query))
     }
 
     /// The chase of `Q` under the declared dependencies (Fact 2.4).
@@ -320,7 +335,16 @@ impl AnalysisSession {
                     let _lp = phase("session.coloring_lp", "cq_session_coloring_lp_micros");
                     match &self.cache {
                         Some(cache) => {
-                            let (cn, hit) = cache.color_number(trace.result());
+                            let lp_query = trace.result();
+                            let lp_form;
+                            let form = if same_shape(lp_query, &self.query) {
+                                self.form()
+                            } else {
+                                lp_form = query_form(lp_query);
+                                &lp_form
+                            };
+                            let _ = self.coloring_key.set(form.key);
+                            let (cn, hit) = cache.color_number_in(lp_query, form);
                             if hit {
                                 bump(&self.counters.cache_hits);
                             } else {
@@ -388,20 +412,65 @@ impl AnalysisSession {
     /// [`cq_hypergraph::HYPERTREE_EXACT_VAR_CAP`]) and a greedy
     /// elimination-order upper bound beyond it; the `*_exact` flags say
     /// which was computed.
+    ///
+    /// With a cache attached, exact widths are kept with the coloring
+    /// entry of the query's canonical class and reused by every query of
+    /// the class, once [`Self::size_bound`] has looked that entry up
+    /// (as [`Self::report`] does first). Greedy widths are always
+    /// recomputed.
     pub fn query_widths(&self) -> &QueryWidths {
         self.widths.get_or_init(|| {
+            let slot = self.cache.as_ref().zip(self.widths_key());
+            let cached = slot.and_then(|(cache, key)| cache.exact_widths(&key));
+            if let Some(ExactWidths {
+                treewidth: Some(treewidth),
+                hypertree_width: Some(hypertree_width),
+            }) = cached
+            {
+                return QueryWidths {
+                    treewidth,
+                    treewidth_exact: true,
+                    hypertree_width,
+                    hypertree_exact: true,
+                };
+            }
             let _p = phase("session.hypertree", "cq_session_hypertree_micros");
             bump(&self.counters.width);
             let h = self.query.hypergraph();
-            let (treewidth, treewidth_exact) = treewidth_capped(&h.primal_graph());
+            let (treewidth, treewidth_exact) = match cached.and_then(|c| c.treewidth) {
+                Some(treewidth) => (treewidth, true),
+                None => treewidth_capped(&h.primal_graph()),
+            };
             let (htd, hypertree_exact) = hypertree_capped(&h);
+            let hypertree_width = htd.width();
+            if let (Some((cache, key)), None) = (slot, cached) {
+                let exact = ExactWidths {
+                    treewidth: treewidth_exact.then_some(treewidth),
+                    hypertree_width: hypertree_exact.then_some(hypertree_width),
+                };
+                cache.store_exact_widths(&key, exact);
+            }
             QueryWidths {
                 treewidth,
                 treewidth_exact,
-                hypertree_width: htd.width(),
+                hypertree_width,
                 hypertree_exact,
             }
         })
+    }
+
+    /// The class whose coloring entry holds this query's widths, once
+    /// the coloring LP has been looked up. Widths depend only on the
+    /// hypergraph's set of edges, so a chase that unifies nothing and
+    /// only drops duplicate atoms, followed by no FD removal, leaves
+    /// them unchanged: then the class is the one the coloring LP was
+    /// looked up under. Otherwise there is none, and the widths are not
+    /// cached.
+    fn widths_key(&self) -> Option<CanonicalKey> {
+        let key = *self.coloring_key.get()?;
+        let unchanged = self.chase_result().unifications == 0
+            && self.removal_trace().is_some_and(|t| t.steps.is_empty());
+        unchanged.then_some(key)
     }
 
     /// Proposition 6.10: the entropy-LP characterization of the color
@@ -486,7 +555,7 @@ impl AnalysisSession {
         // from an isomorphic query is sound here.
         let p = match &self.cache {
             Some(cache) => {
-                let ((_, weights), hit) = cache.edge_cover_head(&self.query);
+                let ((_, weights), hit) = cache.edge_cover_head_in(&self.query, self.form());
                 if hit {
                     bump(&self.counters.cache_hits);
                 } else {
@@ -508,6 +577,15 @@ impl AnalysisSession {
             product,
         }
     }
+}
+
+/// Whether `a` and `b` have the same hypergraph and head variables
+/// (relation names aside), so that one canonical form serves both.
+fn same_shape(a: &ConjunctiveQuery, b: &ConjunctiveQuery) -> bool {
+    a.num_vars() == b.num_vars()
+        && a.head() == b.head()
+        && a.body().len() == b.body().len()
+        && a.body().iter().zip(b.body()).all(|(x, y)| x.vars == y.vars)
 }
 
 /// Result of [`AnalysisSession::query_widths`]: the two width measures

@@ -34,7 +34,7 @@
 
 use cq_engine::ServeEngine;
 use std::collections::HashMap;
-use std::io::{self, BufReader, Read, Write as _};
+use std::io::{self, Read, Write as _};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::process::ExitCode;
@@ -244,11 +244,10 @@ impl Read for StdinPump {
 /// Pipe mode: one connection on stdin/stdout; EOF or SIGTERM/SIGINT
 /// ends the daemon (in-flight requests drain either way).
 fn serve_stdio(engine: &ServeEngine) -> io::Result<()> {
-    let stdin = BufReader::new(StdinPump::spawn());
-    // Not the stdout lock: StdoutLock is !Send, and the engine's writer
-    // half runs on its own thread. Each response is flushed explicitly.
+    // Not the stdout lock: StdoutLock is !Send, and a pool worker may
+    // write a response. Each response is flushed explicitly.
     let stdout = io::stdout();
-    engine.serve_connection(stdin, stdout)
+    engine.serve_connection(StdinPump::spawn(), stdout)
 }
 
 /// What the generic accept loop needs from a connection-oriented
@@ -356,8 +355,7 @@ fn serve_listener<L: ServeListener>(engine: &ServeEngine, listener: &L) -> io::R
                         let mut writer = stream;
                         match L::try_clone_stream(&writer) {
                             Ok(read_half) => {
-                                let reader = BufReader::new(read_half);
-                                if let Err(e) = engine.serve_connection(reader, &mut writer) {
+                                if let Err(e) = engine.serve_connection(read_half, &mut writer) {
                                     // The peer vanished mid-response; their loss.
                                     eprintln!("cq-serve: connection ended: {e}");
                                 }

@@ -20,9 +20,9 @@
 //!    equals the exact engine's (whose pivot count is pinned too).
 //! 3. **The canonical-key cache on an isomorphic template workload**:
 //!    100 relabeled copies of five templates miss once per class and
-//!    hit on every other lookup, with the solves and pivots of the
-//!    cold run pinned; a warm rerun and a warm-cache session solve
-//!    nothing.
+//!    hit on every other lookup, with the solves, pivots and width
+//!    searches of the cold run pinned; a warm rerun and a warm-cache
+//!    session solve nothing and search no width.
 //!
 //! The Proposition 6.10 program the engine actually solves (I-measure
 //! coordinates) has its counts pinned beside it, in
@@ -40,7 +40,7 @@ use cqbounds::core::{
     build_color_number_entropy_lp, build_entropy_upper_lp, chase, entropy_upper_bound_with_stats,
     parse_program, Atom, ConjunctiveQuery,
 };
-use cqbounds::engine::{AnalysisReport, AnalysisSession, BatchAnalyzer, LpCache, ReportOptions};
+use cqbounds::engine::{AnalysisReport, AnalysisSession, LpCache, ReportOptions};
 use cqbounds::lp::{solve_lp, PivotRule, Solver, SolverKind};
 use cqbounds::relation::FdSet;
 use std::sync::Arc;
@@ -169,10 +169,21 @@ fn isomorphic_template_workload_solves_each_lp_once() {
     let workload = template_workload();
     let opts = ReportOptions::default();
     let cache = Arc::new(LpCache::new());
+    // One cache-attached session per query, in workload order: the
+    // reports plus the width searches the sessions ran.
     let analyze = || {
-        BatchAnalyzer::with_threads(1)
-            .with_cache(Arc::clone(&cache))
-            .analyze_queries(&workload, &opts)
+        let mut width_runs = 0;
+        let reports: Vec<AnalysisReport> = workload
+            .iter()
+            .map(|(name, q, fds)| {
+                let session = AnalysisSession::from_parts(name, q.clone(), fds.clone())
+                    .with_cache(Arc::clone(&cache));
+                let report = session.report(&opts);
+                width_runs += session.stats().width_runs;
+                report
+            })
+            .collect();
+        (reports, width_runs)
     };
 
     // (LP solves, simplex pivots) summed over a run's reports.
@@ -186,7 +197,7 @@ fn isomorphic_template_workload_solves_each_lp_once() {
         })
     };
 
-    let reports = analyze();
+    let (reports, width_runs) = analyze();
     assert_eq!(reports.len(), 100);
     let cold = cache.stats();
     // One coloring LP per query; each of the five classes misses once,
@@ -198,10 +209,14 @@ fn isomorphic_template_workload_solves_each_lp_once() {
     );
     assert_eq!(cold.evictions, 0);
     assert_eq!(work(&reports), (5, 23), "five solves, 23 pivots in all");
+    // Every template is small enough for both exact width searches, so
+    // the widths ride on the coloring entry: one search per class.
+    assert_eq!(width_runs, 5, "one width search per class");
 
     // Warm rerun: every lookup hits, nothing new is solved or stored.
-    let reports = analyze();
+    let (reports, width_runs) = analyze();
     assert_eq!(work(&reports), (0, 0), "a warm rerun solves nothing");
+    assert_eq!(width_runs, 0, "a warm rerun searches no width");
     let warm = cache.stats();
     assert_eq!(warm.misses, cold.misses, "{warm:?}");
     assert_eq!(warm.entries, cold.entries, "{warm:?}");
@@ -213,7 +228,9 @@ fn isomorphic_template_workload_solves_each_lp_once() {
     let session =
         AnalysisSession::from_parts(name, q.clone(), fds.clone()).with_cache(Arc::clone(&cache));
     session.size_bound();
+    session.query_widths();
     let stats = session.stats();
+    assert_eq!(stats.width_runs, 0, "{stats:?}");
     assert!(stats.cache_hits >= 1, "{stats:?}");
     assert_eq!(stats.cache_misses, 0, "{stats:?}");
     assert_eq!(
@@ -226,4 +243,84 @@ fn isomorphic_template_workload_solves_each_lp_once() {
         (0, 0),
         "{stats:?}"
     );
+}
+
+/// The `rows × cols` grid join: one binary atom per grid edge, every
+/// variable in the head.
+fn grid_query(rows: usize, cols: usize) -> ConjunctiveQuery {
+    let var = |r: usize, c: usize| r * cols + c;
+    let mut body = Vec::new();
+    for r in 0..rows {
+        for c in 0..cols {
+            if c + 1 < cols {
+                body.push(Atom::new(
+                    format!("H{r}_{c}"),
+                    vec![var(r, c), var(r, c + 1)],
+                ));
+            }
+            if r + 1 < rows {
+                body.push(Atom::new(
+                    format!("V{r}_{c}"),
+                    vec![var(r, c), var(r + 1, c)],
+                ));
+            }
+        }
+    }
+    let n = rows * cols;
+    ConjunctiveQuery::new(
+        (0..n).map(|i| format!("X{i}")).collect(),
+        (0..n).collect(),
+        body,
+    )
+}
+
+#[test]
+fn cached_widths_equal_fresh_widths_on_relabeled_copies() {
+    // Small random queries (one with a duplicate atom, which the chase
+    // drops) and the 12-cycle take both exact searches. The 13-cycle and
+    // the 2x7 and 2x8 grids are past the exact ghw cap: their ghw is a
+    // greedy bound that depends on the labeling. The keyed star's
+    // dependencies reshape its coloring LP query, so its widths are not
+    // cached.
+    let (star, star_fds) =
+        parse_program("Q(C,A,B,D) :- R(C,A), S(C,B), T(C,D)\nkey R[1]\nkey S[1]\nkey T[1]")
+            .unwrap();
+    let templates = [
+        (random_query(3, 8, 7), FdSet::new()),
+        (random_query(11, 8, 7), FdSet::new()),
+        (random_query(21, 12, 9), FdSet::new()),
+        (cycle_query(12), FdSet::new()),
+        (cycle_query(13), FdSet::new()),
+        (grid_query(2, 7), FdSet::new()),
+        (grid_query(2, 8), FdSet::new()),
+        (star, star_fds),
+    ];
+    let opts = ReportOptions::default();
+    let cache = Arc::new(LpCache::new());
+    for (t, (template, fds)) in templates.iter().enumerate() {
+        // Warm the class with the template itself.
+        AnalysisSession::from_parts("warm", template.clone(), fds.clone())
+            .with_cache(Arc::clone(&cache))
+            .report(&opts);
+        let n = template.num_vars();
+        for c in 0..8 {
+            let copy = permuted_query(0xbeef + (t * 8 + c) as u64, template);
+            let cached = AnalysisSession::from_parts("cached", copy.clone(), fds.clone())
+                .with_cache(Arc::clone(&cache));
+            let widths = cached.report(&opts).widths;
+            let fresh = AnalysisSession::from_parts("fresh", copy, fds.clone());
+            assert_eq!(&widths, fresh.query_widths(), "template {t}, copy {c}");
+            assert!(widths.treewidth_exact, "template {t}: {n} variables");
+            assert_eq!(widths.hypertree_exact, n <= 12, "template {t}");
+            // A greedy ghw is recomputed for every copy, and so are the
+            // keyed star's widths; exact widths come from the cache
+            // without a search.
+            let expected_runs = usize::from(!widths.hypertree_exact || !fds.is_empty());
+            assert_eq!(
+                cached.stats().width_runs,
+                expected_runs,
+                "template {t}, copy {c}"
+            );
+        }
+    }
 }
