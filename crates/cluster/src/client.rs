@@ -20,12 +20,11 @@
 
 use crate::addr::{WorkerAddr, WorkerConn};
 use crate::merge::{
-    cache_stats_delta, metrics_delta, CacheTotals, MetricsTotals, ReportMerger, SolverTotals,
-    WidthTotals,
+    cache_stats_delta, metrics_delta, solver_totals, MetricsTotals, ReportMerger, WidthTotals,
 };
 use crate::plan::ShardPlanner;
 use crate::PlanMode;
-use cq_engine::{Json, MAX_BATCH};
+use cq_engine::{CacheStats, Json, LpWork, MAX_BATCH};
 use std::collections::HashSet;
 use std::io::{BufRead, BufReader, Write};
 
@@ -63,14 +62,10 @@ pub struct WorkerSummary {
     pub assigned: usize,
     /// Queries this worker actually reported.
     pub completed: usize,
-    /// LP-cache hits attributable to this run (delta over the run).
-    pub hits: u64,
-    /// LP-cache misses attributable to this run.
-    pub misses: u64,
-    /// LP-cache evictions during the run.
-    pub evictions: u64,
-    /// Cache entries resident when the worker was last heard from.
-    pub entries: u64,
+    /// LP-cache hits, misses and evictions attributable to this run
+    /// (deltas over the run), and the entries resident when the worker
+    /// was last heard from.
+    pub cache: CacheStats,
     /// Whether the worker died during the run.
     pub died: bool,
 }
@@ -83,9 +78,9 @@ pub struct ClusterRun {
     /// errors appear as the same `{"name":…,"error":…}` shape).
     pub reports: Vec<Json>,
     /// Summed per-worker cache deltas.
-    pub cache: CacheTotals,
+    pub cache: CacheStats,
     /// Summed `solver_stats` across all reports.
-    pub solver: SolverTotals,
+    pub solver: LpWork,
     /// Decomposition-width accounting across all reports.
     pub widths: WidthTotals,
     /// Per-worker accounting, in `--worker` order.
@@ -190,10 +185,7 @@ impl ClusterClient {
                 addr: addr.to_string(),
                 assigned: 0,
                 completed: 0,
-                hits: 0,
-                misses: 0,
-                evictions: 0,
-                entries: 0,
+                cache: CacheStats::default(),
                 died: false,
             })
             .collect();
@@ -229,11 +221,9 @@ impl ClusterClient {
             for ((w, indices), outcome) in round.into_iter().zip(outcomes) {
                 let summary = &mut summaries[w];
                 summary.assigned += indices.len();
-                if let Some(cache) = outcome.cache {
-                    summary.hits += cache.hits;
-                    summary.misses += cache.misses;
-                    summary.evictions += cache.evictions;
-                    summary.entries = cache.entries;
+                if let Some(delta) = outcome.cache {
+                    summary.cache.merge(&delta);
+                    summary.cache.entries = delta.entries;
                 }
                 if let Some(delta) = &outcome.metrics {
                     metrics.merge(delta);
@@ -274,13 +264,11 @@ impl ClusterClient {
 
         debug_assert!(merger.missing().is_empty(), "loop exits only when done");
         let reports = merger.into_reports();
-        let cache = CacheTotals {
-            hits: summaries.iter().map(|s| s.hits).sum(),
-            misses: summaries.iter().map(|s| s.misses).sum(),
-            evictions: summaries.iter().map(|s| s.evictions).sum(),
-            entries: summaries.iter().map(|s| s.entries).sum(),
-        };
-        let solver = SolverTotals::from_reports(&reports);
+        let mut cache = CacheStats::default();
+        for summary in &summaries {
+            cache.merge(&summary.cache);
+        }
+        let solver = solver_totals(&reports);
         let widths = WidthTotals::from_reports(&reports);
         Ok(ClusterRun {
             reports,
@@ -465,7 +453,7 @@ struct RoundOutcome {
     completed: Vec<(usize, Json)>,
     /// This round's cache delta; `None` when the worker was never
     /// heard from (so nothing can be said about its cache).
-    cache: Option<CacheTotals>,
+    cache: Option<CacheStats>,
     /// This round's serve-metrics delta; `None` when either `metrics`
     /// probe went unanswered.
     metrics: Option<MetricsTotals>,

@@ -44,8 +44,7 @@ pub mod spawn;
 pub use addr::{WorkerAddr, WorkerConn};
 pub use client::{ClusterClient, ClusterError, ClusterRun, WorkerSummary};
 pub use merge::{
-    cache_stats_delta, metrics_delta, CacheTotals, MetricsTotals, ReportMerger, SolverTotals,
-    WidthTotals,
+    cache_stats_delta, metrics_delta, solver_totals, MetricsTotals, ReportMerger, WidthTotals,
 };
 pub use plan::ShardPlanner;
 pub use spawn::ServeChild;

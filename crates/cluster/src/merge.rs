@@ -13,7 +13,7 @@
 //! by position and counters merge by addition, with no cross-worker
 //! reconciliation step.
 
-use cq_engine::Json;
+use cq_engine::{CacheStats, Json, LpWork};
 use cq_telemetry::{quantile_from_buckets, BUCKETS};
 
 /// Collects per-query reports into their original input positions.
@@ -65,58 +65,15 @@ impl ReportMerger {
     }
 }
 
-/// Cluster-summed LP-cache counters (hit/miss/eviction *deltas* over
-/// the run, so long-lived external daemons don't smear their history
-/// into this run's numbers; `entries` is end-of-run residency).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CacheTotals {
-    pub hits: u64,
-    pub misses: u64,
-    pub evictions: u64,
-    pub entries: u64,
-}
-
-/// Cluster-summed solver work, aggregated from every per-report
-/// `solver_stats` object (the distributed analogue of summing
-/// `SessionStats` across a batch).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SolverTotals {
-    pub pivots: u64,
-    pub refactorizations: u64,
-    pub dense_solves: u64,
-    pub sparse_solves: u64,
-    pub hybrid_solves: u64,
-    pub float_pivots: u64,
-    pub float_verified: u64,
-    pub exact_fallbacks: u64,
-}
-
-impl SolverTotals {
-    /// Sums the `solver_stats` objects across reports (parse-error
-    /// entries have none and contribute zero).
-    pub fn from_reports(reports: &[Json]) -> SolverTotals {
-        let mut totals = SolverTotals::default();
-        for report in reports {
-            let Some(stats) = report.get("solver_stats") else {
-                continue;
-            };
-            let field = |name: &str| {
-                stats
-                    .get(name)
-                    .and_then(Json::as_i64)
-                    .map_or(0, |n| n.max(0) as u64)
-            };
-            totals.pivots += field("pivots");
-            totals.refactorizations += field("refactorizations");
-            totals.dense_solves += field("dense_solves");
-            totals.sparse_solves += field("sparse_solves");
-            totals.hybrid_solves += field("hybrid_solves");
-            totals.float_pivots += field("float_pivots");
-            totals.float_verified += field("float_verified");
-            totals.exact_fallbacks += field("exact_fallbacks");
-        }
-        totals
+/// Cluster-summed solver work: the field-wise sum of every report's
+/// `solver_stats` object (parse-error entries have none and contribute
+/// zero; a key missing from an older report reads 0).
+pub fn solver_totals(reports: &[Json]) -> LpWork {
+    let mut totals = LpWork::default();
+    for stats in reports.iter().filter_map(|r| r.get("solver_stats")) {
+        totals.merge(&LpWork::from_fields(|name| counter(stats, name)));
     }
+    totals
 }
 
 /// Cluster-summed decomposition-width accounting, aggregated from every
@@ -275,21 +232,25 @@ pub fn metrics_delta(before: &Json, after: &Json) -> MetricsTotals {
 }
 
 /// The hit/miss/eviction delta between two `cache_stats` objects from
-/// the same daemon (`entries` is taken from `after`). Saturating: a
-/// daemon restarted mid-run shows a smaller `after`, which must not
-/// wrap into astronomical deltas.
-pub fn cache_stats_delta(before: &Json, after: &Json) -> CacheTotals {
-    let field = |obj: &Json, name: &str| {
-        obj.get(name)
-            .and_then(Json::as_i64)
-            .map_or(0, |n| n.max(0) as u64)
-    };
-    CacheTotals {
-        hits: field(after, "hits").saturating_sub(field(before, "hits")),
-        misses: field(after, "misses").saturating_sub(field(before, "misses")),
-        evictions: field(after, "evictions").saturating_sub(field(before, "evictions")),
-        entries: field(after, "entries"),
+/// the same daemon (`entries` is taken from `after`: end-of-run
+/// residency). Deltas keep a long-lived external daemon's history out
+/// of this run's numbers. Saturating: a daemon restarted mid-run shows
+/// a smaller `after`, which must not wrap into astronomical deltas.
+pub fn cache_stats_delta(before: &Json, after: &Json) -> CacheStats {
+    let delta = |name| counter(after, name).saturating_sub(counter(before, name));
+    CacheStats {
+        hits: delta("hits"),
+        misses: delta("misses"),
+        evictions: delta("evictions"),
+        entries: counter(after, "entries"),
     }
+}
+
+/// The nonnegative integer at `obj[name]`; 0 when absent or negative.
+fn counter(obj: &Json, name: &str) -> u64 {
+    obj.get(name)
+        .and_then(Json::as_i64)
+        .map_or(0, |n| n.max(0) as u64)
 }
 
 #[cfg(test)]
@@ -323,10 +284,10 @@ mod tests {
         )
         .unwrap();
         let error = Json::parse(r#"{"name":"bad","error":"parse error"}"#).unwrap();
-        let totals = SolverTotals::from_reports(&[report.clone(), error, old, report]);
+        let totals = solver_totals(&[report.clone(), error, old, report]);
         assert_eq!(
             totals,
-            SolverTotals {
+            LpWork {
                 pivots: 7,
                 refactorizations: 2,
                 dense_solves: 3,
@@ -397,7 +358,7 @@ mod tests {
         let after = Json::parse(r#"{"hits":150,"misses":42,"evictions":7,"entries":35}"#).unwrap();
         assert_eq!(
             cache_stats_delta(&before, &after),
-            CacheTotals {
+            CacheStats {
                 hits: 50,
                 misses: 2,
                 evictions: 0,

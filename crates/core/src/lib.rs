@@ -101,7 +101,7 @@ pub use eval::{
 };
 // LP solver observability, re-exported so engine layers can consume
 // per-solve stats without a direct cq-lp dependency.
-pub use cq_lp::{SolveStats, SolverKind};
+pub use cq_lp::{LpWork, SolveStats, SolverKind};
 pub use fact_6_12::{normalize_fd_arity, Normalized};
 pub use fd_removal::{
     per_occurrence_database, pull_back_coloring, remove_simple_fds, transform_database,

@@ -170,7 +170,9 @@ struct Shard {
     misses: AtomicU64,
 }
 
-/// Counter snapshot of a cache's lifetime activity.
+/// Counter snapshot of lifetime cache activity: of a whole cache
+/// ([`LpCache::stats`]), of one shard ([`LpCache::shard_stats`]), or of
+/// a run's deltas summed over `cq-cluster` workers.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups answered from a stored solution.
@@ -184,21 +186,25 @@ pub struct CacheStats {
     pub entries: u64,
 }
 
-/// Residency and eviction counters of one cache shard
-/// ([`LpCache::shard_stats`]). Eviction skew across shards is the
-/// signal warm-cache benchmarks read: a hot shard evicting while its
-/// neighbors idle means the capacity bound, not the workload, decided
-/// the hit rate.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ShardStats {
-    /// Entries currently resident in this shard.
-    pub entries: u64,
-    /// Entries this shard has evicted.
-    pub evictions: u64,
-    /// Lookups this shard answered from a stored entry.
-    pub hits: u64,
-    /// Lookups this shard had to decline (the caller solved the LP).
-    pub misses: u64,
+impl CacheStats {
+    /// Adds `other` field by field.
+    pub fn merge(&mut self, other: &CacheStats) {
+        self.hits += other.hits;
+        self.misses += other.misses;
+        self.evictions += other.evictions;
+        self.entries += other.entries;
+    }
+}
+
+impl Shard {
+    fn stats(&self) -> CacheStats {
+        CacheStats {
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+            evictions: self.evictions,
+            entries: self.map.len() as u64,
+        }
+    }
 }
 
 /// A sharded, LRU-bounded, renaming-invariant LP solution cache.
@@ -210,8 +216,6 @@ pub struct LpCache {
     shards: Vec<RwLock<Shard>>,
     capacity_per_shard: usize,
     tick: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
 }
 
 impl Default for LpCache {
@@ -242,43 +246,28 @@ impl LpCache {
             shards: (0..SHARDS).map(|_| RwLock::new(Shard::default())).collect(),
             capacity_per_shard: capacity.div_ceil(SHARDS).max(1),
             tick: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
         }
     }
 
-    /// Lifetime hit/miss/eviction counters and current residency.
+    /// Lifetime hit/miss/eviction counters and current residency,
+    /// summed over the shards.
     pub fn stats(&self) -> CacheStats {
-        let mut entries = 0;
-        let mut evictions = 0;
+        let mut total = CacheStats::default();
         for shard in &self.shards {
-            let shard = shard.read().expect("cache lock");
-            entries += shard.map.len() as u64;
-            evictions += shard.evictions;
+            total.merge(&shard.read().expect("cache lock").stats());
         }
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions,
-            entries,
-        }
+        total
     }
 
-    /// Per-shard residency and eviction counters, in shard order (the
-    /// shard index is the low bits of the canonical hash, so skew here
-    /// is key-distribution skew).
-    pub fn shard_stats(&self) -> Vec<ShardStats> {
+    /// The same counters per shard, in shard order (the shard index is
+    /// the low bits of the canonical hash, so skew here is
+    /// key-distribution skew). Eviction skew is the signal warm-cache
+    /// benchmarks read: a hot shard evicting while its neighbors idle
+    /// means the capacity bound, not the workload, decided the hit rate.
+    pub fn shard_stats(&self) -> Vec<CacheStats> {
         self.shards
             .iter()
-            .map(|shard| {
-                let shard = shard.read().expect("cache lock");
-                ShardStats {
-                    entries: shard.map.len() as u64,
-                    evictions: shard.evictions,
-                    hits: shard.hits.load(Ordering::Relaxed),
-                    misses: shard.misses.load(Ordering::Relaxed),
-                }
-            })
+            .map(|shard| shard.read().expect("cache lock").stats())
             .collect()
     }
 
@@ -385,12 +374,10 @@ impl LpCache {
                 entry
                     .last_used
                     .store(self.tick.fetch_add(1, Ordering::Relaxed), Ordering::Relaxed);
-                self.hits.fetch_add(1, Ordering::Relaxed);
                 shard.hits.fetch_add(1, Ordering::Relaxed);
                 Some((entry.value.clone(), entry.weights.clone()))
             }
             None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
                 shard.misses.fetch_add(1, Ordering::Relaxed);
                 None
             }
@@ -904,5 +891,10 @@ mod tests {
         // any insert lands), but never more than one miss per thread.
         assert!(stats.hits >= 28, "{stats:?}");
         assert_eq!(stats.entries, 1);
+        let mut shards = CacheStats::default();
+        for shard in cache.shard_stats() {
+            shards.merge(&shard);
+        }
+        assert_eq!(stats, shards, "the total is the sum of the shards");
     }
 }

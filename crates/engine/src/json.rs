@@ -43,6 +43,11 @@ impl Json {
         Json::Int(n as i64)
     }
 
+    /// A `u64` counter, saturating at `i64::MAX`.
+    pub fn count(n: u64) -> Json {
+        Json::Int(i64::try_from(n).unwrap_or(i64::MAX))
+    }
+
     /// `Some(v)` maps through `f`; `None` becomes `null`.
     pub fn opt<T>(v: Option<T>, f: impl FnOnce(T) -> Json) -> Json {
         v.map_or(Json::Null, f)

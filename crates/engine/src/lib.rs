@@ -44,13 +44,12 @@ pub mod serve;
 pub mod session;
 
 pub use batch::{AnalyzeError, BatchAnalyzer};
-pub use cache::{
-    CacheStats, LpCache, ShardStats, SnapshotError, DEFAULT_CACHE_CAPACITY, SNAPSHOT_VERSION,
-};
+pub use cache::{CacheStats, LpCache, SnapshotError, DEFAULT_CACHE_CAPACITY, SNAPSHOT_VERSION};
+pub use cq_core::LpWork;
 pub use json::Json;
 pub use report::{
     AnalysisReport, ChaseReport, DataReport, EntropyReport, GrowthReport, ReportOptions,
-    SizeBoundReport, SolverReport, TreewidthReport, WitnessReport,
+    SizeBoundReport, TreewidthReport, WitnessReport,
 };
 pub use serve::{ServeEngine, ServeStats, MAX_BATCH, MAX_LINE_BYTES, PROTOCOL_VERSION};
 pub use session::{

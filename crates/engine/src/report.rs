@@ -11,7 +11,7 @@ use crate::session::{
     AnalysisSession, DataCheck, QueryWidths, ENTROPY_BOUND_DENSE_CAP, ENTROPY_BOUND_VAR_CAP,
     ENTROPY_COLOR_VAR_CAP,
 };
-use cq_core::TwPreservation;
+use cq_core::{LpWork, TwPreservation};
 use cq_relation::Database;
 use std::fmt::Write as _;
 
@@ -61,29 +61,6 @@ pub struct EntropyReport {
     /// skipped above the practical ceiling, or solved beyond the old
     /// dense-tableau caps (the former hard threshold is now advisory).
     pub warning: Option<String>,
-}
-
-/// Per-query LP-solver observability, aggregated over every LP the
-/// session actually solved (cache hits contribute nothing — no solve
-/// ran). The keys mirror `cq_lp::SolveStats`.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct SolverReport {
-    /// Simplex pivots across the session's coloring/entropy LP solves.
-    pub pivots: usize,
-    /// Basis refactorizations (sparse revised engine only).
-    pub refactorizations: usize,
-    /// LPs solved by the dense tableau.
-    pub dense_solves: usize,
-    /// LPs solved by the sparse revised simplex.
-    pub sparse_solves: usize,
-    /// LPs solved by the hybrid float/exact engine.
-    pub hybrid_solves: usize,
-    /// Pivots performed by hybrid solves' `f64` phase.
-    pub float_pivots: usize,
-    /// Hybrid solves whose float basis passed exact verification.
-    pub float_verified: usize,
-    /// Hybrid solves that fell back to the full exact engine.
-    pub exact_fallbacks: usize,
 }
 
 /// Theorem 7.2 facts.
@@ -140,9 +117,9 @@ pub struct AnalysisReport {
     pub widths: QueryWidths,
     pub entropy: EntropyReport,
     pub growth: GrowthReport,
-    /// LP-solver stats for this query's session (engine split, pivots,
-    /// refactorizations).
-    pub solver: SolverReport,
+    /// LP-solver work of this query's session, summed over every LP it
+    /// actually solved (cache hits contribute nothing — no solve ran).
+    pub solver: LpWork,
     pub witness: Option<WitnessReport>,
     pub data: Option<DataReport>,
 }
@@ -194,17 +171,7 @@ impl AnalysisSession {
         // Snapshot the solver counters after every LP this report drives
         // has run (witness/data checks below reuse cached artifacts and
         // solve nothing new through the stats-tracked paths).
-        let stats = self.stats();
-        let solver = SolverReport {
-            pivots: stats.lp_pivots,
-            refactorizations: stats.lp_refactorizations,
-            dense_solves: stats.lp_dense_solves,
-            sparse_solves: stats.lp_sparse_solves,
-            hybrid_solves: stats.lp_hybrid_solves,
-            float_pivots: stats.lp_float_pivots,
-            float_verified: stats.lp_float_verified,
-            exact_fallbacks: stats.lp_exact_fallbacks,
-        };
+        let solver = self.stats().lp;
 
         let witness = opts.witness_m.and_then(|m| {
             self.witness_check(m).map(|check| WitnessReport {
@@ -478,19 +445,7 @@ impl AnalysisReport {
                     ("lower_bound", Json::str(&self.growth.lower_bound)),
                 ]),
             ),
-            (
-                "solver_stats",
-                obj([
-                    ("pivots", Json::int(self.solver.pivots)),
-                    ("refactorizations", Json::int(self.solver.refactorizations)),
-                    ("dense_solves", Json::int(self.solver.dense_solves)),
-                    ("sparse_solves", Json::int(self.solver.sparse_solves)),
-                    ("hybrid_solves", Json::int(self.solver.hybrid_solves)),
-                    ("float_pivots", Json::int(self.solver.float_pivots)),
-                    ("float_verified", Json::int(self.solver.float_verified)),
-                    ("exact_fallbacks", Json::int(self.solver.exact_fallbacks)),
-                ]),
-            ),
+            ("solver_stats", lp_work_json(&self.solver)),
             (
                 "witness",
                 Json::opt(self.witness.as_ref(), |w| {
@@ -530,6 +485,16 @@ impl AnalysisReport {
     pub fn to_json_string(&self) -> String {
         self.to_json().render()
     }
+}
+
+/// A `solver_stats` object: the [`LpWork`] counters in field order.
+pub fn lp_work_json(work: &LpWork) -> Json {
+    Json::Obj(
+        work.fields()
+            .into_iter()
+            .map(|(name, value)| (name.to_owned(), Json::count(value)))
+            .collect(),
+    )
 }
 
 #[cfg(test)]

@@ -36,8 +36,9 @@
 //! [`ServeEngine::serve_connection`] returns.
 //!
 //! Concurrency model: [`ServeEngine`] is `Sync` — counters are atomics
-//! and the cache is already thread-safe — so one engine serves any
-//! number of connections at once. *Within* a connection,
+//! or, for the LP-work tally, behind a mutex, and the cache is already
+//! thread-safe — so one engine serves any number of connections at
+//! once. *Within* a connection,
 //! [`ServeEngine::serve_connection`] reads on the calling thread. A
 //! request that finds the connection idle — every earlier response
 //! written and no further bytes buffered — runs right there, with no
@@ -50,11 +51,12 @@
 //! answered with an error response in its turn, and the connection
 //! keeps serving.
 
-use crate::cache::{LpCache, SnapshotError};
+use crate::cache::{CacheStats, LpCache, SnapshotError};
 use crate::json::{obj, Json};
 use crate::report::ReportOptions;
 use crate::session::AnalysisSession;
 use crate::BatchAnalyzer;
+use cq_core::LpWork;
 use cq_telemetry::{
     emit_event, next_span_id, now_micros, render_span_tree, Gauge, Metrics, Span, SpanEvent,
     TraceContext,
@@ -103,6 +105,16 @@ struct ResponseMeta {
     request_span: u64,
 }
 
+/// One request line's response, as [`ServeEngine::answer`] counts it.
+struct Handled {
+    response: String,
+    meta: Option<ResponseMeta>,
+    /// Execution time in microseconds.
+    micros: u64,
+    /// Whether the request was a `metrics` probe.
+    probe: bool,
+}
+
 /// Lifetime counters of a [`ServeEngine`], snapshotted by the `stats`
 /// command.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -117,19 +129,10 @@ pub struct ServeStats {
     pub batches: u64,
     /// Error responses sent (malformed JSON, parse errors, bad fields).
     pub errors: u64,
-    /// Simplex pivots across every LP this process solved (cache hits
-    /// contribute nothing — the point of a warm daemon).
-    pub lp_pivots: u64,
-    /// LPs solved by the dense tableau.
-    pub lp_dense_solves: u64,
-    /// LPs solved by the sparse revised simplex.
-    pub lp_sparse_solves: u64,
-    /// LPs solved by the hybrid float/exact engine.
-    pub lp_hybrid_solves: u64,
-    /// Hybrid solves whose float basis passed exact verification.
-    pub lp_float_verified: u64,
-    /// Hybrid solves that fell back to the full exact engine.
-    pub lp_exact_fallbacks: u64,
+    /// Solver work across every LP this process solved: the sum of the
+    /// reports' `solver_stats` (cache hits contribute nothing — the
+    /// point of a warm daemon).
+    pub lp: LpWork,
     /// Reports whose hypertree width came from the exact search.
     pub width_exact: u64,
     /// Reports whose hypertree width is a greedy upper bound (the
@@ -176,12 +179,7 @@ pub struct ServeEngine {
     analyses: AtomicU64,
     batches: AtomicU64,
     errors: AtomicU64,
-    lp_pivots: AtomicU64,
-    lp_dense_solves: AtomicU64,
-    lp_sparse_solves: AtomicU64,
-    lp_hybrid_solves: AtomicU64,
-    lp_float_verified: AtomicU64,
-    lp_exact_fallbacks: AtomicU64,
+    lp: Mutex<LpWork>,
     width_exact: AtomicU64,
     width_heuristic: AtomicU64,
 }
@@ -208,12 +206,7 @@ impl ServeEngine {
             analyses: AtomicU64::new(0),
             batches: AtomicU64::new(0),
             errors: AtomicU64::new(0),
-            lp_pivots: AtomicU64::new(0),
-            lp_dense_solves: AtomicU64::new(0),
-            lp_sparse_solves: AtomicU64::new(0),
-            lp_hybrid_solves: AtomicU64::new(0),
-            lp_float_verified: AtomicU64::new(0),
-            lp_exact_fallbacks: AtomicU64::new(0),
+            lp: Mutex::default(),
             width_exact: AtomicU64::new(0),
             width_heuristic: AtomicU64::new(0),
         }
@@ -344,32 +337,16 @@ impl ServeEngine {
             analyses: self.analyses.load(Ordering::Relaxed),
             batches: self.batches.load(Ordering::Relaxed),
             errors: self.errors.load(Ordering::Relaxed),
-            lp_pivots: self.lp_pivots.load(Ordering::Relaxed),
-            lp_dense_solves: self.lp_dense_solves.load(Ordering::Relaxed),
-            lp_sparse_solves: self.lp_sparse_solves.load(Ordering::Relaxed),
-            lp_hybrid_solves: self.lp_hybrid_solves.load(Ordering::Relaxed),
-            lp_float_verified: self.lp_float_verified.load(Ordering::Relaxed),
-            lp_exact_fallbacks: self.lp_exact_fallbacks.load(Ordering::Relaxed),
+            lp: *self.lp.lock().expect("lp counters"),
             width_exact: self.width_exact.load(Ordering::Relaxed),
             width_heuristic: self.width_heuristic.load(Ordering::Relaxed),
         }
     }
 
-    /// Folds one report's per-session solver stats into the process-wide
-    /// counters (the serving-level view of `cq_lp::SolveStats`).
+    /// Folds one report's solver work and width outcome into the
+    /// process-wide counters.
     fn note_solver(&self, report: &crate::report::AnalysisReport) {
-        self.lp_pivots
-            .fetch_add(report.solver.pivots as u64, Ordering::Relaxed);
-        self.lp_dense_solves
-            .fetch_add(report.solver.dense_solves as u64, Ordering::Relaxed);
-        self.lp_sparse_solves
-            .fetch_add(report.solver.sparse_solves as u64, Ordering::Relaxed);
-        self.lp_hybrid_solves
-            .fetch_add(report.solver.hybrid_solves as u64, Ordering::Relaxed);
-        self.lp_float_verified
-            .fetch_add(report.solver.float_verified as u64, Ordering::Relaxed);
-        self.lp_exact_fallbacks
-            .fetch_add(report.solver.exact_fallbacks as u64, Ordering::Relaxed);
+        self.lp.lock().expect("lp counters").merge(&report.solver);
         if report.widths.hypertree_exact {
             self.width_exact.fetch_add(1, Ordering::Relaxed);
         } else {
@@ -382,31 +359,79 @@ impl ServeEngine {
     /// the engine's unit tests and the protocol replay test drive it
     /// directly.
     pub fn handle_line(&self, line: &str) -> String {
-        self.handle_line_meta(line, None).0
+        self.answer(Some(line), None).0
     }
 
-    /// The error response to a request line longer than
-    /// [`MAX_LINE_BYTES`], counted as a request and as an error.
-    fn reject_oversized_line(&self) -> String {
-        self.requests.fetch_add(1, Ordering::Relaxed);
-        self.errors.fetch_add(1, Ordering::Relaxed);
-        error_response(
-            Json::Null,
-            format!("request line exceeds the limit of {MAX_LINE_BYTES} bytes; connection closed"),
-            Json::Int(0),
-        )
-    }
-
-    /// The [`ServeEngine::handle_line`] body, plus the request's trace
-    /// identity for the transport layer and the queue-wait duration the
-    /// transport measured before a worker picked the line up.
-    fn handle_line_meta(
+    /// Answers one request line, or (`None`) a line that ran past
+    /// [`MAX_LINE_BYTES`], and counts it: every answered line in
+    /// `requests`, and every line but a `metrics` probe in
+    /// `cq_serve_requests_total` and `cq_serve_execute_micros`. A
+    /// request that panics is answered with an error response, so one
+    /// request cannot take its connection down or leave a gap in the
+    /// response order. `queued_for` is the queue wait the transport
+    /// measured before a worker picked the line up.
+    fn answer(
         &self,
-        line: &str,
+        line: Option<&str>,
         queued_for: Option<Duration>,
     ) -> (String, Option<ResponseMeta>) {
         let start = Instant::now();
         self.requests.fetch_add(1, Ordering::Relaxed);
+        let handled = match line {
+            Some(line) => panic::catch_unwind(AssertUnwindSafe(|| {
+                self.handle_line_meta(line, queued_for, start)
+            }))
+            .unwrap_or_else(|payload| {
+                let message = payload
+                    .downcast_ref::<&str>()
+                    .copied()
+                    .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                    .unwrap_or("unknown panic");
+                let id = Json::parse(line)
+                    .ok()
+                    .and_then(|req| req.get("id").cloned())
+                    .unwrap_or(Json::Null);
+                let message = format!("internal error: the request panicked: {message}");
+                self.failed(id, message, start)
+            }),
+            None => self.failed(
+                Json::Null,
+                format!(
+                    "request line exceeds the limit of {MAX_LINE_BYTES} bytes; connection closed"
+                ),
+                start,
+            ),
+        };
+        if !handled.probe {
+            Metrics::global().counter("cq_serve_requests_total").inc();
+            Metrics::global()
+                .histogram("cq_serve_execute_micros")
+                .observe(handled.micros);
+        }
+        (handled.response, handled.meta)
+    }
+
+    /// The error response of a request that never reached a normal
+    /// answer (it panicked, or its line was too long), counted as an
+    /// error. Its `micros` field reads 0.
+    fn failed(&self, id: Json, message: String, start: Instant) -> Handled {
+        self.errors.fetch_add(1, Ordering::Relaxed);
+        Handled {
+            response: error_response(id, message, Json::Int(0)),
+            meta: None,
+            micros: micros_since(start),
+            probe: false,
+        }
+    }
+
+    /// Parses, dispatches and renders one request line, tracing it and
+    /// logging it when slow; [`ServeEngine::answer`] counts it.
+    fn handle_line_meta(
+        &self,
+        line: &str,
+        queued_for: Option<Duration>,
+        start: Instant,
+    ) -> Handled {
         let _in_flight = InFlight::enter(&self.in_flight);
         let parsed = Json::parse(line);
         let id = parsed
@@ -455,18 +480,14 @@ impl ServeEngine {
                 Ok(req) => self.dispatch(req),
             }
         };
-        // Saturate in two explicit steps: u128 -> u64 -> i64. The old
-        // `min(i64::MAX as u128) as usize` truncated on 32-bit targets,
-        // where usize cannot hold i64::MAX.
-        let micros = start.elapsed().as_micros();
-        let micros = u64::try_from(micros).unwrap_or(u64::MAX);
-        let micros_json = Json::Int(i64::try_from(micros).unwrap_or(i64::MAX));
-        // `metrics` probes are excluded from the request counter and the
-        // latency histogram: observing the registry must not perturb it,
-        // or a cluster client's before/after probes would count
-        // themselves and the merged histogram could never equal the
-        // request count.
-        let is_metrics_probe = matches!(&result, Ok(("metrics", _)));
+        let micros = micros_since(start);
+        let micros_json = Json::count(micros);
+        // `metrics` probes are not counted in `cq_serve_requests_total`
+        // or `cq_serve_execute_micros`: observing the registry must not
+        // perturb it, or a cluster client's before/after probes would
+        // count themselves and the merged histogram could never equal
+        // the request count.
+        let probe = matches!(&result, Ok(("metrics", _)));
         let response = match result {
             Ok((cmd, body)) => {
                 let mut fields = vec![
@@ -477,7 +498,8 @@ impl ServeEngine {
                 ];
                 fields.extend(body);
                 fields.push(("micros", micros_json));
-                fields.push(("cache_stats", cache_stats_json(self.cache.as_deref())));
+                let cache = self.cache.as_deref().map(LpCache::stats);
+                fields.push(("cache_stats", cache_stats_json(cache)));
                 obj(fields).render()
             }
             Err(message) => {
@@ -485,12 +507,6 @@ impl ServeEngine {
                 error_response(id, message, micros_json)
             }
         };
-        if !is_metrics_probe {
-            Metrics::global().counter("cq_serve_requests_total").inc();
-            Metrics::global()
-                .histogram("cq_serve_execute_micros")
-                .observe(micros);
-        }
         let meta = request_span.active().then(|| ResponseMeta {
             trace_id: trace_id.as_deref().map(Arc::from),
             request_span: request_span.id(),
@@ -510,7 +526,12 @@ impl ServeEngine {
                 );
             }
         }
-        (response, meta)
+        Handled {
+            response,
+            meta,
+            micros,
+            probe,
+        }
     }
 
     fn dispatch(&self, req: &Json) -> Result<(&'static str, ResponseBody), String> {
@@ -701,11 +722,10 @@ impl ServeEngine {
                 eprintln!("cq-serve: failed to write metrics file: {e}");
             }
         }
-        let clamp = |v: u64| Json::Int(i64::try_from(v).unwrap_or(i64::MAX));
         let counters = Json::Obj(
             snap.counters
                 .iter()
-                .map(|(name, v)| (name.clone(), clamp(*v)))
+                .map(|(name, v)| (name.clone(), Json::count(*v)))
                 .collect(),
         );
         let gauges = Json::Obj(
@@ -721,17 +741,19 @@ impl ServeEngine {
                     (
                         name.clone(),
                         obj([
-                            ("count", clamp(h.count)),
-                            ("sum", clamp(h.sum)),
-                            ("p50", clamp(h.p50)),
-                            ("p95", clamp(h.p95)),
-                            ("p99", clamp(h.p99)),
+                            ("count", Json::count(h.count)),
+                            ("sum", Json::count(h.sum)),
+                            ("p50", Json::count(h.p50)),
+                            ("p95", Json::count(h.p95)),
+                            ("p99", Json::count(h.p99)),
                             (
                                 "buckets",
                                 Json::Arr(
                                     h.buckets
                                         .iter()
-                                        .map(|(i, c)| Json::Arr(vec![Json::int(*i), clamp(*c)]))
+                                        .map(|(i, c)| {
+                                            Json::Arr(vec![Json::int(*i), Json::count(*c)])
+                                        })
                                         .collect(),
                                 ),
                             ),
@@ -763,10 +785,10 @@ impl ServeEngine {
             .iter()
             .map(|s| {
                 obj([
-                    ("entries", Json::int(s.entries as usize)),
-                    ("evictions", Json::int(s.evictions as usize)),
-                    ("hits", Json::int(s.hits as usize)),
-                    ("misses", Json::int(s.misses as usize)),
+                    ("entries", Json::count(s.entries)),
+                    ("evictions", Json::count(s.evictions)),
+                    ("hits", Json::count(s.hits)),
+                    ("misses", Json::count(s.misses)),
                 ])
             })
             .collect();
@@ -774,10 +796,10 @@ impl ServeEngine {
         vec![(
             "stats",
             obj([
-                ("requests", Json::int(stats.requests as usize)),
-                ("analyses", Json::int(stats.analyses as usize)),
-                ("batches", Json::int(stats.batches as usize)),
-                ("errors", Json::int(stats.errors as usize)),
+                ("requests", Json::count(stats.requests)),
+                ("analyses", Json::count(stats.analyses)),
+                ("batches", Json::count(stats.batches)),
+                ("errors", Json::count(stats.errors)),
                 (
                     "uptime_micros",
                     Json::Int(i64::try_from(uptime).unwrap_or(i64::MAX)),
@@ -786,26 +808,14 @@ impl ServeEngine {
                     "requests_in_flight",
                     Json::Int(self.in_flight.load(Ordering::Relaxed)),
                 ),
-                ("lp_pivots", Json::int(stats.lp_pivots as usize)),
-                ("lp_dense_solves", Json::int(stats.lp_dense_solves as usize)),
-                (
-                    "lp_sparse_solves",
-                    Json::int(stats.lp_sparse_solves as usize),
-                ),
-                (
-                    "lp_hybrid_solves",
-                    Json::int(stats.lp_hybrid_solves as usize),
-                ),
-                (
-                    "lp_float_verified",
-                    Json::int(stats.lp_float_verified as usize),
-                ),
-                (
-                    "lp_exact_fallbacks",
-                    Json::int(stats.lp_exact_fallbacks as usize),
-                ),
-                ("width_exact", Json::int(stats.width_exact as usize)),
-                ("width_heuristic", Json::int(stats.width_heuristic as usize)),
+                ("lp_pivots", Json::count(stats.lp.pivots)),
+                ("lp_dense_solves", Json::count(stats.lp.dense_solves)),
+                ("lp_sparse_solves", Json::count(stats.lp.sparse_solves)),
+                ("lp_hybrid_solves", Json::count(stats.lp.hybrid_solves)),
+                ("lp_float_verified", Json::count(stats.lp.float_verified)),
+                ("lp_exact_fallbacks", Json::count(stats.lp.exact_fallbacks)),
+                ("width_exact", Json::count(stats.width_exact)),
+                ("width_heuristic", Json::count(stats.width_heuristic)),
                 ("cache_shards", Json::Arr(shards)),
             ]),
         )]
@@ -845,11 +855,11 @@ impl ServeEngine {
                     Ok(n) if n > MAX_LINE_BYTES && line.last() != Some(&b'\n') => {
                         // Answered in sequence order like any other
                         // request; the rest of the line is never read.
-                        sequencer.lock().expect("response sequencer").deliver(
-                            seq,
-                            self.reject_oversized_line(),
-                            None,
-                        );
+                        let (response, meta) = self.answer(None, None);
+                        sequencer
+                            .lock()
+                            .expect("response sequencer")
+                            .deliver(seq, response, meta);
                         break;
                     }
                     Ok(_) => {
@@ -875,7 +885,7 @@ impl ServeEngine {
                             Err(_) => false,
                         };
                         if idle {
-                            let (response, meta) = self.handle_isolated(request, None);
+                            let (response, meta) = self.answer(Some(request), None);
                             sequencer
                                 .lock()
                                 .expect("response sequencer")
@@ -936,37 +946,12 @@ impl ServeEngine {
             {
                 continue;
             }
-            let (response, meta) = self.handle_isolated(&line, Some(enqueued.elapsed()));
+            let (response, meta) = self.answer(Some(&line), Some(enqueued.elapsed()));
             sequencer
                 .lock()
                 .expect("response sequencer")
                 .deliver(seq, response, meta);
         }
-    }
-
-    /// [`ServeEngine::handle_line_meta`] with a panic turned into an
-    /// error response, so one request cannot take its connection down
-    /// or leave a gap in the response order.
-    fn handle_isolated(
-        &self,
-        line: &str,
-        queued_for: Option<Duration>,
-    ) -> (String, Option<ResponseMeta>) {
-        panic::catch_unwind(AssertUnwindSafe(|| self.handle_line_meta(line, queued_for)))
-            .unwrap_or_else(|payload| {
-                self.errors.fetch_add(1, Ordering::Relaxed);
-                let message = payload
-                    .downcast_ref::<&str>()
-                    .copied()
-                    .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
-                    .unwrap_or("unknown panic");
-                let id = Json::parse(line)
-                    .ok()
-                    .and_then(|req| req.get("id").cloned())
-                    .unwrap_or(Json::Null);
-                let message = format!("internal error: the request panicked: {message}");
-                (error_response(id, message, Json::Int(0)), None)
-            })
     }
 }
 
@@ -1058,6 +1043,11 @@ impl Drop for InFlight<'_> {
     }
 }
 
+/// Microseconds since `start`, saturating.
+fn micros_since(start: Instant) -> u64 {
+    u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX)
+}
+
 /// An `"ok":false` response line.
 fn error_response(id: Json, message: String, micros: Json) -> String {
     obj([
@@ -1081,18 +1071,19 @@ fn witness_of(req: &Json) -> Result<Option<usize>, String> {
     }
 }
 
-/// The `cache_stats` object shared by every serve response and the
-/// trailing `cq-analyze --json` summary line: `enabled`, `hits`,
-/// `misses`, `evictions`, `entries`. Counters are all zero when the
-/// cache is disabled.
-pub fn cache_stats_json(cache: Option<&LpCache>) -> Json {
-    let stats = cache.map(LpCache::stats).unwrap_or_default();
+/// The `cache_stats` object shared by every serve response, the
+/// trailing `cq-analyze --json` summary line and the `cq-cluster`
+/// summary: `enabled`, `hits`, `misses`, `evictions`, `entries`. A
+/// disabled cache (`None`) reads `"enabled":false` and zero counters.
+pub fn cache_stats_json(stats: Option<CacheStats>) -> Json {
+    let enabled = stats.is_some();
+    let stats = stats.unwrap_or_default();
     obj([
-        ("enabled", Json::Bool(cache.is_some())),
-        ("hits", Json::int(stats.hits as usize)),
-        ("misses", Json::int(stats.misses as usize)),
-        ("evictions", Json::int(stats.evictions as usize)),
-        ("entries", Json::int(stats.entries as usize)),
+        ("enabled", Json::Bool(enabled)),
+        ("hits", Json::count(stats.hits)),
+        ("misses", Json::count(stats.misses)),
+        ("evictions", Json::count(stats.evictions)),
+        ("entries", Json::count(stats.entries)),
     ])
 }
 
@@ -1230,6 +1221,57 @@ mod tests {
     }
 
     #[test]
+    fn stats_counters_sum_the_served_reports() {
+        let engine = ServeEngine::new();
+        let compound = r#"Q(X,Y,Z) :- R(X,Y,Z), S2(X,Z)\nR[1,2] -> R[3]"#;
+        let cycle = "Q(A,B,C,D) :- R(A,B), R(B,C), R(C,D), R(D,A)";
+        let lines = [
+            format!(r#"{{"cmd":"analyze","query":"{TRIANGLE}"}}"#),
+            format!(r#"{{"cmd":"analyze","query":"{compound}"}}"#),
+            r#"{"cmd":"analyze","query":"Q(X,Z) :- R(X,Y), S(Y,Z)","witness":2}"#.to_owned(),
+            format!(
+                r#"{{"cmd":"batch","queries":[{{"query":"{cycle}"}},{{"query":"nope"}},{{"query":"{TRIANGLE}"}}]}}"#
+            ),
+        ];
+        let mut reports = Vec::new();
+        for line in &lines {
+            let resp = parse(&engine.handle_line(line));
+            assert_eq!(resp.get("ok"), Some(&Json::Bool(true)), "{line}");
+            match resp.get("reports") {
+                Some(batch) => reports.extend(batch.as_array().unwrap().iter().cloned()),
+                None => reports.push(resp.get("report").unwrap().clone()),
+            }
+        }
+        assert_eq!(reports.len(), 6);
+
+        let mut sum = LpWork::default();
+        for stats in reports.iter().filter_map(|r| r.get("solver_stats")) {
+            sum.merge(&LpWork::from_fields(|name| {
+                stats.get(name).and_then(Json::as_i64).unwrap() as u64
+            }));
+        }
+        // Three coloring-LP misses and the entropy LPs really solved.
+        assert!(sum.dense_solves >= 3, "{sum:?}");
+        assert!(sum.hybrid_solves + sum.sparse_solves >= 1, "{sum:?}");
+        assert_eq!(engine.stats().lp, sum);
+
+        let resp = parse(&engine.handle_line(r#"{"cmd":"stats"}"#));
+        let stats = resp.get("stats").unwrap();
+        let served = |key: &str| stats.get(key).and_then(Json::as_i64).unwrap() as u64;
+        for (name, value) in sum.fields() {
+            if !matches!(name, "refactorizations" | "float_pivots") {
+                assert_eq!(served(&format!("lp_{name}")), value, "lp_{name}");
+            }
+        }
+        let with_widths = reports.iter().filter(|r| r.get("widths").is_some()).count();
+        assert_eq!(with_widths, 5, "the parse error has no widths");
+        assert_eq!(
+            served("width_exact") + served("width_heuristic"),
+            with_widths as u64
+        );
+    }
+
+    #[test]
     fn cache_command_saves_and_loads_between_engines() {
         let path =
             std::env::temp_dir().join(format!("cq_engine_cache_cmd_{}.snap", std::process::id()));
@@ -1257,7 +1299,7 @@ mod tests {
         let cache = resp.get("cache_stats").unwrap();
         assert_eq!(cache.get("hits").and_then(Json::as_i64), Some(1));
         assert_eq!(cache.get("misses").and_then(Json::as_i64), Some(0));
-        assert_eq!(cold.stats().lp_pivots, 0, "a loaded entry solves nothing");
+        assert_eq!(cold.stats().lp.pivots, 0, "a loaded entry solves nothing");
 
         std::fs::remove_file(&path).ok();
     }

@@ -26,8 +26,8 @@ use cq_core::{
     chase, check_size_bound, color_number_entropy_lp_with_stats, color_number_lp,
     decide_size_increase_chased, entropy_upper_bound_with_stats, is_acyclic, parse_program,
     pull_back_coloring, remove_simple_fds, treewidth_preservation_no_fds, worst_case_database,
-    ArityError, BoundCheck, ChaseResult, ConjunctiveQuery, ParseError, RemovalTrace, SizeBound,
-    SizeIncreaseDecision, SolveStats, SolverKind, TwPreservation, VarFd,
+    ArityError, BoundCheck, ChaseResult, ConjunctiveQuery, LpWork, ParseError, RemovalTrace,
+    SizeBound, SizeIncreaseDecision, TwPreservation, VarFd,
 };
 use cq_hypergraph::{hypertree_capped, treewidth_capped, CanonicalForm, CanonicalKey};
 use cq_relation::{Database, FdSet};
@@ -92,74 +92,11 @@ pub struct SessionStats {
     /// attached cache — uncached solves count only in the `_runs`
     /// fields.
     pub cache_misses: usize,
-    /// Simplex pivots across this session's coloring/entropy LP solves
-    /// (the head-cover LP of `data_check` is not included — it is solved
-    /// behind the tuple-returning cover API).
-    pub lp_pivots: usize,
-    /// Basis refactorizations across those solves (sparse engine only).
-    pub lp_refactorizations: usize,
-    /// Coloring/entropy LPs solved by the dense tableau.
-    pub lp_dense_solves: usize,
-    /// Coloring/entropy LPs solved by the sparse revised simplex.
-    pub lp_sparse_solves: usize,
-    /// Coloring/entropy LPs solved by the hybrid float/exact engine.
-    pub lp_hybrid_solves: usize,
-    /// Pivots performed by hybrid solves' `f64` phase (exact-phase
-    /// pivots stay in `lp_pivots`).
-    pub lp_float_pivots: usize,
-    /// Hybrid solves whose float-proposed basis passed exact
-    /// verification (one rational factorization, no exact pivoting).
-    pub lp_float_verified: usize,
-    /// Hybrid solves that fell back to the full exact engine.
-    pub lp_exact_fallbacks: usize,
-}
-
-#[derive(Default)]
-struct Counters {
-    chase: Cell<usize>,
-    removal: Cell<usize>,
-    color_lp: Cell<usize>,
-    entropy_lp: Cell<usize>,
-    treewidth: Cell<usize>,
-    decision: Cell<usize>,
-    width: Cell<usize>,
-    cache_hits: Cell<usize>,
-    cache_misses: Cell<usize>,
-    lp_pivots: Cell<usize>,
-    lp_refactorizations: Cell<usize>,
-    lp_dense_solves: Cell<usize>,
-    lp_sparse_solves: Cell<usize>,
-    lp_hybrid_solves: Cell<usize>,
-    lp_float_pivots: Cell<usize>,
-    lp_float_verified: Cell<usize>,
-    lp_exact_fallbacks: Cell<usize>,
-}
-
-impl Counters {
-    /// Records one LP solve's stats (never called for cache hits — a
-    /// hit performs no solve, so it contributes nothing here).
-    fn note_lp(&self, stats: &SolveStats) {
-        self.lp_pivots.set(self.lp_pivots.get() + stats.pivots);
-        self.lp_refactorizations
-            .set(self.lp_refactorizations.get() + stats.refactorizations);
-        let engine = match stats.solver {
-            SolverKind::DenseTableau => &self.lp_dense_solves,
-            SolverKind::RevisedSparse => &self.lp_sparse_solves,
-            SolverKind::HybridFloat => &self.lp_hybrid_solves,
-        };
-        bump(engine);
-        self.lp_float_pivots
-            .set(self.lp_float_pivots.get() + stats.float_pivots);
-        if stats.float_verified {
-            bump(&self.lp_float_verified);
-        }
-        self.lp_exact_fallbacks
-            .set(self.lp_exact_fallbacks.get() + stats.exact_fallbacks);
-    }
-}
-
-fn bump(cell: &Cell<usize>) {
-    cell.set(cell.get() + 1);
+    /// Solver work of this session's coloring/entropy LP solves (the
+    /// head-cover LP of `data_check` is not included — it is solved
+    /// behind the tuple-returning cover API). A cache hit performs no
+    /// solve, so it adds nothing here.
+    pub lp: LpWork,
 }
 
 /// A per-query memoized artifact store over the whole paper pipeline.
@@ -188,7 +125,7 @@ pub struct AnalysisSession {
     widths: OnceCell<QueryWidths>,
     entropy_color: OnceCell<Option<Rational>>,
     entropy_bound: OnceCell<Option<Rational>>,
-    counters: Counters,
+    stats: Cell<SessionStats>,
 }
 
 impl AnalysisSession {
@@ -218,7 +155,7 @@ impl AnalysisSession {
             widths: OnceCell::new(),
             entropy_color: OnceCell::new(),
             entropy_bound: OnceCell::new(),
-            counters: Counters::default(),
+            stats: Cell::default(),
         }
     }
 
@@ -252,25 +189,14 @@ impl AnalysisSession {
 
     /// Stage-execution counts so far.
     pub fn stats(&self) -> SessionStats {
-        SessionStats {
-            chase_runs: self.counters.chase.get(),
-            removal_runs: self.counters.removal.get(),
-            color_lp_runs: self.counters.color_lp.get(),
-            entropy_lp_runs: self.counters.entropy_lp.get(),
-            treewidth_runs: self.counters.treewidth.get(),
-            decision_runs: self.counters.decision.get(),
-            width_runs: self.counters.width.get(),
-            cache_hits: self.counters.cache_hits.get(),
-            cache_misses: self.counters.cache_misses.get(),
-            lp_pivots: self.counters.lp_pivots.get(),
-            lp_refactorizations: self.counters.lp_refactorizations.get(),
-            lp_dense_solves: self.counters.lp_dense_solves.get(),
-            lp_sparse_solves: self.counters.lp_sparse_solves.get(),
-            lp_hybrid_solves: self.counters.lp_hybrid_solves.get(),
-            lp_float_pivots: self.counters.lp_float_pivots.get(),
-            lp_float_verified: self.counters.lp_float_verified.get(),
-            lp_exact_fallbacks: self.counters.lp_exact_fallbacks.get(),
-        }
+        self.stats.get()
+    }
+
+    /// Applies `update` to the stage-execution counts.
+    fn count(&self, update: impl FnOnce(&mut SessionStats)) {
+        let mut stats = self.stats.get();
+        update(&mut stats);
+        self.stats.set(stats);
     }
 
     /// The canonical form of the query's hypergraph with its head
@@ -285,7 +211,7 @@ impl AnalysisSession {
     pub fn chase_result(&self) -> &ChaseResult {
         self.chase.get_or_init(|| {
             let _p = phase("session.chase", "cq_session_chase_micros");
-            bump(&self.counters.chase);
+            self.count(|s| s.chase_runs += 1);
             chase(&self.query, &self.fds)
         })
     }
@@ -310,7 +236,7 @@ impl AnalysisSession {
                 if !self.simple_fds() {
                     return None;
                 }
-                bump(&self.counters.removal);
+                self.count(|s| s.removal_runs += 1);
                 Some(remove_simple_fds(
                     &self.chase_result().query,
                     self.variable_fds(),
@@ -345,19 +271,23 @@ impl AnalysisSession {
                             };
                             let _ = self.coloring_key.set(form.key);
                             let (cn, hit) = cache.color_number_in(lp_query, form);
-                            if hit {
-                                bump(&self.counters.cache_hits);
-                            } else {
-                                bump(&self.counters.cache_misses);
-                                bump(&self.counters.color_lp);
-                                self.counters.note_lp(&cn.lp_stats);
-                            }
+                            self.count(|s| {
+                                if hit {
+                                    s.cache_hits += 1;
+                                } else {
+                                    s.cache_misses += 1;
+                                    s.color_lp_runs += 1;
+                                    s.lp.add(&cn.lp_stats);
+                                }
+                            });
                             cn
                         }
                         None => {
-                            bump(&self.counters.color_lp);
                             let cn = color_number_lp(trace.result());
-                            self.counters.note_lp(&cn.lp_stats);
+                            self.count(|s| {
+                                s.color_lp_runs += 1;
+                                s.lp.add(&cn.lp_stats);
+                            });
                             cn
                         }
                     }
@@ -384,7 +314,7 @@ impl AnalysisSession {
             .get_or_init(|| {
                 let trace = self.removal_trace()?;
                 let _p = phase("session.treewidth", "cq_session_treewidth_micros");
-                bump(&self.counters.treewidth);
+                self.count(|s| s.treewidth_runs += 1);
                 Some(treewidth_preservation_no_fds(trace.result()))
             })
             .as_ref()
@@ -393,7 +323,7 @@ impl AnalysisSession {
     /// Theorem 7.2: can any database make `|Q(D)| > rmax(D)`?
     pub fn size_increase(&self) -> &SizeIncreaseDecision {
         self.decision.get_or_init(|| {
-            bump(&self.counters.decision);
+            self.count(|s| s.decision_runs += 1);
             decide_size_increase_chased(&self.chase_result().query, self.variable_fds())
         })
     }
@@ -435,7 +365,7 @@ impl AnalysisSession {
                 };
             }
             let _p = phase("session.hypertree", "cq_session_hypertree_micros");
-            bump(&self.counters.width);
+            self.count(|s| s.width_runs += 1);
             let h = self.query.hypergraph();
             let (treewidth, treewidth_exact) = match cached.and_then(|c| c.treewidth) {
                 Some(treewidth) => (treewidth, true),
@@ -484,10 +414,12 @@ impl AnalysisSession {
                     return None;
                 }
                 let _p = phase("session.entropy", "cq_session_entropy_micros");
-                bump(&self.counters.entropy_lp);
                 let (value, stats) =
                     color_number_entropy_lp_with_stats(chased, self.variable_fds());
-                self.counters.note_lp(&stats);
+                self.count(|s| {
+                    s.entropy_lp_runs += 1;
+                    s.lp.add(&stats);
+                });
                 Some(value)
             })
             .as_ref()
@@ -504,9 +436,11 @@ impl AnalysisSession {
                     return None;
                 }
                 let _p = phase("session.entropy", "cq_session_entropy_micros");
-                bump(&self.counters.entropy_lp);
                 let (value, stats) = entropy_upper_bound_with_stats(chased, self.variable_fds());
-                self.counters.note_lp(&stats);
+                self.count(|s| {
+                    s.entropy_lp_runs += 1;
+                    s.lp.add(&stats);
+                });
                 Some(value)
             })
             .as_ref()
@@ -556,11 +490,13 @@ impl AnalysisSession {
         let p = match &self.cache {
             Some(cache) => {
                 let ((_, weights), hit) = cache.edge_cover_head_in(&self.query, self.form());
-                if hit {
-                    bump(&self.counters.cache_hits);
-                } else {
-                    bump(&self.counters.cache_misses);
-                }
+                self.count(|s| {
+                    if hit {
+                        s.cache_hits += 1;
+                    } else {
+                        s.cache_misses += 1;
+                    }
+                });
                 cq_core::agm_product_bound_with_cover(&self.query, db, weights, measured)
             }
             None => cq_core::agm_product_bound_measured(&self.query, db, measured),

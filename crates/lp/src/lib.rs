@@ -33,7 +33,8 @@
 //! [`LinearProgram::solve`] picks automatically by a size/density
 //! heuristic ([`Solver::Auto`]); all three engines agree on status and
 //! optimal objective for every program, and each solution carries
-//! [`SolveStats`] saying which engine ran and how hard it worked. The
+//! [`SolveStats`] saying which engine ran and how hard it worked;
+//! [`LpWork`] sums those across solves for every layer above. The
 //! full policy, including the per-scalar policies of the revised
 //! simplex, is documented in `docs/SOLVER.md`.
 
@@ -48,5 +49,5 @@ pub use hybrid::solve_hybrid;
 pub use problem::{Constraint, LinearProgram, Objective, Relation, VarId};
 pub use revised::solve_revised;
 pub use simplex::{solve_with, LpSolution, LpStatus, PivotRule};
-pub use solver::{auto_large_engine, solve_auto, solve_lp, SolveStats, Solver, SolverKind};
+pub use solver::{auto_large_engine, solve_auto, solve_lp, LpWork, SolveStats, Solver, SolverKind};
 pub use sparse::SparseMatrix;

@@ -141,6 +141,85 @@ pub struct SolveStats {
     pub exact_fallbacks: usize,
 }
 
+/// LP work summed over many solves: the per-query `solver_stats` of a
+/// report, a daemon's lifetime `lp_*` counters, a cluster run's totals.
+/// Every layer that tallies solver work keeps one of these, fed by
+/// [`LpWork::add`] and combined by [`LpWork::merge`].
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub struct LpWork {
+    /// Exact simplex pivots ([`SolveStats::pivots`]).
+    pub pivots: u64,
+    /// Exact basis refactorizations (sparse engine only).
+    pub refactorizations: u64,
+    /// Solves by the dense tableau.
+    pub dense_solves: u64,
+    /// Solves by the sparse revised simplex.
+    pub sparse_solves: u64,
+    /// Solves by the hybrid float/exact engine.
+    pub hybrid_solves: u64,
+    /// Pivots of the hybrid engine's `f64` phase.
+    pub float_pivots: u64,
+    /// Hybrid solves whose float basis passed exact verification.
+    pub float_verified: u64,
+    /// Hybrid solves that fell back to the full exact engine.
+    pub exact_fallbacks: u64,
+}
+
+impl LpWork {
+    /// Counts one solve.
+    pub fn add(&mut self, stats: &SolveStats) {
+        self.pivots += stats.pivots as u64;
+        self.refactorizations += stats.refactorizations as u64;
+        *match stats.solver {
+            SolverKind::DenseTableau => &mut self.dense_solves,
+            SolverKind::RevisedSparse => &mut self.sparse_solves,
+            SolverKind::HybridFloat => &mut self.hybrid_solves,
+        } += 1;
+        self.float_pivots += stats.float_pivots as u64;
+        self.float_verified += u64::from(stats.float_verified);
+        self.exact_fallbacks += stats.exact_fallbacks as u64;
+    }
+
+    /// Adds `other` field by field.
+    pub fn merge(&mut self, other: &LpWork) {
+        for ((_, mine), (_, theirs)) in self.fields_mut().into_iter().zip(other.fields()) {
+            *mine += theirs;
+        }
+    }
+
+    /// The counters as `(name, value)` pairs, in the order every
+    /// `solver_stats` object renders them.
+    pub fn fields(&self) -> [(&'static str, u64); 8] {
+        let mut copy = *self;
+        copy.fields_mut().map(|(name, value)| (name, *value))
+    }
+
+    /// Builds a tally from `value(name)` for each name of
+    /// [`LpWork::fields`] (how a rendered `solver_stats` object is read
+    /// back).
+    pub fn from_fields(mut value: impl FnMut(&str) -> u64) -> LpWork {
+        let mut work = LpWork::default();
+        for (name, field) in work.fields_mut() {
+            *field = value(name);
+        }
+        work
+    }
+
+    /// The one place that names the counters.
+    fn fields_mut(&mut self) -> [(&'static str, &mut u64); 8] {
+        [
+            ("pivots", &mut self.pivots),
+            ("refactorizations", &mut self.refactorizations),
+            ("dense_solves", &mut self.dense_solves),
+            ("sparse_solves", &mut self.sparse_solves),
+            ("hybrid_solves", &mut self.hybrid_solves),
+            ("float_pivots", &mut self.float_pivots),
+            ("float_verified", &mut self.float_verified),
+            ("exact_fallbacks", &mut self.exact_fallbacks),
+        ]
+    }
+}
+
 /// The engine `Auto` uses in the large-sparse regime, given the
 /// `CQ_LP_ENGINE` value: `exact` pins the sparse rational engine, and
 /// anything else (unset, `hybrid`, unknown values) keeps the hybrid.
@@ -247,6 +326,47 @@ mod tests {
         // 80 vars but constraints touch 40 of them: density 1/2.
         let lp = lp_shape(80, 80, 40);
         assert_eq!(Solver::Auto.resolve(&lp), SolverKind::DenseTableau);
+    }
+
+    #[test]
+    fn lp_work_tallies_solves_and_round_trips_its_fields() {
+        let mut work = LpWork::default();
+        work.add(&SolveStats {
+            pivots: 3,
+            ..SolveStats::default()
+        });
+        work.add(&SolveStats {
+            solver: SolverKind::HybridFloat,
+            refactorizations: 1,
+            float_pivots: 40,
+            float_verified: true,
+            ..SolveStats::default()
+        });
+        work.add(&SolveStats {
+            solver: SolverKind::HybridFloat,
+            pivots: 7,
+            float_pivots: 12,
+            exact_fallbacks: 1,
+            ..SolveStats::default()
+        });
+        let mut twice = work;
+        twice.merge(&work);
+        assert_eq!(
+            twice.fields(),
+            [
+                ("pivots", 20),
+                ("refactorizations", 2),
+                ("dense_solves", 2),
+                ("sparse_solves", 0),
+                ("hybrid_solves", 4),
+                ("float_pivots", 104),
+                ("float_verified", 2),
+                ("exact_fallbacks", 2),
+            ]
+        );
+        let fields = work.fields();
+        let read = LpWork::from_fields(|name| fields.iter().find(|f| f.0 == name).unwrap().1);
+        assert_eq!(read, work);
     }
 
     #[test]

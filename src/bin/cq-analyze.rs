@@ -152,7 +152,7 @@ fn main() -> ExitCode {
         // The object is the same shape cq-serve embeds per response.
         let summary = cq_engine::json::obj([(
             "cache_stats",
-            cq_engine::serve::cache_stats_json(cache.as_deref()),
+            cq_engine::serve::cache_stats_json(cache.as_deref().map(LpCache::stats)),
         )]);
         println!("{}", summary.render());
     }

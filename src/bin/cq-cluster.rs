@@ -28,6 +28,8 @@
 
 use cq_cluster::{ClusterClient, ClusterRun, PlanMode, ServeChild, WorkerAddr};
 use cq_engine::json::obj;
+use cq_engine::report::lp_work_json;
+use cq_engine::serve::cache_stats_json;
 use cq_engine::Json;
 use std::io::Read;
 use std::process::ExitCode;
@@ -174,11 +176,11 @@ fn render(run: &ClusterRun, json: bool) -> bool {
             run.resubmitted
         );
         for w in &run.workers {
-            let looked = w.hits + w.misses;
+            let looked = w.cache.hits + w.cache.misses;
             let rate = if looked == 0 {
                 "-".to_owned()
             } else {
-                format!("{:.0}%", 100.0 * w.hits as f64 / looked as f64)
+                format!("{:.0}%", 100.0 * w.cache.hits as f64 / looked as f64)
             };
             println!(
                 "  {}: {}/{} queries, hit rate {}{}",
@@ -198,7 +200,6 @@ fn render(run: &ClusterRun, json: bool) -> bool {
 /// `cluster` object with the distribution-level accounting. Schema
 /// locked by `tests/cluster.rs` against the README.
 fn summary_json(run: &ClusterRun) -> Json {
-    let clamp = |v: u64| Json::Int(i64::try_from(v).unwrap_or(i64::MAX));
     let per_worker: Vec<Json> = run
         .workers
         .iter()
@@ -207,58 +208,22 @@ fn summary_json(run: &ClusterRun) -> Json {
                 ("addr", Json::str(&w.addr)),
                 ("assigned", Json::int(w.assigned)),
                 ("completed", Json::int(w.completed)),
-                ("hits", Json::int(w.hits as usize)),
-                ("misses", Json::int(w.misses as usize)),
-                ("evictions", Json::int(w.evictions as usize)),
-                ("entries", Json::int(w.entries as usize)),
+                ("hits", Json::count(w.cache.hits)),
+                ("misses", Json::count(w.cache.misses)),
+                ("evictions", Json::count(w.cache.evictions)),
+                ("entries", Json::count(w.cache.entries)),
                 ("died", Json::Bool(w.died)),
             ])
         })
         .collect();
     obj([
-        (
-            "cache_stats",
-            obj([
-                ("enabled", Json::Bool(true)),
-                ("hits", Json::int(run.cache.hits as usize)),
-                ("misses", Json::int(run.cache.misses as usize)),
-                ("evictions", Json::int(run.cache.evictions as usize)),
-                ("entries", Json::int(run.cache.entries as usize)),
-            ]),
-        ),
+        ("cache_stats", cache_stats_json(Some(run.cache))),
         (
             "cluster",
             obj([
                 ("workers", Json::int(run.workers.len())),
                 ("resubmitted", Json::int(run.resubmitted)),
-                (
-                    "solver_stats",
-                    obj([
-                        ("pivots", Json::int(run.solver.pivots as usize)),
-                        (
-                            "refactorizations",
-                            Json::int(run.solver.refactorizations as usize),
-                        ),
-                        ("dense_solves", Json::int(run.solver.dense_solves as usize)),
-                        (
-                            "sparse_solves",
-                            Json::int(run.solver.sparse_solves as usize),
-                        ),
-                        (
-                            "hybrid_solves",
-                            Json::int(run.solver.hybrid_solves as usize),
-                        ),
-                        ("float_pivots", Json::int(run.solver.float_pivots as usize)),
-                        (
-                            "float_verified",
-                            Json::int(run.solver.float_verified as usize),
-                        ),
-                        (
-                            "exact_fallbacks",
-                            Json::int(run.solver.exact_fallbacks as usize),
-                        ),
-                    ]),
-                ),
+                ("solver_stats", lp_work_json(&run.solver)),
                 (
                     "width_stats",
                     obj([
@@ -283,15 +248,15 @@ fn summary_json(run: &ClusterRun) -> Json {
                 (
                     "metrics",
                     obj([
-                        ("requests", clamp(run.metrics.requests)),
+                        ("requests", Json::count(run.metrics.requests)),
                         (
                             "execute_micros",
                             obj([
-                                ("count", clamp(run.metrics.execute_count())),
-                                ("sum", clamp(run.metrics.execute_sum)),
-                                ("p50", clamp(run.metrics.execute_quantile(50))),
-                                ("p95", clamp(run.metrics.execute_quantile(95))),
-                                ("p99", clamp(run.metrics.execute_quantile(99))),
+                                ("count", Json::count(run.metrics.execute_count())),
+                                ("sum", Json::count(run.metrics.execute_sum)),
+                                ("p50", Json::count(run.metrics.execute_quantile(50))),
+                                ("p95", Json::count(run.metrics.execute_quantile(95))),
+                                ("p99", Json::count(run.metrics.execute_quantile(99))),
                             ]),
                         ),
                     ]),

@@ -229,14 +229,14 @@ fn cache_differential_reports_are_bit_identical_with_real_hits() {
         // cache-free session solved.
         if cached.stats().cache_hits > 0 {
             assert_eq!(
-                cached.stats().lp_dense_solves + cached.stats().lp_sparse_solves,
+                cached.stats().lp.dense_solves + cached.stats().lp.sparse_solves,
                 0,
                 "{name}: a coloring-LP cache hit must not solve"
             );
         } else {
             assert_eq!(
-                cached.stats().lp_pivots,
-                uncached.stats().lp_pivots,
+                cached.stats().lp.pivots,
+                uncached.stats().lp.pivots,
                 "{name}: identical solves, identical pivot counts"
             );
         }

@@ -700,6 +700,27 @@ fn oversized_request_line_is_rejected_and_closes_only_its_connection() {
         .and_then(|s| s.get("errors"))
         .and_then(Json::as_i64);
     assert_eq!(errors, Some(1), "the rejection is counted as an error");
+    let requests = stats
+        .get("stats")
+        .and_then(|s| s.get("requests"))
+        .and_then(Json::as_i64);
+    assert_eq!(requests, Some(3), "two stats probes and the rejected line");
+    // Every answered line but a `metrics` probe counts in the registry
+    // too, the rejected line included.
+    let metrics = parse(&request_over_tcp(&mut c2, r#"{"id":3,"cmd":"metrics"}"#));
+    let served = metrics
+        .get("metrics")
+        .and_then(|m| m.get("counters"))
+        .and_then(|c| c.get("cq_serve_requests_total"))
+        .and_then(Json::as_i64);
+    assert_eq!(served, requests, "{metrics:?}");
+    let timed = metrics
+        .get("metrics")
+        .and_then(|m| m.get("histograms"))
+        .and_then(|h| h.get("cq_serve_execute_micros"))
+        .and_then(|h| h.get("count"))
+        .and_then(Json::as_i64);
+    assert_eq!(timed, requests, "{metrics:?}");
     drop(c2);
 
     signal_and_await_clean_exit(&mut child, "TERM", "after an oversized line");

@@ -234,12 +234,12 @@ fn isomorphic_template_workload_solves_each_lp_once() {
     assert!(stats.cache_hits >= 1, "{stats:?}");
     assert_eq!(stats.cache_misses, 0, "{stats:?}");
     assert_eq!(
-        stats.lp_dense_solves + stats.lp_sparse_solves + stats.lp_hybrid_solves,
+        stats.lp.dense_solves + stats.lp.sparse_solves + stats.lp.hybrid_solves,
         0,
         "{stats:?}"
     );
     assert_eq!(
-        (stats.lp_pivots, stats.lp_float_pivots),
+        (stats.lp.pivots, stats.lp.float_pivots),
         (0, 0),
         "{stats:?}"
     );
