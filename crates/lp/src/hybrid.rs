@@ -32,6 +32,7 @@ use crate::revised::{Revised, SparseLu};
 use crate::simplex::{LpSolution, LpStatus, PivotRule};
 use crate::solver::SolverKind;
 use crate::LinearProgram;
+use cq_arith::Rational;
 use cq_telemetry::{phase, Metrics, Span};
 
 /// Solves `lp` with the float-first hybrid. See the module docs for the
@@ -101,10 +102,12 @@ fn verify_basis(ex: &Revised<'_>, basis: &[usize], float_pivots: usize) -> Optio
         in_basis[j] = true;
     }
 
-    let lu = SparseLu::factorize(ex.m, |p| ex.a.col(basis[p]))?;
+    let mut lu = SparseLu::factorize(ex.m, |p| ex.a.col(basis[p]))?;
 
     // Primal feasibility: x_B = B⁻¹b ≥ 0, basic artificials exactly 0.
-    let x_b = lu.ftran(ex.b_rhs.clone());
+    let mut x_b = vec![Rational::zero(); ex.m];
+    let b: Vec<_> = ex.b_rhs.iter().cloned().enumerate().collect();
+    lu.ftran(&b, &mut x_b);
     for (r, x) in x_b.iter().enumerate() {
         if x.is_negative() || (basis[r] >= ex.first_art && !x.is_zero()) {
             return None;
@@ -115,8 +118,10 @@ fn verify_basis(ex: &Revised<'_>, basis: &[usize], float_pivots: usize) -> Optio
     // non-artificial column (artificials are barred from entering in
     // phase 2, so their reduced costs are irrelevant — exactly as in
     // the pure exact engines).
-    let c_b: Vec<_> = basis.iter().map(|&j| ex.phase2[j].clone()).collect();
-    let y = lu.btran(c_b);
+    let mut c_b: Vec<_> = basis.iter().map(|&j| ex.phase2[j].clone()).collect();
+    let nonzero: Vec<usize> = (0..ex.m).filter(|&p| !c_b[p].is_zero()).collect();
+    let mut y = vec![Rational::zero(); ex.m];
+    lu.btran(&mut c_b, &nonzero, &mut y);
     for (j, cost) in ex.phase2.iter().enumerate().take(ex.first_art) {
         if !in_basis[j] && (cost - &ex.a.dot_col(j, &y)).is_positive() {
             return None;
@@ -136,7 +141,6 @@ mod tests {
     use super::*;
     use crate::problem::Relation;
     use crate::solve_revised;
-    use cq_arith::Rational;
 
     fn ri(p: i64) -> Rational {
         Rational::int(p)

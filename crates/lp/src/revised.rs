@@ -23,6 +23,23 @@
 //! interval of etas accumulates the file is folded back into a fresh LU
 //! of the current basis.
 //!
+//! A pivot costs about the nonzeros it touches, not the row count `m`:
+//!
+//! - the LU factors and the eta file are stored flat, one array per
+//!   field, and only the few LU steps that eliminated anything carry an
+//!   `L` column, so the two `L` passes skip the rest;
+//! - FTRAN takes the entering column as its sparse entries, and its `U`
+//!   pass visits only the steps that column reaches;
+//! - BTRAN starts from the nonzero basic costs (one, on the entropy
+//!   programs), and an eta far longer than that list looks the listed
+//!   positions up in a per-eta bitset instead of walking its entries;
+//! - the work vectors (entering column, its nonzero positions, basic
+//!   costs, duals) are allocated once per solve.
+//!
+//! Every visited step does the same scalar operations in the same order
+//! as a dense pass would, so the sparse paths change what a pivot
+//! costs, never which pivot is taken.
+//!
 //! The engine is generic over its scalar. The crate-private `Scalar`
 //! trait holds every decision in which exact and floating-point
 //! arithmetic differ (tabulated in `docs/SOLVER.md`):
@@ -70,6 +87,10 @@ const PIVOT_TOL: f64 = 1e-9;
 /// `f64` LU pivot candidates must be within this factor of the column's
 /// largest magnitude (partial threshold pivoting layered on Markowitz).
 const STABILITY_RATIO: f64 = 0.05;
+
+/// An eta whose entries outnumber the nonzeros of BTRAN's vector by
+/// this factor looks those nonzeros up instead of walking its entries.
+const SPARSE_LOOKUP: usize = 4;
 
 /// Solves `lp` with the exact sparse revised simplex. See [`LpStatus`].
 pub fn solve_revised(lp: &LinearProgram, rule: PivotRule) -> LpSolution {
@@ -237,26 +258,54 @@ impl Scalar for f64 {
     }
 }
 
-/// One step of the sparse LU: pivot position, the recorded eliminations
-/// (`L`), and the pivot row's surviving entries (`U`).
-struct LuStep<S> {
-    /// Pivot row (a constraint index).
-    prow: usize,
-    /// Pivot column (a basis position).
-    pcol: usize,
-    pivot: S,
-    /// `(row, factor)`: during FTRAN's forward pass,
-    /// `v[row] -= factor · v[prow]`.
-    lower: Vec<(usize, S)>,
-    /// `(col, value)` of the pivot row over columns pivoted later.
-    urow: Vec<(usize, S)>,
+/// Sparse LU factorization of a basis matrix (columns indexed by basis
+/// position, rows by constraint index), stored flat.
+///
+/// Step `k` pivots on row `prow[k]` and column `pcol[k]` with value
+/// `pivot[k]`. Its `U` row — the pivot row over the columns pivoted
+/// later — is `u_col`/`u_val` over `u_start[k]..u_start[k + 1]`. Only
+/// the steps that eliminated something have an `L` column: `l_step`
+/// lists them in ascending order, and the `i`-th one's `(row, factor)`
+/// pairs are `l_row`/`l_val` over `l_start[i]..l_start[i + 1]`. On the
+/// slack-heavy bases of the entropy LPs almost every step is a slack
+/// singleton with no `L` entries, so the two `L` passes skip them.
+///
+/// The triangular `U` passes visit only the steps a solve can reach:
+/// a bitset over steps, seeded from the right-hand side's nonzeros and
+/// grown through `U`'s sparsity (a step's value reaches the steps whose
+/// `U` rows hold its column). Each visited step does exactly what the
+/// dense pass does, in the same order; a step left out is one whose
+/// value the dense pass leaves at zero.
+pub(crate) struct SparseLu<S> {
+    prow: Vec<usize>,
+    pcol: Vec<usize>,
+    pivot: Vec<S>,
+    u_start: Vec<usize>,
+    u_col: Vec<usize>,
+    u_val: Vec<S>,
+    l_step: Vec<usize>,
+    l_start: Vec<usize>,
+    l_row: Vec<usize>,
+    l_val: Vec<S>,
+    /// The step that pivots on each row, and on each basis position.
+    row_step: Vec<usize>,
+    col_step: Vec<usize>,
+    /// `U` by column: the steps whose `U` row holds position `c` are
+    /// `ut_step` over `ut_start[c]..ut_start[c + 1]`, ascending.
+    ut_start: Vec<usize>,
+    ut_step: Vec<usize>,
+    /// Steps to visit in the current solve; all clear between solves.
+    visit: Vec<u64>,
+    /// The basis positions the last FTRAN wrote: a superset of its
+    /// result's nonzeros.
+    written: Vec<u64>,
+    /// FTRAN's right-hand side by row; all zero between solves.
+    rhs: Vec<S>,
 }
 
-/// Sparse LU factorization of a basis matrix (columns indexed by basis
-/// position, rows by constraint index).
-pub(crate) struct SparseLu<S> {
-    m: usize,
-    steps: Vec<LuStep<S>>,
+/// Sets bit `i` of a bitset.
+fn mark(bits: &mut [u64], i: usize) {
+    bits[i / 64] |= 1 << (i % 64);
 }
 
 impl<S: Scalar> SparseLu<S> {
@@ -275,258 +324,506 @@ impl<S: Scalar> SparseLu<S> {
     where
         S: 'c,
     {
-        // Row-major working form; each row stays sorted by column.
-        let mut rows: Vec<Vec<(usize, S)>> = vec![Vec::new(); m];
+        // Column → candidate rows: the column's own nonzero rows
+        // (ascending, flat), then the rows fill-in added to it. Entries
+        // go stale when a row is pivoted or cancels; membership checks
+        // filter them.
+        let mut cand_start = Vec::with_capacity(m + 1);
+        let mut cand_row = Vec::new();
+        let mut col_fill: Vec<Vec<usize>> = vec![Vec::new(); m];
+        // Row-major working form, one arena: row `i` is `ent_col` /
+        // `ent_val` over `row_start[i]..row_start[i] + row_len[i]`,
+        // sorted by column. A merged row is appended at the end.
+        let mut row_len = vec![0usize; m];
+        cand_start.push(0);
         for j in 0..m {
             for (i, v) in cols(j) {
                 if !v.is_zero() {
-                    rows[*i].push((j, v.clone()));
+                    cand_row.push(*i);
+                    row_len[*i] += 1;
+                }
+            }
+            cand_start.push(cand_row.len());
+        }
+        // Exact active nonzero counts per column.
+        let mut col_count: Vec<usize> = cand_start.windows(2).map(|w| w[1] - w[0]).collect();
+        let mut row_start = Vec::with_capacity(m);
+        let mut next = 0;
+        for &len in &row_len {
+            row_start.push(next);
+            next += len;
+        }
+        // Counting sort: columns in ascending order keep rows sorted.
+        let mut ent_col = vec![0usize; next];
+        let mut ent_val = vec![S::default(); next];
+        let mut slot = row_start.clone();
+        for j in 0..m {
+            for (i, v) in cols(j) {
+                if !v.is_zero() {
+                    ent_col[slot[*i]] = j;
+                    ent_val[slot[*i]] = v.clone();
+                    slot[*i] += 1;
                 }
             }
         }
-        // Column → candidate rows (append-only; stale entries are
-        // filtered by membership checks), plus exact nonzero counts.
-        let mut col_rows: Vec<Vec<usize>> = vec![Vec::new(); m];
-        let mut col_count = vec![0usize; m];
-        for (i, row) in rows.iter().enumerate() {
-            for (j, _) in row {
-                col_rows[*j].push(i);
-                col_count[*j] += 1;
-            }
-        }
-        let mut row_count: Vec<usize> = rows.iter().map(Vec::len).collect();
-        let mut row_done = vec![false; m];
         // Active-column list, order-perturbed by swap_remove (only the
-        // tie-break is affected; selection stays deterministic).
+        // tie-break is affected; selection stays deterministic). `low`
+        // flags the active indices whose column has at most one nonzero
+        // left, and `place` maps a column to its index (`usize::MAX`
+        // once pivoted).
         let mut active: Vec<usize> = (0..m).collect();
-        let mut steps = Vec::with_capacity(m);
-
-        for _ in 0..m {
-            // Markowitz-style selection: sparsest active column …
-            let mut best: Option<(usize, usize)> = None; // (count, idx in active)
-            for (idx, &j) in active.iter().enumerate() {
-                let cc = col_count[j];
-                if best.is_none_or(|(bc, _)| cc < bc) {
-                    best = Some((cc, idx));
-                    if cc <= 1 {
-                        break;
-                    }
-                }
+        let mut place: Vec<usize> = (0..m).collect();
+        let mut low = vec![0u64; m.div_ceil(64)];
+        let set_low = |low: &mut [u64], idx: usize, on: bool| {
+            let bit = 1 << (idx % 64);
+            if on {
+                low[idx / 64] |= bit;
+            } else {
+                low[idx / 64] &= !bit;
             }
-            let (cc, active_idx) = best?;
+        };
+        for (j, &count) in col_count.iter().enumerate() {
+            set_low(&mut low, j, count <= 1);
+        }
+        // Re-flags column `c` after its count changed.
+        let recount = |low: &mut [u64], place: &[usize], col_count: &[usize], c: usize| {
+            if place[c] != usize::MAX {
+                set_low(low, place[c], col_count[c] <= 1);
+            }
+        };
+        let mut targets = Vec::new();
+        let mut lu = SparseLu {
+            prow: Vec::with_capacity(m),
+            pcol: Vec::with_capacity(m),
+            pivot: Vec::with_capacity(m),
+            u_start: Vec::with_capacity(m + 1),
+            u_col: Vec::new(),
+            u_val: Vec::new(),
+            l_step: Vec::new(),
+            l_start: vec![0],
+            l_row: Vec::new(),
+            l_val: Vec::new(),
+            row_step: vec![0; m],
+            col_step: vec![0; m],
+            ut_start: vec![0; m + 1],
+            ut_step: Vec::new(),
+            visit: vec![0; m.div_ceil(64)],
+            written: vec![0; m.div_ceil(64)],
+            rhs: vec![S::default(); m],
+        };
+        lu.u_start.push(0);
+
+        for step in 0..m {
+            // Markowitz-style selection: the sparsest active column, the
+            // first in active order among equals. A column with at most
+            // one nonzero ends the scan, so the first flagged index is
+            // the pick whenever there is one.
+            let first_low = low
+                .iter()
+                .enumerate()
+                .find(|(_, w)| **w != 0)
+                .map(|(i, w)| i * 64 + w.trailing_zeros() as usize);
+            let (cc, active_idx) = match first_low {
+                Some(idx) => (col_count[active[idx]], idx),
+                None => {
+                    let mut best: Option<(usize, usize)> = None; // (count, idx)
+                    for (idx, &j) in active.iter().enumerate() {
+                        if best.is_none_or(|(bc, _)| col_count[j] < bc) {
+                            best = Some((col_count[j], idx));
+                        }
+                    }
+                    best?
+                }
+            };
             if cc == 0 {
                 return None; // a column lost all its nonzeros: singular
             }
             let pj = active.swap_remove(active_idx);
+            place[pj] = usize::MAX;
+            let last = active.len();
+            if active_idx < last {
+                place[active[active_idx]] = active_idx;
+                let moved_low = low[last / 64] >> (last % 64) & 1 == 1;
+                set_low(&mut low, active_idx, moved_low);
+            }
+            set_low(&mut low, last, false);
+            // Position of column `pj` in active row `i`, if it holds one.
+            let find = |i: usize| {
+                let s = row_start[i];
+                let pos = ent_col[s..s + row_len[i]].binary_search(&pj).ok()?;
+                Some(s + pos)
+            };
+            let candidates = cand_row[cand_start[pj]..cand_start[pj + 1]]
+                .iter()
+                .chain(&col_fill[pj])
+                .copied();
             // … then its entry in the sparsest active row that passes
             // the scalar's stability threshold.
             let pi = {
-                let entry = |i: usize| {
-                    let pos = rows[i].binary_search_by_key(&pj, |e| e.0).ok()?;
-                    (!row_done[i]).then(|| &rows[i][pos].1)
-                };
-                let too_small =
-                    S::lu_pivot_filter(col_rows[pj].iter().filter_map(|&i| entry(i).cloned()))?;
+                let entries = candidates.clone().filter_map(&find);
+                let too_small = S::lu_pivot_filter(entries.map(|e| ent_val[e].clone()))?;
                 let mut best_row: Option<(usize, usize)> = None; // (count, row)
-                for &i in &col_rows[pj] {
-                    if entry(i).is_none_or(&too_small) {
+                for i in candidates.clone() {
+                    if find(i).is_none_or(|e| too_small(&ent_val[e])) {
                         continue;
                     }
-                    let rc = row_count[i];
+                    let rc = row_len[i];
                     if best_row.is_none_or(|(bc, bi)| rc < bc || (rc == bc && i < bi)) {
                         best_row = Some((rc, i));
                     }
                 }
                 best_row?.1
             };
-
-            row_done[pi] = true;
-            let mut urow = std::mem::take(&mut rows[pi]);
-            for (c, _) in &urow {
-                col_count[*c] -= 1;
+            // Rows other than `pi` that still hold column `pj`: none for
+            // a singleton, which is every slack column.
+            targets.clear();
+            if cc > 1 {
+                targets.extend(candidates.filter(|&i| i != pi && find(i).is_some()));
+                targets.sort_unstable();
+                targets.dedup();
             }
-            let ppos = urow
-                .binary_search_by_key(&pj, |e| e.0)
-                .expect("pivot entry present");
-            let (_, pivot) = urow.remove(ppos);
-            // U outlives this loop: drop the spare capacity the merge left.
-            urow.shrink_to_fit();
+
+            lu.prow.push(pi);
+            lu.pcol.push(pj);
+            lu.row_step[pi] = step;
+            lu.col_step[pj] = step;
+            // The pivot row, minus the pivot, becomes this step's U row.
+            let u_begin = lu.u_col.len();
+            let mut pivot = None;
+            let ps = row_start[pi];
+            for e in ps..ps + row_len[pi] {
+                let c = ent_col[e];
+                col_count[c] -= 1;
+                let v = std::mem::take(&mut ent_val[e]);
+                if c == pj {
+                    pivot = Some(v);
+                } else {
+                    recount(&mut low, &place, &col_count, c);
+                    lu.u_col.push(c);
+                    lu.u_val.push(v);
+                    lu.ut_start[c + 1] += 1;
+                }
+            }
+            let pivot = pivot.expect("pivot entry present");
+            row_len[pi] = 0; // done: no column is found in it again
+            let u_end = lu.u_col.len();
+            lu.u_start.push(u_end);
 
             // Eliminate the pivot column from every other active row.
-            let mut targets: Vec<usize> = col_rows[pj]
-                .iter()
-                .copied()
-                .filter(|&i| !row_done[i] && rows[i].binary_search_by_key(&pj, |e| e.0).is_ok())
-                .collect();
-            targets.sort_unstable();
-            targets.dedup();
-            let mut lower = Vec::with_capacity(targets.len());
-            for i in targets {
-                let mut old = std::mem::take(&mut rows[i]);
-                let pos = old
-                    .binary_search_by_key(&pj, |e| e.0)
+            for &i in &targets {
+                let (s, len) = (row_start[i], row_len[i]);
+                let pos = s + ent_col[s..s + len]
+                    .binary_search(&pj)
                     .expect("target contains pivot column");
-                let (_, mut factor) = old.remove(pos);
+                let mut factor = std::mem::take(&mut ent_val[pos]);
                 factor /= &pivot;
                 col_count[pj] -= 1;
-                // Merge: rows[i] − factor·urow.
-                let mut merged = Vec::with_capacity(old.len() + urow.len());
-                let (mut a, mut b) = (old.into_iter().peekable(), urow.iter().peekable());
+                // Merge: row i − factor·(U row), appended to the arena.
+                let merged = ent_col.len();
+                let (mut a, mut b) = (s, u_begin);
                 loop {
-                    let order = match (a.peek(), b.peek()) {
-                        (None, None) => break,
-                        (Some((ca, _)), Some((cb, _))) => ca.cmp(cb),
-                        (Some(_), None) => Ordering::Less,
-                        (None, Some(_)) => Ordering::Greater,
+                    if a == pos {
+                        a += 1;
+                        continue;
+                    }
+                    let order = match (a < s + len, b < u_end) {
+                        (false, false) => break,
+                        (true, true) => ent_col[a].cmp(&lu.u_col[b]),
+                        (true, false) => Ordering::Less,
+                        (false, true) => Ordering::Greater,
                     };
                     match order {
-                        Ordering::Less => merged.push(a.next().expect("peeked")),
+                        Ordering::Less => {
+                            ent_col.push(ent_col[a]);
+                            let v = std::mem::take(&mut ent_val[a]);
+                            ent_val.push(v);
+                            a += 1;
+                        }
                         Ordering::Equal => {
-                            let (c, mut v) = a.next().expect("peeked");
-                            v.sub_mul(&factor, &b.next().expect("peeked").1);
+                            let c = ent_col[a];
+                            let mut v = std::mem::take(&mut ent_val[a]);
+                            v.sub_mul(&factor, &lu.u_val[b]);
                             if v.is_zero() {
                                 col_count[c] -= 1; // cancellation
+                                recount(&mut low, &place, &col_count, c);
                             } else {
-                                merged.push((c, v));
+                                ent_col.push(c);
+                                ent_val.push(v);
                             }
+                            a += 1;
+                            b += 1;
                         }
                         Ordering::Greater => {
-                            let (c, vb) = b.next().expect("peeked");
+                            let c = lu.u_col[b];
                             let mut v = S::default();
-                            v.sub_mul(&factor, vb);
+                            v.sub_mul(&factor, &lu.u_val[b]);
                             if !v.is_zero() {
                                 // Fill-in: a fresh nonzero in this row.
-                                col_count[*c] += 1;
-                                col_rows[*c].push(i);
-                                merged.push((*c, v));
+                                col_count[c] += 1;
+                                recount(&mut low, &place, &col_count, c);
+                                col_fill[c].push(i);
+                                ent_col.push(c);
+                                ent_val.push(v);
                             }
+                            b += 1;
                         }
                     }
                 }
-                row_count[i] = merged.len();
-                rows[i] = merged;
-                lower.push((i, factor));
+                row_start[i] = merged;
+                row_len[i] = ent_col.len() - merged;
+                lu.l_row.push(i);
+                lu.l_val.push(factor);
+            }
+            if !targets.is_empty() {
+                lu.l_step.push(step);
+                lu.l_start.push(lu.l_row.len());
             }
             debug_assert_eq!(col_count[pj], 0);
-            steps.push(LuStep {
-                prow: pi,
-                pcol: pj,
-                pivot,
-                lower,
-                urow,
-            });
+            lu.pivot.push(pivot);
         }
-        Some(SparseLu { m, steps })
+        // U by column, by counting sort over the steps in order.
+        for c in 0..m {
+            lu.ut_start[c + 1] += lu.ut_start[c];
+        }
+        lu.ut_step = vec![0; lu.u_col.len()];
+        slot.copy_from_slice(&lu.ut_start[..m]);
+        for k in 0..m {
+            for &c in &lu.u_col[lu.u_start[k]..lu.u_start[k + 1]] {
+                lu.ut_step[slot[c]] = k;
+                slot[c] += 1;
+            }
+        }
+        Some(lu)
     }
 
-    /// Solves `B x = v`: `v` is indexed by constraint rows, the result by
-    /// basis positions.
-    pub(crate) fn ftran(&self, mut v: Vec<S>) -> Vec<S> {
-        for step in &self.steps {
-            if !v[step.prow].is_zero() {
-                let pv = v[step.prow].clone();
-                for (row, factor) in &step.lower {
-                    v[*row].sub_mul(factor, &pv);
+    /// Solves `B x = a` for `a` given by its `(row, value)` entries
+    /// (distinct rows); `x` is indexed by basis position, and every entry
+    /// of it is written.
+    pub(crate) fn ftran(&mut self, a: &[(usize, S)], x: &mut [S]) {
+        for (i, v) in a {
+            self.rhs[*i] = v.clone();
+            mark(&mut self.visit, self.row_step[*i]);
+        }
+        let v = &mut self.rhs;
+        for (&k, span) in self.l_step.iter().zip(self.l_start.windows(2)) {
+            let prow = self.prow[k];
+            if !v[prow].is_zero() {
+                let pv = v[prow].clone();
+                for e in span[0]..span[1] {
+                    let row = self.l_row[e];
+                    v[row].sub_mul(&self.l_val[e], &pv);
+                    mark(&mut self.visit, self.row_step[row]);
                 }
             }
         }
-        let mut x = vec![S::default(); self.m];
-        for step in self.steps.iter().rev() {
-            let mut acc = std::mem::take(&mut v[step.prow]);
-            for (c, val) in &step.urow {
-                if !x[*c].is_zero() {
-                    acc.sub_mul(val, &x[*c]);
+        x.fill(S::default());
+        self.written.fill(0);
+        // U backward, highest marked step first; a step only marks
+        // earlier ones, so the scan never misses a mark.
+        for word in (0..self.visit.len()).rev() {
+            while self.visit[word] != 0 {
+                let bit = 63 - self.visit[word].leading_zeros() as usize;
+                self.visit[word] &= !(1 << bit);
+                let k = word * 64 + bit;
+                let mut acc = std::mem::take(&mut v[self.prow[k]]);
+                for e in self.u_start[k]..self.u_start[k + 1] {
+                    let c = self.u_col[e];
+                    if !x[c].is_zero() {
+                        acc.sub_mul(&self.u_val[e], &x[c]);
+                    }
                 }
-            }
-            if !acc.is_zero() {
-                acc /= &step.pivot;
-                x[step.pcol] = acc;
+                if acc.is_zero() {
+                    continue;
+                }
+                acc /= &self.pivot[k];
+                let c = self.pcol[k];
+                if !acc.is_zero() {
+                    for &later in &self.ut_step[self.ut_start[c]..self.ut_start[c + 1]] {
+                        mark(&mut self.visit, later);
+                    }
+                }
+                x[c] = acc;
+                mark(&mut self.written, c);
             }
         }
-        x
     }
 
-    /// Solves `Bᵀ y = c`: `c` is indexed by basis positions, the result
-    /// by constraint rows.
-    pub(crate) fn btran(&self, mut c: Vec<S>) -> Vec<S> {
-        let mut z = vec![S::default(); self.m];
-        for step in &self.steps {
-            if !c[step.pcol].is_zero() {
-                let mut zv = std::mem::take(&mut c[step.pcol]);
-                zv /= &step.pivot;
-                for (col, val) in &step.urow {
-                    c[*col].sub_mul(val, &zv);
+    /// Solves `Bᵀ y = c`: `c` is indexed by basis positions, `y` by
+    /// constraint rows, and `nz` lists every position where `c` may be
+    /// nonzero. Every entry of `y` is written, and `c` is left all zero.
+    pub(crate) fn btran(&mut self, c: &mut [S], nz: &[usize], y: &mut [S]) {
+        for &p in nz {
+            mark(&mut self.visit, self.col_step[p]);
+        }
+        y.fill(S::default());
+        // U forward, lowest marked step first; a step only marks later
+        // ones.
+        for word in 0..self.visit.len() {
+            while self.visit[word] != 0 {
+                let bit = self.visit[word].trailing_zeros() as usize;
+                self.visit[word] &= !(1 << bit);
+                let k = word * 64 + bit;
+                let mut zv = std::mem::take(&mut c[self.pcol[k]]);
+                if zv.is_zero() {
+                    continue;
                 }
-                z[step.prow] = zv;
+                zv /= &self.pivot[k];
+                for e in self.u_start[k]..self.u_start[k + 1] {
+                    let col = self.u_col[e];
+                    c[col].sub_mul(&self.u_val[e], &zv);
+                    mark(&mut self.visit, self.col_step[col]);
+                }
+                y[self.prow[k]] = zv;
             }
         }
-        for step in self.steps.iter().rev() {
-            let mut acc = std::mem::take(&mut z[step.prow]);
-            for (i, factor) in &step.lower {
-                if !z[*i].is_zero() {
-                    acc.sub_mul(factor, &z[*i]);
+        for (&k, span) in self.l_step.iter().zip(self.l_start.windows(2)).rev() {
+            let prow = self.prow[k];
+            let mut acc = std::mem::take(&mut y[prow]);
+            for e in span[0]..span[1] {
+                let i = self.l_row[e];
+                if !y[i].is_zero() {
+                    acc.sub_mul(&self.l_val[e], &y[i]);
                 }
             }
-            z[step.prow] = acc;
+            y[prow] = acc;
         }
-        z
     }
 }
 
-/// Product-form update `B' = B·E`: `E` is the identity with basis
-/// position `r`'s column replaced by the FTRANed entering column `w`.
-struct Eta<S> {
-    r: usize,
-    /// `w_r` (always nonzero: the pivot element).
-    wr: S,
-    /// Off-diagonal nonzeros `(i, w_i)`, `i ≠ r`.
-    w: Vec<(usize, S)>,
+/// The product-form updates since the last factorization, stored flat.
+/// Eta `k` is `B' = B·E`, with `E` the identity whose column `r[k]` is
+/// the FTRANed entering column `w`: `wr[k] = w_r` (the pivot element,
+/// never zero) and the off-diagonal nonzeros `(i, w_i)` in ascending
+/// `i` as `idx`/`val` over `start[k]..start[k + 1]`.
+///
+/// Each eta also keeps its entry positions as a bitset of `words` words,
+/// each paired with the count of its entries in earlier words (`masks`),
+/// so BTRAN finds the entry at a given position in constant time (see
+/// [`EtaFile::entry`]).
+struct EtaFile<S> {
+    r: Vec<usize>,
+    wr: Vec<S>,
+    start: Vec<usize>,
+    idx: Vec<usize>,
+    val: Vec<S>,
+    words: usize,
+    masks: Vec<(u64, u32)>,
 }
 
-impl<S: Scalar> Eta<S> {
-    fn from_dense(r: usize, w: &[S]) -> Eta<S> {
-        Eta {
-            r,
-            wr: w[r].clone(),
-            w: w.iter()
-                .enumerate()
-                .filter(|(i, v)| *i != r && !v.is_zero())
-                .map(|(i, v)| (i, v.clone()))
-                .collect(),
+impl<S: Scalar> EtaFile<S> {
+    /// An empty file over `m` basis positions.
+    fn new(m: usize) -> EtaFile<S> {
+        EtaFile {
+            r: Vec::new(),
+            wr: Vec::new(),
+            start: vec![0],
+            idx: Vec::new(),
+            val: Vec::new(),
+            words: m.div_ceil(64),
+            masks: Vec::new(),
         }
     }
 
-    /// Solves `E z = v` in place.
-    fn ftran(&self, v: &mut [S]) {
-        // A (numerically) zero v_r leaves v unchanged, flushed to zero.
-        let mut zr = std::mem::take(&mut v[self.r]);
-        if zr.is_zero() {
-            return;
-        }
-        zr /= &self.wr;
-        for (i, w) in &self.w {
-            v[*i].sub_mul(w, &zr);
-        }
-        v[self.r] = zr;
+    /// The index in `idx`/`val` of eta `k`'s entry at position `i`.
+    fn entry(&self, k: usize, i: usize) -> Option<usize> {
+        let (bits, before) = self.masks[k * self.words + i / 64];
+        let bit = 1u64 << (i % 64);
+        (bits & bit != 0)
+            .then(|| self.start[k] + before as usize + (bits & (bit - 1)).count_ones() as usize)
     }
 
-    /// Solves `Eᵀ z = v` in place.
-    fn btran(&self, v: &mut [S]) {
-        let mut acc = std::mem::take(&mut v[self.r]);
-        for (i, w) in &self.w {
-            if !v[*i].is_zero() {
-                acc.sub_mul(w, &v[*i]);
+    fn len(&self) -> usize {
+        self.r.len()
+    }
+
+    /// Appends the eta of pivot position `r`, given the entering column
+    /// `w` and the ascending positions `nz` of its nonzeros.
+    fn push(&mut self, r: usize, w: &[S], nz: &[usize]) {
+        self.r.push(r);
+        self.wr.push(w[r].clone());
+        let first = self.masks.len();
+        self.masks.resize(first + self.words, (0, 0));
+        for &i in nz {
+            if i != r {
+                self.idx.push(i);
+                self.val.push(w[i].clone());
+                self.masks[first + i / 64].0 |= 1 << (i % 64);
             }
         }
-        acc /= &self.wr;
-        v[self.r] = acc;
+        self.start.push(self.idx.len());
+        let mut count = 0;
+        for (bits, before) in &mut self.masks[first..] {
+            *before = count;
+            count += bits.count_ones();
+        }
+    }
+
+    /// Solves `E₁⋯E_k z = v` in place, applying the etas first to last,
+    /// and adds the positions it writes to `written`.
+    fn ftran(&self, v: &mut [S], written: &mut [u64]) {
+        for (k, span) in self.start.windows(2).enumerate() {
+            let r = self.r[k];
+            // A (numerically) zero v_r leaves v unchanged, flushed to zero.
+            let mut zr = std::mem::take(&mut v[r]);
+            if zr.is_zero() {
+                continue;
+            }
+            zr /= &self.wr[k];
+            for e in span[0]..span[1] {
+                v[self.idx[e]].sub_mul(&self.val[e], &zr);
+            }
+            v[r] = zr;
+            mark(written, r);
+            let masks = &self.masks[k * self.words..(k + 1) * self.words];
+            for (w, (bits, _)) in written.iter_mut().zip(masks) {
+                *w |= bits;
+            }
+        }
+    }
+
+    /// Solves `(E₁⋯E_k)ᵀ z = v` in place, applying the etas last to
+    /// first. `nz` lists, ascending, every position where `v` may be
+    /// nonzero, and gains each position an eta writes. An eta with many
+    /// more entries than `nz` looks the listed positions up instead of
+    /// walking its entries; either way the same nonzeros enter its sum
+    /// in the same ascending order.
+    fn btran(&self, v: &mut [S], nz: &mut Vec<usize>) {
+        for (k, span) in self.start.windows(2).enumerate().rev() {
+            let r = self.r[k];
+            let mut acc = std::mem::take(&mut v[r]);
+            let (idx, val) = (&self.idx[span[0]..span[1]], &self.val[span[0]..span[1]]);
+            if nz.len() * SPARSE_LOOKUP < idx.len() {
+                for &i in nz.iter() {
+                    if let Some(e) = self.entry(k, i) {
+                        if !v[i].is_zero() {
+                            acc.sub_mul(&self.val[e], &v[i]);
+                        }
+                    }
+                }
+            } else {
+                for (&i, w) in idx.iter().zip(val) {
+                    if !v[i].is_zero() {
+                        acc.sub_mul(w, &v[i]);
+                    }
+                }
+            }
+            acc /= &self.wr[k];
+            v[r] = acc;
+            if let Err(at) = nz.binary_search(&r) {
+                nz.insert(at, r);
+            }
+        }
     }
 }
 
 /// The factorized basis: `B = B₀ · E₁ ⋯ E_k` with `B₀` held as LU.
 struct Basis<S> {
     lu: SparseLu<S>,
-    etas: Vec<Eta<S>>,
+    etas: EtaFile<S>,
+    /// BTRAN's right-hand side by basis position, all zero between
+    /// solves, and the positions where it may be nonzero.
+    c: Vec<S>,
+    c_nz: Vec<usize>,
 }
 
 impl<S: Scalar> Basis<S> {
@@ -534,23 +831,71 @@ impl<S: Scalar> Basis<S> {
     /// if they are (numerically) singular.
     fn factorize(a: &SparseMatrix<S>, basis: &[usize]) -> Option<Basis<S>> {
         let lu = SparseLu::factorize(basis.len(), |p| a.col(basis[p]))?;
-        let etas = Vec::new();
-        Some(Basis { lu, etas })
+        Some(Basis::new(lu))
     }
 
-    fn ftran(&self, v: Vec<S>) -> Vec<S> {
-        let mut x = self.lu.ftran(v);
-        for eta in &self.etas {
-            eta.ftran(&mut x);
+    fn new(lu: SparseLu<S>) -> Basis<S> {
+        let m = lu.prow.len();
+        Basis {
+            lu,
+            etas: EtaFile::new(m),
+            c: vec![S::default(); m],
+            c_nz: Vec::new(),
         }
-        x
     }
 
-    fn btran(&self, mut c: Vec<S>) -> Vec<S> {
-        for eta in self.etas.iter().rev() {
-            eta.btran(&mut c);
+    /// Solves `B x = a` (see [`SparseLu::ftran`]) and lists the
+    /// ascending positions of the nonzeros of `x` in `nz`.
+    fn ftran(&mut self, a: &[(usize, S)], x: &mut [S], nz: &mut Vec<usize>) {
+        self.lu.ftran(a, x);
+        self.etas.ftran(x, &mut self.lu.written);
+        nz.clear();
+        for (word, &bits) in self.lu.written.iter().enumerate() {
+            let mut bits = bits;
+            while bits != 0 {
+                let p = word * 64 + bits.trailing_zeros() as usize;
+                if !x[p].is_zero() {
+                    nz.push(p);
+                }
+                bits &= bits - 1;
+            }
         }
-        self.lu.btran(c)
+    }
+
+    /// Solves `Bᵀ y = c` for `c` given by its `(position, value)`
+    /// entries, ascending; every entry of `y` is written.
+    fn btran(&mut self, c: &[(usize, S)], y: &mut [S]) {
+        self.c_nz.clear();
+        for (p, v) in c {
+            self.c[*p] = v.clone();
+            self.c_nz.push(*p);
+        }
+        self.etas.btran(&mut self.c, &mut self.c_nz);
+        self.lu.btran(&mut self.c, &self.c_nz, y);
+    }
+}
+
+/// Work vectors allocated once per solve and reused by every iteration.
+struct Work<S> {
+    /// The FTRANed entering column, by basis position.
+    w: Vec<S>,
+    /// Ascending positions of `w`'s nonzeros.
+    nz: Vec<usize>,
+    /// The current phase's nonzero basic costs `(position, cost)`,
+    /// ascending: BTRAN's input.
+    c_b: Vec<(usize, S)>,
+    /// The BTRAN result, by row: the duals for pricing.
+    y: Vec<S>,
+}
+
+impl<S: Scalar> Work<S> {
+    fn new(m: usize) -> Work<S> {
+        Work {
+            w: vec![S::default(); m],
+            nz: Vec::with_capacity(m),
+            c_b: Vec::new(),
+            y: vec![S::default(); m],
+        }
     }
 }
 
@@ -572,8 +917,10 @@ pub(crate) struct Revised<'a, S = Rational> {
     pub(crate) basis: Vec<usize>,
     in_basis: Vec<bool>,
     x_b: Vec<S>,
-    /// `None` once a (re)factorization came out singular.
+    /// `None` before [`Revised::solve`] factorizes the initial basis, and
+    /// once a (re)factorization came out singular.
     factors: Option<Basis<S>>,
+    work: Work<S>,
     pub(crate) stats: SolveStats,
 }
 
@@ -678,9 +1025,6 @@ impl<'a> Revised<'a> {
             Objective::Minimize => lp.objective_coeffs().iter().map(|c| -c).collect(),
         };
         phase2.resize(cols, Rational::zero());
-        // The initial basis is all unit columns (slacks/artificials), so
-        // the first factorization is trivially sparse.
-        let factors = Basis::factorize(&a, &basis);
         let stats = SolveStats {
             solver: SolverKind::RevisedSparse,
             nonzeros: constraint_nonzeros(lp),
@@ -699,7 +1043,8 @@ impl<'a> Revised<'a> {
             phase2,
             basis,
             in_basis,
-            factors,
+            factors: None,
+            work: Work::new(0),
             stats,
         }
     }
@@ -716,13 +1061,14 @@ impl<'a> Revised<'a> {
             m: self.m,
             first_art: self.first_art,
             cols: self.cols,
-            factors: Basis::factorize(&a, &self.basis),
             a,
             x_b: b_rhs.clone(),
             b_rhs,
             phase2: self.phase2.iter().map(Rational::to_f64).collect(),
             basis: self.basis.clone(),
             in_basis: self.in_basis.clone(),
+            factors: None,
+            work: Work::new(0),
             stats: self.stats,
         }
     }
@@ -780,7 +1126,13 @@ impl<S: Scalar> Revised<'_, S> {
     /// the run gave up: a singular (re)factorization or the iteration
     /// cap, neither of which the exact scalar can reach.
     pub(crate) fn solve(&mut self, rule: PivotRule) -> Option<LpStatus> {
+        // Factorized here rather than at construction: the hybrid's
+        // exact instance only verifies a proposed basis and never runs.
+        // The initial basis is all unit columns (slacks/artificials), so
+        // this first factorization is trivially sparse.
+        self.factors = Basis::factorize(&self.a, &self.basis);
         self.factors.as_ref()?;
+        self.work = Work::new(self.m);
         if self.first_art < self.cols {
             // Phase 1 only has work to do when some artificial starts
             // positive; an all-zero artificial start (e.g. equalities
@@ -810,18 +1162,21 @@ impl<S: Scalar> Revised<'_, S> {
     }
 
     fn refactorize(&mut self) {
+        // Drop the old factors first: the two are never needed together.
+        self.factors = None;
         self.factors = Basis::factorize(&self.a, &self.basis);
         self.stats.refactorizations += 1;
     }
 
     /// Installs `q` at basis position `r` with step length `theta`,
-    /// given the FTRANed entering column `w`.
-    fn pivot(&mut self, r: usize, q: usize, theta: &S, w: &[S]) {
+    /// given the FTRANed entering column in `work.w` and `work.nz`.
+    fn pivot(&mut self, r: usize, q: usize, theta: &S) {
+        let Work { w, nz, .. } = &self.work;
         // Only an exactly-zero step leaves the other basic values alone.
         if *theta != S::default() {
-            for (i, wi) in w.iter().enumerate() {
-                if i != r && !wi.is_zero() {
-                    self.x_b[i].sub_mul(wi, theta);
+            for &i in nz {
+                if i != r {
+                    self.x_b[i].sub_mul(&w[i], theta);
                 }
             }
         }
@@ -831,7 +1186,7 @@ impl<S: Scalar> Revised<'_, S> {
         self.basis[r] = q;
         self.stats.pivots += 1;
         let factors = self.factors.as_mut().expect("pivot on a factorized basis");
-        factors.etas.push(Eta::from_dense(r, w));
+        factors.etas.push(r, w, nz);
         if factors.etas.len() >= S::REFACTOR_INTERVAL {
             self.refactorize();
         }
@@ -842,13 +1197,20 @@ impl<S: Scalar> Revised<'_, S> {
     fn optimize(&mut self, costs: &[S], limit: usize, rule: PivotRule) -> Option<LpStatus> {
         let cap = S::iteration_cap(self.m, self.cols);
         let mut degenerate_streak = 0usize;
+        let c_b = &mut self.work.c_b;
+        c_b.clear();
+        for (r, &j) in self.basis.iter().enumerate() {
+            if costs[j] != S::default() {
+                c_b.push((r, costs[j].clone()));
+            }
+        }
         loop {
             if self.stats.pivots >= cap {
                 return None;
             }
-            let factors = self.factors.as_ref()?;
-            let c_b: Vec<S> = self.basis.iter().map(|&j| costs[j].clone()).collect();
-            let y = factors.btran(c_b);
+            let factors = self.factors.as_mut()?;
+            let work = &mut self.work;
+            factors.btran(&work.c_b, &mut work.y);
             let use_bland = rule == PivotRule::Bland || degenerate_streak >= DEGENERATE_SWITCH;
             let mut entering: Option<(usize, S)> = None;
             for (j, cost) in costs.iter().enumerate().take(limit) {
@@ -856,7 +1218,7 @@ impl<S: Scalar> Revised<'_, S> {
                     continue;
                 }
                 // d = c_j − y·A_j
-                let mut d = -self.a.dot_col(j, &y);
+                let mut d = -self.a.dot_col(j, &work.y);
                 d += cost;
                 if d.is_positive() {
                     if use_bland {
@@ -871,11 +1233,12 @@ impl<S: Scalar> Revised<'_, S> {
             let Some((q, _)) = entering else {
                 return Some(LpStatus::Optimal);
             };
-            let w = factors.ftran(self.a.col_dense(q));
+            factors.ftran(self.a.col(q), &mut work.w, &mut work.nz);
             // Ratio test; ties go to the smallest basis column index
             // (Bland-compatible, mirrors the dense engine).
             let mut best: Option<(usize, S)> = None;
-            for (r, wr) in w.iter().enumerate() {
+            for &r in &work.nz {
+                let wr = &work.w[r];
                 if !wr.is_pivot() {
                     continue;
                 }
@@ -896,7 +1259,17 @@ impl<S: Scalar> Revised<'_, S> {
             } else {
                 degenerate_streak = 0;
             }
-            self.pivot(r, q, &theta, &w);
+            let c_b = &mut self.work.c_b;
+            let cost = &costs[q];
+            match c_b.binary_search_by_key(&r, |e| e.0) {
+                Ok(at) if *cost == S::default() => {
+                    c_b.remove(at);
+                }
+                Ok(at) => c_b[at].1 = cost.clone(),
+                Err(at) if *cost != S::default() => c_b.insert(at, (r, cost.clone())),
+                Err(_) => {}
+            }
+            self.pivot(r, q, &theta);
         }
     }
 
@@ -913,23 +1286,24 @@ impl<S: Scalar> Revised<'_, S> {
             if self.basis[r] < self.first_art {
                 continue;
             }
-            let Some(factors) = self.factors.as_ref() else {
+            let Some(factors) = self.factors.as_mut() else {
                 return;
             };
-            let mut e = vec![S::default(); self.m];
-            e[r] = S::one();
-            let rho = factors.btran(e);
+            let work = &mut self.work;
+            // Row r of B⁻¹.
+            factors.btran(&[(r, S::one())], &mut work.y);
+            let rho = &work.y;
             let q = (0..self.first_art).find(|&j| {
                 if self.in_basis[j] {
                     return false;
                 }
-                let d = self.a.dot_col(j, &rho);
+                let d = self.a.dot_col(j, rho);
                 d.is_pivot() || (-d).is_pivot()
             });
             if let Some(q) = q {
-                let w = factors.ftran(self.a.col_dense(q));
-                debug_assert!(!w[r].is_zero());
-                self.pivot(r, q, &S::default(), &w);
+                factors.ftran(self.a.col(q), &mut work.w, &mut work.nz);
+                debug_assert!(!work.w[r].is_zero());
+                self.pivot(r, q, &S::default());
             }
         }
     }
@@ -1252,6 +1626,169 @@ mod tests {
         SparseLu::factorize(cols.len(), |p| &cols[p])
     }
 
+    /// The `(index, value)` entries of a dense vector.
+    fn entries<S: Scalar>(v: &[S]) -> Vec<(usize, S)> {
+        v.iter().cloned().enumerate().collect()
+    }
+
+    /// Solves `B x = v` through `lu`.
+    fn ftran<S: Scalar>(lu: &mut SparseLu<S>, v: Vec<S>) -> Vec<S> {
+        let mut x = vec![S::default(); v.len()];
+        lu.ftran(&entries(&v), &mut x);
+        x
+    }
+
+    /// xorshift64 draws in `0..bound`, so the tests need no rand crate.
+    fn xorshift(mut state: u64) -> impl FnMut(u64) -> u64 {
+        move |bound| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        }
+    }
+
+    /// A random nonsingular `m × m` integer matrix, by columns: full row
+    /// and column 0, so elimination always records `L` factors; sparse
+    /// off-diagonal entries elsewhere, which fill in; and a diagonal
+    /// that dominates both its row and its column.
+    fn random_nonsingular(next: &mut impl FnMut(u64) -> u64, m: usize) -> Vec<Vec<i64>> {
+        (0..m)
+            .map(|j| {
+                (0..m)
+                    .map(|i| match () {
+                        _ if i == j => 4 * m as i64 + next(5) as i64,
+                        _ if (m <= 10 && (i == 0 || j == 0)) || next(m as u64 + 6) < 3 => {
+                            [-2, -1, 1, 2][next(4) as usize]
+                        }
+                        _ => 0,
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// `B x` for `B` given by columns.
+    fn mul<S: Scalar>(b: &[Vec<S>], x: &[S]) -> Vec<S> {
+        let mut out = vec![S::default(); x.len()];
+        for (col, xj) in b.iter().zip(x) {
+            for (o, bij) in out.iter_mut().zip(col) {
+                o.add_mul(bij, xj);
+            }
+        }
+        out
+    }
+
+    /// `Bᵀ y` for `B` given by columns.
+    fn mul_t<S: Scalar>(b: &[Vec<S>], y: &[S]) -> Vec<S> {
+        b.iter()
+            .map(|col| {
+                let mut acc = S::default();
+                for (bij, yi) in col.iter().zip(y) {
+                    acc.add_mul(bij, yi);
+                }
+                acc
+            })
+            .collect()
+    }
+
+    /// FTRAN and BTRAN through an LU with fill-in and `L` factors plus a
+    /// few product-form etas solve the explicit basis: `B·ftran(v) = v`
+    /// and `Bᵀ·btran(c) = c`, where `B` is the matrix after the basis
+    /// changes the etas record. Each solve leaves its scratch (and BTRAN
+    /// its input) all zero.
+    fn check_factor_solves<S: Scalar + std::fmt::Debug>(
+        to: fn(i64) -> S,
+        close: fn(&S, &S) -> bool,
+    ) {
+        let mut next = xorshift(0x9e3779b97f4a7c15);
+        let mut filled = 0;
+        for case in 0..60 {
+            // Every tenth matrix is large enough for sparse BTRAN.
+            let large = case % 10 == 9;
+            let m = if large { 24 + next(9) } else { 3 + next(8) } as usize;
+            let mut b: Vec<Vec<S>> = random_nonsingular(&mut next, m)
+                .iter()
+                .map(|col| col.iter().map(|&v| to(v)).collect())
+                .collect();
+            let lu = factorize(&b).expect("diagonally dominant");
+            assert!(m > 10 || !lu.l_row.is_empty(), "case {case}: no L factors");
+            let nnz: usize = b.iter().flatten().filter(|v| !v.is_zero()).count();
+            if m + lu.u_col.len() + lu.l_row.len() > nnz {
+                filled += 1;
+            }
+            let mut basis = Basis::new(lu);
+            let zero = |v: &[S]| v.iter().all(|x| *x == S::default());
+            let clear = |lu: &SparseLu<S>| zero(&lu.rhs) && lu.visit.iter().all(|w| *w == 0);
+            let assert_close = |got: &[S], want: &[S], what: &str| {
+                let ok = got.iter().zip(want).all(|(g, w)| close(g, w));
+                assert!(ok, "case {case}: {what}: {got:?} != {want:?}");
+            };
+            for _ in 0..2 + next(3) {
+                // Replace basis column r by B·w, w_r = 4: FTRAN must
+                // give w back, and its eta keeps the basis nonsingular.
+                let r = next(m as u64) as usize;
+                let w: Vec<S> = (0..m)
+                    .map(|i| match () {
+                        _ if i == r => to(4),
+                        _ if next(4) != 0 => to(next(5) as i64 - 2),
+                        _ => S::default(),
+                    })
+                    .collect();
+                let column = mul(&b, &w);
+                let (mut x, mut nz) = (vec![S::default(); m], Vec::new());
+                basis.ftran(&entries(&column), &mut x, &mut nz);
+                assert_close(&x, &w, "entering column");
+                let want: Vec<usize> = (0..m).filter(|&i| !x[i].is_zero()).collect();
+                assert_eq!(nz, want, "case {case}: nonzero list");
+                basis.etas.push(r, &x, &nz);
+                b[r] = column;
+            }
+            for _ in 0..if large { 1 } else { 3 } {
+                let rhs: Vec<S> = (0..m).map(|_| to(next(9) as i64 - 4)).collect();
+                let (mut x, mut nz) = (vec![S::default(); m], Vec::new());
+                basis.ftran(&entries(&rhs), &mut x, &mut nz);
+                let want: Vec<usize> = (0..m).filter(|&i| !x[i].is_zero()).collect();
+                assert_eq!(nz, want, "case {case}: nonzero list");
+                assert!(clear(&basis.lu), "case {case}: FTRAN scratch left set");
+                assert_close(&mul(&b, &x), &rhs, "B·ftran(v)");
+                let mut y = vec![S::default(); m];
+                basis.btran(&entries(&rhs), &mut y);
+                assert!(zero(&basis.c), "case {case}: BTRAN input not consumed");
+                assert!(clear(&basis.lu), "case {case}: BTRAN scratch left set");
+                assert_close(&mul_t(&b, &y), &rhs, "Bᵀ·btran(c)");
+            }
+            // Unit vectors: the sparse starts. FTRAN must reach every
+            // step through U's columns; BTRAN's etas look its few
+            // nonzeros up instead of walking their entries.
+            let p = next(m as u64) as usize;
+            let unit: Vec<S> = (0..m).map(|i| to(i64::from(i == p))).collect();
+            let (mut x, mut nz) = (vec![S::default(); m], Vec::new());
+            basis.ftran(&[(p, S::one())], &mut x, &mut nz);
+            assert_close(&mul(&b, &x), &unit, "B·ftran(e_p)");
+            let mut y = vec![S::default(); m];
+            basis.btran(&[(p, S::one())], &mut y);
+            assert!(zero(&basis.c), "case {case}: BTRAN input not consumed");
+            assert_close(&mul_t(&b, &y), &unit, "Bᵀ·btran(e_p)");
+            // Column 0 replaced by the sum of two others: singular.
+            let mut other = || 1 + next(m as u64 - 1) as usize;
+            let (p, q) = (other(), other());
+            let mut singular = b.clone();
+            singular[0] = b[p].clone();
+            for (s, v) in singular[0].iter_mut().zip(&b[q]) {
+                *s += v;
+            }
+            assert!(factorize(&singular).is_none(), "case {case}: singular");
+        }
+        assert!(filled > 0, "no case had fill-in");
+    }
+
+    #[test]
+    fn factor_solves_invert_the_basis_over_both_scalars() {
+        check_factor_solves(Rational::int, |got, want| got == want);
+        check_factor_solves(|v| v as f64, |got, want| (got - want).abs() <= 1e-9);
+    }
+
     #[test]
     fn singular_matrices_factorize_to_none_over_both_scalars() {
         fn check<S: Scalar>(to: fn(i64) -> S) {
@@ -1280,26 +1817,26 @@ mod tests {
         // holds two entries, so column 0 is pivoted first. Its sparsest
         // row is row 0, but ε is below STABILITY_RATIO · 1, so f64
         // pivots on row 1; the exact engine takes the sparser row 0.
-        let float = factorize(&[
+        let mut float = factorize(&[
             vec![0.01, 1.0, 0.0],
             vec![0.0, 1.0, 1.0],
             vec![0.0, 2.0, 1.0],
         ])
         .expect("nonsingular");
-        assert_eq!((float.steps[0].pcol, float.steps[0].prow), (0, 1));
-        let exact = factorize(&[
+        assert_eq!((float.pcol[0], float.prow[0]), (0, 1));
+        let mut exact = factorize(&[
             vec![r(1, 100), ri(1), ri(0)],
             vec![ri(0), ri(1), ri(1)],
             vec![ri(0), ri(2), ri(1)],
         ])
         .expect("nonsingular");
-        assert_eq!((exact.steps[0].pcol, exact.steps[0].prow), (0, 0));
+        assert_eq!((exact.pcol[0], exact.prow[0]), (0, 0));
         // Either pivot order solves B x = B·(1, 2, 3).
-        let x = float.ftran(vec![0.01, 9.0, 5.0]);
+        let x = ftran(&mut float, vec![0.01, 9.0, 5.0]);
         for (got, want) in x.iter().zip([1.0, 2.0, 3.0]) {
             assert!((got - want).abs() < 1e-12, "{x:?}");
         }
-        let x = exact.ftran(vec![r(1, 100), ri(9), ri(5)]);
+        let x = ftran(&mut exact, vec![r(1, 100), ri(9), ri(5)]);
         assert_eq!(x, vec![ri(1), ri(2), ri(3)]);
     }
 }

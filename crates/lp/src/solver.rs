@@ -119,9 +119,10 @@ pub struct SolveStats {
     /// Basis refactorizations (sparse engine only: the eta file was
     /// folded back into a fresh LU).
     pub refactorizations: usize,
-    /// Nonzero structural coefficients of the constraint matrix (after
-    /// summing duplicate terms is *not* applied — this is the input
-    /// sparsity the `Auto` heuristic sees).
+    /// Nonzero coefficient mentions in the constraints, as written: a
+    /// variable mentioned twice in one constraint counts twice, even if
+    /// the mentions sum to zero. This is the input sparsity the `Auto`
+    /// heuristic sees.
     pub nonzeros: usize,
     /// Constraint count of the program.
     pub rows: usize,

@@ -85,18 +85,6 @@ impl<S> SparseMatrix<S> {
         }
         acc
     }
-
-    /// Scatters column `j` into a fresh dense vector.
-    pub(crate) fn col_dense(&self, j: usize) -> Vec<S>
-    where
-        S: Scalar,
-    {
-        let mut out = vec![S::default(); self.rows];
-        for (i, v) in &self.cols[j] {
-            out[*i] = v.clone();
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -120,6 +108,5 @@ mod tests {
         let dense = vec![ri(3), ri(7), ri(1)];
         assert_eq!(m.dot_col(0, &dense), ri(1)); // 1*3 + (-2)*1
         assert_eq!(m.dot_col(1, &dense), ri(35));
-        assert_eq!(m.col_dense(0), vec![ri(1), ri(0), ri(-2)]);
     }
 }
