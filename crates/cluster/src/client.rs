@@ -19,12 +19,12 @@
 //! run fails only when every worker has died with work outstanding.
 
 use crate::addr::{WorkerAddr, WorkerConn};
-use crate::merge::{
-    cache_stats_delta, metrics_delta, solver_totals, MetricsTotals, ReportMerger, WidthTotals,
-};
+use crate::merge::{cache_stats_delta, solver_totals, width_totals, ReportMerger};
 use crate::plan::ShardPlanner;
 use crate::PlanMode;
-use cq_engine::{CacheStats, Json, LpWork, MAX_BATCH};
+use cq_engine::serve::metrics_from_json;
+use cq_engine::{CacheStats, Json, LpWork, WidthTally, MAX_BATCH};
+use cq_telemetry::MetricsSnapshot;
 use std::collections::HashSet;
 use std::io::{BufRead, BufReader, Write};
 
@@ -82,15 +82,19 @@ pub struct ClusterRun {
     /// Summed `solver_stats` across all reports.
     pub solver: LpWork,
     /// Decomposition-width accounting across all reports.
-    pub widths: WidthTotals,
+    pub widths: WidthTally,
     /// Per-worker accounting, in `--worker` order.
     pub workers: Vec<WorkerSummary>,
     /// Queries resubmitted after a worker death.
     pub resubmitted: usize,
-    /// Serve-side request/latency metrics attributable to this run
-    /// (per-worker `metrics` probe deltas, merged bucket-wise). Zero if
-    /// no worker answered both probes.
-    pub metrics: MetricsTotals,
+    /// Serve-side metrics attributable to this run: each worker
+    /// round's `metrics` probe delta ([`MetricsSnapshot::since`]),
+    /// merged across rounds and workers. Empty if no worker answered
+    /// both probes. Because the daemon excludes `metrics` probes from
+    /// its request counter and execute histogram, the merged
+    /// `cq_serve_execute_micros` count equals exactly the protocol
+    /// requests this run executed on the workers.
+    pub metrics: MetricsSnapshot,
     /// The `trace_id` propagated with each input (`None` when tracing
     /// was off): index-aligned with `reports`, so a span log can be
     /// joined back to the report it explains.
@@ -190,7 +194,7 @@ impl ClusterClient {
             })
             .collect();
         let mut resubmitted = 0usize;
-        let mut metrics = MetricsTotals::default();
+        let mut metrics = MetricsSnapshot::default();
 
         loop {
             let mut round: Vec<(usize, Vec<usize>)> = Vec::new();
@@ -269,7 +273,7 @@ impl ClusterClient {
             cache.merge(&summary.cache);
         }
         let solver = solver_totals(&reports);
-        let widths = WidthTotals::from_reports(&reports);
+        let widths = width_totals(&reports);
         Ok(ClusterRun {
             reports,
             cache,
@@ -340,7 +344,8 @@ impl ClusterClient {
         // probes observe a quiescent cache (for this client — deltas
         // against a daemon other clients are hammering are best-effort
         // by nature).
-        let Some(baseline) = round_trip_stats(&mut probe_half, &mut reader, -1) else {
+        let Some(baseline) = round_trip(&mut probe_half, &mut reader, -1, "stats", "cache_stats")
+        else {
             outcome.died = true;
             reader.into_inner().shutdown();
             return outcome;
@@ -352,7 +357,9 @@ impl ClusterClient {
         // why the trailing metrics probe goes out *before* the trailing
         // stats probe: between -3 and -4 the connection carried the
         // chunks and nothing else.
-        let Some(metrics_before) = round_trip_metrics(&mut probe_half, &mut reader, -3) else {
+        let Some(metrics_before) =
+            round_trip(&mut probe_half, &mut reader, -3, "metrics", "metrics")
+        else {
             outcome.died = true;
             reader.into_inner().shutdown();
             return outcome;
@@ -417,15 +424,16 @@ impl ClusterClient {
         let metrics_after = if outcome.died {
             None
         } else {
-            round_trip_metrics(&mut probe_half, &mut reader, -4)
+            round_trip(&mut probe_half, &mut reader, -4, "metrics", "metrics")
         };
         if let Some(after) = &metrics_after {
-            outcome.metrics = Some(metrics_delta(&metrics_before, after));
+            outcome.metrics =
+                Some(metrics_from_json(after).since(&metrics_from_json(&metrics_before)));
         }
         let after = if outcome.died || metrics_after.is_none() {
             None
         } else {
-            round_trip_stats(&mut probe_half, &mut reader, -2)
+            round_trip(&mut probe_half, &mut reader, -2, "stats", "cache_stats")
         };
         let after = match after {
             Some(stats) => Some(stats),
@@ -456,20 +464,22 @@ struct RoundOutcome {
     cache: Option<CacheStats>,
     /// This round's serve-metrics delta; `None` when either `metrics`
     /// probe went unanswered.
-    metrics: Option<MetricsTotals>,
+    metrics: Option<MetricsSnapshot>,
     died: bool,
 }
 
-/// Round-trips one `stats` request on an otherwise quiet connection
-/// (`probe` writes, `reader` consumes the one response) and returns
-/// the response's `cache_stats` object; `None` on any failure.
-fn round_trip_stats(
+/// Round-trips one `cmd` request on an otherwise quiet connection
+/// (`probe` writes, `reader` consumes the one response) and returns the
+/// response's `field` object; `None` on any failure.
+fn round_trip(
     probe: &mut WorkerConn,
     reader: &mut BufReader<WorkerConn>,
     id: i64,
+    cmd: &str,
+    field: &str,
 ) -> Option<Json> {
     probe
-        .write_all(format!("{{\"id\":{id},\"cmd\":\"stats\"}}\n").as_bytes())
+        .write_all(format!("{{\"id\":{id},\"cmd\":\"{cmd}\"}}\n").as_bytes())
         .ok()?;
     probe.flush().ok()?;
     let mut line = String::new();
@@ -483,31 +493,5 @@ fn round_trip_stats(
     {
         return None;
     }
-    resp.get("cache_stats").cloned()
-}
-
-/// Round-trips one `metrics` request (same quiet-connection discipline
-/// as [`round_trip_stats`]) and returns the response's `metrics` body;
-/// `None` on any failure.
-fn round_trip_metrics(
-    probe: &mut WorkerConn,
-    reader: &mut BufReader<WorkerConn>,
-    id: i64,
-) -> Option<Json> {
-    probe
-        .write_all(format!("{{\"id\":{id},\"cmd\":\"metrics\"}}\n").as_bytes())
-        .ok()?;
-    probe.flush().ok()?;
-    let mut line = String::new();
-    match reader.read_line(&mut line) {
-        Ok(n) if n > 0 => {}
-        _ => return None,
-    }
-    let resp = Json::parse(line.trim_end()).ok()?;
-    if resp.get("id").and_then(Json::as_i64) != Some(id)
-        || resp.get("ok") != Some(&Json::Bool(true))
-    {
-        return None;
-    }
-    resp.get("metrics").cloned()
+    resp.get(field).cloned()
 }

@@ -43,9 +43,7 @@ pub mod spawn;
 
 pub use addr::{WorkerAddr, WorkerConn};
 pub use client::{ClusterClient, ClusterError, ClusterRun, WorkerSummary};
-pub use merge::{
-    cache_stats_delta, metrics_delta, solver_totals, MetricsTotals, ReportMerger, WidthTotals,
-};
+pub use merge::{cache_stats_delta, solver_totals, width_totals, ReportMerger};
 pub use plan::ShardPlanner;
 pub use spawn::ServeChild;
 

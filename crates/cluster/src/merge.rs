@@ -13,8 +13,8 @@
 //! by position and counters merge by addition, with no cross-worker
 //! reconciliation step.
 
-use cq_engine::{CacheStats, Json, LpWork};
-use cq_telemetry::{quantile_from_buckets, BUCKETS};
+use cq_engine::session::QueryWidths;
+use cq_engine::{CacheStats, Json, LpWork, WidthTally};
 
 /// Collects per-query reports into their original input positions.
 #[derive(Debug)]
@@ -76,159 +76,22 @@ pub fn solver_totals(reports: &[Json]) -> LpWork {
     totals
 }
 
-/// Cluster-summed decomposition-width accounting, aggregated from every
-/// per-report `widths` object: how many reports carried an exact
-/// hypertree width versus a greedy upper bound, and the largest width
-/// seen either way (the workload's decomposition hardness at a glance).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct WidthTotals {
-    /// Reports whose `hypertree_width` came from the exact search.
-    pub hypertree_exact: u64,
-    /// Reports whose `hypertree_width` is a greedy upper bound.
-    pub hypertree_heuristic: u64,
-    /// Largest `hypertree_width` across all reports.
-    pub max_hypertree_width: u64,
-    /// Largest `treewidth` across all reports.
-    pub max_treewidth: u64,
-}
-
-impl WidthTotals {
-    /// Sums the `widths` objects across reports (parse-error entries
-    /// and pre-widths reports have none and contribute zero).
-    pub fn from_reports(reports: &[Json]) -> WidthTotals {
-        let mut totals = WidthTotals::default();
-        for report in reports {
-            let Some(widths) = report.get("widths") else {
-                continue;
-            };
-            let field = |name: &str| {
-                widths
-                    .get(name)
-                    .and_then(Json::as_i64)
-                    .map_or(0, |n| n.max(0) as u64)
-            };
-            if widths.get("hypertree_exact") == Some(&Json::Bool(true)) {
-                totals.hypertree_exact += 1;
-            } else {
-                totals.hypertree_heuristic += 1;
-            }
-            totals.max_hypertree_width = totals.max_hypertree_width.max(field("hypertree_width"));
-            totals.max_treewidth = totals.max_treewidth.max(field("treewidth"));
-        }
-        totals
+/// Cluster-summed decomposition widths: every report's `widths`
+/// object added into one tally (parse-error entries and pre-widths
+/// reports have none and contribute nothing; a report is exact only
+/// when its `hypertree_exact` is `true`).
+pub fn width_totals(reports: &[Json]) -> WidthTally {
+    let mut totals = WidthTally::default();
+    for widths in reports.iter().filter_map(|r| r.get("widths")) {
+        let width = |name| widths.get(name).and_then(Json::as_usize).unwrap_or(0);
+        totals.add(&QueryWidths {
+            treewidth: width("treewidth"),
+            treewidth_exact: widths.get("treewidth_exact") == Some(&Json::Bool(true)),
+            hypertree_width: width("hypertree_width"),
+            hypertree_exact: widths.get("hypertree_exact") == Some(&Json::Bool(true)),
+        });
     }
-}
-
-/// Cluster-merged serve-side execution metrics: the per-worker delta of
-/// the `metrics` command's `cq_serve_requests_total` counter and
-/// `cq_serve_execute_micros` histogram over the run, merged bucket-wise
-/// across workers. Because the daemon excludes `metrics` probes from
-/// both series, the merged histogram count equals exactly the protocol
-/// requests this run executed on the workers.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct MetricsTotals {
-    /// `cq_serve_requests_total` delta summed across workers.
-    pub requests: u64,
-    /// `cq_serve_execute_micros` sum-of-observations delta.
-    pub execute_sum: u64,
-    /// Per-bucket observation deltas (log₂ buckets, index order).
-    buckets: [u64; BUCKETS],
-}
-
-impl Default for MetricsTotals {
-    fn default() -> MetricsTotals {
-        MetricsTotals {
-            requests: 0,
-            execute_sum: 0,
-            buckets: [0; BUCKETS],
-        }
-    }
-}
-
-impl MetricsTotals {
-    /// Total `cq_serve_execute_micros` observations (derived from the
-    /// merged buckets, so it always agrees with the quantiles).
-    pub fn execute_count(&self) -> u64 {
-        self.buckets.iter().sum()
-    }
-
-    /// The `p`-th percentile of the merged execute-latency
-    /// distribution — merging bucket-wise is what makes cross-worker
-    /// quantiles well-defined (summaries like p95 do not sum; bucket
-    /// counts do).
-    pub fn execute_quantile(&self, p: u64) -> u64 {
-        let pairs: Vec<(usize, u64)> = self
-            .buckets
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &n)| (n > 0).then_some((i, n)))
-            .collect();
-        quantile_from_buckets(&pairs, self.execute_count(), p)
-    }
-
-    /// Accumulates another worker's delta into the cluster totals.
-    pub fn merge(&mut self, other: &MetricsTotals) {
-        self.requests = self.requests.saturating_add(other.requests);
-        self.execute_sum = self.execute_sum.saturating_add(other.execute_sum);
-        for (mine, theirs) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *mine = mine.saturating_add(*theirs);
-        }
-    }
-}
-
-/// The requests/execute-histogram delta between two `metrics` response
-/// bodies from the same daemon (the shape `cq-serve` returns for the
-/// `metrics` command). Saturating per bucket, like
-/// [`cache_stats_delta`]: a daemon restarted mid-run must not wrap.
-pub fn metrics_delta(before: &Json, after: &Json) -> MetricsTotals {
-    let counter = |m: &Json, name: &str| {
-        m.get("counters")
-            .and_then(|c| c.get(name))
-            .and_then(Json::as_i64)
-            .map_or(0, |n| n.max(0) as u64)
-    };
-    fn execute(m: &Json) -> Option<&Json> {
-        m.get("histograms")
-            .and_then(|h| h.get("cq_serve_execute_micros"))
-    }
-    let sum = |m: &Json| {
-        execute(m)
-            .and_then(|h| h.get("sum"))
-            .and_then(Json::as_i64)
-            .map_or(0, |n| n.max(0) as u64)
-    };
-    let buckets = |m: &Json| {
-        let mut out = [0u64; BUCKETS];
-        let pairs = execute(m)
-            .and_then(|h| h.get("buckets"))
-            .and_then(Json::as_array);
-        for pair in pairs.into_iter().flatten() {
-            let Some(pair) = pair.as_array() else {
-                continue;
-            };
-            let (Some(i), Some(n)) = (
-                pair.first().and_then(Json::as_usize),
-                pair.get(1).and_then(Json::as_i64),
-            ) else {
-                continue;
-            };
-            if i < BUCKETS {
-                out[i] = n.max(0) as u64;
-            }
-        }
-        out
-    };
-    let before_buckets = buckets(before);
-    let mut delta = MetricsTotals {
-        requests: counter(after, "cq_serve_requests_total")
-            .saturating_sub(counter(before, "cq_serve_requests_total")),
-        execute_sum: sum(after).saturating_sub(sum(before)),
-        buckets: buckets(after),
-    };
-    for (b, before_n) in delta.buckets.iter_mut().zip(before_buckets.iter()) {
-        *b = b.saturating_sub(*before_n);
-    }
-    delta
+    totals
 }
 
 /// The hit/miss/eviction delta between two `cache_stats` objects from
@@ -256,6 +119,8 @@ fn counter(obj: &Json, name: &str) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cq_engine::serve::metrics_from_json;
+    use cq_telemetry::MetricsSnapshot;
 
     #[test]
     fn merger_orders_and_tracks_missing() {
@@ -313,10 +178,10 @@ mod tests {
         // Parse errors and pre-widths reports contribute nothing.
         let error = Json::parse(r#"{"name":"bad","error":"parse error"}"#).unwrap();
         let old = Json::parse(r#"{"solver_stats":{"pivots":1}}"#).unwrap();
-        let totals = WidthTotals::from_reports(&[exact.clone(), heuristic, error, old, exact]);
+        let totals = width_totals(&[exact.clone(), heuristic, error, old, exact]);
         assert_eq!(
             totals,
-            WidthTotals {
+            WidthTally {
                 hypertree_exact: 2,
                 hypertree_heuristic: 1,
                 max_hypertree_width: 3,
@@ -327,29 +192,33 @@ mod tests {
 
     #[test]
     fn metrics_delta_subtracts_and_merges_bucketwise() {
-        let before = Json::parse(
+        let before = metrics_from_json(&Json::parse(
             r#"{"counters":{"cq_serve_requests_total":10},"gauges":{},"histograms":{"cq_serve_execute_micros":{"count":10,"sum":1000,"p50":127,"p95":127,"p99":127,"buckets":[[7,10]]}}}"#,
         )
-        .unwrap();
-        let after = Json::parse(
+        .unwrap());
+        let after = metrics_from_json(&Json::parse(
             r#"{"counters":{"cq_serve_requests_total":14},"gauges":{},"histograms":{"cq_serve_execute_micros":{"count":14,"sum":1500,"p50":127,"p95":255,"p99":255,"buckets":[[7,13],[8,1]]}}}"#,
         )
-        .unwrap();
-        let delta = metrics_delta(&before, &after);
-        assert_eq!(delta.requests, 4);
-        assert_eq!(delta.execute_count(), 4);
-        assert_eq!(delta.execute_sum, 500);
+        .unwrap());
+        let requests = |m: &MetricsSnapshot| m.counter("cq_serve_requests_total");
+        let execute = |m: &MetricsSnapshot| m.histogram("cq_serve_execute_micros").cloned();
+        let delta = after.since(&before);
+        assert_eq!(requests(&delta), Some(4));
+        let delta_execute = execute(&delta).unwrap();
+        assert_eq!(delta_execute.count(), 4);
+        assert_eq!(delta_execute.sum(), 500);
         // Merging two workers' deltas sums bucket-wise, so quantiles of
         // the merged distribution stay well-defined.
-        let mut totals = MetricsTotals::default();
+        let mut totals = MetricsSnapshot::default();
         totals.merge(&delta);
         totals.merge(&delta);
-        assert_eq!(totals.requests, 8);
-        assert_eq!(totals.execute_count(), 8);
-        assert_eq!(totals.execute_quantile(50), 127);
-        assert_eq!(totals.execute_quantile(99), 255);
+        assert_eq!(requests(&totals), Some(8));
+        let totals_execute = execute(&totals).unwrap();
+        assert_eq!(totals_execute.count(), 8);
+        assert_eq!(totals_execute.quantile(50), 127);
+        assert_eq!(totals_execute.quantile(99), 255);
         // A restarted daemon (smaller "after") saturates to zero.
-        assert_eq!(metrics_delta(&after, &before).requests, 0);
+        assert_eq!(requests(&before.since(&after)), Some(0));
     }
 
     #[test]

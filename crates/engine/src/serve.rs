@@ -54,12 +54,12 @@
 use crate::cache::{CacheStats, LpCache, SnapshotError};
 use crate::json::{obj, Json};
 use crate::report::ReportOptions;
-use crate::session::AnalysisSession;
+use crate::session::{AnalysisSession, WidthTally};
 use crate::BatchAnalyzer;
 use cq_core::LpWork;
 use cq_telemetry::{
-    emit_event, next_span_id, now_micros, render_span_tree, Gauge, Metrics, Span, SpanEvent,
-    TraceContext,
+    emit_event, next_span_id, now_micros, render_span_tree, Gauge, HistogramSnapshot, Metrics,
+    MetricsSnapshot, Span, SpanEvent, TraceContext,
 };
 use std::collections::BTreeMap;
 use std::io::{self, BufRead, BufReader, ErrorKind, Read, Write};
@@ -133,11 +133,9 @@ pub struct ServeStats {
     /// reports' `solver_stats` (cache hits contribute nothing — the
     /// point of a warm daemon).
     pub lp: LpWork,
-    /// Reports whose hypertree width came from the exact search.
-    pub width_exact: u64,
-    /// Reports whose hypertree width is a greedy upper bound (the
-    /// query was too large for the exact search).
-    pub width_heuristic: u64,
+    /// Width outcomes of every report served (rendered as
+    /// `width_exact` / `width_heuristic`).
+    pub widths: WidthTally,
 }
 
 /// The serving layer: a shared LP cache plus request dispatch.
@@ -179,9 +177,9 @@ pub struct ServeEngine {
     analyses: AtomicU64,
     batches: AtomicU64,
     errors: AtomicU64,
-    lp: Mutex<LpWork>,
-    width_exact: AtomicU64,
-    width_heuristic: AtomicU64,
+    /// Solver work and width outcomes, behind one lock so a request
+    /// takes it once.
+    work: Mutex<(LpWork, WidthTally)>,
 }
 
 impl Default for ServeEngine {
@@ -206,9 +204,7 @@ impl ServeEngine {
             analyses: AtomicU64::new(0),
             batches: AtomicU64::new(0),
             errors: AtomicU64::new(0),
-            lp: Mutex::default(),
-            width_exact: AtomicU64::new(0),
-            width_heuristic: AtomicU64::new(0),
+            work: Mutex::default(),
         }
     }
 
@@ -332,26 +328,23 @@ impl ServeEngine {
 
     /// Lifetime request counters.
     pub fn stats(&self) -> ServeStats {
+        let (lp, widths) = *self.work.lock().expect("work counters");
         ServeStats {
             requests: self.requests.load(Ordering::Relaxed),
             analyses: self.analyses.load(Ordering::Relaxed),
             batches: self.batches.load(Ordering::Relaxed),
             errors: self.errors.load(Ordering::Relaxed),
-            lp: *self.lp.lock().expect("lp counters"),
-            width_exact: self.width_exact.load(Ordering::Relaxed),
-            width_heuristic: self.width_heuristic.load(Ordering::Relaxed),
+            lp,
+            widths,
         }
     }
 
     /// Folds one report's solver work and width outcome into the
     /// process-wide counters.
     fn note_solver(&self, report: &crate::report::AnalysisReport) {
-        self.lp.lock().expect("lp counters").merge(&report.solver);
-        if report.widths.hypertree_exact {
-            self.width_exact.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.width_heuristic.fetch_add(1, Ordering::Relaxed);
-        }
+        let mut work = self.work.lock().expect("work counters");
+        work.0.merge(&report.solver);
+        work.1.add(&report.widths);
     }
 
     /// Handles one request line, returning the one response line (no
@@ -722,54 +715,7 @@ impl ServeEngine {
                 eprintln!("cq-serve: failed to write metrics file: {e}");
             }
         }
-        let counters = Json::Obj(
-            snap.counters
-                .iter()
-                .map(|(name, v)| (name.clone(), Json::count(*v)))
-                .collect(),
-        );
-        let gauges = Json::Obj(
-            snap.gauges
-                .iter()
-                .map(|(name, v)| (name.clone(), Json::Int(*v)))
-                .collect(),
-        );
-        let histograms = Json::Obj(
-            snap.histograms
-                .iter()
-                .map(|(name, h)| {
-                    (
-                        name.clone(),
-                        obj([
-                            ("count", Json::count(h.count)),
-                            ("sum", Json::count(h.sum)),
-                            ("p50", Json::count(h.p50)),
-                            ("p95", Json::count(h.p95)),
-                            ("p99", Json::count(h.p99)),
-                            (
-                                "buckets",
-                                Json::Arr(
-                                    h.buckets
-                                        .iter()
-                                        .map(|(i, c)| {
-                                            Json::Arr(vec![Json::int(*i), Json::count(*c)])
-                                        })
-                                        .collect(),
-                                ),
-                            ),
-                        ]),
-                    )
-                })
-                .collect(),
-        );
-        vec![(
-            "metrics",
-            obj([
-                ("counters", counters),
-                ("gauges", gauges),
-                ("histograms", histograms),
-            ]),
-        )]
+        vec![("metrics", metrics_json(&snap))]
     }
 
     fn stats_body(&self) -> ResponseBody {
@@ -814,8 +760,11 @@ impl ServeEngine {
                 ("lp_hybrid_solves", Json::count(stats.lp.hybrid_solves)),
                 ("lp_float_verified", Json::count(stats.lp.float_verified)),
                 ("lp_exact_fallbacks", Json::count(stats.lp.exact_fallbacks)),
-                ("width_exact", Json::count(stats.width_exact)),
-                ("width_heuristic", Json::count(stats.width_heuristic)),
+                ("width_exact", Json::count(stats.widths.hypertree_exact)),
+                (
+                    "width_heuristic",
+                    Json::count(stats.widths.hypertree_heuristic),
+                ),
                 ("cache_shards", Json::Arr(shards)),
             ]),
         )]
@@ -1085,6 +1034,84 @@ pub fn cache_stats_json(stats: Option<CacheStats>) -> Json {
         ("evictions", Json::count(stats.evictions)),
         ("entries", Json::count(stats.entries)),
     ])
+}
+
+/// The `metrics` response body: counters and gauges by name,
+/// histograms as `count`/`sum`/`p50`/`p95`/`p99` plus their nonzero
+/// log₂ buckets as `[index, count]` pairs.
+pub fn metrics_json(snap: &MetricsSnapshot) -> Json {
+    let counters = snap
+        .counters
+        .iter()
+        .map(|(name, v)| (name.clone(), Json::count(*v)))
+        .collect();
+    let gauges = snap
+        .gauges
+        .iter()
+        .map(|(name, v)| (name.clone(), Json::Int(*v)))
+        .collect();
+    let histograms = snap
+        .histograms
+        .iter()
+        .map(|(name, h)| {
+            let buckets = h
+                .buckets()
+                .iter()
+                .map(|&(i, n)| Json::Arr(vec![Json::int(i), Json::count(n)]))
+                .collect();
+            let body = obj([
+                ("count", Json::count(h.count())),
+                ("sum", Json::count(h.sum())),
+                ("p50", Json::count(h.quantile(50))),
+                ("p95", Json::count(h.quantile(95))),
+                ("p99", Json::count(h.quantile(99))),
+                ("buckets", Json::Arr(buckets)),
+            ]);
+            (name.clone(), body)
+        })
+        .collect();
+    obj([
+        ("counters", Json::Obj(counters)),
+        ("gauges", Json::Obj(gauges)),
+        ("histograms", Json::Obj(histograms)),
+    ])
+}
+
+/// Reads a [`metrics_json`] body back (what a cluster client or
+/// `cq-trace top` gets from a worker). Lenient, because the body comes
+/// off the network: a missing section is empty, a non-integer counter
+/// or gauge is skipped, a negative counter, sum or bucket count reads
+/// 0, and a malformed bucket pair or an index outside the log₂ range is
+/// dropped. Count and quantiles are not read: the buckets determine
+/// them.
+pub fn metrics_from_json(body: &Json) -> MetricsSnapshot {
+    fn entries<'a, T>(
+        body: &'a Json,
+        section: &str,
+        value: impl Fn(&'a Json) -> Option<T>,
+    ) -> Vec<(String, T)> {
+        match body.get(section) {
+            Some(Json::Obj(fields)) => fields
+                .iter()
+                .filter_map(|(name, v)| Some((name.clone(), value(v)?)))
+                .collect(),
+            _ => Vec::new(),
+        }
+    }
+    let count = |v: &Json| v.as_i64().map(|n| n.max(0) as u64);
+    MetricsSnapshot {
+        counters: entries(body, "counters", count),
+        gauges: entries(body, "gauges", Json::as_i64),
+        histograms: entries(body, "histograms", |h| {
+            let pairs = h.get("buckets").and_then(Json::as_array).unwrap_or(&[]);
+            let pairs = pairs.iter().filter_map(|pair| match pair.as_array()? {
+                [i, n] => Some((i.as_usize()?, count(n)?)),
+                _ => None,
+            });
+            let sum = h.get("sum").and_then(count).unwrap_or(0);
+            Some(HistogramSnapshot::from_buckets(pairs, sum))
+        }),
+    }
 }
 
 #[cfg(test)]

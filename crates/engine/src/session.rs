@@ -543,6 +543,44 @@ pub struct QueryWidths {
     pub hypertree_exact: bool,
 }
 
+/// Width outcomes summed over many reports: a daemon's lifetime
+/// `width_exact`/`width_heuristic` counters and a cluster run's
+/// `width_stats`. Fed by [`WidthTally::add`] and combined by
+/// [`WidthTally::merge`], like [`cq_core::LpWork`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct WidthTally {
+    /// Reports whose hypertree width came from the exact search.
+    pub hypertree_exact: u64,
+    /// Reports whose hypertree width is a greedy upper bound (the
+    /// query was too large for the exact search).
+    pub hypertree_heuristic: u64,
+    /// Largest hypertree width seen.
+    pub max_hypertree_width: u64,
+    /// Largest treewidth seen.
+    pub max_treewidth: u64,
+}
+
+impl WidthTally {
+    /// Counts one report's widths.
+    pub fn add(&mut self, widths: &QueryWidths) {
+        *if widths.hypertree_exact {
+            &mut self.hypertree_exact
+        } else {
+            &mut self.hypertree_heuristic
+        } += 1;
+        self.max_hypertree_width = self.max_hypertree_width.max(widths.hypertree_width as u64);
+        self.max_treewidth = self.max_treewidth.max(widths.treewidth as u64);
+    }
+
+    /// Adds `other`'s counts and keeps the larger maxima.
+    pub fn merge(&mut self, other: &WidthTally) {
+        self.hypertree_exact += other.hypertree_exact;
+        self.hypertree_heuristic += other.hypertree_heuristic;
+        self.max_hypertree_width = self.max_hypertree_width.max(other.max_hypertree_width);
+        self.max_treewidth = self.max_treewidth.max(other.max_treewidth);
+    }
+}
+
 /// Result of [`AnalysisSession::data_check`].
 #[derive(Clone, Debug)]
 pub struct DataCheck {
@@ -707,5 +745,36 @@ mod tests {
         assert!(check.exact.unwrap().holds);
         assert!(check.product.unwrap().holds);
         assert_eq!(s.stats().color_lp_runs, 1);
+    }
+
+    #[test]
+    fn width_tally_counts_outcomes_and_keeps_maxima() {
+        let exact = QueryWidths {
+            treewidth: 2,
+            treewidth_exact: true,
+            hypertree_width: 2,
+            hypertree_exact: true,
+        };
+        let heuristic = QueryWidths {
+            treewidth: 5,
+            treewidth_exact: false,
+            hypertree_width: 3,
+            hypertree_exact: false,
+        };
+        let mut a = WidthTally::default();
+        a.add(&exact);
+        let mut b = WidthTally::default();
+        b.add(&heuristic);
+        b.add(&exact);
+        a.merge(&b);
+        assert_eq!(
+            a,
+            WidthTally {
+                hypertree_exact: 2,
+                hypertree_heuristic: 1,
+                max_hypertree_width: 3,
+                max_treewidth: 5
+            }
+        );
     }
 }

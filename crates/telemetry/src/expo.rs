@@ -25,8 +25,8 @@ pub fn render(snapshot: &MetricsSnapshot) -> String {
     for (name, hist) in &snapshot.histograms {
         out.push_str(&format!("# TYPE {name} histogram\n"));
         let mut cumulative = 0u64;
-        for &(bucket, count) in &hist.buckets {
-            cumulative += count;
+        for &(bucket, count) in hist.buckets() {
+            cumulative = cumulative.saturating_add(count);
             out.push_str(&format!(
                 "{name}_bucket{{le=\"{}\"}} {cumulative}\n",
                 bucket_upper_bound(bucket)
@@ -34,8 +34,8 @@ pub fn render(snapshot: &MetricsSnapshot) -> String {
         }
         out.push_str(&format!(
             "{name}_bucket{{le=\"+Inf\"}} {count}\n{name}_sum {sum}\n{name}_count {count}\n",
-            count = hist.count,
-            sum = hist.sum,
+            count = hist.count(),
+            sum = hist.sum(),
         ));
     }
     out

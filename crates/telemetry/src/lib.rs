@@ -8,9 +8,11 @@
 //!
 //! - [`Metrics`] — a process-wide registry of atomic [`Counter`]s,
 //!   [`Gauge`]s and log₂-bucketed [`Histogram`]s. Recording is a handful
-//!   of relaxed atomic operations; snapshots summarize each histogram
-//!   with count/sum/p50/p95/p99. [`Metrics::global`] is the registry the
-//!   wired layers (session, LP, cache, serve, cluster) record into.
+//!   of relaxed atomic operations. A [`MetricsSnapshot`] is a plain
+//!   value: its [`HistogramSnapshot`]s derive count and quantiles from
+//!   their buckets, and snapshots merge across processes and diff
+//!   across probes. [`Metrics::global`] is the registry the wired
+//!   layers (session, LP, cache, serve, cluster) record into.
 //! - [`Span`] — RAII phase timing. [`Span::enter`]`("phase")` opens a
 //!   span; dropping it emits one NDJSON event to the installed
 //!   [`TraceSink`] with parent/child nesting (thread-local stack) and
@@ -35,9 +37,9 @@
 //! metrics.histogram("demo_latency_micros").observe(300);
 //! let snap = metrics.snapshot();
 //! assert_eq!(snap.counters[0], ("demo_requests_total".to_owned(), 1));
-//! assert_eq!(snap.histograms[0].1.count, 1);
+//! assert_eq!(snap.histograms[0].1.count(), 1);
 //! // 300 falls in the bucket (255, 511]: p50 reports its upper bound.
-//! assert_eq!(snap.histograms[0].1.p50, 511);
+//! assert_eq!(snap.histograms[0].1.quantile(50), 511);
 //! ```
 
 pub mod expo;
@@ -45,8 +47,8 @@ pub mod metrics;
 pub mod span;
 
 pub use metrics::{
-    bucket_index, bucket_upper_bound, quantile_from_buckets, Counter, Gauge, Histogram,
-    HistogramSnapshot, Metrics, MetricsSnapshot, BUCKETS,
+    bucket_index, bucket_upper_bound, Counter, Gauge, Histogram, HistogramSnapshot, Metrics,
+    MetricsSnapshot, BUCKETS,
 };
 pub use span::{
     emit_event, fresh_trace_id, header_event, init_tracing, install_sink, next_span_id, now_micros,

@@ -42,13 +42,13 @@ proptest! {
             }
         });
         let snap = hist.snapshot();
-        prop_assert_eq!(snap.count, values.len() as u64);
+        prop_assert_eq!(snap.count(), values.len() as u64);
         let expected_sum = values.iter().fold(0u64, |acc, &v| acc.saturating_add(v));
-        prop_assert_eq!(snap.sum, expected_sum);
+        prop_assert_eq!(snap.sum(), expected_sum);
         // Buckets partition the observations exactly.
-        let bucket_total: u64 = snap.buckets.iter().map(|&(_, n)| n).sum();
-        prop_assert_eq!(bucket_total, snap.count);
-        for &(i, n) in &snap.buckets {
+        let bucket_total: u64 = snap.buckets().iter().map(|&(_, n)| n).sum();
+        prop_assert_eq!(bucket_total, snap.count());
+        for &(i, n) in snap.buckets() {
             let expected = values.iter().filter(|&&v| bucket_index(v) == i).count() as u64;
             prop_assert_eq!(n, expected);
         }
@@ -63,14 +63,14 @@ proptest! {
             hist.observe(v);
         }
         let snap = hist.snapshot();
-        prop_assert!(snap.p50 <= snap.p95 && snap.p95 <= snap.p99);
+        prop_assert!(snap.quantile(50) <= snap.quantile(95) && snap.quantile(95) <= snap.quantile(99));
         let max = *values.iter().max().expect("nonempty");
         let min = *values.iter().min().expect("nonempty");
         // Every percentile is the bound of some occupied bucket, and is
         // bracketed by the extreme observations' bucket bounds.
-        for p in [snap.p50, snap.p95, snap.p99] {
+        for p in [snap.quantile(50), snap.quantile(95), snap.quantile(99)] {
             prop_assert!(snap
-                .buckets
+                .buckets()
                 .iter()
                 .any(|&(i, _)| bucket_upper_bound(i) == p));
             prop_assert!(p >= min, "percentile below the minimum observation");
@@ -78,7 +78,7 @@ proptest! {
         }
         // p99 covers the maximum observation's bucket.
         if values.len() < 100 {
-            prop_assert_eq!(snap.p99, bucket_upper_bound(bucket_index(max)));
+            prop_assert_eq!(snap.quantile(99), bucket_upper_bound(bucket_index(max)));
         }
     }
 }

@@ -18,13 +18,14 @@
 //! - **cycles** (forged parent loops): one edge per cycle is cut, the
 //!   cut node becomes a root, counted in [`Trace::cycles_broken`].
 //!
-//! Analysis reuses the telemetry layer's log₂ bucket semantics
-//! ([`cq_telemetry::bucket_index`] / [`quantile_from_buckets`]) so the
-//! p50/p95/p99 a trace file yields agree with what the live `metrics`
-//! command reports for the same phase.
+//! Analysis accumulates each phase's span durations into the telemetry
+//! layer's [`HistogramSnapshot`], so the p50/p95/p99 a trace file
+//! yields agree with what the live `metrics` command reports for the
+//! same phase, and totals saturate instead of wrapping on forged
+//! durations.
 
 use crate::ingest::{Ingest, RawEvent};
-use cq_telemetry::{bucket_index, quantile_from_buckets, BUCKETS};
+use cq_telemetry::HistogramSnapshot;
 use std::collections::{BTreeMap, HashMap};
 
 /// One span inside an assembled trace tree.
@@ -80,26 +81,18 @@ impl Trace {
 #[derive(Clone, Debug)]
 pub struct PhaseStat {
     pub name: String,
-    pub count: u64,
-    pub total_micros: u64,
     /// Total minus the summed durations of direct children: the time
-    /// the phase spent in its own code.
+    /// the phase spent in its own code (saturating).
     pub self_micros: u64,
-    pub buckets: [u64; BUCKETS],
+    /// The phase's span durations: count, saturating total, quantiles.
+    pub durations: HistogramSnapshot,
 }
 
 impl PhaseStat {
     /// The p-th percentile span duration, by the telemetry layer's
     /// log₂-bucket upper-bound convention.
     pub fn quantile(&self, p: u64) -> u64 {
-        let buckets: Vec<(usize, u64)> = self
-            .buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| **n > 0)
-            .map(|(i, n)| (i, *n))
-            .collect();
-        quantile_from_buckets(&buckets, self.count, p)
+        self.durations.quantile(p)
     }
 }
 
@@ -149,9 +142,10 @@ pub fn assemble(ingest: Ingest) -> Assembly {
     let mut child_sums: HashMap<(usize, usize, u64), u64> = HashMap::new();
     for event in &events {
         if let Some(parent) = event.parent {
-            *child_sums
+            let sum = child_sums
                 .entry((event.file, event.segment, parent))
-                .or_default() += event.micros;
+                .or_default();
+            *sum = sum.saturating_add(event.micros);
         }
     }
 
@@ -161,19 +155,17 @@ pub fn assemble(ingest: Ingest) -> Assembly {
             .entry(event.name.as_str())
             .or_insert_with(|| PhaseStat {
                 name: event.name.clone(),
-                count: 0,
-                total_micros: 0,
                 self_micros: 0,
-                buckets: [0; BUCKETS],
+                durations: HistogramSnapshot::default(),
             });
-        stat.count += 1;
-        stat.total_micros += event.micros;
+        stat.durations.observe(event.micros);
         let children = child_sums
             .get(&(event.file, event.segment, event.span))
             .copied()
             .unwrap_or(0);
-        stat.self_micros += event.micros.saturating_sub(children);
-        stat.buckets[bucket_index(event.micros)] += 1;
+        stat.self_micros = stat
+            .self_micros
+            .saturating_add(event.micros.saturating_sub(children));
     }
     let phases: Vec<PhaseStat> = phases.into_values().collect();
 
@@ -410,9 +402,9 @@ mod tests {
             .iter()
             .find(|p| p.name == "serve.execute")
             .unwrap();
-        assert_eq!(execute.total_micros, 90);
+        assert_eq!(execute.durations.sum(), 90);
         assert_eq!(execute.self_micros, 10);
-        assert_eq!(execute.count, 1);
+        assert_eq!(execute.durations.count(), 1);
         assert!(execute.quantile(50) >= 90);
     }
 
@@ -503,8 +495,8 @@ mod tests {
         assert!(assembly.traces.is_empty());
         assert_eq!(assembly.untraced_spans, 2);
         assert_eq!(assembly.phases.len(), 1);
-        assert_eq!(assembly.phases[0].count, 2);
-        assert_eq!(assembly.phases[0].total_micros, 40);
+        assert_eq!(assembly.phases[0].durations.count(), 2);
+        assert_eq!(assembly.phases[0].durations.sum(), 40);
     }
 
     #[test]

@@ -7,12 +7,13 @@
 //! at worst counted once by — the worker's own accounting exactly as
 //! the cluster client's probes are. Quantiles in the merged per-phase
 //! table come from bucket-wise histogram merging
-//! ([`cq_telemetry::quantile_from_buckets`]): quantiles do not compose
-//! across workers, bucket counts do.
+//! ([`cq_telemetry::HistogramSnapshot::merge`]): quantiles do not
+//! compose across workers, bucket counts do.
 
 use cq_cluster::WorkerAddr;
+use cq_engine::serve::metrics_from_json;
 use cq_engine::Json;
-use cq_telemetry::{quantile_from_buckets, BUCKETS};
+use cq_telemetry::{HistogramSnapshot, MetricsSnapshot};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Write as _};
@@ -20,8 +21,8 @@ use std::io::{BufRead, BufReader, Write as _};
 /// One worker's `metrics` + `stats` bodies from a single poll.
 #[derive(Debug)]
 pub struct WorkerSnapshot {
-    /// The `metrics` response body (`{"counters":…,"histograms":…}`).
-    pub metrics: Json,
+    /// The `metrics` response body, parsed.
+    pub metrics: MetricsSnapshot,
     /// The `stats` response body.
     pub stats: Json,
 }
@@ -44,12 +45,12 @@ pub fn poll_worker(addr: &WorkerAddr) -> Result<WorkerSnapshot, String> {
         }
         Json::parse(line.trim_end()).map_err(|e| format!("bad response: {e}"))
     };
-    let mut metrics: Option<Json> = None;
+    let mut metrics: Option<MetricsSnapshot> = None;
     let mut stats: Option<Json> = None;
     for _ in 0..2 {
         let response = read_line()?;
         if let Some(body) = response.get("metrics") {
-            metrics = Some(body.clone());
+            metrics = Some(metrics_from_json(body));
         } else if let Some(body) = response.get("stats") {
             stats = Some(body.clone());
         }
@@ -81,7 +82,8 @@ pub fn render_top(rows: &[(String, Result<WorkerSnapshot, String>)]) -> String {
                     snap.stats.get(name).and_then(Json::as_i64).unwrap_or(0)
                 };
                 let (hits, misses) = cache_traffic(&snap.stats);
-                let (p50, p95, p99) = execute_quantiles(&snap.metrics);
+                let execute = snap.metrics.histogram("cq_serve_execute_micros");
+                let q = |p| execute.map_or(0, |h| h.quantile(p));
                 let _ = writeln!(
                     out,
                     "{:<28} {:>9} {:>9} {:>7} {:>9} {:>9} {:>9} {:>9} {:>9}",
@@ -89,9 +91,9 @@ pub fn render_top(rows: &[(String, Result<WorkerSnapshot, String>)]) -> String {
                     stat("requests"),
                     stat("requests_in_flight"),
                     stat("errors"),
-                    p50,
-                    p95,
-                    p99,
+                    q(50),
+                    q(95),
+                    q(99),
                     hits,
                     misses
                 );
@@ -99,7 +101,17 @@ pub fn render_top(rows: &[(String, Result<WorkerSnapshot, String>)]) -> String {
         }
     }
 
-    let merged = merge_phase_histograms(rows);
+    // Bucket-wise merge of every worker's histograms, keyed by display
+    // name (`cq_lp_exact_verify_micros` → `lp.exact_verify`).
+    let mut merged: BTreeMap<String, HistogramSnapshot> = BTreeMap::new();
+    for snap in rows.iter().filter_map(|(_, s)| s.as_ref().ok()) {
+        for (name, hist) in &snap.metrics.histograms {
+            merged
+                .entry(phase_display_name(name))
+                .or_default()
+                .merge(hist);
+        }
+    }
     if !merged.is_empty() {
         let _ = writeln!(out);
         let _ = writeln!(
@@ -108,76 +120,19 @@ pub fn render_top(rows: &[(String, Result<WorkerSnapshot, String>)]) -> String {
             "phase", "count", "total_ms", "p50us", "p95us", "p99us"
         );
         for (name, hist) in merged {
-            let buckets: Vec<(usize, u64)> = hist
-                .buckets
-                .iter()
-                .enumerate()
-                .filter(|(_, n)| **n > 0)
-                .map(|(i, n)| (i, *n))
-                .collect();
-            let q = |p: u64| quantile_from_buckets(&buckets, hist.count, p);
             let _ = writeln!(
                 out,
                 "{:<28} {:>9} {:>12} {:>9} {:>9} {:>9}",
                 name,
-                hist.count,
-                hist.sum / 1000,
-                q(50),
-                q(95),
-                q(99)
+                hist.count(),
+                hist.sum() / 1000,
+                hist.quantile(50),
+                hist.quantile(95),
+                hist.quantile(99)
             );
         }
     }
     out
-}
-
-struct MergedHistogram {
-    count: u64,
-    sum: u64,
-    buckets: [u64; BUCKETS],
-}
-
-/// Bucket-wise merge of every worker's `cq_*_micros` histograms, keyed
-/// by display name (`cq_lp_exact_verify_micros` → `lp.exact_verify`).
-fn merge_phase_histograms(
-    rows: &[(String, Result<WorkerSnapshot, String>)],
-) -> BTreeMap<String, MergedHistogram> {
-    let mut merged: BTreeMap<String, MergedHistogram> = BTreeMap::new();
-    for (_, snapshot) in rows {
-        let Ok(snap) = snapshot else { continue };
-        let Some(Json::Obj(histograms)) = snap.metrics.get("histograms") else {
-            continue;
-        };
-        for (name, hist) in histograms {
-            let entry = merged
-                .entry(phase_display_name(name))
-                .or_insert_with(|| MergedHistogram {
-                    count: 0,
-                    sum: 0,
-                    buckets: [0; BUCKETS],
-                });
-            let field = |key: &str| hist.get(key).and_then(Json::as_i64).unwrap_or(0).max(0) as u64;
-            entry.count += field("count");
-            entry.sum += field("sum");
-            if let Some(buckets) = hist.get("buckets").and_then(Json::as_array) {
-                for pair in buckets {
-                    let Some(pair) = pair.as_array() else {
-                        continue;
-                    };
-                    let (Some(index), Some(count)) = (
-                        pair.first().and_then(Json::as_usize),
-                        pair.get(1).and_then(Json::as_i64),
-                    ) else {
-                        continue;
-                    };
-                    if index < BUCKETS {
-                        entry.buckets[index] += count.max(0) as u64;
-                    }
-                }
-            }
-        }
-    }
-    merged
 }
 
 /// `cq_serve_execute_micros` → `serve.execute`; names that do not fit
@@ -195,27 +150,18 @@ fn phase_display_name(metric: &str) -> String {
     }
 }
 
+/// Hits and misses summed over the `stats` body's cache shards
+/// (saturating: a forged or corrupt body cannot overflow the row).
 fn cache_traffic(stats: &Json) -> (i64, i64) {
-    let (mut hits, mut misses) = (0, 0);
+    let (mut hits, mut misses) = (0i64, 0i64);
     if let Some(shards) = stats.get("cache_shards").and_then(Json::as_array) {
         for shard in shards {
-            hits += shard.get("hits").and_then(Json::as_i64).unwrap_or(0);
-            misses += shard.get("misses").and_then(Json::as_i64).unwrap_or(0);
+            let field = |key| shard.get(key).and_then(Json::as_i64).unwrap_or(0);
+            hits = hits.saturating_add(field("hits"));
+            misses = misses.saturating_add(field("misses"));
         }
     }
     (hits, misses)
-}
-
-fn execute_quantiles(metrics: &Json) -> (i64, i64, i64) {
-    let hist = metrics
-        .get("histograms")
-        .and_then(|h| h.get("cq_serve_execute_micros"));
-    let q = |key: &str| -> i64 {
-        hist.and_then(|h| h.get(key))
-            .and_then(Json::as_i64)
-            .unwrap_or(0)
-    };
-    (q("p50"), q("p95"), q("p99"))
 }
 
 #[cfg(test)]
@@ -223,15 +169,17 @@ mod tests {
     use super::*;
 
     fn snapshot(requests: i64, chase_count: i64, bucket: usize) -> WorkerSnapshot {
-        let metrics = Json::parse(&format!(
-            r#"{{"counters":{{"cq_serve_requests_total":{requests}}},
+        let metrics = metrics_from_json(
+            &Json::parse(&format!(
+                r#"{{"counters":{{"cq_serve_requests_total":{requests}}},
                 "histograms":{{
                   "cq_serve_execute_micros":{{"count":{requests},"sum":900,
                     "p50":511,"p95":1023,"p99":1023,"buckets":[[{bucket},{requests}]]}},
                   "cq_session_chase_micros":{{"count":{chase_count},"sum":100,
                     "p50":255,"p95":255,"p99":255,"buckets":[[8,{chase_count}]]}}}}}}"#
-        ))
-        .unwrap();
+            ))
+            .unwrap(),
+        );
         let stats = Json::parse(&format!(
             r#"{{"requests":{requests},"errors":0,"requests_in_flight":0,
                 "cache_shards":[{{"hits":3,"misses":4}},{{"hits":1,"misses":0}}]}}"#
@@ -268,6 +216,41 @@ mod tests {
             worker_line.trim_end().ends_with("4         4"),
             "{worker_line:?}"
         );
+    }
+
+    /// Forged bodies at the `i64` limit saturate instead of wrapping:
+    /// three workers' `i64::MAX` histograms merge to a `u64::MAX`
+    /// count, and two `i64::MAX` cache shards read `i64::MAX` hits.
+    #[test]
+    fn huge_worker_counters_saturate() {
+        let max = i64::MAX;
+        let worker = || {
+            let metrics = metrics_from_json(
+                &Json::parse(&format!(
+                    r#"{{"counters":{{}},"histograms":{{"cq_x_micros":{{"count":{max},
+                        "sum":{max},"p50":7,"p95":7,"p99":7,"buckets":[[3,{max}]]}}}}}}"#
+                ))
+                .unwrap(),
+            );
+            let stats = Json::parse(&format!(
+                r#"{{"requests":1,"errors":0,"requests_in_flight":0,
+                    "cache_shards":[{{"hits":{max},"misses":0}},{{"hits":{max},"misses":0}}]}}"#
+            ))
+            .unwrap();
+            Ok(WorkerSnapshot { metrics, stats })
+        };
+        let rows: Vec<_> = (1..=3).map(|i| (format!("w{i}"), worker())).collect();
+        let out = render_top(&rows);
+        let worker_line = out.lines().find(|l| l.starts_with("w1")).unwrap();
+        let fields: Vec<&str> = worker_line.split_whitespace().collect();
+        assert_eq!(
+            fields[fields.len() - 2..],
+            [max.to_string(), "0".to_owned()]
+        );
+        let phase_line = out.lines().find(|l| l.starts_with("x ")).unwrap();
+        let fields: Vec<&str> = phase_line.split_whitespace().collect();
+        let (count, total_ms) = (u64::MAX.to_string(), (u64::MAX / 1000).to_string());
+        assert_eq!(fields, ["x", &count, &total_ms, "7", "7", "7"]);
     }
 
     #[test]

@@ -61,6 +61,34 @@ fn random_lines(seed: u64) -> Vec<String> {
         .collect()
 }
 
+/// A span file whose durations reach the top of the non-negative
+/// `i64` range: each span's `micros` is small, exactly `i64::MAX`, or
+/// any 63-bit value, so a phase's spans add up far past `u64::MAX`.
+fn huge_duration_lines(seed: u64) -> Vec<String> {
+    let mut rng = Lcg(seed.wrapping_mul(2).wrapping_add(1));
+    let count = (rng.next() % 24 + 1) as usize;
+    (0..count)
+        .map(|i| {
+            let span = i as u64 + 1;
+            let name = NAMES[(rng.next() % NAMES.len() as u64) as usize];
+            let parent = match rng.next() % 2 {
+                0 => String::new(),
+                _ => format!(",\"parent\":{}", rng.next() % span + 1),
+            };
+            let micros = match rng.next() % 3 {
+                0 => rng.next() % 100_000,
+                1 => i64::MAX as u64,
+                _ => ((rng.next() << 32) | rng.next()) & i64::MAX as u64,
+            };
+            format!(
+                "{{\"name\":\"{name}\",\"trace_id\":\"t-0\",\"span\":{span}{parent},\
+                 \"start_micros\":{},\"micros\":{micros}}}",
+                rng.next() % 10_000,
+            )
+        })
+        .collect()
+}
+
 proptest! {
     #[test]
     fn truncated_ingestion_recovers_every_complete_record(
@@ -107,7 +135,7 @@ proptest! {
         let in_traces: usize = assembly.traces.iter().map(|t| t.spans.len()).sum();
         let dup_spans: usize = assembly.traces.iter().map(|t| t.duplicate_spans).sum();
         prop_assert_eq!(in_traces + dup_spans + assembly.untraced_spans, assembly.spans_total);
-        let phase_total: u64 = assembly.phases.iter().map(|p| p.count).sum();
+        let phase_total: u64 = assembly.phases.iter().map(|p| p.durations.count()).sum();
         prop_assert_eq!(phase_total as usize, assembly.spans_total);
     }
 
@@ -120,5 +148,41 @@ proptest! {
         ingest_bytes("fuzz.trace", full.as_bytes(), &mut ingest);
         prop_assert!(ingest.warnings.is_empty(), "{:?}", ingest.warnings);
         prop_assert_eq!(ingest.events.len(), lines.len());
+    }
+
+    /// Span durations anywhere in the non-negative `i64` range never
+    /// make assembly panic, and totals saturate rather than wrap: each
+    /// phase's total is at least its longest span.
+    #[test]
+    fn huge_span_durations_saturate_phase_totals(seed in any::<u64>()) {
+        let mut text = huge_duration_lines(seed).join("\n");
+        text.push('\n');
+        let mut ingest = Ingest::default();
+        ingest_bytes("huge.trace", text.as_bytes(), &mut ingest);
+        prop_assert!(ingest.warnings.is_empty(), "{:?}", ingest.warnings);
+        let longest = |name: &str| {
+            ingest
+                .events
+                .iter()
+                .filter(|e| e.name == name)
+                .map(|e| e.micros)
+                .max()
+        };
+        let longest: Vec<(String, Option<u64>)> = NAMES
+            .iter()
+            .map(|&name| (name.to_owned(), longest(name)))
+            .collect();
+        let assembly = assemble(ingest);
+        for phase in &assembly.phases {
+            let (_, max) = longest.iter().find(|(n, _)| *n == phase.name).unwrap();
+            let max = max.unwrap();
+            prop_assert!(
+                phase.durations.sum() >= max,
+                "{}: total {} below its longest span {max}",
+                phase.name,
+                phase.durations.sum()
+            );
+            prop_assert!(phase.self_micros <= phase.durations.sum());
+        }
     }
 }

@@ -216,6 +216,13 @@ fn summary_json(run: &ClusterRun) -> Json {
             ])
         })
         .collect();
+    let widths = &run.widths;
+    let requests = run.metrics.counter("cq_serve_requests_total").unwrap_or(0);
+    let execute = run
+        .metrics
+        .histogram("cq_serve_execute_micros")
+        .cloned()
+        .unwrap_or_default();
     obj([
         ("cache_stats", cache_stats_json(Some(run.cache))),
         (
@@ -227,36 +234,30 @@ fn summary_json(run: &ClusterRun) -> Json {
                 (
                     "width_stats",
                     obj([
-                        (
-                            "hypertree_exact",
-                            Json::int(run.widths.hypertree_exact as usize),
-                        ),
+                        ("hypertree_exact", Json::count(widths.hypertree_exact)),
                         (
                             "hypertree_heuristic",
-                            Json::int(run.widths.hypertree_heuristic as usize),
+                            Json::count(widths.hypertree_heuristic),
                         ),
                         (
                             "max_hypertree_width",
-                            Json::int(run.widths.max_hypertree_width as usize),
+                            Json::count(widths.max_hypertree_width),
                         ),
-                        (
-                            "max_treewidth",
-                            Json::int(run.widths.max_treewidth as usize),
-                        ),
+                        ("max_treewidth", Json::count(widths.max_treewidth)),
                     ]),
                 ),
                 (
                     "metrics",
                     obj([
-                        ("requests", Json::count(run.metrics.requests)),
+                        ("requests", Json::count(requests)),
                         (
                             "execute_micros",
                             obj([
-                                ("count", Json::count(run.metrics.execute_count())),
-                                ("sum", Json::count(run.metrics.execute_sum)),
-                                ("p50", Json::count(run.metrics.execute_quantile(50))),
-                                ("p95", Json::count(run.metrics.execute_quantile(95))),
-                                ("p99", Json::count(run.metrics.execute_quantile(99))),
+                                ("count", Json::count(execute.count())),
+                                ("sum", Json::count(execute.sum())),
+                                ("p50", Json::count(execute.quantile(50))),
+                                ("p95", Json::count(execute.quantile(95))),
+                                ("p99", Json::count(execute.quantile(99))),
                             ]),
                         ),
                     ]),

@@ -185,8 +185,8 @@ fn assembly_text(assembly: &Assembly, top: usize) -> String {
                 out,
                 "{:<28} {:>8} {:>12} {:>12} {:>9} {:>9} {:>9}",
                 phase.name,
-                phase.count,
-                phase.total_micros / 1000,
+                phase.durations.count(),
+                phase.durations.sum() / 1000,
                 phase.self_micros / 1000,
                 phase.quantile(50),
                 phase.quantile(95),
@@ -277,7 +277,7 @@ fn assembly_json(assembly: &Assembly, top: usize) -> Json {
                 ("duplicates_dropped", Json::int(t.duplicates_dropped)),
                 ("duplicate_spans", Json::int(t.duplicate_spans)),
                 ("cycles_broken", Json::int(t.cycles_broken)),
-                ("total_micros", Json::int(t.total_micros as usize)),
+                ("total_micros", Json::count(t.total_micros)),
                 ("critical_path", Json::Arr(critical)),
                 ("phase_counts", Json::Obj(phase_counts)),
             ])
@@ -290,12 +290,12 @@ fn assembly_json(assembly: &Assembly, top: usize) -> Json {
             (
                 p.name.clone(),
                 obj([
-                    ("count", Json::int(p.count as usize)),
-                    ("total_micros", Json::int(p.total_micros as usize)),
-                    ("self_micros", Json::int(p.self_micros as usize)),
-                    ("p50", Json::int(p.quantile(50) as usize)),
-                    ("p95", Json::int(p.quantile(95) as usize)),
-                    ("p99", Json::int(p.quantile(99) as usize)),
+                    ("count", Json::count(p.durations.count())),
+                    ("total_micros", Json::count(p.durations.sum())),
+                    ("self_micros", Json::count(p.self_micros)),
+                    ("p50", Json::count(p.quantile(50))),
+                    ("p95", Json::count(p.quantile(95))),
+                    ("p99", Json::count(p.quantile(99))),
                 ]),
             )
         })

@@ -330,10 +330,17 @@ fn cluster_traces_land_on_exactly_one_worker_and_histograms_count_requests() {
 
     // The merged cross-worker latency histogram counts exactly the batch
     // requests between the client's before/after probes: one per input.
-    assert_eq!(run.metrics.requests, inputs.len() as u64);
-    assert_eq!(run.metrics.execute_count(), inputs.len() as u64);
+    let execute = run
+        .metrics
+        .histogram("cq_serve_execute_micros")
+        .expect("execute histogram");
+    assert_eq!(
+        run.metrics.counter("cq_serve_requests_total"),
+        Some(inputs.len() as u64)
+    );
+    assert_eq!(execute.count(), inputs.len() as u64);
     assert!(
-        run.metrics.execute_quantile(99) >= run.metrics.execute_quantile(50),
+        execute.quantile(99) >= execute.quantile(50),
         "quantiles from merged buckets must be monotone"
     );
 

@@ -11,10 +11,16 @@
 //! 2. **Flamegraph export round-trips** — `cq-trace flame` output from
 //!    a traced run parses back through the strict folded-stack parser
 //!    and conserves the traced self time.
+//! 3. **`top` reads a live daemon exactly** — the rendered worker row
+//!    and merged `serve.execute` phase agree with the daemon's own
+//!    `stats` and `metrics` answers.
 
 use cq_cluster::{ClusterClient, PlanMode, ServeChild, WorkerAddr};
+use cq_engine::serve::metrics_from_json;
 use cq_engine::Json;
+use cq_trace::{poll_worker, render_top};
 use std::collections::HashSet;
+use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -147,13 +153,17 @@ fn cluster_trace_files_assemble_completely_and_match_merged_metrics() {
     // and each of those batch requests carried exactly one traced
     // query — so client-id traces and histogram observations are in
     // bijection.
-    assert_eq!(run.metrics.execute_count(), inputs.len() as u64);
+    let execute_count = run
+        .metrics
+        .histogram("cq_serve_execute_micros")
+        .map_or(0, |h| h.count());
+    assert_eq!(execute_count, inputs.len() as u64);
     let client_traces = assembly
         .traces
         .iter()
         .filter(|t| unique.contains(t.trace_id.as_str()))
         .count();
-    assert_eq!(client_traces as u64, run.metrics.execute_count());
+    assert_eq!(client_traces as u64, execute_count);
 
     // And the per-phase totals: every request a worker handled — the
     // batch requests the histogram counted plus the client's 4 probes
@@ -165,13 +175,10 @@ fn cluster_trace_files_assemble_completely_and_match_merged_metrics() {
             .phases
             .iter()
             .find(|p| p.name == name)
-            .map_or(0, |p| p.count)
+            .map_or(0, |p| p.durations.count())
     };
     let probes = 4 * trace_files.len() as u64;
-    assert_eq!(
-        phase_count("serve.execute"),
-        run.metrics.execute_count() + probes
-    );
+    assert_eq!(phase_count("serve.execute"), execute_count + probes);
     assert_eq!(phase_count("serve.request"), phase_count("serve.execute"));
     let execute_phase = assembly
         .phases
@@ -263,4 +270,90 @@ fn flame_and_assemble_json_round_trip_from_a_traced_run() {
     );
 
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `cq-trace top` against a real `cq-serve`: after `n` `analyze`
+/// requests, one poll renders the daemon's request count and execute
+/// histogram exactly as its own `stats` and `metrics` report them.
+#[test]
+fn top_renders_what_a_live_daemon_reports() {
+    // One pool thread: the poll's pipelined `metrics` and `stats`
+    // probes then run in order, so every count below is exact.
+    let child = ServeChild::spawn(
+        Path::new(env!("CARGO_BIN_EXE_cq-serve")),
+        &["--threads", "1"],
+    )
+    .expect("spawn cq-serve");
+    let addr = child.addr();
+    let mut conn = addr.connect().expect("connect");
+    let mut reader = BufReader::new(conn.try_clone().expect("clone"));
+    let mut ask = |request: &str| -> Json {
+        writeln!(conn, "{request}").expect("write");
+        conn.flush().expect("flush");
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("read");
+        Json::parse(line.trim_end()).expect("response JSON")
+    };
+    let n = 7u64;
+    for i in 0..n {
+        let query = if i % 2 == 0 {
+            "S(X,Y,Z) :- R(X,Y), R(X,Z), R(Y,Z)"
+        } else {
+            "Q(X,Y,Z) :- S(X,Y), T(Y,Z)"
+        };
+        let response = ask(&format!(
+            r#"{{"id":{i},"cmd":"analyze","query":"{query}"}}"#
+        ));
+        assert_eq!(
+            response.get("ok"),
+            Some(&Json::Bool(true)),
+            "{}",
+            response.render()
+        );
+    }
+
+    let snapshot = poll_worker(addr).expect("poll the daemon");
+    let frame = render_top(&[(addr.to_string(), Ok(snapshot))]);
+
+    // The daemon's own account, asked after the poll on the first
+    // connection: `metrics` (not counted by its request counter or
+    // execute histogram), then `stats` (counted in every series).
+    let metrics = ask(r#"{"id":"m","cmd":"metrics"}"#);
+    let metrics = metrics_from_json(metrics.get("metrics").expect("metrics body"));
+    let stats = ask(r#"{"id":"s","cmd":"stats"}"#);
+    let stats_requests = stats
+        .get("stats")
+        .and_then(|s| s.get("requests"))
+        .and_then(Json::as_i64)
+        .expect("stats requests") as u64;
+    let executed = metrics
+        .histogram("cq_serve_execute_micros")
+        .expect("execute histogram")
+        .count();
+
+    let row: Vec<&str> = frame
+        .lines()
+        .find(|l| l.starts_with(&addr.to_string()))
+        .unwrap_or_else(|| panic!("no worker row:\n{frame}"))
+        .split_whitespace()
+        .collect();
+    let phase: Vec<&str> = frame
+        .lines()
+        .find(|l| l.starts_with("serve.execute "))
+        .unwrap_or_else(|| panic!("no serve.execute phase:\n{frame}"))
+        .split_whitespace()
+        .collect();
+    let row_requests: u64 = row[1].parse().unwrap();
+    let phase_count: u64 = phase[1].parse().unwrap();
+
+    // The poll's `stats` counted the analyses, the poll's `metrics`
+    // and itself; the daemon's final `stats` adds the two probes sent
+    // since.
+    assert_eq!(row_requests, n + 2, "{frame}");
+    assert_eq!(row_requests, stats_requests - 2, "{frame}");
+    // The poll's `metrics` saw the analyses; the daemon's own histogram
+    // also holds the poll's `stats`, which ran after it.
+    assert_eq!(phase_count, n, "{frame}");
+    assert_eq!(phase_count, executed - 1, "{frame}");
+    assert_eq!(metrics.counter("cq_serve_requests_total"), Some(executed));
 }
