@@ -7,8 +7,9 @@
 //!   bound at that point of the order. Correct for every conjunctive
 //!   query (projections, repeated variables, repeated relations).
 //! - [`count_answers`] — `|Q(D)|` from the same search without building
-//!   `Q(D)`: full queries count satisfying assignments, projections
-//!   deduplicate packed head tuples.
+//!   `Q(D)`: full queries count satisfying assignments; projections group
+//!   the search on the head values its first atom binds and deduplicate
+//!   only the remaining head values, one group at a time.
 //! - [`join_project_plan`] / [`evaluate_by_plan`] — the Corollary 4.8
 //!   plan for queries whose head contains all variables: each atom is
 //!   reduced to a relation over its distinct variables, then the atoms
@@ -23,6 +24,7 @@ use crate::query::{Atom, ConjunctiveQuery, VarIdx};
 use cq_relation::{natural_join, Database, Relation, Schema, Value};
 use cq_util::FxHashMap;
 use std::fmt;
+use std::ops::ControlFlow;
 
 /// Evaluates `q` over `db`, returning the output relation (named `Q`,
 /// one column per head position).
@@ -44,10 +46,11 @@ use std::fmt;
 pub fn evaluate(q: &ConjunctiveQuery, db: &Database) -> Relation {
     let out_schema = Schema::with_attrs("Q", q.head().iter().map(|&v| q.var_name(v).to_owned()));
     let mut out = Relation::new(out_schema);
-    if let Some(plan) = Plan::new(q, db) {
+    if let Some(plan) = Plan::new(q, db, &[]) {
         plan.search(&plan.steps, |assignment, _| {
             let row: Vec<Value> = q.head().iter().map(|&v| bound(assignment, v)).collect();
             out.insert(row);
+            ControlFlow::Continue(())
         });
     }
     out
@@ -58,9 +61,13 @@ pub fn evaluate(q: &ConjunctiveQuery, db: &Database) -> Relation {
 ///
 /// A full query (every variable of the body in the head) has one answer
 /// per satisfying assignment, so its search counts the last step's
-/// matching rows without binding them. A projection deduplicates the
-/// tuples of its distinct head variables (repeating a head variable
-/// repeats a column, not an answer); a Boolean query counts 0 or 1.
+/// matching rows without binding them. A projection counts its distinct
+/// head variables' tuples (repeating a head variable repeats a column,
+/// not an answer): its search groups the first atom's rows on the head
+/// values they bind and deduplicates the remaining head values in one
+/// set cleared after each group, so the set only ever holds one group's
+/// answers. A group whose atom binds the whole head counts 1 at its
+/// first witness; a Boolean query is one such group and counts 0 or 1.
 ///
 /// ```
 /// use cq_core::{count_answers, parse_query};
@@ -75,30 +82,62 @@ pub fn evaluate(q: &ConjunctiveQuery, db: &Database) -> Relation {
 /// # Panics
 /// As [`evaluate`].
 pub fn count_answers(q: &ConjunctiveQuery, db: &Database) -> usize {
-    let Some(plan) = Plan::new(q, db) else {
-        return 0;
-    };
     if q.is_join_query() {
+        let Some(plan) = Plan::new(q, db, &[]) else {
+            return 0;
+        };
         let Some((last, init)) = plan.steps.split_last() else {
             return 1; // empty body: the empty substitution
         };
         let mut count = 0;
         plan.search(init, |assignment, key| {
             count += last.candidates(assignment, key).len();
+            ControlFlow::Continue(())
         });
         return count;
     }
     let mut head: Vec<VarIdx> = q.head().to_vec();
     head.sort_unstable();
     head.dedup();
-    let mut seen: TupleMap<()> = TupleMap::new(head.len());
-    let mut tuple = Vec::with_capacity(head.len());
-    plan.search(&plan.steps, |assignment, _| {
-        tuple.clear();
-        tuple.extend(head.iter().map(|&v| bound(assignment, v)));
-        seen.entry(&tuple);
-    });
-    seen.len()
+    // The first step's rows are grouped on the head variables it binds;
+    // the rest of the head is deduplicated within each group.
+    let Some(plan) = Plan::new(q, db, &head) else {
+        return 0;
+    };
+    let Some((first, rest)) = plan.steps.split_first() else {
+        return 1; // empty body: the empty substitution
+    };
+    let rest_head: Vec<VarIdx> = head
+        .iter()
+        .copied()
+        .filter(|&v| first.binds.iter().all(|&(_, b)| b != v))
+        .collect();
+    let mut assignment = vec![None; plan.num_vars];
+    let mut key = Vec::new();
+    let mut seen: TupleMap<()> = TupleMap::new(rest_head.len());
+    let mut tuple = Vec::with_capacity(rest_head.len());
+    let mut count = 0;
+    for rows in first.rows.values() {
+        seen.clear();
+        for row in rows {
+            first.bind(row, &mut assignment);
+            let flow = descend(rest, &mut assignment, &mut key, &mut |assignment, _| {
+                tuple.clear();
+                tuple.extend(rest_head.iter().map(|&v| bound(assignment, v)));
+                seen.entry(&tuple);
+                if rest_head.is_empty() {
+                    ControlFlow::Break(()) // the group has its one answer
+                } else {
+                    ControlFlow::Continue(())
+                }
+            });
+            if flow.is_break() {
+                break;
+            }
+        }
+        count += seen.len();
+    }
+    count
 }
 
 /// A body atom whose relation has a different arity in the database.
@@ -155,8 +194,9 @@ struct Plan<'a> {
 }
 
 struct Step<'a> {
-    /// Variables at the indexed positions, in position order (empty for
-    /// a full scan).
+    /// Variables at the indexed positions, in position order: those bound
+    /// by earlier steps, or for the first step the `group` variables it
+    /// binds (empty for a full scan).
     key_vars: Vec<VarIdx>,
     /// Rows consistent with the atom's repeated variables, keyed on the
     /// indexed positions.
@@ -167,8 +207,10 @@ struct Step<'a> {
 
 impl<'a> Plan<'a> {
     /// `None` when some body atom's relation is absent or empty (the
-    /// output is then empty).
-    fn new(q: &ConjunctiveQuery, db: &'a Database) -> Option<Self> {
+    /// output is then empty). The first step's rows are indexed on the
+    /// positions binding the variables of `group` (a full scan when it
+    /// binds none of them).
+    fn new(q: &ConjunctiveQuery, db: &'a Database, group: &[VarIdx]) -> Option<Self> {
         if let Err(e) = check_arities(q, db) {
             panic!("{e}");
         }
@@ -177,8 +219,6 @@ impl<'a> Plan<'a> {
             .iter()
             .map(|atom| db.relation(&atom.relation).filter(|rel| !rel.is_empty()))
             .collect::<Option<_>>()?;
-        // Greedy atom order: start from the smallest relation, then prefer
-        // atoms with the most already-bound variables (ties: smaller relation).
         let order = atom_order(q.body(), &atom_rels);
 
         let mut bound: Vec<bool> = vec![false; q.num_vars()];
@@ -196,6 +236,9 @@ impl<'a> Plan<'a> {
                     equal.push((pos, first));
                 } else {
                     binds.push((pos, v));
+                    if steps.is_empty() && group.contains(&v) {
+                        key_pos.push(pos);
+                    }
                 }
             }
             let mut rows: TupleMap<Vec<&[Value]>> = TupleMap::new(key_pos.len());
@@ -224,32 +267,34 @@ impl<'a> Plan<'a> {
 
     /// Depth-first search over `steps` (a prefix of the plan): calls
     /// `visit` with each assignment satisfying them, in row order, and a
-    /// scratch key buffer.
-    fn search(&self, steps: &[Step<'a>], mut visit: impl FnMut(&[Option<Value>], &mut Vec<Value>)) {
+    /// scratch key buffer, until `visit` breaks.
+    fn search(
+        &self,
+        steps: &[Step<'a>],
+        mut visit: impl FnMut(&[Option<Value>], &mut Vec<Value>) -> ControlFlow<()>,
+    ) {
         let mut assignment = vec![None; self.num_vars];
         let mut key = Vec::new();
-        descend(steps, &mut assignment, &mut key, &mut visit);
+        let _ = descend(steps, &mut assignment, &mut key, &mut visit);
     }
 }
 
-fn descend<F: FnMut(&[Option<Value>], &mut Vec<Value>)>(
+fn descend<F: FnMut(&[Option<Value>], &mut Vec<Value>) -> ControlFlow<()>>(
     steps: &[Step],
     assignment: &mut [Option<Value>],
     key: &mut Vec<Value>,
     visit: &mut F,
-) {
+) -> ControlFlow<()> {
     let Some((step, rest)) = steps.split_first() else {
-        visit(assignment, key);
-        return;
+        return visit(assignment, key);
     };
     // Variables bound here are rebound before any deeper step reads
     // them, so backtracking needs no reset.
     for row in step.candidates(assignment, key) {
-        for &(pos, v) in &step.binds {
-            assignment[v] = Some(row[pos]);
-        }
-        descend(rest, assignment, key, visit);
+        step.bind(row, assignment);
+        descend(rest, assignment, key, visit)?;
     }
+    ControlFlow::Continue(())
 }
 
 impl<'a> Step<'a> {
@@ -258,6 +303,13 @@ impl<'a> Step<'a> {
         key.clear();
         key.extend(self.key_vars.iter().map(|&v| bound(assignment, v)));
         self.rows.get(key).map_or(&[], Vec::as_slice)
+    }
+
+    /// Binds the variables this step introduces to their values in `row`.
+    fn bind(&self, row: &[Value], assignment: &mut [Option<Value>]) {
+        for &(pos, v) in &self.binds {
+            assignment[v] = Some(row[pos]);
+        }
     }
 }
 
@@ -290,6 +342,20 @@ impl<V: Default> TupleMap<V> {
         }
     }
 
+    fn values(&self) -> Box<dyn Iterator<Item = &V> + '_> {
+        match self {
+            TupleMap::Packed(m) => Box::new(m.values()),
+            TupleMap::Boxed(m) => Box::new(m.values()),
+        }
+    }
+
+    fn clear(&mut self) {
+        match self {
+            TupleMap::Packed(m) => m.clear(),
+            TupleMap::Boxed(m) => m.clear(),
+        }
+    }
+
     fn get(&self, tuple: &[Value]) -> Option<&V> {
         match self {
             TupleMap::Packed(m) => m.get(&Self::pack(tuple)),
@@ -305,8 +371,8 @@ impl<V: Default> TupleMap<V> {
     }
 }
 
-/// Greedy connected atom order: smallest relation first, then prefer the
-/// atom sharing the most bound variables (ties broken by relation size).
+/// Greedy connected atom order: prefer the atom sharing the most bound
+/// variables (ties broken by relation size).
 fn atom_order(body: &[Atom], rels: &[&Relation]) -> Vec<usize> {
     let m = body.len();
     let mut remaining: Vec<usize> = (0..m).collect();
@@ -320,10 +386,9 @@ fn atom_order(body: &[Atom], rels: &[&Relation]) -> Vec<usize> {
         bound[v] = true;
     };
     while !remaining.is_empty() {
-        let (pos, &best) = remaining
+        let &best = remaining
             .iter()
-            .enumerate()
-            .max_by_key(|&(_, &ai)| {
+            .max_by_key(|&&ai| {
                 let shared = body[ai]
                     .vars
                     .iter()
@@ -333,7 +398,6 @@ fn atom_order(body: &[Atom], rels: &[&Relation]) -> Vec<usize> {
                 (shared, std::cmp::Reverse(rels[ai].len()))
             })
             .unwrap();
-        let _ = pos;
         remaining.retain(|&x| x != best);
         for &v in &body[best].vars {
             mark(v, &mut bound);

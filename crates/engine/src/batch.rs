@@ -6,24 +6,24 @@
 //! to a report, and pushes the result into a shared sink. Reports come
 //! back in input order regardless of which worker finished first.
 //!
-//! With a shared [`LpCache`] attached, the batch is scheduled in two
-//! waves keyed by each query's renaming-invariant canonical form: wave
-//! one runs one representative of every structural-isomorphism class —
-//! so the *independent* cache misses solve concurrently — and wave two
-//! runs the remaining inputs, which find their class's LPs already
-//! cached. The cache has no miss coalescing, so without the planner
-//! concurrent isomorphic inputs race the first lookup and every racer
-//! solves the same LP; with it, a batch performs at most one miss per
-//! class *and* keeps full parallelism across classes.
+//! With a shared [`LpCache`] attached, the batch is scheduled in waves
+//! keyed by the renaming-invariant canonical keys each input's cache
+//! lookups use: wave one runs the first input to look up each key — so
+//! the *independent* cache misses solve concurrently — and later waves
+//! run the inputs whose keys an earlier wave has already cached. The
+//! cache has no miss coalescing, so without the planner concurrent
+//! inputs with one key race the first lookup and every racer solves the
+//! same LP; with it, a batch performs at most one miss per key *and*
+//! keeps full parallelism across keys.
 
-use crate::cache::LpCache;
+use crate::cache::{LpCache, LpKind};
 use crate::report::{AnalysisReport, ReportOptions};
 use crate::session::AnalysisSession;
 use cq_core::{ArityError, ConjunctiveQuery, ParseError};
-use cq_hypergraph::{canonical_key, CanonicalKey};
+use cq_hypergraph::CanonicalKey;
 use cq_relation::FdSet;
 use cq_telemetry::TraceContext;
-use std::collections::HashSet;
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -93,8 +93,7 @@ impl BatchAnalyzer {
         self
     }
 
-    fn session(&self, name: &str, query: ConjunctiveQuery, fds: FdSet) -> AnalysisSession {
-        let session = AnalysisSession::from_parts(name, query, fds);
+    fn attach(&self, session: AnalysisSession) -> AnalysisSession {
         match &self.cache {
             Some(cache) => session.with_cache(Arc::clone(cache)),
             None => session,
@@ -115,27 +114,23 @@ impl BatchAnalyzer {
         opts: &ReportOptions<'_>,
     ) -> Vec<Result<AnalysisReport, AnalyzeError>> {
         // Parse up front (cheap next to any LP solve) so the miss
-        // planner can see each query's canonical key before scheduling.
-        let parsed: Vec<Result<(ConjunctiveQuery, FdSet), ParseError>> = inputs
+        // planner can see each query's cache keys before scheduling.
+        let sessions: Vec<Result<AnalysisSession, ParseError>> = inputs
             .iter()
-            .map(|(_, text)| cq_core::parse_program(text))
+            .map(|(name, text)| AnalysisSession::parse(name.as_str(), text).map(|s| self.attach(s)))
             .collect();
-        let waves = self.plan_waves(parsed.len(), |i| {
-            parsed[i]
-                .as_ref()
-                .ok()
-                .map(|(q, _)| canonical_key(&q.hypergraph(), &q.head_var_set()))
-        });
-        self.run_waves(&waves, parsed.len(), |i| match &parsed[i] {
-            Ok((query, fds)) => {
-                let session = self.session(&inputs[i].0, query.clone(), fds.clone());
-                match opts.database.map(|db| session.check_database(db)) {
-                    Some(Err(e)) => Err(AnalyzeError::Database(e)),
-                    _ => Ok(session.report(opts)),
+        let data = opts.database.is_some();
+        self.run(
+            sessions,
+            |session| session.as_ref().map_or(Vec::new(), |s| s.cache_keys(data)),
+            |session| {
+                let session = session.map_err(AnalyzeError::Parse)?;
+                if let Some(db) = opts.database {
+                    session.check_database(db).map_err(AnalyzeError::Database)?;
                 }
-            }
-            Err(e) => Err(AnalyzeError::Parse(e.clone())),
-        })
+                Ok(session.report(opts))
+            },
+        )
     }
 
     /// Analyzes already-built queries (the query generators' path —
@@ -149,72 +144,43 @@ impl BatchAnalyzer {
         items: &[(String, ConjunctiveQuery, FdSet)],
         opts: &ReportOptions<'_>,
     ) -> Vec<AnalysisReport> {
-        let waves = self.plan_waves(items.len(), |i| {
-            let q = &items[i].1;
-            Some(canonical_key(&q.hypergraph(), &q.head_var_set()))
-        });
-        self.run_waves(&waves, items.len(), |i| {
-            let (name, query, fds) = &items[i];
-            self.session(name, query.clone(), fds.clone()).report(opts)
-        })
+        let sessions = items
+            .iter()
+            .map(|(name, query, fds)| {
+                self.attach(AnalysisSession::from_parts(
+                    name,
+                    query.clone(),
+                    fds.clone(),
+                ))
+            })
+            .collect();
+        let data = opts.database.is_some();
+        self.run(
+            sessions,
+            |session| session.cache_keys(data),
+            |session| session.report(opts),
+        )
     }
 
-    /// The cache-miss plan: with a shared cache attached, wave one holds
-    /// the first input of every canonical class (plus unparseable inputs,
-    /// which solve no LPs), wave two the repeats. Wave one's misses are
-    /// pairwise non-isomorphic, so they parallelize without duplicating
-    /// work; by wave two every class's LPs are cached. Classes are keyed
-    /// on the *input* query — sessions cache under the chased/FD-reduced
-    /// form, which isomorphic inputs reach identically, so the ≤1-miss-
-    /// per-class guarantee survives the rewrite steps. Without a cache
-    /// (or with no repeats) everything runs in a single wave.
-    fn plan_waves(
+    /// Runs `produce` on every input, in the waves that
+    /// [`Self::plan_waves`] plans on `keys_of`: each wave runs to
+    /// completion before the next starts, and within a wave each input
+    /// runs on some worker thread under its trace id. Planning runs on
+    /// this thread, under the same ids, and what it computes stays with
+    /// the input (a session keeps the chase its keys needed), so the
+    /// worker does not redo it. Results come back in input order
+    /// regardless of the schedule.
+    fn run<S: Send, T: Send>(
         &self,
-        n: usize,
-        key_of: impl Fn(usize) -> Option<CanonicalKey>,
-    ) -> Vec<Vec<usize>> {
-        if self.cache.is_none() || n < 2 {
-            return vec![(0..n).collect()];
-        }
-        let mut seen: HashSet<CanonicalKey> = HashSet::new();
-        let mut first = Vec::new();
-        let mut rest = Vec::new();
-        for i in 0..n {
-            match key_of(i) {
-                Some(key) if !seen.insert(key) => rest.push(i),
-                _ => first.push(i),
-            }
-        }
-        if rest.is_empty() {
-            vec![first]
-        } else {
-            vec![first, rest]
-        }
-    }
-
-    /// The trace id input `i` should run under: its propagated id when
-    /// one was attached, else a fresh id when a trace sink is live (so
-    /// `cq-analyze --trace` tags each query's spans distinctly), else
-    /// none — and the context switch is skipped entirely.
-    fn trace_id_for(&self, i: usize) -> Option<String> {
-        let attached = self
-            .trace_ids
-            .as_ref()
-            .and_then(|ids| ids.get(i).cloned().flatten());
-        attached.or_else(|| cq_telemetry::tracing_enabled().then(cq_telemetry::fresh_trace_id))
-    }
-
-    /// The shared work loop: each wave runs to completion before the
-    /// next starts; within a wave, `produce(i)` runs on some worker
-    /// thread for every listed index. Results land at index `i` of the
-    /// returned vec, so output order is input order regardless of the
-    /// schedule.
-    fn run_waves<T: Send>(
-        &self,
-        waves: &[Vec<usize>],
-        n: usize,
-        produce: impl Fn(usize) -> T + Sync,
+        inputs: Vec<S>,
+        keys_of: impl Fn(&S) -> Vec<(LpKind, CanonicalKey)>,
+        produce: impl Fn(S) -> T + Sync,
     ) -> Vec<T> {
+        let n = inputs.len();
+        let ids: Vec<Option<String>> = (0..n).map(|i| self.trace_id_for(i)).collect();
+        let waves = self.plan_waves(n, |i| traced(ids[i].as_deref(), || keys_of(&inputs[i])));
+        let slots: Vec<Mutex<Option<S>>> =
+            inputs.into_iter().map(|s| Mutex::new(Some(s))).collect();
         let sink: Mutex<Vec<Option<T>>> = Mutex::new((0..n).map(|_| None).collect());
         for wave in waves.iter().filter(|w| !w.is_empty()) {
             let workers = self.workers_for(wave.len());
@@ -227,13 +193,9 @@ impl BatchAnalyzer {
                             break;
                         }
                         let i = wave[w];
-                        let result = match self.trace_id_for(i) {
-                            Some(id) => {
-                                let _ctx = TraceContext::enter(Some(&id), false);
-                                produce(i)
-                            }
-                            None => produce(i),
-                        };
+                        let input = slots[i].lock().expect("slot poisoned").take();
+                        let input = input.expect("each input runs once");
+                        let result = traced(ids[i].as_deref(), || produce(input));
                         sink.lock().expect("sink poisoned")[i] = Some(result);
                     });
                 }
@@ -245,11 +207,71 @@ impl BatchAnalyzer {
             .map(|slot| slot.expect("every index produced"))
             .collect()
     }
+
+    /// The cache-miss plan: with a shared cache attached, each input runs
+    /// one wave after the last wave holding the first lookup of any of
+    /// its keys (wave one when all its keys are new), so every key's
+    /// first lookup is the only one in its wave and the later ones find
+    /// it cached. Inputs without keys (unparseable ones, which solve no
+    /// LPs) run in wave one. The keys are the ones the lookups use — the
+    /// coloring LP is cached under the chased, FD-reduced query, so
+    /// inputs of different classes can share its key. With one key per
+    /// input this is two waves: the first input of every key, then the
+    /// repeats. Without a cache (or with no repeats) everything runs in
+    /// a single wave.
+    fn plan_waves(
+        &self,
+        n: usize,
+        keys_of: impl Fn(usize) -> Vec<(LpKind, CanonicalKey)>,
+    ) -> Vec<Vec<usize>> {
+        if self.cache.is_none() || n < 2 {
+            return vec![(0..n).collect()];
+        }
+        // The wave holding each key's first lookup.
+        let mut first: HashMap<(LpKind, CanonicalKey), usize> = HashMap::new();
+        let mut waves: Vec<Vec<usize>> = Vec::new();
+        for i in 0..n {
+            let keys = keys_of(i);
+            let wave = keys
+                .iter()
+                .filter_map(|key| first.get(key).map(|&w| w + 1))
+                .max()
+                .unwrap_or(0);
+            for key in keys {
+                first.entry(key).or_insert(wave);
+            }
+            if wave == waves.len() {
+                waves.push(Vec::new());
+            }
+            waves[wave].push(i);
+        }
+        waves
+    }
+
+    /// The trace id input `i` should run under: its propagated id when
+    /// one was attached, else a fresh id when a trace sink is live (so
+    /// `cq-analyze --trace` tags each query's spans distinctly), else
+    /// none.
+    fn trace_id_for(&self, i: usize) -> Option<String> {
+        let attached = self
+            .trace_ids
+            .as_ref()
+            .and_then(|ids| ids.get(i).cloned().flatten());
+        attached.or_else(|| cq_telemetry::tracing_enabled().then(cq_telemetry::fresh_trace_id))
+    }
+}
+
+/// Runs `f` in the trace context of `id`; with no id, the context
+/// switch is skipped entirely.
+fn traced<T>(id: Option<&str>, f: impl FnOnce() -> T) -> T {
+    let _ctx = id.map(|id| TraceContext::enter(Some(id), false));
+    f()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cq_hypergraph::canonical_key;
 
     fn inputs() -> Vec<(String, String)> {
         vec![
@@ -338,25 +360,81 @@ mod tests {
     fn miss_planner_defers_repeats_to_a_second_wave() {
         let key = |text: &str| {
             let (q, _) = cq_core::parse_program(text).unwrap();
-            canonical_key(&q.hypergraph(), &q.head_var_set())
+            (
+                LpKind::Coloring,
+                canonical_key(&q.hypergraph(), &q.head_var_set()),
+            )
         };
         let tri = key("S(X,Y,Z) :- R(X,Y), R(X,Z), R(Y,Z)");
         let path = key("Q(X,Y,Z) :- S(X,Y), T(Y,Z)");
         // Index 3 is a parse failure (no key): it solves no LPs, so it
         // rides along in wave one.
-        let keys = [Some(tri), Some(path), Some(tri), None, Some(tri)];
+        let keys = [vec![tri], vec![path], vec![tri], vec![], vec![tri]];
         let planned = BatchAnalyzer::new().with_cache(Arc::new(LpCache::new()));
         assert_eq!(
-            planned.plan_waves(5, |i| keys[i]),
+            planned.plan_waves(5, |i| keys[i].clone()),
             vec![vec![0, 1, 3], vec![2, 4]]
         );
         // All-distinct prefix collapses back to a single wave.
-        assert_eq!(planned.plan_waves(2, |i| keys[i]), vec![vec![0, 1]]);
+        assert_eq!(planned.plan_waves(2, |i| keys[i].clone()), vec![vec![0, 1]]);
         // No cache attached: nothing to protect, single wave.
         assert_eq!(
-            BatchAnalyzer::new().plan_waves(5, |i| keys[i]),
+            BatchAnalyzer::new().plan_waves(5, |i| keys[i].clone()),
             vec![vec![0, 1, 2, 3, 4]]
         );
+    }
+
+    /// The keyed star chases to `R2(X,Y,Y) :- R(X,Y)`, which `twin` is
+    /// already: the two inputs are of different classes but their
+    /// coloring LPs share a key, so they must not miss it together. The
+    /// path is of the keyed star's input class but its LP's key differs,
+    /// so it does not hold the keyed star back.
+    const KEYED: &str = "R2(X,Y,Z) :- R(X,Y), R(X,Z)\nkey R[1]";
+    const TWIN: &str = "P(A,B,B) :- S(A,B)\nkey S[1]";
+    const PATH: &str = "Q(X,Y,Z) :- S(X,Y), T(Y,Z)";
+
+    #[test]
+    fn miss_planner_keys_on_the_chased_lp_query() {
+        let sessions: Vec<AnalysisSession> = [KEYED, TWIN, PATH]
+            .iter()
+            .map(|text| AnalysisSession::parse("q", text).unwrap())
+            .collect();
+        let input_key =
+            |s: &AnalysisSession| canonical_key(&s.query().hypergraph(), &s.query().head_var_set());
+        assert_ne!(input_key(&sessions[0]), input_key(&sessions[1]));
+        assert_eq!(input_key(&sessions[0]), input_key(&sessions[2]));
+        assert_eq!(sessions[0].cache_keys(false), sessions[1].cache_keys(false));
+        assert_ne!(sessions[0].cache_keys(false), sessions[2].cache_keys(false));
+        let planned = BatchAnalyzer::new().with_cache(Arc::new(LpCache::new()));
+        assert_eq!(
+            planned.plan_waves(3, |i| sessions[i].cache_keys(false)),
+            vec![vec![0, 2], vec![1]]
+        );
+        // With a database the head-cover LP is looked up under each
+        // input's own key too: the path now waits for the keyed star,
+        // whose input class (and so head cover) it shares, and a second
+        // twin waits for the first twin's head cover.
+        let data = |i: usize| sessions[[0, 1, 2, 1][i]].cache_keys(true);
+        assert_eq!(
+            planned.plan_waves(4, data),
+            vec![vec![0], vec![1, 2], vec![3]]
+        );
+    }
+
+    #[test]
+    fn inputs_sharing_an_lp_key_miss_it_once() {
+        let cache = Arc::new(LpCache::new());
+        let inputs: Vec<(String, String)> = [KEYED, TWIN, PATH, KEYED, TWIN, PATH]
+            .iter()
+            .enumerate()
+            .map(|(i, t)| (format!("q{i}"), t.to_string()))
+            .collect();
+        let reports = BatchAnalyzer::with_threads(8)
+            .with_cache(Arc::clone(&cache))
+            .analyze_texts(&inputs, &ReportOptions::default());
+        assert!(reports.iter().all(Result::is_ok));
+        let stats = cache.stats();
+        assert_eq!((stats.misses, stats.hits), (2, 4), "{stats:?}");
     }
 
     #[test]

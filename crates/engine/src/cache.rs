@@ -58,7 +58,7 @@ const SNAPSHOT_FORMAT: &str = "cq-lpcache";
 
 /// Which structure-only LP an entry solves.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-enum LpKind {
+pub(crate) enum LpKind {
     /// Proposition 3.6 coloring LP (per-vertex weights).
     Coloring,
     /// §3.1 minimal fractional edge cover of the head (per-edge weights).

@@ -20,7 +20,7 @@
 //! ran ([`SessionStats`]) so tests can assert the memoization instead of
 //! trusting it.
 
-use crate::cache::{query_form, ExactWidths, LpCache};
+use crate::cache::{query_form, ExactWidths, LpCache, LpKind};
 use cq_arith::Rational;
 use cq_core::{
     chase, check_size_bound, color_number_entropy_lp_with_stats, color_number_lp,
@@ -113,6 +113,9 @@ pub struct AnalysisSession {
     cache: Option<Arc<LpCache>>,
     /// The canonical form of `query` (see [`Self::form`]).
     form: OnceCell<CanonicalForm>,
+    /// The canonical form of the coloring LP's query when its shape
+    /// differs from `query`'s (see [`Self::coloring_form`]).
+    lp_form: OnceCell<CanonicalForm>,
     /// The canonical key the coloring LP was looked up under.
     coloring_key: OnceCell<CanonicalKey>,
     chase: OnceCell<ChaseResult>,
@@ -144,6 +147,7 @@ impl AnalysisSession {
             fds,
             cache: None,
             form: OnceCell::new(),
+            lp_form: OnceCell::new(),
             coloring_key: OnceCell::new(),
             chase: OnceCell::new(),
             vfds: OnceCell::new(),
@@ -207,6 +211,29 @@ impl AnalysisSession {
         self.form.get_or_init(|| query_form(&self.query))
     }
 
+    /// The canonical form the coloring LP is cached under: that of the
+    /// chased, FD-removed query, which is the query's own form when the
+    /// two have the same shape. `None` under compound dependencies.
+    fn coloring_form(&self) -> Option<&CanonicalForm> {
+        let lp_query = self.removal_trace()?.result();
+        if same_shape(lp_query, &self.query) {
+            Some(self.form())
+        } else {
+            Some(self.lp_form.get_or_init(|| query_form(lp_query)))
+        }
+    }
+
+    /// The shared-cache entries a report looks up: the coloring LP's
+    /// (which also holds the exact widths) and, when `data` is set, the
+    /// head-cover LP's that [`Self::data_check`] uses. Computing them
+    /// runs the chase and the FD removal, which the session keeps for
+    /// its report.
+    pub(crate) fn cache_keys(&self, data: bool) -> Vec<(LpKind, CanonicalKey)> {
+        let coloring = self.coloring_form().map(|f| (LpKind::Coloring, f.key));
+        let head_cover = data.then(|| (LpKind::HeadCover, self.form().key));
+        coloring.into_iter().chain(head_cover).collect()
+    }
+
     /// The chase of `Q` under the declared dependencies (Fact 2.4).
     pub fn chase_result(&self) -> &ChaseResult {
         self.chase.get_or_init(|| {
@@ -261,16 +288,9 @@ impl AnalysisSession {
                     let _lp = phase("session.coloring_lp", "cq_session_coloring_lp_micros");
                     match &self.cache {
                         Some(cache) => {
-                            let lp_query = trace.result();
-                            let lp_form;
-                            let form = if same_shape(lp_query, &self.query) {
-                                self.form()
-                            } else {
-                                lp_form = query_form(lp_query);
-                                &lp_form
-                            };
+                            let form = self.coloring_form()?;
                             let _ = self.coloring_key.set(form.key);
-                            let (cn, hit) = cache.color_number_in(lp_query, form);
+                            let (cn, hit) = cache.color_number_in(trace.result(), form);
                             self.count(|s| {
                                 if hit {
                                     s.cache_hits += 1;

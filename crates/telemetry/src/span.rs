@@ -223,10 +223,13 @@ impl Drop for Span {
 /// Scoped trace identity for the current thread: spans opened while
 /// the guard lives carry `trace_id`, and — when `collect` is set — are
 /// also accumulated for [`TraceContext::take_collected`] (the
-/// slow-query log reads the full tree there). Contexts nest; dropping
-/// the guard restores the outer one.
+/// slow-query log reads the full tree there). The first span opened
+/// under the guard is a root: a span still open in the outer context
+/// belongs to another trace, so it is not its parent. Contexts nest;
+/// dropping the guard restores the outer one.
 pub struct TraceContext {
     prev_trace_id: Option<Arc<str>>,
+    prev_parent: Option<u64>,
     prev_collect: bool,
     prev_collected: Vec<SpanEvent>,
 }
@@ -237,6 +240,7 @@ impl TraceContext {
             let mut c = ctx.borrow_mut();
             TraceContext {
                 prev_trace_id: std::mem::replace(&mut c.trace_id, trace_id.map(Arc::from)),
+                prev_parent: c.parent.take(),
                 prev_collect: std::mem::replace(&mut c.collect, collect),
                 prev_collected: std::mem::take(&mut c.collected),
             }
@@ -255,6 +259,7 @@ impl Drop for TraceContext {
         CTX.with(|ctx| {
             let mut c = ctx.borrow_mut();
             c.trace_id = self.prev_trace_id.take();
+            c.parent = self.prev_parent;
             c.collect = self.prev_collect;
             c.collected = std::mem::take(&mut self.prev_collected);
         });
@@ -507,19 +512,29 @@ mod tests {
             let _span = Span::enter("test.before");
         }
         {
+            let _open = Span::enter("test.open");
             let mut inner = TraceContext::enter(Some("inner"), true);
             let _span = Span::enter("test.within");
             drop(_span);
             let events = inner.take_collected();
             assert_eq!(events.len(), 1);
             assert_eq!(events[0].trace_id.as_deref(), Some("inner"));
+            // The outer context's open span is in another trace.
+            assert_eq!(events[0].parent_id, None);
+            drop(inner);
+            let _child = Span::enter("test.child");
         }
         {
             let _span = Span::enter("test.after");
         }
         let events = outer.take_collected();
         let names: Vec<&str> = events.iter().map(|e| e.name).collect();
-        assert_eq!(names, ["test.before", "test.after"]);
+        assert_eq!(
+            names,
+            ["test.before", "test.child", "test.open", "test.after"]
+        );
+        // Dropping the inner guard restored the outer parent.
+        assert_eq!(events[1].parent_id, Some(events[2].span_id));
         assert!(events
             .iter()
             .all(|e| e.trace_id.as_deref() == Some("outer")));

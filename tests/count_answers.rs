@@ -2,13 +2,20 @@
 //!
 //! `cq_core::count_answers` computes `|Q(D)|` from the planned search
 //! that `evaluate` also runs, without building the output relation:
-//! full queries count satisfying assignments, projections deduplicate
-//! packed head tuples. The property below checks
+//! full queries count satisfying assignments; projections group the
+//! search on the head values its first atom binds and deduplicate the
+//! rest of the head one group at a time. The property below checks
 //! `count_answers == evaluate(..).len() == evaluate_wcoj(..).len()` on
 //! random query × database instances; the generic-join evaluator is the
 //! oracle that does not share the planner. Each random query is also
 //! tried with the heads the generator never makes: empty, with repeated
-//! variables, and wider than the four values a packed key holds.
+//! variables, wider than the four values a packed key holds, each atom's
+//! variables (when that atom is the first, every group stops at its
+//! first witness), and each atom's variables plus a variable outside it
+//! (deduplicated within groups).
+//! Fixed queries cover group keys with repeated and more than four
+//! variables, and a seeded graph test runs the projected paths at a
+//! size where groups hold many answers.
 //!
 //! The random layer runs on the default proptest config, so CI's
 //! scheduled deep job runs it at 4096 cases.
@@ -26,8 +33,9 @@ fn with_head(q: &ConjunctiveQuery, head: Vec<usize>) -> ConjunctiveQuery {
 
 /// `q` itself plus the head variants: Boolean, every used variable
 /// twice (a full query with repeats), the generated head with its first
-/// variable repeated, and — when there are enough used variables — a
-/// five-variable projection with a repeat.
+/// variable repeated, — when there are enough used variables — a
+/// five-variable projection with a repeat, and for each atom its
+/// variables, and those plus a used variable outside the atom.
 fn head_variants(q: &ConjunctiveQuery) -> Vec<ConjunctiveQuery> {
     let used: Vec<usize> = q.used_vars().iter().collect();
     let mut variants = vec![q.clone(), with_head(q, Vec::new())];
@@ -40,6 +48,14 @@ fn head_variants(q: &ConjunctiveQuery) -> Vec<ConjunctiveQuery> {
         let mut wide = used[1..6].to_vec();
         wide.push(used[3]);
         variants.push(with_head(q, wide));
+    }
+    for atom in q.body() {
+        variants.push(with_head(q, atom.vars.clone()));
+        if let Some(&outside) = used.iter().find(|v| !atom.vars.contains(v)) {
+            let mut later = atom.vars.clone();
+            later.push(outside);
+            variants.push(with_head(q, later));
+        }
     }
     variants
 }
@@ -139,6 +155,114 @@ fn wide_heads_use_the_boxed_keys() {
     let db = db_from(&[("R", &[&["a", "b", "c"], &["c", "c", "a"], &["a", "a", "a"]])]);
     assert_counts_agree(&q, &db);
     assert!(count_answers(&q, &db) > 0);
+}
+
+#[test]
+fn grouped_projections_count_each_group_once() {
+    let db = db_from(&[
+        (
+            "R",
+            &[
+                &["a", "a", "b"],
+                &["a", "a", "c"],
+                &["b", "b", "b"],
+                &["a", "c", "b"],
+                &["c", "c", "a"],
+            ],
+        ),
+        // Rows no R row joins: S is the larger relation, so R is first.
+        (
+            "S",
+            &[
+                &["b", "x"],
+                &["b", "y"],
+                &["c", "x"],
+                &["d", "z"],
+                &["d", "w"],
+                &["e", "x"],
+            ],
+        ),
+    ]);
+    for (text, want) in [
+        // The group is (A,B) from R; D occurs only in the later S atom.
+        ("P(A,B,D) :- R(A,B,C), S(C,D)", 6),
+        // The whole head lies in R: each group stops at its first witness.
+        ("P(A,B) :- R(A,B,C), S(C,D)", 3),
+        // R(A,A,B) binds A twice and keeps rows whose first columns agree.
+        ("P(A,B) :- R(A,A,B), S(B,C)", 3),
+        ("P(A,C) :- R(A,A,B), S(B,C)", 4),
+        ("P(A) :- R(A,A,B), S(B,C)", 2),
+    ] {
+        let q = parse_query(text).unwrap();
+        assert_eq!(count_answers(&q, &db), want, "{text}");
+        assert_counts_agree(&q, &db);
+    }
+}
+
+#[test]
+fn group_keys_wider_than_four_values_use_the_boxed_keys() {
+    // R, the first step, binds five head variables, so its groups are keyed
+    // on five values; F is deduplicated per group, or — with F gone from
+    // the head — every group stops at its first witness.
+    let db = db_from(&[
+        (
+            "R",
+            &[
+                &["a", "b", "c", "d", "e", "x"],
+                &["a", "b", "c", "d", "e", "y"],
+                &["a", "b", "c", "d", "f", "y"],
+                &["b", "b", "c", "d", "e", "z"],
+            ],
+        ),
+        // S's last row joins no R row; it makes S the larger relation.
+        (
+            "S",
+            &[
+                &["x", "1"],
+                &["y", "1"],
+                &["y", "2"],
+                &["z", "3"],
+                &["w", "4"],
+            ],
+        ),
+    ]);
+    for (text, want) in [
+        ("P(A,B,C,D,E,F) :- R(A,B,C,D,E,X), S(X,F)", 5),
+        ("P(A,B,C,D,E) :- R(A,B,C,D,E,X), S(X,F)", 3),
+        ("P(A,B,C,D,E,E,A) :- R(A,B,C,D,E,X), S(X,F)", 3),
+    ] {
+        let q = parse_query(text).unwrap();
+        assert_eq!(count_answers(&q, &db), want, "{text}");
+        assert_counts_agree(&q, &db);
+    }
+}
+
+/// A random directed graph `E` without self-loops: `edges` distinct
+/// edges over `nodes` nodes.
+fn random_graph(seed: u64, nodes: usize, edges: usize) -> Database {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut db = Database::new();
+    let mut seen = std::collections::HashSet::new();
+    while seen.len() < edges {
+        let (a, b) = (rng.gen_range(0..nodes), rng.gen_range(0..nodes));
+        if a != b && seen.insert((a, b)) {
+            db.insert_named("E", &[&format!("n{a}"), &format!("n{b}")]);
+        }
+    }
+    db
+}
+
+#[test]
+fn projected_paths_on_a_seeded_graph_match_generic_join() {
+    let db = random_graph(23, 200, 1500);
+    for text in ["Q(A,D) :- E(A,B), E(B,C), E(C,D)", "Q(A) :- E(A,B), E(B,C)"] {
+        let q = parse_query(text).unwrap();
+        let counted = count_answers(&q, &db);
+        assert_eq!(counted, evaluate_wcoj(&q, &db).len(), "{text}");
+        assert!(counted > 0, "{text}");
+    }
 }
 
 proptest! {

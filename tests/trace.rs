@@ -1,6 +1,6 @@
 //! End-to-end tests for the `cq-trace` telemetry consumer.
 //!
-//! Two acceptance properties, each against real processes:
+//! Four acceptance properties, each against real processes:
 //!
 //! 1. **Cluster assembly is complete** — the per-worker NDJSON files of
 //!    a 3-worker `cq-cluster` run reconstruct every request's span
@@ -14,6 +14,9 @@
 //! 3. **`top` reads a live daemon exactly** — the rendered worker row
 //!    and merged `serve.execute` phase agree with the daemon's own
 //!    `stats` and `metrics` answers.
+//! 4. **Batched requests assemble too** — a request carrying several
+//!    queries, whose cache-miss planning runs inside the request's span,
+//!    still leaves no orphan spans.
 
 use cq_cluster::{ClusterClient, PlanMode, ServeChild, WorkerAddr};
 use cq_engine::serve::metrics_from_json;
@@ -187,6 +190,53 @@ fn cluster_trace_files_assemble_completely_and_match_merged_metrics() {
         .expect("serve.execute phase present");
     assert!(execute_phase.quantile(99) >= execute_phase.quantile(50));
 
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A batch request of several queries to a serve worker with a cache
+/// plans its cache misses on the request thread, inside the request's
+/// `serve.execute` span, under each query's own trace id: those spans
+/// must be roots of the query's trace, not children of a span in the
+/// request's trace, or assembly counts them as orphans.
+#[test]
+fn multi_query_batch_requests_assemble_without_orphans() {
+    let dir = tmp("batched");
+    let inputs = workload(&dir, 8);
+    let trace_file = dir.join("run.trace.w0");
+    let worker = ServeChild::spawn_with_env(
+        Path::new(env!("CARGO_BIN_EXE_cq-serve")),
+        &[],
+        &[
+            ("CQ_TRACE", Some(trace_file.to_str().unwrap())),
+            ("CQ_HYBRID_TRACE", None),
+        ],
+    )
+    .expect("spawn traced worker");
+    let client = ClusterClient::new(vec![worker.addr().clone()])
+        .with_chunk(4)
+        .with_trace(true);
+    let run = client.run(&inputs).expect("cluster run");
+    assert_eq!(run.reports.len(), inputs.len());
+    drop(worker);
+
+    let assembly = cq_trace::assemble(cq_trace::ingest_files(&[trace_file]).expect("readable"));
+    assert!(
+        assembly.warnings.is_empty(),
+        "ingestion warnings on a clean run"
+    );
+    assert_eq!(assembly.orphans_total(), 0, "every parent pointer resolves");
+    for id in run.trace_ids.iter().flatten() {
+        let trace = assembly
+            .traces
+            .iter()
+            .find(|t| &t.trace_id == id)
+            .unwrap_or_else(|| panic!("trace {id} missing from assembly"));
+        assert!(
+            trace.spans.iter().any(|s| s.name == "session.chase"),
+            "trace {id}: the planning chase carries the query's id, got {:?}",
+            trace.phase_counts()
+        );
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
