@@ -4,7 +4,9 @@
 //!
 //! - [`evaluate`] — index-nested-loop backtracking over body atoms in a
 //!   greedy connected order, with per-atom hash indexes on the positions
-//!   bound at that point of the order. Correct for every conjunctive
+//!   bound at that point of the order. Each index is one buffer of row
+//!   numbers grouped by key (a key maps to a range of it), with a
+//!   group's rows in relation order. Correct for every conjunctive
 //!   query (projections, repeated variables, repeated relations).
 //! - [`count_answers`] — `|Q(D)|` from the same search without building
 //!   `Q(D)`: full queries count satisfying assignments; projections group
@@ -21,7 +23,7 @@
 //! every substitution `θ : var(Q) → U_D` with `θ(uj) ∈ R_{ij}` for all j.
 
 use crate::query::{Atom, ConjunctiveQuery, VarIdx};
-use cq_relation::{natural_join, Database, Relation, Schema, Value};
+use cq_relation::{natural_join, Database, Relation, Schema, TupleMap, Value};
 use cq_util::FxHashMap;
 use std::fmt;
 use std::ops::ControlFlow;
@@ -47,9 +49,11 @@ pub fn evaluate(q: &ConjunctiveQuery, db: &Database) -> Relation {
     let out_schema = Schema::with_attrs("Q", q.head().iter().map(|&v| q.var_name(v).to_owned()));
     let mut out = Relation::new(out_schema);
     if let Some(plan) = Plan::new(q, db, &[]) {
+        let mut row = Vec::with_capacity(q.head().len());
         plan.search(&plan.steps, |assignment, _| {
-            let row: Vec<Value> = q.head().iter().map(|&v| bound(assignment, v)).collect();
-            out.insert(row);
+            row.clear();
+            row.extend(q.head().iter().map(|&v| bound(assignment, v)));
+            out.insert(&row);
             ControlFlow::Continue(())
         });
     }
@@ -117,14 +121,14 @@ pub fn count_answers(q: &ConjunctiveQuery, db: &Database) -> usize {
     let mut seen: TupleMap<()> = TupleMap::new(rest_head.len());
     let mut tuple = Vec::with_capacity(rest_head.len());
     let mut count = 0;
-    for rows in first.rows.values() {
+    for g in 0..first.num_groups() {
         seen.clear();
-        for row in rows {
+        for &row in first.group(g) {
             first.bind(row, &mut assignment);
             let flow = descend(rest, &mut assignment, &mut key, &mut |assignment, _| {
                 tuple.clear();
                 tuple.extend(rest_head.iter().map(|&v| bound(assignment, v)));
-                seen.entry(&tuple);
+                seen.insert(&tuple, ());
                 if rest_head.is_empty() {
                     ControlFlow::Break(()) // the group has its one answer
                 } else {
@@ -198,9 +202,15 @@ struct Step<'a> {
     /// by earlier steps, or for the first step the `group` variables it
     /// binds (empty for a full scan).
     key_vars: Vec<VarIdx>,
-    /// Rows consistent with the atom's repeated variables, keyed on the
-    /// indexed positions.
-    rows: TupleMap<Vec<&'a [Value]>>,
+    /// The atom's relation.
+    rel: &'a Relation,
+    /// The index, in one buffer: each key of the indexed positions maps
+    /// to a group `g`, whose rows are `rows[starts[g]..starts[g + 1]]`.
+    groups: TupleMap<u32>,
+    starts: Vec<u32>,
+    /// Numbers of the rows consistent with the atom's repeated
+    /// variables, grouped by key, in relation order within a group.
+    rows: Vec<u32>,
     /// Positions that newly bind a variable (first occurrence).
     binds: Vec<(usize, VarIdx)>,
 }
@@ -241,20 +251,16 @@ impl<'a> Plan<'a> {
                     }
                 }
             }
-            let mut rows: TupleMap<Vec<&[Value]>> = TupleMap::new(key_pos.len());
-            let mut key = Vec::with_capacity(key_pos.len());
-            for row in atom_rels[ai].iter() {
-                if equal.iter().all(|&(p, first)| row[p] == row[first]) {
-                    key.clear();
-                    key.extend(key_pos.iter().map(|&p| row[p]));
-                    rows.entry(&key).push(row);
-                }
-            }
+            let rel = atom_rels[ai];
+            let (groups, starts, rows) = index_rows(rel, &key_pos, &equal);
             for &(_, v) in &binds {
                 bound[v] = true;
             }
             steps.push(Step {
                 key_vars: key_pos.iter().map(|&p| atom.vars[p]).collect(),
+                rel,
+                groups,
+                starts,
                 rows,
                 binds,
             });
@@ -290,83 +296,90 @@ fn descend<F: FnMut(&[Option<Value>], &mut Vec<Value>) -> ControlFlow<()>>(
     };
     // Variables bound here are rebound before any deeper step reads
     // them, so backtracking needs no reset.
-    for row in step.candidates(assignment, key) {
+    for &row in step.candidates(assignment, key) {
         step.bind(row, assignment);
         descend(rest, assignment, key, visit)?;
     }
     ControlFlow::Continue(())
 }
 
-impl<'a> Step<'a> {
-    /// The rows agreeing with `assignment` on the indexed positions.
-    fn candidates(&self, assignment: &[Option<Value>], key: &mut Vec<Value>) -> &[&'a [Value]] {
+/// Indexes `rel`'s rows on the positions `key_pos`, keeping the rows
+/// whose positions in each `equal` pair agree: returns the key → group
+/// map, the group starts (one past the last group too) and the grouped
+/// row numbers.
+fn index_rows(
+    rel: &Relation,
+    key_pos: &[usize],
+    equal: &[(usize, usize)],
+) -> (TupleMap<u32>, Vec<u32>, Vec<u32>) {
+    const SKIP: u32 = u32::MAX;
+    assert!(rel.len() < SKIP as usize, "relation too large to index");
+    let mut groups: TupleMap<u32> = TupleMap::new(key_pos.len());
+    // Each row's group (or SKIP); then `sizes` becomes the fill cursor.
+    let mut group_of: Vec<u32> = Vec::with_capacity(rel.len());
+    let mut sizes: Vec<u32> = Vec::new();
+    let mut key = Vec::with_capacity(key_pos.len());
+    for row in rel.iter() {
+        if !equal.iter().all(|&(p, first)| row[p] == row[first]) {
+            group_of.push(SKIP);
+            continue;
+        }
+        key.clear();
+        key.extend(key_pos.iter().map(|&p| row[p]));
+        let g = *groups.get_or_insert_with(&key, || {
+            sizes.push(0);
+            (sizes.len() - 1) as u32
+        });
+        sizes[g as usize] += 1;
+        group_of.push(g);
+    }
+    let mut starts = Vec::with_capacity(sizes.len() + 1);
+    let mut total = 0;
+    for size in &mut sizes {
+        let start = total;
+        total += *size;
+        starts.push(start);
+        *size = start;
+    }
+    starts.push(total);
+    let mut rows = vec![0; total as usize];
+    for (i, &g) in group_of.iter().enumerate() {
+        if g != SKIP {
+            let at = &mut sizes[g as usize];
+            rows[*at as usize] = i as u32;
+            *at += 1;
+        }
+    }
+    (groups, starts, rows)
+}
+
+impl Step<'_> {
+    /// Numbers of the rows agreeing with `assignment` on the indexed
+    /// positions.
+    fn candidates(&self, assignment: &[Option<Value>], key: &mut Vec<Value>) -> &[u32] {
         key.clear();
         key.extend(self.key_vars.iter().map(|&v| bound(assignment, v)));
-        self.rows.get(key).map_or(&[], Vec::as_slice)
+        self.groups
+            .get(key)
+            .map_or(&[], |&g| self.group(g as usize))
     }
 
-    /// Binds the variables this step introduces to their values in `row`.
-    fn bind(&self, row: &[Value], assignment: &mut [Option<Value>]) {
+    /// Number of index groups.
+    fn num_groups(&self) -> usize {
+        self.starts.len() - 1
+    }
+
+    /// Numbers of the rows in group `g`.
+    fn group(&self, g: usize) -> &[u32] {
+        &self.rows[self.starts[g] as usize..self.starts[g + 1] as usize]
+    }
+
+    /// Binds the variables this step introduces to their values in row
+    /// number `row`.
+    fn bind(&self, row: u32, assignment: &mut [Option<Value>]) {
+        let row = self.rel.row(row as usize);
         for &(pos, v) in &self.binds {
             assignment[v] = Some(row[pos]);
-        }
-    }
-}
-
-/// A hash map keyed by value tuples of one fixed width: up to four
-/// values pack into a `u128` of their dense ids, wider tuples are boxed.
-enum TupleMap<V> {
-    Packed(FxHashMap<u128, V>),
-    Boxed(FxHashMap<Box<[Value]>, V>),
-}
-
-impl<V: Default> TupleMap<V> {
-    fn new(width: usize) -> Self {
-        if width <= 4 {
-            TupleMap::Packed(FxHashMap::default())
-        } else {
-            TupleMap::Boxed(FxHashMap::default())
-        }
-    }
-
-    fn pack(tuple: &[Value]) -> u128 {
-        tuple
-            .iter()
-            .fold(0, |acc, v| (acc << 32) | u128::from(v.id()))
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            TupleMap::Packed(m) => m.len(),
-            TupleMap::Boxed(m) => m.len(),
-        }
-    }
-
-    fn values(&self) -> Box<dyn Iterator<Item = &V> + '_> {
-        match self {
-            TupleMap::Packed(m) => Box::new(m.values()),
-            TupleMap::Boxed(m) => Box::new(m.values()),
-        }
-    }
-
-    fn clear(&mut self) {
-        match self {
-            TupleMap::Packed(m) => m.clear(),
-            TupleMap::Boxed(m) => m.clear(),
-        }
-    }
-
-    fn get(&self, tuple: &[Value]) -> Option<&V> {
-        match self {
-            TupleMap::Packed(m) => m.get(&Self::pack(tuple)),
-            TupleMap::Boxed(m) => m.get(tuple),
-        }
-    }
-
-    fn entry(&mut self, tuple: &[Value]) -> &mut V {
-        match self {
-            TupleMap::Packed(m) => m.entry(Self::pack(tuple)).or_default(),
-            TupleMap::Boxed(m) => m.entry(tuple.into()).or_default(),
         }
     }
 }

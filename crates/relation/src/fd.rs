@@ -13,7 +13,8 @@
 
 use crate::relation::Relation;
 use crate::symbol::Value;
-use cq_util::{FxHashMap, FxHashSet};
+use crate::tuple_map::TupleMap;
+use cq_util::FxHashSet;
 use std::fmt;
 
 /// A functional dependency `lhs -> rhs` on a named relation, positional
@@ -54,18 +55,13 @@ impl Fd {
 
     /// Checks the dependency on a relation instance.
     pub fn holds_on(&self, rel: &Relation) -> bool {
-        let mut seen: FxHashMap<Box<[Value]>, Value> = FxHashMap::default();
-        for row in rel.iter() {
-            let key: Box<[Value]> = self.lhs.iter().map(|&i| row[i]).collect();
-            match seen.get(&key) {
-                Some(&v) if v != row[self.rhs] => return false,
-                Some(_) => {}
-                None => {
-                    seen.insert(key, row[self.rhs]);
-                }
-            }
-        }
-        true
+        let mut seen: TupleMap<Value> = TupleMap::new(self.lhs.len());
+        let mut key = Vec::with_capacity(self.lhs.len());
+        rel.iter().all(|row| {
+            key.clear();
+            key.extend(self.lhs.iter().map(|&i| row[i]));
+            *seen.get_or_insert_with(&key, || row[self.rhs]) == row[self.rhs]
+        })
     }
 }
 
@@ -228,6 +224,28 @@ mod tests {
         assert!(Fd::new("R", vec![0, 1], 2).holds_on(&r));
         let (_, bad) = rel_with(&[&["a", "b", "1"], &["a", "b", "2"]]);
         assert!(!Fd::new("R", vec![0, 1], 2).holds_on(&bad));
+    }
+
+    /// A left side wider than a packed key (five positions) is keyed
+    /// on boxed tuples.
+    #[test]
+    fn wide_compound_fd_on_instance() {
+        let fd = Fd::new("R", vec![0, 1, 2, 3, 4], 5);
+        let (_, r) = rel_with(&[
+            &["a", "b", "c", "d", "e", "1"],
+            &["a", "b", "c", "d", "f", "2"],
+            &["a", "b", "c", "d", "e", "1"],
+            &["b", "a", "c", "d", "e", "3"],
+        ]);
+        assert!(fd.holds_on(&r));
+        let (_, bad) = rel_with(&[
+            &["a", "b", "c", "d", "e", "1"],
+            &["a", "b", "c", "d", "f", "2"],
+            &["a", "b", "c", "d", "e", "2"],
+        ]);
+        assert!(!fd.holds_on(&bad));
+        // the key does not fix the sixth position alone
+        assert!(!Fd::new("R", vec![0, 1, 2, 3], 5).holds_on(&r));
     }
 
     #[test]

@@ -8,10 +8,10 @@
 //! duplicated join columns, and sizes are unchanged).
 
 use crate::fd::FdSet;
-use crate::relation::{Relation, Row};
+use crate::relation::Relation;
 use crate::schema::Schema;
 use crate::symbol::Value;
-use cq_util::FxHashMap;
+use crate::tuple_map::TupleMap;
 
 /// Hash equi-join of `left` and `right` on the positional pairs
 /// `on = [(l_i, r_i), ...]`: output tuples are the concatenation of a
@@ -51,13 +51,12 @@ pub fn equi_join(
     };
     let build_cols: Vec<usize> = probe_pairs.iter().map(|&(_, b)| b).collect();
     let probe_cols: Vec<usize> = probe_pairs.iter().map(|&(p, _)| p).collect();
-    let mut index: FxHashMap<Box<[Value]>, Vec<&[Value]>> = FxHashMap::default();
-    for row in build.iter() {
-        let key: Box<[Value]> = build_cols.iter().map(|&c| row[c]).collect();
-        index.entry(key).or_default().push(row);
-    }
+    let index = index_on(build, &build_cols);
+    let mut key = Vec::with_capacity(probe_cols.len());
+    let mut combined = Vec::with_capacity(left.arity() + right.arity());
     for prow in probe.iter() {
-        let key: Box<[Value]> = probe_cols.iter().map(|&c| prow[c]).collect();
+        key.clear();
+        key.extend(probe_cols.iter().map(|&c| prow[c]));
         if let Some(matches) = index.get(&key) {
             for brow in matches {
                 let (lrow, rrow) = if build_right {
@@ -65,8 +64,10 @@ pub fn equi_join(
                 } else {
                     (*brow, prow)
                 };
-                let combined: Row = lrow.iter().chain(rrow.iter()).copied().collect();
-                out.insert(combined);
+                combined.clear();
+                combined.extend_from_slice(lrow);
+                combined.extend_from_slice(rrow);
+                out.insert(&combined);
             }
         }
     }
@@ -120,25 +121,34 @@ pub fn natural_join(left: &Relation, right: &Relation, name: impl Into<String>) 
     let mut out = Relation::new(schema);
     let build_cols: Vec<usize> = shared.iter().map(|&(_, r)| r).collect();
     let probe_cols: Vec<usize> = shared.iter().map(|&(l, _)| l).collect();
-    let mut index: FxHashMap<Box<[Value]>, Vec<&[Value]>> = FxHashMap::default();
-    for row in right.iter() {
-        let key: Box<[Value]> = build_cols.iter().map(|&c| row[c]).collect();
-        index.entry(key).or_default().push(row);
-    }
+    let index = index_on(right, &build_cols);
+    let mut key = Vec::with_capacity(probe_cols.len());
+    let mut combined = Vec::with_capacity(out.arity());
     for lrow in left.iter() {
-        let key: Box<[Value]> = probe_cols.iter().map(|&c| lrow[c]).collect();
+        key.clear();
+        key.extend(probe_cols.iter().map(|&c| lrow[c]));
         if let Some(matches) = index.get(&key) {
             for rrow in matches {
-                let combined: Row = lrow
-                    .iter()
-                    .copied()
-                    .chain(right_extra.iter().map(|&ri| rrow[ri]))
-                    .collect();
-                out.insert(combined);
+                combined.clear();
+                combined.extend_from_slice(lrow);
+                combined.extend(right_extra.iter().map(|&ri| rrow[ri]));
+                out.insert(&combined);
             }
         }
     }
     out
+}
+
+/// `rel`'s rows grouped on their values at `cols`, in row order.
+fn index_on<'a>(rel: &'a Relation, cols: &[usize]) -> TupleMap<Vec<&'a [Value]>> {
+    let mut index = TupleMap::new(cols.len());
+    let mut key = Vec::with_capacity(cols.len());
+    for row in rel.iter() {
+        key.clear();
+        key.extend(cols.iter().map(|&c| row[c]));
+        index.get_or_insert_with(&key, Vec::new).push(row);
+    }
+    index
 }
 
 #[cfg(test)]

@@ -7,7 +7,10 @@
 //!
 //! - [`SymbolTable`]/[`Value`] — interned domain values;
 //! - [`Schema`]/[`Relation`] — deduplicated tuple sets with projection and
-//!   selection;
+//!   selection, stored flat (one value vector per relation, tuples in
+//!   insertion order) and deduplicated through a [`TupleMap`], the
+//!   workspace's one tuple-keyed map (the evaluator in `cq-core` indexes
+//!   and deduplicates with it too);
 //! - [`Fd`]/[`FdSet`] — functional dependencies, keys, Armstrong closure
 //!   and instance checking (§2 of the paper);
 //! - [`Database`] — named relations, `rmax(D)`, and Gaifman graphs;
@@ -25,11 +28,13 @@ pub mod relation;
 pub mod schema;
 pub mod symbol;
 pub mod textio;
+pub mod tuple_map;
 
 pub use database::Database;
 pub use fd::{Fd, FdSet};
 pub use join::{equi_join, keyed_join, natural_join};
-pub use relation::{Relation, Row};
+pub use relation::Relation;
 pub use schema::Schema;
 pub use symbol::{DisplayValue, SymbolTable, Value};
 pub use textio::{parse_database, render_database, DbParseError};
+pub use tuple_map::TupleMap;

@@ -1,31 +1,37 @@
 //! Relations: schemas plus deduplicated tuple sets.
 //!
-//! Tuples are boxed slices of interned [`Value`]s. Insertion order is
-//! preserved for deterministic iteration (the experiment harness prints
-//! tuples), and a hash index enforces set semantics.
+//! A relation stores its tuples flat: one `Vec<Value>` of interned
+//! values, `arity` per tuple, in insertion order (the experiment harness
+//! prints tuples, and evaluation order follows it). Set semantics come
+//! from a [`TupleMap`] over the tuples, which packs tuples of up to four
+//! values into one or two machine words, so loading or dropping a
+//! relation costs a handful of allocations, not one or two per tuple.
 
 use crate::schema::Schema;
 use crate::symbol::Value;
+use crate::tuple_map::TupleMap;
 use cq_util::FxHashSet;
-
-/// A tuple of interned values.
-pub type Row = Box<[Value]>;
 
 /// A relation instance: a schema and a set of tuples.
 #[derive(Clone, Debug)]
 pub struct Relation {
     schema: Schema,
-    rows: Vec<Row>,
-    index: FxHashSet<Row>,
+    /// The tuples, `arity` values each, in insertion order.
+    values: Vec<Value>,
+    /// Tuple count (`values.len() / arity`, kept for arity 0).
+    len: usize,
+    index: TupleMap<()>,
 }
 
 impl Relation {
     /// Creates an empty relation over `schema`.
     pub fn new(schema: Schema) -> Self {
+        let index = TupleMap::new(schema.arity());
         Relation {
             schema,
-            rows: Vec::new(),
-            index: FxHashSet::default(),
+            values: Vec::new(),
+            len: 0,
+            index,
         }
     }
 
@@ -46,20 +52,20 @@ impl Relation {
 
     /// Number of tuples.
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.len
     }
 
     /// `true` when the relation has no tuples.
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.len == 0
     }
 
     /// Inserts a tuple; returns `true` if it was new.
     ///
     /// # Panics
     /// Panics if the tuple arity does not match the schema.
-    pub fn insert(&mut self, row: impl Into<Row>) -> bool {
-        let row: Row = row.into();
+    pub fn insert(&mut self, row: impl AsRef<[Value]>) -> bool {
+        let row = row.as_ref();
         assert_eq!(
             row.len(),
             self.schema.arity(),
@@ -67,31 +73,44 @@ impl Relation {
             row.len(),
             self.schema
         );
-        if self.index.contains(&row) {
+        if !self.index.insert(row, ()) {
             return false;
         }
-        self.index.insert(row.clone());
-        self.rows.push(row);
+        self.values.extend_from_slice(row);
+        self.len += 1;
         true
+    }
+
+    /// The `i`-th tuple in insertion order.
+    ///
+    /// # Panics
+    /// Panics if `i >= self.len()`.
+    pub fn row(&self, i: usize) -> &[Value] {
+        assert!(i < self.len, "row {i} of {}", self.len);
+        let a = self.arity();
+        &self.values[i * a..(i + 1) * a]
     }
 
     /// Membership test.
     pub fn contains(&self, row: &[Value]) -> bool {
-        self.index.contains(row)
+        row.len() == self.arity() && self.index.get(row).is_some()
     }
 
     /// Iterates over tuples in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = &[Value]> + '_ {
-        self.rows.iter().map(|r| r.as_ref())
+        let a = self.arity();
+        (0..self.len).map(move |i| &self.values[i * a..(i + 1) * a])
     }
 
     /// Projection onto the 0-based positions `cols` (duplicates removed).
     pub fn project(&self, cols: &[usize], name: impl Into<String>) -> Relation {
         let schema = Schema::with_attrs(name, cols.iter().map(|&c| self.schema.attr(c).to_owned()));
         let mut out = Relation::new(schema);
+        let mut proj = Vec::with_capacity(cols.len());
         for row in self.iter() {
-            let proj: Row = cols.iter().map(|&c| row[c]).collect();
-            out.insert(proj);
+            proj.clear();
+            proj.extend(cols.iter().map(|&c| row[c]));
+            out.insert(&proj);
         }
         out
     }
@@ -101,7 +120,7 @@ impl Relation {
         let mut out = Relation::new(self.schema.clone());
         for row in self.iter() {
             if pred(row) {
-                out.insert(row.to_vec());
+                out.insert(row);
             }
         }
         out
@@ -115,7 +134,7 @@ impl Relation {
         assert_eq!(self.arity(), other.arity(), "union arity mismatch");
         let mut out = self.clone();
         for row in other.iter() {
-            out.insert(row.to_vec());
+            out.insert(row);
         }
         out
     }
@@ -157,8 +176,45 @@ mod tests {
         assert_eq!(r.len(), 2);
         assert!(r.contains(&vals(&mut t, &["a", "c"])));
         assert!(!r.contains(&vals(&mut t, &["c", "a"])));
+        assert!(!r.contains(&vals(&mut t, &["c"])), "wrong width is absent");
         let rows: Vec<_> = r.iter().map(|x| x.to_vec()).collect();
         assert_eq!(rows[0], vals(&mut t, &["a", "b"]));
+    }
+
+    #[test]
+    fn flat_rows_in_insertion_order() {
+        let mut t = SymbolTable::new();
+        let mut r = Relation::new(Schema::new("R", 3));
+        for row in [
+            ["a", "b", "c"],
+            ["c", "b", "a"],
+            ["a", "b", "c"],
+            ["x", "y", "z"],
+        ] {
+            r.insert(vals(&mut t, &row));
+        }
+        assert_eq!(r.len(), 3);
+        assert_eq!(r.row(1), vals(&mut t, &["c", "b", "a"]).as_slice());
+        let rows: Vec<Vec<Value>> = r.iter().map(<[Value]>::to_vec).collect();
+        assert_eq!(rows[2], vals(&mut t, &["x", "y", "z"]));
+        // wider than a packed key: deduplicated all the same
+        let mut wide = Relation::new(Schema::new("W", 6));
+        let row = vals(&mut t, &["a", "b", "c", "d", "e", "f"]);
+        assert!(wide.insert(&row));
+        assert!(!wide.insert(row.clone()));
+        assert!(wide.contains(&row));
+        assert_eq!(wide.iter().count(), 1);
+    }
+
+    #[test]
+    fn nullary_relation_holds_at_most_the_empty_tuple() {
+        let mut r = Relation::new(Schema::new("B", 0));
+        assert!(r.is_empty());
+        assert!(r.insert([]));
+        assert!(!r.insert(Vec::new()));
+        assert_eq!(r.len(), 1);
+        assert_eq!(r.iter().collect::<Vec<_>>(), vec![&[] as &[Value]]);
+        assert!(r.row(0).is_empty());
     }
 
     #[test]

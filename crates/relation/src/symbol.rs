@@ -8,8 +8,9 @@
 //! (`u32`s) while preserving readable provenance for debugging and the
 //! experiment reports.
 
-use cq_util::FxHashMap;
+use cq_util::FxBuildHasher;
 use std::fmt;
+use std::hash::BuildHasher;
 
 /// An interned domain value.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
@@ -23,10 +24,24 @@ impl Value {
 }
 
 /// An append-only string interner for domain values.
+///
+/// Names are stored back to back in one string, so interning a name
+/// allocates nothing of its own (the buffers grow geometrically), and
+/// dropping a table frees three buffers however many names it holds.
+/// Ids are found through an open-addressing table that keeps each
+/// name's hash next to its id, so a probe reads a name only when the
+/// hashes agree and growing the table reads none.
 #[derive(Default, Clone, Debug)]
 pub struct SymbolTable {
-    names: Vec<String>,
-    ids: FxHashMap<String, u32>,
+    /// Every name, back to back in id order.
+    text: String,
+    /// `ends[i]`: where name `i` ends in `text` (it starts where name
+    /// `i - 1` ends).
+    ends: Vec<u32>,
+    /// Linear probing over a power-of-two length, at most half full:
+    /// `0` is a free slot, else a name's 32-bit table hash above its
+    /// id + 1.
+    slots: Vec<u64>,
 }
 
 impl SymbolTable {
@@ -35,23 +50,69 @@ impl SymbolTable {
         SymbolTable::default()
     }
 
-    /// Interns `name`, returning the same [`Value`] for equal names.
-    pub fn intern(&mut self, name: &str) -> Value {
-        if let Some(&id) = self.ids.get(name) {
-            return Value(id);
+    fn hash(name: &str) -> u32 {
+        FxBuildHasher.hash_one(name) as u32
+    }
+
+    /// The id of `name`, or the free slot where it belongs. The table
+    /// must have a free slot.
+    fn find(&self, name: &str, hash: u32) -> Result<u32, usize> {
+        let mask = self.slots.len() - 1;
+        let mut i = hash as usize & mask;
+        loop {
+            match self.slots[i] {
+                0 => return Err(i),
+                s if (s >> 32) as u32 == hash && self.name(Value(s as u32 - 1)) == name => {
+                    return Ok(s as u32 - 1)
+                }
+                _ => i = (i + 1) & mask,
+            }
         }
-        let id = self.names.len() as u32;
-        self.names.push(name.to_owned());
-        self.ids.insert(name.to_owned(), id);
-        Value(id)
+    }
+
+    /// Doubles the slot table (16 slots at first).
+    fn grow(&mut self) {
+        let mut slots = vec![0u64; (2 * self.slots.len()).max(16)];
+        let mask = slots.len() - 1;
+        for &s in self.slots.iter().filter(|&&s| s != 0) {
+            let mut i = (s >> 32) as usize & mask;
+            while slots[i] != 0 {
+                i = (i + 1) & mask;
+            }
+            slots[i] = s;
+        }
+        self.slots = slots;
+    }
+
+    /// Interns `name`, returning the same [`Value`] for equal names.
+    ///
+    /// # Panics
+    /// Panics past `u32::MAX - 1` names or 4 GiB of name text.
+    pub fn intern(&mut self, name: &str) -> Value {
+        if self.slots.len() < 2 * (self.len() + 1) {
+            self.grow();
+        }
+        let hash = Self::hash(name);
+        match self.find(name, hash) {
+            Ok(id) => Value(id),
+            Err(slot) => {
+                let id = u32::try_from(self.len()).expect("symbol ids fit in u32");
+                assert!(id < u32::MAX, "symbol table full");
+                self.text.push_str(name);
+                let end = u32::try_from(self.text.len()).expect("symbol text under 4 GiB");
+                self.ends.push(end);
+                self.slots[slot] = (u64::from(hash) << 32) | u64::from(id + 1);
+                Value(id)
+            }
+        }
     }
 
     /// Mints a fresh value guaranteed distinct from all existing ones.
     pub fn fresh(&mut self, prefix: &str) -> Value {
-        let mut k = self.names.len();
+        let mut k = self.len();
         loop {
             let candidate = format!("{prefix}#{k}");
-            if !self.ids.contains_key(&candidate) {
+            if self.lookup(&candidate).is_none() {
                 return self.intern(&candidate);
             }
             k += 1;
@@ -60,22 +121,27 @@ impl SymbolTable {
 
     /// Name of `v`.
     pub fn name(&self, v: Value) -> &str {
-        &self.names[v.0 as usize]
+        let i = v.0 as usize;
+        let start = if i == 0 { 0 } else { self.ends[i - 1] as usize };
+        &self.text[start..self.ends[i] as usize]
     }
 
     /// Looks up an already-interned name.
     pub fn lookup(&self, name: &str) -> Option<Value> {
-        self.ids.get(name).map(|&id| Value(id))
+        if self.slots.is_empty() {
+            return None;
+        }
+        self.find(name, Self::hash(name)).ok().map(Value)
     }
 
     /// Number of interned values.
     pub fn len(&self) -> usize {
-        self.names.len()
+        self.ends.len()
     }
 
     /// `true` when no value has been interned.
     pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
+        self.ends.is_empty()
     }
 }
 
@@ -103,6 +169,24 @@ mod tests {
         assert_eq!(t.name(a), "alpha");
         assert_eq!(t.lookup("beta"), Some(b));
         assert_eq!(t.lookup("gamma"), None);
+    }
+
+    #[test]
+    fn many_names_and_the_empty_name() {
+        let mut t = SymbolTable::new();
+        let ids: Vec<Value> = (0..5000).map(|i| t.intern(&format!("k{i}"))).collect();
+        let empty = t.intern("");
+        assert_eq!(t.len(), 5001);
+        for (i, &id) in ids.iter().enumerate() {
+            assert_eq!(id.id(), i as u32);
+            assert_eq!(t.name(id), format!("k{i}"));
+            assert_eq!(t.lookup(&format!("k{i}")), Some(id));
+            assert_eq!(t.intern(&format!("k{i}")), id);
+        }
+        assert_eq!(t.name(empty), "");
+        assert_eq!(t.lookup(""), Some(empty));
+        assert_eq!(t.lookup("k5000"), None);
+        assert_eq!(SymbolTable::new().lookup("k0"), None);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! A small text format for database instances.
 //!
-//! One relation block per `relation NAME`, then one tuple per line with
-//! whitespace-separated values; `#` comments and blank lines ignored:
+//! One relation block per `relation NAME` header line, then one tuple per
+//! line with whitespace-separated values; `#` comments and blank lines
+//! ignored:
 //!
 //! ```text
 //! # employees
@@ -20,6 +21,8 @@
 use crate::database::Database;
 use crate::relation::Relation;
 use crate::schema::Schema;
+use crate::symbol::{SymbolTable, Value};
+use cq_util::FxHashMap;
 use std::fmt;
 
 /// Error parsing a database text file.
@@ -40,67 +43,85 @@ impl fmt::Display for DbParseError {
 impl std::error::Error for DbParseError {}
 
 /// Parses the text format into a [`Database`].
+///
+/// A line whose first whitespace-separated field is `relation` is a
+/// header and must name exactly one relation. Every other nonblank line
+/// is a tuple of the current block's relation, interned field by field
+/// as it is read; the relation is created at its first tuple (a header
+/// without tuples adds nothing), and the rows of a relation split over
+/// several blocks keep their order in the text. Symbol ids follow the
+/// order in which values first occur.
 pub fn parse_database(text: &str) -> Result<Database, DbParseError> {
-    let mut db = Database::new();
-    let mut current: Option<(String, Option<usize>)> = None; // (name, arity)
+    let mut symbols = SymbolTable::new();
+    let mut relations: Vec<Relation> = Vec::new();
+    let mut by_name: FxHashMap<&str, usize> = FxHashMap::default();
+    // The current block: its relation name and, from its first tuple
+    // on, the relation's index in `relations`.
+    let mut block: Option<(&str, Option<usize>)> = None;
+    let mut row: Vec<Value> = Vec::new();
     for (i, raw) in text.lines().enumerate() {
-        let line = match raw.find('#') {
-            Some(p) => &raw[..p],
-            None => raw,
-        }
-        .trim();
-        if line.is_empty() {
+        let line = raw.find('#').map_or(raw, |p| &raw[..p]);
+        let mut fields = line.split_whitespace();
+        let Some(first) = fields.next() else {
             continue;
-        }
-        if let Some(name) = line.strip_prefix("relation ") {
-            let name = name.trim();
-            if name.is_empty() || name.contains(char::is_whitespace) {
-                return Err(DbParseError {
-                    line: i + 1,
-                    message: format!("bad relation name {name:?}"),
-                });
-            }
-            current = Some((name.to_owned(), None));
-            continue;
-        }
-        let Some((ref name, ref mut arity)) = current else {
-            return Err(DbParseError {
-                line: i + 1,
-                message: "tuple before any `relation NAME` header".into(),
-            });
         };
-        let values: Vec<&str> = line.split_whitespace().collect();
-        match arity {
-            None => {
-                *arity = Some(values.len());
-                if db.relation(name).is_none() {
-                    db.add_relation(Relation::new(Schema::new(name.clone(), values.len())));
+        let error = |message: String| DbParseError {
+            line: i + 1,
+            message,
+        };
+        if first == "relation" {
+            match (fields.next(), fields.next()) {
+                (Some(name), None) => block = Some((name, None)),
+                (None, _) => return Err(error("relation header without a name".into())),
+                (Some(_), Some(_)) => {
+                    let names = line.trim_start()["relation".len()..].trim();
+                    return Err(error(format!("bad relation name {names:?}")));
                 }
             }
-            Some(a) if *a != values.len() => {
-                return Err(DbParseError {
-                    line: i + 1,
-                    message: format!(
-                        "tuple arity {} does not match {name}'s arity {a}",
-                        values.len()
-                    ),
-                });
-            }
-            Some(_) => {}
+            continue;
         }
-        let existing_arity = db.relation(name).map(crate::relation::Relation::arity);
-        if let Some(ea) = existing_arity {
-            if ea != values.len() {
-                return Err(DbParseError {
-                    line: i + 1,
-                    message: format!(
-                        "relation {name} re-declared with arity {} (was {ea})",
-                        values.len()
-                    ),
-                });
+        let Some((name, ref mut index)) = block else {
+            return Err(error("tuple before any `relation NAME` header".into()));
+        };
+        row.clear();
+        row.extend(
+            std::iter::once(first)
+                .chain(fields)
+                .map(|f| symbols.intern(f)),
+        );
+        let ri = match *index {
+            Some(ri) => {
+                let arity = relations[ri].arity();
+                if arity != row.len() {
+                    return Err(error(format!(
+                        "tuple arity {} does not match {name}'s arity {arity}",
+                        row.len()
+                    )));
+                }
+                ri
             }
-        }
-        db.insert_named(name, &values);
+            None => {
+                let ri = *by_name.entry(name).or_insert_with(|| {
+                    relations.push(Relation::new(Schema::new(name, row.len())));
+                    relations.len() - 1
+                });
+                let was = relations[ri].arity();
+                if was != row.len() {
+                    return Err(error(format!(
+                        "relation {name} re-declared with arity {} (was {was})",
+                        row.len()
+                    )));
+                }
+                *index = Some(ri);
+                ri
+            }
+        };
+        relations[ri].insert(&row);
+    }
+    let mut db = Database::new();
+    *db.symbols_mut() = symbols;
+    for rel in relations {
+        db.add_relation(rel);
     }
     Ok(db)
 }
@@ -157,6 +178,45 @@ mod tests {
         assert!(err.message.contains("arity"));
         let err = parse_database("relation bad name\n").unwrap_err();
         assert!(err.message.contains("bad relation name"));
+    }
+
+    /// `relation` followed by any whitespace starts a header, so a tab
+    /// after it no longer turns the header into a tuple.
+    #[test]
+    fn header_is_the_first_field() {
+        let db = parse_database("relation R\na b\nrelation\tS\nx\n").unwrap();
+        assert_eq!(db.relation("R").unwrap().len(), 1);
+        assert_eq!(db.relation("S").unwrap().len(), 1);
+        assert_eq!(db.relation("S").unwrap().arity(), 1);
+        let db = parse_database("  relation \t T  # trailing\nx y\n").unwrap();
+        assert_eq!(db.relation("T").unwrap().arity(), 2);
+        // a value merely starting with `relation` is data
+        let db = parse_database("relation R\nrelations x\n").unwrap();
+        assert_eq!(db.relation("R").unwrap().len(), 1);
+    }
+
+    #[test]
+    fn header_needs_exactly_one_name() {
+        let err = parse_database("relation R\na b\nrelation\n").unwrap_err();
+        assert_eq!(err.line, 3);
+        assert!(err.message.contains("without a name"), "{err}");
+        let err = parse_database("relation R\na b\n\nrelation # comment\n").unwrap_err();
+        assert_eq!(err.line, 4);
+        let err = parse_database("relation R\na b\nrelation\tS T\n").unwrap_err();
+        assert_eq!(err.line, 3);
+        assert_eq!(err.message, "bad relation name \"S T\"");
+    }
+
+    #[test]
+    fn rows_keep_text_order_across_blocks() {
+        let db = parse_database("relation R\nb a\nrelation S\nx\nrelation R\na b\nb a\n").unwrap();
+        let r = db.relation("R").unwrap();
+        let names: Vec<Vec<&str>> = r
+            .iter()
+            .map(|row| row.iter().map(|&v| db.symbols().name(v)).collect())
+            .collect();
+        assert_eq!(names, [["b", "a"], ["a", "b"]]);
+        assert_eq!(db.symbols().lookup("x").map(Value::id), Some(2));
     }
 
     #[test]

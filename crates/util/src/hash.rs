@@ -4,17 +4,37 @@
 //! building join indexes and deduplicating query outputs; SipHash (std's
 //! default) is measurably slower for these keys. HashDoS resistance is
 //! irrelevant for a local analysis library, so we trade it away.
+//!
+//! Two users, two finishes over one word stream:
+//!
+//! - the **stream hasher** [`FxHasher`] (and [`hash128`], built on it)
+//!   returns its state as is. Cache keys, canonical signatures and
+//!   snapshot digests are made from it, so its output is part of the
+//!   on-disk format and never changes;
+//! - the **table hasher** [`TableHasher`], which the [`FxHashMap`] and
+//!   [`FxHashSet`] aliases build through [`FxBuildHasher`], feeds the
+//!   same stream and rotates the state left by 26 bits when it
+//!   finishes (as rustc-hash 2 does). Each step of the stream ends in a
+//!   multiply, whose low bits depend only on the low bits of its
+//!   input; std's tables pick a bucket from the low bits, so without
+//!   the rotation a short string's bucket comes from its first byte or
+//!   two: the 12,000 names `k0`..`k11999` land in 64 of 16,384 buckets,
+//!   and about 8,100 with it. The rotation moves the well-mixed high
+//!   bits down. Only tables rotate, because only their bucket choice
+//!   reads the low bits, and a table's hashes are never stored.
 
 use std::collections::{HashMap, HashSet};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::{BuildHasher, Hasher};
 
-/// `HashMap` keyed with [`FxHasher`].
-pub type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
-/// `HashSet` keyed with [`FxHasher`].
-pub type FxHashSet<T> = HashSet<T, BuildHasherDefault<FxHasher>>;
+/// `HashMap` keyed with the table hasher (see [`FxBuildHasher`]).
+pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
+/// `HashSet` keyed with the table hasher (see [`FxBuildHasher`]).
+pub type FxHashSet<T> = HashSet<T, FxBuildHasher>;
 
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 const ROTATE: u32 = 5;
+/// The table hasher's final rotation (rustc-hash 2's).
+const TABLE_ROTATE: u32 = 26;
 
 /// Multiply-rotate hasher (the firefox/rustc "Fx" hash).
 #[derive(Default, Clone)]
@@ -67,6 +87,56 @@ impl Hasher for FxHasher {
     #[inline]
     fn finish(&self) -> u64 {
         self.hash
+    }
+}
+
+/// Builds the [`TableHasher`]s of [`FxHashMap`] and [`FxHashSet`].
+#[derive(Default, Clone, Copy, Debug)]
+pub struct FxBuildHasher;
+
+impl BuildHasher for FxBuildHasher {
+    type Hasher = TableHasher;
+
+    #[inline]
+    fn build_hasher(&self) -> TableHasher {
+        TableHasher::default()
+    }
+}
+
+/// [`FxHasher`]'s word stream with a rotated finish, for hash tables
+/// (see the module docs).
+#[derive(Default, Clone)]
+pub struct TableHasher(FxHasher);
+
+impl Hasher for TableHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        self.0.write(bytes);
+    }
+
+    #[inline]
+    fn write_u8(&mut self, i: u8) {
+        self.0.write_u8(i);
+    }
+
+    #[inline]
+    fn write_u32(&mut self, i: u32) {
+        self.0.write_u32(i);
+    }
+
+    #[inline]
+    fn write_u64(&mut self, i: u64) {
+        self.0.write_u64(i);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, i: usize) {
+        self.0.write_usize(i);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0.finish().rotate_left(TABLE_ROTATE)
     }
 }
 
@@ -133,6 +203,7 @@ pub fn hash128<I: IntoIterator<Item = u64>>(words: I) -> u128 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::hash::Hash;
 
     #[test]
     fn deterministic() {
@@ -173,6 +244,48 @@ mod tests {
         assert_ne!(hash128([1, 2]), hash128([2, 1]));
         // empty input still yields a stable digest
         assert_eq!(hash128([]), hash128([]));
+    }
+
+    /// Known answers: cache keys, canonical signatures and snapshot
+    /// digests are made from these hashes, so they must never move.
+    #[test]
+    fn stream_hashes_are_pinned() {
+        assert_eq!(hash128([1, 2, 3]), 0xc02eacbc23be0ca5fdcb2688e0760126);
+        assert_eq!(hash128([]), 0x9308e0beacfd0a390000000000000000);
+        assert_eq!(
+            hash128([u64::MAX, 0, 0x9e37_79b9_7f4a_7c15]),
+            0x15b1109ce4b82308b96ab32047947c5b
+        );
+        let finish = |feed: &dyn Fn(&mut FxHasher)| {
+            let mut h = FxHasher::default();
+            feed(&mut h);
+            h.finish()
+        };
+        assert_eq!(finish(&|h| h.write_u64(42)), 0x5e77c80c6b95bc72);
+        assert_eq!(finish(&|h| h.write(b"abcdefgh-xy")), 0x8f6835df0b0b2c65);
+        assert_eq!(finish(&|h| "k123".hash(h)), 0x674684577f6c3b63);
+        assert_eq!(finish(&|h| (7u32, 9u32).hash(h)), 0x899b85736757f606);
+    }
+
+    #[test]
+    fn table_hasher_rotates_the_stream_hash() {
+        let mut stream = FxHasher::default();
+        "k123".hash(&mut stream);
+        assert_eq!(
+            FxBuildHasher.hash_one("k123"),
+            stream.finish().rotate_left(TABLE_ROTATE)
+        );
+    }
+
+    /// Short names that differ only after their first bytes must still
+    /// spread over a table's home buckets (the low bits): 12,000 `k{i}`
+    /// names take 64 of 16,384 buckets without the table rotation.
+    #[test]
+    fn table_hasher_spreads_short_names() {
+        let buckets: FxHashSet<u64> = (0..12_000)
+            .map(|i| FxBuildHasher.hash_one(format!("k{i}")) & 0x3fff)
+            .collect();
+        assert!(buckets.len() >= 4096, "{} buckets", buckets.len());
     }
 
     #[test]
