@@ -27,6 +27,26 @@ use cq_util::BitSet;
 /// The `v∅` placeholder name used for uncolored variables.
 pub const NULL_VALUE: &str = "v∅";
 
+/// The most tuples a worst-case database may take when it is built on
+/// request (`--witness M`, the protocol's `"witness"`): the surfaces
+/// check [`worst_case_tuples`] against it before building anything, so
+/// one request cannot allocate without bound. 2^20 tuples of short
+/// interned values stay within some tens of MB.
+pub const WITNESS_TUPLE_BUDGET: u64 = 1 << 20;
+
+/// `Σ_j M^{c_j}`, where `c_j` is the number of colours on atom `j`'s
+/// variables under `coloring`: the tuples [`worst_case_database`] builds
+/// for `q` with product parameter `m` before relations occurring several
+/// times are merged. `None` when it overflows `u64`. Computed from the
+/// coloring alone, without building anything.
+pub fn worst_case_tuples(q: &ConjunctiveQuery, coloring: &Coloring, m: usize) -> Option<u64> {
+    q.body().iter().try_fold(0u64, |total, atom| {
+        let colors = coloring.union_over(atom.var_set().iter()).len();
+        let tuples = (m as u64).checked_pow(u32::try_from(colors).ok()?)?;
+        total.checked_add(tuples)
+    })
+}
+
 /// Builds the Proposition 4.5 database for `q` under `coloring` with
 /// product parameter `m_param ≥ 1`.
 ///

@@ -1,17 +1,30 @@
-//! Conjunctive query evaluation.
+//! Conjunctive query evaluation and answer counting.
 //!
-//! One planned search, two consumers, plus the Corollary 4.8 plan:
+//! Two ways to list or count `Q(D)`, plus the Corollary 4.8 plan:
 //!
-//! - [`evaluate`] — index-nested-loop backtracking over body atoms in a
-//!   greedy connected order, with per-atom hash indexes on the positions
-//!   bound at that point of the order. Each index is one buffer of row
-//!   numbers grouped by key (a key maps to a range of it), with a
-//!   group's rows in relation order. Correct for every conjunctive
-//!   query (projections, repeated variables, repeated relations).
-//! - [`count_answers`] — `|Q(D)|` from the same search without building
-//!   `Q(D)`: full queries count satisfying assignments; projections group
-//!   the search on the head values its first atom binds and deduplicate
-//!   only the remaining head values, one group at a time.
+//! - [`evaluate`] — the planned search: index-nested-loop backtracking
+//!   over body atoms in a greedy connected order, with per-atom hash
+//!   indexes on the positions bound at that point of the order. Each
+//!   index is one buffer of row numbers grouped by key (a key maps to a
+//!   range of it), with a group's rows in relation order. Correct for
+//!   every conjunctive query (projections, repeated variables, repeated
+//!   relations).
+//! - [`count_answers`] — `|Q(D)|` without building `Q(D)`, by one of two
+//!   routes that [`count_route`] picks from the query and the relation
+//!   sizes alone:
+//!   - [`count_by_elimination`] — sum-product variable elimination along
+//!     a min-fill order with the existential variables first: `∃` over
+//!     those, checked `Σ` over the head. Each step sums one variable out
+//!     of the factors that mention it, and multiplies the result into a
+//!     factor that covers the rest of their variables when there is one,
+//!     so the triangle is `Σ_{E(x,y)} |out(x) ∩ out(y)|` on bitset rows;
+//!   - [`count_by_search`] — the planned search without the output: full
+//!     queries count satisfying assignments; projections group the search
+//!     on the head values its first atom binds and deduplicate only the
+//!     remaining head values, one group at a time.
+//!
+//!   The route rule compares cover products (see [`count_route`]); the
+//!   count opens a `core.count.eliminate` or `core.count.search` span.
 //! - [`join_project_plan`] / [`evaluate_by_plan`] — the Corollary 4.8
 //!   plan for queries whose head contains all variables: each atom is
 //!   reduced to a relation over its distinct variables, then the atoms
@@ -22,9 +35,10 @@
 //! The semantics follow §2 of the paper: `Q(D)` contains `θ(u0)` for
 //! every substitution `θ : var(Q) → U_D` with `θ(uj) ∈ R_{ij}` for all j.
 
+use crate::eliminate::{cover_product, Elimination};
 use crate::query::{Atom, ConjunctiveQuery, VarIdx};
 use cq_relation::{natural_join, Database, Relation, Schema, TupleMap, Value};
-use cq_util::FxHashMap;
+use cq_telemetry::Span;
 use std::fmt;
 use std::ops::ControlFlow;
 
@@ -60,18 +74,13 @@ pub fn evaluate(q: &ConjunctiveQuery, db: &Database) -> Relation {
     out
 }
 
-/// `|Q(D)|`, always equal to `evaluate(q, db).len()`, computed by the
-/// same planned search without building the output relation.
-///
-/// A full query (every variable of the body in the head) has one answer
-/// per satisfying assignment, so its search counts the last step's
-/// matching rows without binding them. A projection counts its distinct
-/// head variables' tuples (repeating a head variable repeats a column,
-/// not an answer): its search groups the first atom's rows on the head
-/// values they bind and deduplicates the remaining head values in one
-/// set cleared after each group, so the set only ever holds one group's
-/// answers. A group whose atom binds the whole head counts 1 at its
-/// first witness; a Boolean query is one such group and counts 0 or 1.
+/// `|Q(D)|`, always equal to `evaluate(q, db).len()`, computed without
+/// building the output relation, by variable elimination
+/// ([`count_by_elimination`]) or by the planned search
+/// ([`count_by_search`]), whichever [`count_route`] picks. The count
+/// opens one span, `core.count.eliminate` or `core.count.search`, named
+/// after the route; an elimination that overflows `u64` is finished by
+/// the search inside the same span.
 ///
 /// ```
 /// use cq_core::{count_answers, parse_query};
@@ -86,6 +95,141 @@ pub fn evaluate(q: &ConjunctiveQuery, db: &Database) -> Relation {
 /// # Panics
 /// As [`evaluate`].
 pub fn count_answers(q: &ConjunctiveQuery, db: &Database) -> usize {
+    let Some((rels, elimination)) = elimination_plan(q, db) else {
+        let _span = Span::enter("core.count.eliminate");
+        return 0;
+    };
+    match route(q, &rels, &elimination) {
+        CountRoute::Eliminate => {
+            let _span = Span::enter("core.count.eliminate");
+            elimination
+                .run(q, &rels)
+                .and_then(|n| usize::try_from(n).ok())
+                .unwrap_or_else(|| count_by_search(q, db))
+        }
+        CountRoute::Search => {
+            let _span = Span::enter("core.count.search");
+            count_by_search(q, db)
+        }
+    }
+}
+
+/// How [`count_answers`] counts `|Q(D)|`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum CountRoute {
+    /// Sum-product variable elimination ([`count_by_elimination`]).
+    Eliminate,
+    /// The planned search ([`count_by_search`]).
+    Search,
+}
+
+/// The route [`count_answers`] takes for `q` over `db`: a function of
+/// the query and the sizes of its relations only, with nothing a caller
+/// can set. Both routes get a cost from the same quantity, the *cover
+/// product* of a variable set (the product of relation sizes over an
+/// integral edge cover of the set by body atoms, §3.1's bound on a
+/// join's projection, found greedily):
+///
+/// - elimination costs, per step, the cover product of the step's bag
+///   (the variable and the factors' other variables, covered by the atoms
+///   beneath those factors) when the step joins its factors, or the rows
+///   of the factor it multiplies into when that factor covers the rest;
+/// - the search costs the cover product of each prefix of its atom order
+///   (all of them for a projection; for a full query, all but the last,
+///   whose matching rows are counted, not enumerated).
+///
+/// Elimination is taken when its cost is at most the search's, or the
+/// search's overflows `u64` and its own does not; the search is taken
+/// when elimination's cost overflows. A body atom over an absent or empty
+/// relation makes every cost 0, and elimination answers 0 at once.
+///
+/// # Panics
+/// As [`evaluate`].
+pub fn count_route(q: &ConjunctiveQuery, db: &Database) -> CountRoute {
+    match elimination_plan(q, db) {
+        Some((rels, elimination)) => route(q, &rels, &elimination),
+        None => CountRoute::Eliminate,
+    }
+}
+
+/// `|Q(D)|` by sum-product variable elimination along a min-fill order
+/// of the primal graph with the existential variables first: `∃` over
+/// the existential variables, checked `Σ` over the head (see the
+/// `eliminate` module). `None` when a weight overflows `u64`.
+///
+/// # Panics
+/// As [`evaluate`].
+pub fn count_by_elimination(q: &ConjunctiveQuery, db: &Database) -> Option<usize> {
+    let Some((rels, elimination)) = elimination_plan(q, db) else {
+        return Some(0);
+    };
+    elimination
+        .run(q, &rels)
+        .and_then(|n| usize::try_from(n).ok())
+}
+
+/// The body's relations, one per atom, and the elimination plan over
+/// their sizes; `None` when some relation is absent or empty.
+fn elimination_plan<'a>(
+    q: &ConjunctiveQuery,
+    db: &'a Database,
+) -> Option<(Vec<&'a Relation>, Elimination)> {
+    if let Err(e) = check_arities(q, db) {
+        panic!("{e}");
+    }
+    let rels: Vec<&Relation> = q
+        .body()
+        .iter()
+        .map(|atom| db.relation(&atom.relation).filter(|rel| !rel.is_empty()))
+        .collect::<Option<_>>()?;
+    let sizes: Vec<usize> = rels.iter().map(|rel| rel.len()).collect();
+    let elimination = Elimination::new(q, &sizes);
+    Some((rels, elimination))
+}
+
+/// [`count_route`]'s rule.
+fn route(q: &ConjunctiveQuery, rels: &[&Relation], elimination: &Elimination) -> CountRoute {
+    let Some(eliminate) = elimination.cost() else {
+        return CountRoute::Search;
+    };
+    let sizes: Vec<usize> = rels.iter().map(|rel| rel.len()).collect();
+    let order = atom_order(q.body(), rels);
+    let prefixes = if q.is_join_query() {
+        order.len().saturating_sub(1)
+    } else {
+        order.len()
+    };
+    let mut vars: Vec<VarIdx> = Vec::new();
+    let mut search: Option<u64> = Some(0);
+    for i in 0..prefixes {
+        vars.extend(&q.body()[order[i]].vars);
+        vars.sort_unstable();
+        vars.dedup();
+        let cover = cover_product(&vars, &order[..=i], q.body(), &sizes);
+        search = search.zip(cover).and_then(|(s, c)| s.checked_add(c));
+    }
+    match search {
+        Some(search) if search < eliminate => CountRoute::Search,
+        _ => CountRoute::Eliminate,
+    }
+}
+
+/// `|Q(D)|` by the planned search that [`evaluate`] runs, without
+/// building the output relation.
+///
+/// A full query (every variable of the body in the head) has one answer
+/// per satisfying assignment, so its search counts the last step's
+/// matching rows without binding them. A projection counts its distinct
+/// head variables' tuples (repeating a head variable repeats a column,
+/// not an answer): its search groups the first atom's rows on the head
+/// values they bind and deduplicates the remaining head values in one
+/// set cleared after each group, so the set only ever holds one group's
+/// answers. A group whose atom binds the whole head counts 1 at its
+/// first witness; a Boolean query is one such group and counts 0 or 1.
+///
+/// # Panics
+/// As [`evaluate`].
+pub fn count_by_search(q: &ConjunctiveQuery, db: &Database) -> usize {
     if q.is_join_query() {
         let Some(plan) = Plan::new(q, db, &[]) else {
             return 0;
@@ -121,9 +265,9 @@ pub fn count_answers(q: &ConjunctiveQuery, db: &Database) -> usize {
     let mut seen: TupleMap<()> = TupleMap::new(rest_head.len());
     let mut tuple = Vec::with_capacity(rest_head.len());
     let mut count = 0;
-    for g in 0..first.num_groups() {
+    for g in 0..first.index.num_groups() {
         seen.clear();
-        for &row in first.group(g) {
+        for &row in first.index.group(g) {
             first.bind(row, &mut assignment);
             let flow = descend(rest, &mut assignment, &mut key, &mut |assignment, _| {
                 tuple.clear();
@@ -204,13 +348,9 @@ struct Step<'a> {
     key_vars: Vec<VarIdx>,
     /// The atom's relation.
     rel: &'a Relation,
-    /// The index, in one buffer: each key of the indexed positions maps
-    /// to a group `g`, whose rows are `rows[starts[g]..starts[g + 1]]`.
-    groups: TupleMap<u32>,
-    starts: Vec<u32>,
-    /// Numbers of the rows consistent with the atom's repeated
-    /// variables, grouped by key, in relation order within a group.
-    rows: Vec<u32>,
+    /// The rows consistent with the atom's repeated variables, indexed
+    /// on the key positions.
+    index: RowIndex,
     /// Positions that newly bind a variable (first occurrence).
     binds: Vec<(usize, VarIdx)>,
 }
@@ -252,16 +392,14 @@ impl<'a> Plan<'a> {
                 }
             }
             let rel = atom_rels[ai];
-            let (groups, starts, rows) = index_rows(rel, &key_pos, &equal);
+            let index = RowIndex::new(rel.iter(), rel.len(), &key_pos, &equal);
             for &(_, v) in &binds {
                 bound[v] = true;
             }
             steps.push(Step {
                 key_vars: key_pos.iter().map(|&p| atom.vars[p]).collect(),
                 rel,
-                groups,
-                starts,
-                rows,
+                index,
                 binds,
             });
         }
@@ -303,54 +441,85 @@ fn descend<F: FnMut(&[Option<Value>], &mut Vec<Value>) -> ControlFlow<()>>(
     ControlFlow::Continue(())
 }
 
-/// Indexes `rel`'s rows on the positions `key_pos`, keeping the rows
-/// whose positions in each `equal` pair agree: returns the key → group
-/// map, the group starts (one past the last group too) and the grouped
-/// row numbers.
-fn index_rows(
-    rel: &Relation,
-    key_pos: &[usize],
-    equal: &[(usize, usize)],
-) -> (TupleMap<u32>, Vec<u32>, Vec<u32>) {
-    const SKIP: u32 = u32::MAX;
-    assert!(rel.len() < SKIP as usize, "relation too large to index");
-    let mut groups: TupleMap<u32> = TupleMap::new(key_pos.len());
-    // Each row's group (or SKIP); then `sizes` becomes the fill cursor.
-    let mut group_of: Vec<u32> = Vec::with_capacity(rel.len());
-    let mut sizes: Vec<u32> = Vec::new();
-    let mut key = Vec::with_capacity(key_pos.len());
-    for row in rel.iter() {
-        if !equal.iter().all(|&(p, first)| row[p] == row[first]) {
-            group_of.push(SKIP);
-            continue;
+/// Row numbers grouped by their values at some key positions, in one
+/// buffer: each key maps to a group `g`, whose rows are
+/// `rows[starts[g]..starts[g + 1]]`, in row order within a group.
+pub(crate) struct RowIndex {
+    groups: TupleMap<u32>,
+    starts: Vec<u32>,
+    rows: Vec<u32>,
+}
+
+impl RowIndex {
+    /// Indexes the `len` rows of `rows` on the positions `key_pos`,
+    /// keeping the rows whose positions in each `equal` pair agree.
+    pub(crate) fn new<'r>(
+        rows: impl Iterator<Item = &'r [Value]>,
+        len: usize,
+        key_pos: &[usize],
+        equal: &[(usize, usize)],
+    ) -> RowIndex {
+        const SKIP: u32 = u32::MAX;
+        assert!(len < SKIP as usize, "relation too large to index");
+        let mut groups: TupleMap<u32> = TupleMap::new(key_pos.len());
+        // Each row's group (or SKIP); then `sizes` becomes the fill cursor.
+        let mut group_of: Vec<u32> = Vec::with_capacity(len);
+        let mut sizes: Vec<u32> = Vec::new();
+        let mut key = Vec::with_capacity(key_pos.len());
+        for row in rows {
+            if !equal.iter().all(|&(p, first)| row[p] == row[first]) {
+                group_of.push(SKIP);
+                continue;
+            }
+            key.clear();
+            key.extend(key_pos.iter().map(|&p| row[p]));
+            let g = *groups.get_or_insert_with(&key, || {
+                sizes.push(0);
+                (sizes.len() - 1) as u32
+            });
+            sizes[g as usize] += 1;
+            group_of.push(g);
         }
-        key.clear();
-        key.extend(key_pos.iter().map(|&p| row[p]));
-        let g = *groups.get_or_insert_with(&key, || {
-            sizes.push(0);
-            (sizes.len() - 1) as u32
-        });
-        sizes[g as usize] += 1;
-        group_of.push(g);
-    }
-    let mut starts = Vec::with_capacity(sizes.len() + 1);
-    let mut total = 0;
-    for size in &mut sizes {
-        let start = total;
-        total += *size;
-        starts.push(start);
-        *size = start;
-    }
-    starts.push(total);
-    let mut rows = vec![0; total as usize];
-    for (i, &g) in group_of.iter().enumerate() {
-        if g != SKIP {
-            let at = &mut sizes[g as usize];
-            rows[*at as usize] = i as u32;
-            *at += 1;
+        let mut starts = Vec::with_capacity(sizes.len() + 1);
+        let mut total = 0;
+        for size in &mut sizes {
+            let start = total;
+            total += *size;
+            starts.push(start);
+            *size = start;
+        }
+        starts.push(total);
+        let mut rows = vec![0; total as usize];
+        for (i, &g) in group_of.iter().enumerate() {
+            if g != SKIP {
+                let at = &mut sizes[g as usize];
+                rows[*at as usize] = i as u32;
+                *at += 1;
+            }
+        }
+        RowIndex {
+            groups,
+            starts,
+            rows,
         }
     }
-    (groups, starts, rows)
+
+    /// Number of groups.
+    pub(crate) fn num_groups(&self) -> usize {
+        self.starts.len() - 1
+    }
+
+    /// Numbers of the rows in group `g`.
+    pub(crate) fn group(&self, g: usize) -> &[u32] {
+        &self.rows[self.starts[g] as usize..self.starts[g + 1] as usize]
+    }
+
+    /// Numbers of the rows whose key is `key` (none when it is absent).
+    pub(crate) fn get(&self, key: &[Value]) -> &[u32] {
+        self.groups
+            .get(key)
+            .map_or(&[], |&g| self.group(g as usize))
+    }
 }
 
 impl Step<'_> {
@@ -359,19 +528,7 @@ impl Step<'_> {
     fn candidates(&self, assignment: &[Option<Value>], key: &mut Vec<Value>) -> &[u32] {
         key.clear();
         key.extend(self.key_vars.iter().map(|&v| bound(assignment, v)));
-        self.groups
-            .get(key)
-            .map_or(&[], |&g| self.group(g as usize))
-    }
-
-    /// Number of index groups.
-    fn num_groups(&self) -> usize {
-        self.starts.len() - 1
-    }
-
-    /// Numbers of the rows in group `g`.
-    fn group(&self, g: usize) -> &[u32] {
-        &self.rows[self.starts[g] as usize..self.starts[g + 1] as usize]
+        self.index.get(key)
     }
 
     /// Binds the variables this step introduces to their values in row
@@ -424,39 +581,44 @@ fn atom_order(body: &[Atom], rels: &[&Relation]) -> Vec<usize> {
 /// rows inconsistent with repeated variables are filtered, duplicate
 /// columns dropped, and columns renamed to variable names.
 pub fn atom_relation(q: &ConjunctiveQuery, atom: &Atom, db: &Database) -> Relation {
-    let rel = db.relation(&atom.relation);
-    let distinct: Vec<VarIdx> = {
-        let mut seen = Vec::new();
-        for &v in &atom.vars {
-            if !seen.contains(&v) {
-                seen.push(v);
-            }
-        }
-        seen
-    };
+    let (distinct, first, equal) = atom_columns(atom);
     let schema = Schema::with_attrs(
         format!("π({})", atom.relation),
         distinct.iter().map(|&v| q.var_name(v).to_owned()),
     );
     let mut out = Relation::new(schema);
-    let Some(rel) = rel else { return out };
+    let Some(rel) = db.relation(&atom.relation) else {
+        return out;
+    };
     assert_eq!(rel.arity(), atom.vars.len(), "atom/relation arity mismatch");
-    'rows: for row in rel.iter() {
-        // repeated variables must agree
-        let mut val_of: FxHashMap<VarIdx, Value> = FxHashMap::default();
-        for (pos, &v) in atom.vars.iter().enumerate() {
-            match val_of.get(&v) {
-                Some(&x) if x != row[pos] => continue 'rows,
-                Some(_) => {}
-                None => {
-                    val_of.insert(v, row[pos]);
-                }
-            }
+    let mut proj = Vec::with_capacity(first.len());
+    for row in rel.iter() {
+        if equal.iter().all(|&(p, at)| row[p] == row[at]) {
+            proj.clear();
+            proj.extend(first.iter().map(|&p| row[p]));
+            out.insert(&proj);
         }
-        let proj: Vec<Value> = distinct.iter().map(|&v| val_of[&v]).collect();
-        out.insert(proj);
     }
     out
+}
+
+/// An atom's distinct variables in first-occurrence order, each one's
+/// first position, and the `(position, earlier position)` pairs of its
+/// repeated variables, on which a row must agree.
+pub(crate) fn atom_columns(atom: &Atom) -> (Vec<VarIdx>, Vec<usize>, Vec<(usize, usize)>) {
+    let mut distinct = Vec::with_capacity(atom.vars.len());
+    let mut first = Vec::with_capacity(atom.vars.len());
+    let mut equal = Vec::new();
+    for (pos, &v) in atom.vars.iter().enumerate() {
+        match distinct.iter().position(|&u| u == v) {
+            Some(i) => equal.push((pos, first[i])),
+            None => {
+                distinct.push(v);
+                first.push(pos);
+            }
+        }
+    }
+    (distinct, first, equal)
 }
 
 /// The join-project plan of Corollary 4.8: the order in which atoms are

@@ -58,6 +58,7 @@ pub mod coloring;
 pub mod constructions;
 pub mod containment;
 pub mod decomp_eval;
+mod eliminate;
 pub mod entropy;
 pub mod entropy_lp;
 pub mod eval;
@@ -83,6 +84,7 @@ pub use coloring::{
 };
 pub use constructions::{
     example_2_1_database, predicted_output_size, predicted_rmax, worst_case_database,
+    worst_case_tuples, WITNESS_TUPLE_BUDGET,
 };
 pub use containment::{canonical_database, is_contained_in, is_equivalent};
 pub use decomp_eval::{
@@ -96,8 +98,8 @@ pub use entropy_lp::{
     entropy_upper_bound_zhang_yeung, MAX_ENTROPY_LP_VARS,
 };
 pub use eval::{
-    atom_relation, check_arities, count_answers, evaluate, evaluate_by_plan, join_project_plan,
-    ArityError,
+    atom_relation, check_arities, count_answers, count_by_elimination, count_by_search,
+    count_route, evaluate, evaluate_by_plan, join_project_plan, ArityError, CountRoute,
 };
 // LP solver observability, re-exported so engine layers can consume
 // per-solve stats without a direct cq-lp dependency.

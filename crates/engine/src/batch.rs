@@ -18,7 +18,7 @@
 
 use crate::cache::{LpCache, LpKind};
 use crate::report::{AnalysisReport, ReportOptions};
-use crate::session::AnalysisSession;
+use crate::session::{AnalysisSession, WitnessTooLarge};
 use cq_core::{ArityError, ConjunctiveQuery, ParseError};
 use cq_hypergraph::CanonicalKey;
 use cq_relation::FdSet;
@@ -48,6 +48,8 @@ pub enum AnalyzeError {
     Parse(ParseError),
     /// The query does not fit the database (a relation's arity differs).
     Database(ArityError),
+    /// The requested witness database would exceed the tuple budget.
+    Witness(WitnessTooLarge),
 }
 
 impl fmt::Display for AnalyzeError {
@@ -55,6 +57,7 @@ impl fmt::Display for AnalyzeError {
         match self {
             AnalyzeError::Parse(e) => e.fmt(f),
             AnalyzeError::Database(e) => write!(f, "database error: {e}"),
+            AnalyzeError::Witness(e) => e.fmt(f),
         }
     }
 }
@@ -106,8 +109,9 @@ impl BatchAnalyzer {
     }
 
     /// Parses and analyzes `(name, program_text)` pairs. Per-input parse
-    /// errors, and queries the database of `opts` does not fit, are
-    /// reported in place without sinking the batch.
+    /// errors, queries the database of `opts` does not fit, and witness
+    /// databases over the tuple budget are reported in place without
+    /// sinking the batch.
     pub fn analyze_texts(
         &self,
         inputs: &[(String, String)],
@@ -127,6 +131,9 @@ impl BatchAnalyzer {
                 let session = session.map_err(AnalyzeError::Parse)?;
                 if let Some(db) = opts.database {
                     session.check_database(db).map_err(AnalyzeError::Database)?;
+                }
+                if let Some(m) = opts.witness_m {
+                    session.check_witness(m).map_err(AnalyzeError::Witness)?;
                 }
                 Ok(session.report(opts))
             },

@@ -626,6 +626,9 @@ impl ServeEngine {
         if let Some(cache) = &self.cache {
             session = session.with_cache(Arc::clone(cache));
         }
+        if let Some(m) = opts.witness_m {
+            session.check_witness(m).map_err(|e| e.to_string())?;
+        }
         let report = session.report(&opts);
         self.note_solver(&report);
         Ok(vec![("report", report.to_json())])
@@ -1215,6 +1218,32 @@ mod tests {
             parse(&engine.handle_line(&format!(r#"{{"cmd":"analyze","query":"{TRIANGLE}"}}"#)));
         assert_eq!(resp.get("ok"), Some(&Json::Bool(true)));
         assert_eq!(engine.stats().errors, 8);
+    }
+
+    #[test]
+    fn witness_over_the_tuple_budget_is_refused_before_building() {
+        let engine = ServeEngine::new();
+        // The triangle's certificate puts two colours on each atom:
+        // 3 * 600^2 = 1,080,000 tuples, past the 2^20 budget.
+        let resp = parse(&engine.handle_line(&format!(
+            r#"{{"cmd":"analyze","query":"{TRIANGLE}","witness":600}}"#
+        )));
+        assert_eq!(resp.get("ok"), Some(&Json::Bool(false)));
+        let error = resp.get("error").and_then(Json::as_str).unwrap();
+        assert!(error.contains("budget of 1048576"), "{error}");
+        // In a batch the refusal is per entry, like a parse error.
+        let resp = parse(&engine.handle_line(&format!(
+            r#"{{"cmd":"batch","queries":[{{"query":"{TRIANGLE}"}}],"witness":1000000}}"#
+        )));
+        let reports = resp.get("reports").and_then(Json::as_array).unwrap();
+        let error = reports[0].get("error").and_then(Json::as_str).unwrap();
+        assert!(error.contains("budget"), "{error}");
+        // A witness within the budget is built and measured (the exact
+        // edge is pinned in the session's tests).
+        let resp = parse(&engine.handle_line(&format!(
+            r#"{{"cmd":"analyze","query":"{TRIANGLE}","witness":3}}"#
+        )));
+        assert_eq!(resp.get("ok"), Some(&Json::Bool(true)));
     }
 
     #[test]

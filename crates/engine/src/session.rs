@@ -26,13 +26,14 @@ use cq_core::{
     chase, check_size_bound, color_number_entropy_lp_with_stats, color_number_lp,
     decide_size_increase_chased, entropy_upper_bound_with_stats, is_acyclic, parse_program,
     pull_back_coloring, remove_simple_fds, treewidth_preservation_no_fds, worst_case_database,
-    ArityError, BoundCheck, ChaseResult, ConjunctiveQuery, LpWork, ParseError, RemovalTrace,
-    SizeBound, SizeIncreaseDecision, TwPreservation, VarFd,
+    worst_case_tuples, ArityError, BoundCheck, ChaseResult, ConjunctiveQuery, LpWork, ParseError,
+    RemovalTrace, SizeBound, SizeIncreaseDecision, TwPreservation, VarFd, WITNESS_TUPLE_BUDGET,
 };
 use cq_hypergraph::{hypertree_capped, treewidth_capped, CanonicalForm, CanonicalKey};
 use cq_relation::{Database, FdSet};
 use cq_telemetry::phase;
 use std::cell::{Cell, OnceCell};
+use std::fmt;
 use std::sync::Arc;
 
 /// Variable cap for the Proposition 6.10 entropy characterization of the
@@ -468,12 +469,29 @@ impl AnalysisSession {
 
     /// Proposition 4.5: builds the `M`-parameterized worst-case database
     /// from the cached certificate coloring and measures the bound on
-    /// it. `None` under compound dependencies. Parameterized by `m`, so
-    /// not memoized — but it reuses the cached chase/LP artifacts.
+    /// it. `None` under compound dependencies, and when the database
+    /// would exceed [`WITNESS_TUPLE_BUDGET`] (see [`Self::check_witness`],
+    /// which says why). Parameterized by `m`, so not memoized — but it
+    /// reuses the cached chase/LP artifacts.
     pub fn witness_check(&self, m: usize) -> Option<BoundCheck> {
+        self.check_witness(m).ok()?;
         let bound = self.size_bound()?;
         let db = worst_case_database(&bound.query, &bound.coloring, m);
         Some(check_size_bound(&bound.query, &db, &bound.exponent))
+    }
+
+    /// Whether [`Self::witness_check`] may build its database for `m`:
+    /// the certificate coloring's `Σ_j M^{c_j}` tuples must fit in
+    /// [`WITNESS_TUPLE_BUDGET`]. Computed before anything is built; `Ok`
+    /// under compound dependencies, where no database is built.
+    pub fn check_witness(&self, m: usize) -> Result<(), WitnessTooLarge> {
+        let Some(bound) = self.size_bound() else {
+            return Ok(());
+        };
+        match worst_case_tuples(&bound.query, &bound.coloring, m) {
+            Some(tuples) if tuples <= WITNESS_TUPLE_BUDGET => Ok(()),
+            tuples => Err(WitnessTooLarge { m, tuples }),
+        }
     }
 
     /// Checks that `db` fits the query: every body atom over a relation
@@ -600,6 +618,33 @@ impl WidthTally {
         self.max_treewidth = self.max_treewidth.max(other.max_treewidth);
     }
 }
+
+/// Why [`AnalysisSession::check_witness`] refuses a witness size: the
+/// worst-case database would exceed [`WITNESS_TUPLE_BUDGET`] tuples.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct WitnessTooLarge {
+    /// The requested product parameter.
+    pub m: usize,
+    /// `Σ_j M^{c_j}` over the certificate coloring (`None`: past `u64`).
+    pub tuples: Option<u64>,
+}
+
+impl fmt::Display for WitnessTooLarge {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let tuples = self
+            .tuples
+            .map_or_else(|| "more than 2^64".to_owned(), |t| t.to_string());
+        write!(
+            f,
+            "witness M={} would build {tuples} tuples (the sum over atoms of M^colours \
+             in the certificate coloring), over the budget of {WITNESS_TUPLE_BUDGET}; \
+             choose a smaller M",
+            self.m
+        )
+    }
+}
+
+impl std::error::Error for WitnessTooLarge {}
 
 /// Result of [`AnalysisSession::data_check`].
 #[derive(Clone, Debug)]
@@ -765,6 +810,28 @@ mod tests {
         assert!(check.exact.unwrap().holds);
         assert!(check.product.unwrap().holds);
         assert_eq!(s.stats().color_lp_runs, 1);
+    }
+
+    #[test]
+    fn witness_budget_admits_the_largest_fitting_m_and_no_more() {
+        let s = AnalysisSession::parse("triangle", TRIANGLE).unwrap();
+        let bound = s.size_bound().unwrap();
+        let tuples = |m| worst_case_tuples(&bound.query, &bound.coloring, m);
+        // The largest M whose database fits, found from the coloring.
+        let fits = (1..)
+            .take_while(|&m| tuples(m) <= Some(WITNESS_TUPLE_BUDGET))
+            .last();
+        let m = fits.unwrap();
+        assert!(tuples(m + 1) > Some(WITNESS_TUPLE_BUDGET));
+        assert_eq!(s.check_witness(m), Ok(()));
+        let err = s.check_witness(m + 1).unwrap_err();
+        assert_eq!(err.tuples, tuples(m + 1));
+        assert!(err.to_string().contains("budget of 1048576"), "{err}");
+        assert!(s.witness_check(m + 1).is_none(), "nothing is built");
+        // Past u64, the error says so rather than wrapping.
+        let huge = s.check_witness(usize::MAX).unwrap_err();
+        assert_eq!(huge.tuples, None);
+        assert!(huge.to_string().contains("more than 2^64"), "{huge}");
     }
 
     #[test]

@@ -107,35 +107,59 @@ pub fn decomposition_from_ordering(g: &Graph, order: &[usize]) -> TreeDecomposit
 
 /// Greedy min-degree elimination ordering (treewidth upper bound).
 pub fn min_degree_ordering(g: &Graph) -> Vec<usize> {
-    greedy_ordering(g, |adj, alive, v| adj[v].intersection(alive).len())
+    greedy_ordering(g, &BitSet::new(), |adj, alive, v| {
+        adj[v].intersection(alive).len()
+    })
 }
 
 /// Greedy min-fill elimination ordering (usually tighter than min-degree).
 pub fn min_fill_ordering(g: &Graph) -> Vec<usize> {
-    greedy_ordering(g, |adj, alive, v| {
-        let nbrs: Vec<usize> = adj[v].intersection(alive).iter().collect();
-        let mut fill = 0usize;
-        for (i, &a) in nbrs.iter().enumerate() {
-            for &b in &nbrs[i + 1..] {
-                if !adj[a].contains(b) {
-                    fill += 1;
-                }
-            }
-        }
-        fill
-    })
+    greedy_ordering(g, &BitSet::new(), fill_in)
 }
 
-fn greedy_ordering(g: &Graph, score: impl Fn(&[BitSet], &BitSet, usize) -> usize) -> Vec<usize> {
+/// Greedy min-fill elimination ordering that eliminates every vertex of
+/// `first` before any other vertex: min-fill picks among the live
+/// vertices of `first` while any remain, then among the rest. Counting
+/// a projection by elimination needs this shape of order, with the
+/// existential variables in `first`.
+pub fn min_fill_ordering_first(g: &Graph, first: &BitSet) -> Vec<usize> {
+    greedy_ordering(g, first, fill_in)
+}
+
+/// The fill-in of eliminating `v`: the non-adjacent pairs among its
+/// live neighbours.
+fn fill_in(adj: &[BitSet], alive: &BitSet, v: usize) -> usize {
+    let nbrs: Vec<usize> = adj[v].intersection(alive).iter().collect();
+    let mut fill = 0usize;
+    for (i, &a) in nbrs.iter().enumerate() {
+        for &b in &nbrs[i + 1..] {
+            if !adj[a].contains(b) {
+                fill += 1;
+            }
+        }
+    }
+    fill
+}
+
+/// Eliminates the live vertex of least `score` (ties to the lower
+/// index), taking the vertices of `first` before all others.
+fn greedy_ordering(
+    g: &Graph,
+    first: &BitSet,
+    score: impl Fn(&[BitSet], &BitSet, usize) -> usize,
+) -> Vec<usize> {
     let n = g.num_vertices();
     let mut adj: Vec<BitSet> = (0..n).map(|v| g.neighbors(v).clone()).collect();
     let mut alive = BitSet::full(n);
+    let mut pending = first.intersection(&alive);
     let mut order = Vec::with_capacity(n);
     for _ in 0..n {
-        let v = alive
+        let candidates = if pending.is_empty() { &alive } else { &pending };
+        let v = candidates
             .iter()
             .min_by_key(|&v| (score(&adj, &alive, v), v))
             .expect("alive set nonempty");
+        pending.remove(v);
         let nbrs: Vec<usize> = adj[v].intersection(&alive).iter().collect();
         for (i, &a) in nbrs.iter().enumerate() {
             for &b in &nbrs[i + 1..] {

@@ -37,7 +37,7 @@ pub use canonical::{canonical_form, canonical_key, CanonicalForm, CanonicalKey};
 pub use decomposition::TreeDecomposition;
 pub use elimination::{
     decomposition_from_ordering, elimination_width, min_degree_ordering, min_fill_ordering,
-    treewidth_lower_bound, treewidth_upper_bound,
+    min_fill_ordering_first, treewidth_lower_bound, treewidth_upper_bound,
 };
 pub use exact::{
     hypertree_capped, treewidth_capped, treewidth_exact, HYPERTREE_EXACT_VAR_CAP,

@@ -419,6 +419,18 @@ fn witness_zero_is_rejected_cleanly() {
 }
 
 #[test]
+fn witness_over_the_tuple_budget_fails_with_the_budget() {
+    let (stdout, stderr, ok) = run_cli(
+        &["-", "--witness", "2000", "--json"],
+        Some("Q(X,Y,Z) :- R(X,Y), R(X,Z), R(Y,Z)\n"),
+    );
+    assert!(!ok);
+    assert!(stderr.contains("over the budget of 1048576"), "{stderr}");
+    // The --json line carries the same message in place of the report.
+    assert!(stdout.contains("\"error\":\"witness M=2000"), "{stdout}");
+}
+
+#[test]
 fn parse_errors_fail_cleanly() {
     let (_, stderr, ok) = run_cli(&["-"], Some("not a query\n"));
     assert!(!ok);

@@ -1,21 +1,28 @@
 //! `count_answers` against the evaluators that list `Q(D)`.
 //!
-//! `cq_core::count_answers` computes `|Q(D)|` from the planned search
-//! that `evaluate` also runs, without building the output relation:
-//! full queries count satisfying assignments; projections group the
-//! search on the head values its first atom binds and deduplicate the
-//! rest of the head one group at a time. The property below checks
-//! `count_answers == evaluate(..).len() == evaluate_wcoj(..).len()` on
-//! random query × database instances; the generic-join evaluator is the
-//! oracle that does not share the planner. Each random query is also
-//! tried with the heads the generator never makes: empty, with repeated
-//! variables, wider than the four values a packed key holds, each atom's
-//! variables (when that atom is the first, every group stops at its
-//! first witness), and each atom's variables plus a variable outside it
-//! (deduplicated within groups).
+//! `cq_core::count_answers` computes `|Q(D)|` without building the
+//! output relation, by one of two routes that `count_route` picks from
+//! the query and the relation sizes: sum-product variable elimination
+//! (`count_by_elimination`: `∃` over the existential variables, checked
+//! `Σ` over the head) or the planned search that `evaluate` also runs
+//! (`count_by_search`: full queries count satisfying assignments;
+//! projections group the search on the head values its first atom binds
+//! and deduplicate the rest of the head one group at a time). Every check
+//! below calls both routes directly, so each is tested whichever one the
+//! route rule picks, and requires
+//! `count_answers == count_by_elimination == count_by_search ==
+//! evaluate(..).len() == evaluate_wcoj(..).len()`; the generic-join
+//! evaluator is the oracle that shares no planner. The random layer runs
+//! on random query × database instances, without dependencies and with
+//! random key FDs, and tries each query with the heads the generator
+//! never makes: empty, with repeated variables, wider than the four
+//! values a packed key holds, each atom's variables (when that atom is
+//! the first, every group stops at its first witness), and each atom's
+//! variables plus a variable outside it (deduplicated within groups).
 //! Fixed queries cover group keys with repeated and more than four
-//! variables, and a seeded graph test runs the projected paths at a
-//! size where groups hold many answers.
+//! variables, absent and empty relations, nullary atoms, and a seeded
+//! graph test runs the projected paths and the cycles at a size where
+//! groups hold many answers and the bitset rows are used.
 //!
 //! The random layer runs on the default proptest config, so CI's
 //! scheduled deep job runs it at 4096 cases.
@@ -23,7 +30,10 @@
 mod common;
 
 use common::{random_database, random_query};
-use cqbounds::core::{count_answers, evaluate, evaluate_wcoj, parse_query, ConjunctiveQuery};
+use cqbounds::core::{
+    count_answers, count_by_elimination, count_by_search, evaluate, evaluate_wcoj, parse_query,
+    Atom, ConjunctiveQuery,
+};
 use cqbounds::relation::{Database, FdSet, Relation, Schema};
 use proptest::prelude::*;
 
@@ -60,18 +70,29 @@ fn head_variants(q: &ConjunctiveQuery) -> Vec<ConjunctiveQuery> {
     variants
 }
 
-fn assert_counts_agree(q: &ConjunctiveQuery, db: &Database) {
+/// Every count of `|Q(D)|`: `count_answers`, each route called
+/// directly, and both evaluators' listed sizes; `Err` names the first
+/// that differs from `evaluate`.
+fn counts_agree(q: &ConjunctiveQuery, db: &Database) -> Result<usize, String> {
     let listed = evaluate(q, db).len();
-    assert_eq!(
-        count_answers(q, db),
-        listed,
-        "count_answers vs evaluate on {q}"
-    );
-    assert_eq!(
-        evaluate_wcoj(q, db).len(),
-        listed,
-        "evaluate_wcoj vs evaluate on {q}"
-    );
+    let counts = [
+        ("count_answers", Some(count_answers(q, db))),
+        ("count_by_elimination", count_by_elimination(q, db)),
+        ("count_by_search", Some(count_by_search(q, db))),
+        ("evaluate_wcoj", Some(evaluate_wcoj(q, db).len())),
+    ];
+    for (name, count) in counts {
+        if count != Some(listed) {
+            return Err(format!("{name} {count:?} vs evaluate {listed} on {q}"));
+        }
+    }
+    Ok(listed)
+}
+
+fn assert_counts_agree(q: &ConjunctiveQuery, db: &Database) {
+    if let Err(e) = counts_agree(q, db) {
+        panic!("{e}");
+    }
 }
 
 fn db_from(relations: &[(&str, &[&[&str]])]) -> Database {
@@ -261,16 +282,82 @@ fn projected_paths_on_a_seeded_graph_match_generic_join() {
         let q = parse_query(text).unwrap();
         let counted = count_answers(&q, &db);
         assert_eq!(counted, evaluate_wcoj(&q, &db).len(), "{text}");
+        assert_eq!(count_by_elimination(&q, &db), Some(counted), "{text}");
+        assert_eq!(count_by_search(&q, &db), counted, "{text}");
         assert!(counted > 0, "{text}");
     }
+}
+
+#[test]
+fn cycles_grids_and_stars_on_a_seeded_graph_agree() {
+    // The triangle absorbs both of its other atoms into E(Y,Z) on bitset
+    // rows; the 4-cycle materialises 2-path counts; the grid multiplies
+    // two square factors into E(B,F); each query's Boolean variant and
+    // the one-column heads count through the Boolean phase.
+    let db = random_graph(7, 60, 400);
+    for text in [
+        "Q(X,Y,Z) :- E(X,Y), E(Y,Z), E(X,Z)",
+        "Q(A,B,C,D) :- E(A,B), E(B,C), E(C,D), E(D,A)",
+        "Q(A,B,C,D,F,G) :- E(A,B), E(B,C), E(D,F), E(F,G), E(A,D), E(B,F), E(C,G)",
+        "Q(X,Y,Z) :- E(X,Y), E(X,Z)",
+        "Q(A,C) :- E(A,B), E(B,C), E(C,A)",
+        "Q(A) :- E(A,B), E(B,C), E(C,D), E(D,A)",
+    ] {
+        let q = parse_query(text).unwrap();
+        for q in [with_head(&q, Vec::new()), q] {
+            let listed = evaluate(&q, &db).len();
+            assert_eq!(count_by_elimination(&q, &db), Some(listed), "{q}");
+            assert_eq!(count_by_search(&q, &db), listed, "{q}");
+            assert_eq!(count_answers(&q, &db), listed, "{q}");
+        }
+    }
+}
+
+#[test]
+fn nullary_atoms_count_as_their_relation() {
+    let mut db = db_from(&[("R", &[&["a", "b"], &["b", "c"]])]);
+    let r = parse_query("P(X) :- R(X,Y)").unwrap();
+    let mut body = r.body().to_vec();
+    body.push(Atom::new("T", Vec::new()));
+    let q = ConjunctiveQuery::new(r.var_names().to_vec(), r.head().to_vec(), body);
+    // T absent, then empty, then holding the empty tuple.
+    assert_counts_agree(&q, &db);
+    db.add_relation(Relation::new(Schema::new("T", 0)));
+    assert_counts_agree(&q, &db);
+    db.insert_named("T", &[]);
+    assert_eq!(count_by_elimination(&q, &db), Some(2));
+    assert_counts_agree(&q, &db);
+}
+
+/// Random key FDs for `q`'s relations: each relation of arity at least
+/// two gets a one-column key with probability one half.
+fn random_keys(seed: u64, q: &ConjunctiveQuery) -> FdSet {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    let mut rng = StdRng::seed_from_u64(seed ^ 0xfd);
+    let mut fds = FdSet::new();
+    for name in q.relation_names() {
+        let arity = q
+            .body()
+            .iter()
+            .find(|a| a.relation == name)
+            .unwrap()
+            .vars
+            .len();
+        if arity >= 2 && rng.gen_bool(0.5) {
+            fds.add_key(name, &[rng.gen_range(0..arity)], arity);
+        }
+    }
+    fds
 }
 
 proptest! {
     // Default config on purpose: honors the PROPTEST_CASES override the
     // deep CI job uses to run this property at 4096 cases.
 
-    /// Random query × random database, under every head variant:
-    /// `count_answers` equals the listed size of both evaluators.
+    /// Random query × random database, under every head variant: both
+    /// routes and `count_answers` equal the listed size of both
+    /// evaluators.
     #[test]
     fn count_answers_matches_both_evaluators(
         qseed in 0u64..1_000_000,
@@ -281,13 +368,27 @@ proptest! {
         let q = random_query(qseed, 7, 5);
         let db = random_database(dbseed, &q, &FdSet::new(), domain, rows);
         for variant in head_variants(&q) {
-            let listed = evaluate(&variant, &db).len();
-            let counted = count_answers(&variant, &db);
-            let oracle = evaluate_wcoj(&variant, &db).len();
-            prop_assert!(
-                counted == listed && oracle == listed,
-                "{variant}: count_answers {counted}, evaluate {listed}, evaluate_wcoj {oracle}"
-            );
+            let agree = counts_agree(&variant, &db);
+            prop_assert!(agree.is_ok(), "{}", agree.unwrap_err());
+        }
+    }
+
+    /// The same under random key FDs, with more rows: a key keeps one
+    /// row per key value, so factors are functions of their key columns.
+    #[test]
+    fn counts_agree_under_random_keys(
+        qseed in 0u64..1_000_000,
+        dbseed in 0u64..1_000_000,
+        domain in 2usize..7,
+        rows in 1usize..24,
+    ) {
+        let q = random_query(qseed, 7, 5);
+        let fds = random_keys(qseed, &q);
+        let db = random_database(dbseed, &q, &fds, domain, rows);
+        prop_assert!(db.satisfies(&fds));
+        for variant in head_variants(&q) {
+            let agree = counts_agree(&variant, &db);
+            prop_assert!(agree.is_ok(), "{}", agree.unwrap_err());
         }
     }
 }

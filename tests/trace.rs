@@ -17,6 +17,10 @@
 //! 4. **Batched requests assemble too** — a request carrying several
 //!    queries, whose cache-miss planning runs inside the request's span,
 //!    still leaves no orphan spans.
+//! 5. **Counting is traced only where it runs** — a `cq-analyze --json`
+//!    run without `--db` opens no `core.count.*` span (analysis never
+//!    counts), and a run with `--db` opens exactly one per input, as the
+//!    child of that input's `session.data_check`.
 
 use cq_cluster::{ClusterClient, PlanMode, ServeChild, WorkerAddr};
 use cq_engine::serve::metrics_from_json;
@@ -318,6 +322,89 @@ fn flame_and_assemble_json_round_trip_from_a_traced_run() {
         "{}",
         phases.render()
     );
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The spans of a traced `cq-analyze --json` run over `inputs`, each
+/// as `(name, span, parent)`.
+fn traced_spans(dir: &Path, inputs: &[&str], db: Option<&str>) -> Vec<(String, i64, i64)> {
+    let trace_path = dir.join(format!("analyze-{}.ndjson", db.is_some()));
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_cq-analyze"));
+    cmd.args(inputs).arg("--json");
+    if let Some(db) = db {
+        cmd.args(["--db", db]);
+    }
+    let out = cmd
+        .env("CQ_TRACE", &trace_path)
+        .env_remove("CQ_HYBRID_TRACE")
+        .output()
+        .expect("run cq-analyze");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    std::fs::read_to_string(&trace_path)
+        .unwrap()
+        .lines()
+        .map(|line| {
+            let event = Json::parse(line).expect("one JSON object per line");
+            let name = event.get("name").and_then(Json::as_str).unwrap().to_owned();
+            let span = event.get("span").and_then(Json::as_i64).unwrap();
+            let parent = event.get("parent").and_then(Json::as_i64).unwrap_or(0);
+            (name, span, parent)
+        })
+        .collect()
+}
+
+/// A run without `--db` never counts, so it must not pay for a count
+/// route either; a run with `--db` counts each input once, under its
+/// data check.
+#[test]
+fn count_spans_appear_once_per_data_check_and_never_without_data() {
+    let dir = tmp("count-spans");
+    let inputs = [
+        "tests/fixtures/triangle.cq",
+        "tests/fixtures/keyed_star.cq",
+        "tests/fixtures/selfjoin_proj.cq",
+        "tests/fixtures/path_keyed.cq",
+    ];
+    let without = traced_spans(&dir, &inputs, None);
+    assert!(
+        without
+            .iter()
+            .any(|(name, _, _)| name.starts_with("session.")),
+        "a traced run emits session spans: {without:?}"
+    );
+    assert!(
+        without
+            .iter()
+            .all(|(name, _, _)| !name.starts_with("core.count.")),
+        "no --db, no count: {without:?}"
+    );
+
+    let with = traced_spans(&dir, &inputs, Some("tests/fixtures/triangle.db"));
+    let checks: HashSet<i64> = with
+        .iter()
+        .filter(|(name, _, _)| name == "session.data_check")
+        .map(|&(_, span, _)| span)
+        .collect();
+    let counts: Vec<&(String, i64, i64)> = with
+        .iter()
+        .filter(|(name, _, _)| name.starts_with("core.count."))
+        .collect();
+    assert_eq!(checks.len(), inputs.len(), "{with:?}");
+    assert_eq!(counts.len(), inputs.len(), "one count per input: {with:?}");
+    for (name, _, parent) in &counts {
+        assert!(
+            name == "core.count.eliminate" || name == "core.count.search",
+            "{name}"
+        );
+        assert!(checks.contains(parent), "{name} under a data check");
+    }
+    let parents: HashSet<i64> = counts.iter().map(|&&(_, _, parent)| parent).collect();
+    assert_eq!(parents, checks, "each data check counts once");
 
     std::fs::remove_dir_all(&dir).ok();
 }

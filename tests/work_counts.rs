@@ -23,6 +23,13 @@
 //!    hit on every other lookup, with the solves, pivots and width
 //!    searches of the cold run pinned; a warm rerun and a warm-cache
 //!    session solve nothing and search no width.
+//! 4. **The count route of the five data-check shapes** (triangle,
+//!    4-cycle, projected 3-path, 2×3 grid, keyed star, on seeded
+//!    databases of the benchmark's sizes): `count_answers` takes variable
+//!    elimination on each, and elimination agrees with the planned
+//!    search. The route is a function of the query and the relation
+//!    sizes, so a change to the route rule or the plan's costs fails
+//!    here.
 //!
 //! The Proposition 6.10 program the engine actually solves (I-measure
 //! coordinates) has its counts pinned beside it, in
@@ -37,12 +44,13 @@ mod common;
 
 use common::{permuted_query, random_query};
 use cqbounds::core::{
-    build_color_number_entropy_lp, build_entropy_upper_lp, chase, entropy_upper_bound_with_stats,
-    parse_program, Atom, ConjunctiveQuery,
+    build_color_number_entropy_lp, build_entropy_upper_lp, chase, count_by_elimination,
+    count_by_search, count_route, entropy_upper_bound_with_stats, parse_program, Atom,
+    ConjunctiveQuery, CountRoute,
 };
 use cqbounds::engine::{AnalysisReport, AnalysisSession, LpCache, ReportOptions};
 use cqbounds::lp::{solve_lp, PivotRule, Solver, SolverKind};
-use cqbounds::relation::FdSet;
+use cqbounds::relation::{Database, FdSet};
 use std::sync::Arc;
 
 /// The engine `Auto` must pick for the large entropy programs: the
@@ -322,5 +330,76 @@ fn cached_widths_equal_fresh_widths_on_relabeled_copies() {
                 "template {t}, copy {c}"
             );
         }
+    }
+}
+
+/// A seeded random directed graph `E` without self-loops: `edges`
+/// distinct edges over `nodes` nodes (`n0`, `n1`, ...).
+fn random_graph(seed: u64, nodes: usize, edges: usize) -> Database {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut db = Database::new();
+    let mut seen = std::collections::HashSet::new();
+    while seen.len() < edges {
+        let (a, b) = (rng.gen_range(0..nodes), rng.gen_range(0..nodes));
+        if a != b && seen.insert((a, b)) {
+            db.insert_named("E", &[&format!("n{a}"), &format!("n{b}")]);
+        }
+    }
+    db
+}
+
+/// Seeded keyed relations `R1`, `R2`, `R3`: `rows` key values each out
+/// of `domain`, with one random value per key.
+fn keyed_star_database(seed: u64, domain: usize, rows: usize) -> Database {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut db = Database::new();
+    for rel in ["R1", "R2", "R3"] {
+        let mut keys = std::collections::HashSet::new();
+        while keys.len() < rows {
+            let k = rng.gen_range(0..domain);
+            if keys.insert(k) {
+                let v = rng.gen_range(0..domain);
+                db.insert_named(rel, &[&format!("k{k}"), &format!("v{v}")]);
+            }
+        }
+    }
+    db
+}
+
+#[test]
+fn data_check_shapes_count_by_elimination() {
+    let shapes: [(&str, Database); 5] = [
+        (
+            "Q(X,Y,Z) :- E(X,Y), E(Y,Z), E(X,Z)",
+            random_graph(1, 200, 6000),
+        ),
+        (
+            "Q(A,B,C,D) :- E(A,B), E(B,C), E(C,D), E(D,A)",
+            random_graph(2, 400, 4000),
+        ),
+        (
+            "Q(A,D) :- E(A,B), E(B,C), E(C,D)",
+            random_graph(3, 800, 6000),
+        ),
+        (
+            "Q(A,B,C,D,F,G) :- E(A,B), E(B,C), E(D,F), E(F,G), E(A,D), E(B,F), E(C,G)",
+            random_graph(4, 800, 3000),
+        ),
+        (
+            "Q(X,Y1,Y2,Y3) :- R1(X,Y1), R2(X,Y2), R3(X,Y3)\nkey R1[1]\nkey R2[1]\nkey R3[1]",
+            keyed_star_database(5, 6000, 5000),
+        ),
+    ];
+    for (text, db) in &shapes {
+        let (q, fds) = parse_program(text).unwrap();
+        assert!(db.satisfies(&fds), "{text}");
+        assert_eq!(count_route(&q, db), CountRoute::Eliminate, "{text}");
+        let counted = count_by_elimination(&q, db);
+        assert_eq!(counted, Some(count_by_search(&q, db)), "{text}");
+        assert!(counted > Some(0), "{text}");
     }
 }
