@@ -463,6 +463,7 @@ impl ServeEngine {
                     parent_id: Some(request_span.id()),
                     start_micros: now_micros().saturating_sub(wait_micros),
                     duration_micros: wait_micros,
+                    attrs: Vec::new(),
                 });
             }
         }
@@ -966,6 +967,7 @@ impl<W: Write> Sequencer<W> {
                 parent_id: Some(meta.request_span),
                 start_micros: write_started,
                 duration_micros: write_clock.elapsed().as_micros() as u64,
+                attrs: Vec::new(),
             });
         }
     }

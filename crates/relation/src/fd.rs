@@ -55,7 +55,7 @@ impl Fd {
 
     /// Checks the dependency on a relation instance.
     pub fn holds_on(&self, rel: &Relation) -> bool {
-        let mut seen: TupleMap<Value> = TupleMap::new(self.lhs.len());
+        let mut seen: TupleMap<Value> = TupleMap::with_capacity(self.lhs.len(), rel.len());
         let mut key = Vec::with_capacity(self.lhs.len());
         rel.iter().all(|row| {
             key.clear();

@@ -35,6 +35,38 @@ impl Relation {
         }
     }
 
+    /// The relation over `schema` whose rows are `values`, `arity` at a
+    /// time, in order, each kept at its first occurrence only: the
+    /// relation that inserting them one by one builds, with the index
+    /// sized once for every row.
+    ///
+    /// # Panics
+    /// Panics if the arity is 0 or does not divide `values.len()`.
+    pub(crate) fn from_rows(schema: Schema, mut values: Vec<Value>) -> Self {
+        let arity = schema.arity();
+        assert!(
+            arity > 0 && values.len().is_multiple_of(arity),
+            "rows of {schema}"
+        );
+        let rows = values.len() / arity;
+        let mut index = TupleMap::with_capacity(arity, rows);
+        let mut len = 0;
+        for i in 0..rows {
+            let row = i * arity..(i + 1) * arity;
+            if index.insert(&values[row.clone()], ()) {
+                values.copy_within(row, len * arity);
+                len += 1;
+            }
+        }
+        values.truncate(len * arity);
+        Relation {
+            schema,
+            values,
+            len,
+            index,
+        }
+    }
+
     /// The schema.
     pub fn schema(&self) -> &Schema {
         &self.schema

@@ -8,9 +8,7 @@
 //! (`u32`s) while preserving readable provenance for debugging and the
 //! experiment reports.
 
-use cq_util::FxBuildHasher;
 use std::fmt;
-use std::hash::BuildHasher;
 
 /// An interned domain value.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
@@ -30,7 +28,9 @@ impl Value {
 /// dropping a table frees three buffers however many names it holds.
 /// Ids are found through an open-addressing table that keeps each
 /// name's hash next to its id, so a probe reads a name only when the
-/// hashes agree and growing the table reads none.
+/// hashes agree and growing the table reads none. The hash is the
+/// table's own, reading a name a word at a time in place; no id depends
+/// on it, so ids follow the order in which names are first interned.
 #[derive(Default, Clone, Debug)]
 pub struct SymbolTable {
     /// Every name, back to back in id order.
@@ -38,9 +38,11 @@ pub struct SymbolTable {
     /// `ends[i]`: where name `i` ends in `text` (it starts where name
     /// `i - 1` ends).
     ends: Vec<u32>,
-    /// Linear probing over a power-of-two length, at most half full:
-    /// `0` is a free slot, else a name's 32-bit table hash above its
-    /// id + 1.
+    /// Linear probing over a power-of-two length, at most three
+    /// quarters full (a miss probes a few more slots, all read as one
+    /// or two cache lines, where a sparser table would touch twice the
+    /// pages as it grows): `0` is a free slot, else a name's 32-bit
+    /// table hash above its id + 1.
     slots: Vec<u64>,
 }
 
@@ -50,19 +52,67 @@ impl SymbolTable {
         SymbolTable::default()
     }
 
-    fn hash(name: &str) -> u32 {
-        FxBuildHasher.hash_one(name) as u32
+    /// The slot hash of a name's bytes: whole little-endian words read
+    /// in place, overlapping at the end rather than copied into a
+    /// padded buffer (names of 4 to 7 bytes read two overlapping
+    /// half-words, shorter ones three bytes), each pair folded by one
+    /// 64 × 64 → 128-bit multiply whose halves are xored together, so
+    /// every input bit reaches the low bits the slot index takes.
+    fn hash(name: &[u8]) -> u32 {
+        // Odd constants: the first hexadecimal digits of π's fraction.
+        const K: [u64; 3] = [
+            0x243f_6a88_85a3_08d3,
+            0x1319_8a2e_0370_7345,
+            0xa409_3822_299f_31d1,
+        ];
+        let fold = |a: u64, b: u64| {
+            let p = u128::from(a) * u128::from(b);
+            (p as u64) ^ (p >> 64) as u64
+        };
+        let word = |at: usize| u64::from_le_bytes(name[at..at + 8].try_into().expect("8 bytes"));
+        let half = |at: usize| {
+            u64::from(u32::from_le_bytes(
+                name[at..at + 4].try_into().expect("4 bytes"),
+            ))
+        };
+        let n = name.len();
+        let mut seed = K[2];
+        let (lo, hi) = match n {
+            0 => (0, 0),
+            1..=3 => (
+                u64::from(name[0]) << 16 | u64::from(name[n / 2]) << 8 | u64::from(name[n - 1]),
+                0,
+            ),
+            4..=7 => (half(0), half(n - 4)),
+            8..=16 => (word(0), word(n - 8)),
+            _ => {
+                let mut at = 0;
+                while n - at > 16 {
+                    seed = fold(word(at) ^ K[0], word(at + 8) ^ seed);
+                    at += 16;
+                }
+                (word(n - 16), word(n - 8))
+            }
+        };
+        let h = fold(lo ^ K[0], hi ^ K[1] ^ seed ^ n as u64);
+        (h ^ (h >> 32)) as u32
+    }
+
+    /// The bytes of name `i`.
+    fn bytes(&self, i: usize) -> &[u8] {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] as usize };
+        &self.text.as_bytes()[start..self.ends[i] as usize]
     }
 
     /// The id of `name`, or the free slot where it belongs. The table
     /// must have a free slot.
-    fn find(&self, name: &str, hash: u32) -> Result<u32, usize> {
+    fn find(&self, name: &[u8], hash: u32) -> Result<u32, usize> {
         let mask = self.slots.len() - 1;
         let mut i = hash as usize & mask;
         loop {
             match self.slots[i] {
                 0 => return Err(i),
-                s if (s >> 32) as u32 == hash && self.name(Value(s as u32 - 1)) == name => {
+                s if (s >> 32) as u32 == hash && self.bytes(s as u32 as usize - 1) == name => {
                     return Ok(s as u32 - 1)
                 }
                 _ => i = (i + 1) & mask,
@@ -89,11 +139,11 @@ impl SymbolTable {
     /// # Panics
     /// Panics past `u32::MAX - 1` names or 4 GiB of name text.
     pub fn intern(&mut self, name: &str) -> Value {
-        if self.slots.len() < 2 * (self.len() + 1) {
+        if 4 * (self.len() + 1) > 3 * self.slots.len() {
             self.grow();
         }
-        let hash = Self::hash(name);
-        match self.find(name, hash) {
+        let hash = Self::hash(name.as_bytes());
+        match self.find(name.as_bytes(), hash) {
             Ok(id) => Value(id),
             Err(slot) => {
                 let id = u32::try_from(self.len()).expect("symbol ids fit in u32");
@@ -131,6 +181,7 @@ impl SymbolTable {
         if self.slots.is_empty() {
             return None;
         }
+        let name = name.as_bytes();
         self.find(name, Self::hash(name)).ok().map(Value)
     }
 
@@ -187,6 +238,44 @@ mod tests {
         assert_eq!(t.lookup(""), Some(empty));
         assert_eq!(t.lookup("k5000"), None);
         assert_eq!(SymbolTable::new().lookup("k0"), None);
+    }
+
+    /// Every length the hash reads differently (0, 1–3, 4–7, 8–16 and
+    /// past 16 bytes), ASCII and not, with names that differ only in
+    /// their last byte, interned across several grows of the table.
+    #[test]
+    fn names_of_every_length_survive_grows() {
+        let mut names: Vec<String> = Vec::new();
+        for len in 0..=17 {
+            for last in ['a', 'b'] {
+                names.push("x".repeat(len.max(1) - 1) + &last.to_string());
+            }
+            names.push("é".repeat(len / 2) + &"z".repeat(len % 2));
+        }
+        names.extend((0..300).map(|i| format!("shared_prefix_{i:03}→")));
+        names.sort();
+        names.dedup();
+        let mut t = SymbolTable::new();
+        // Every (name, value) in interning order, fresh values included.
+        let mut interned: Vec<(String, Value)> = Vec::new();
+        for (i, name) in names.iter().enumerate() {
+            assert_eq!(t.lookup(name), None, "{name:?}");
+            let v = t.intern(name);
+            assert_eq!(v.id() as usize, interned.len());
+            interned.push((name.clone(), v));
+            if i % 50 == 0 {
+                let f = t.fresh(name);
+                assert_eq!(t.name(f), format!("{name}#{}", f.id()));
+                interned.push((t.name(f).to_owned(), f));
+            }
+        }
+        assert!(t.slots.len() >= 512, "the table grew five times");
+        for (name, v) in &interned {
+            assert_eq!(t.name(*v), name);
+            assert_eq!(t.lookup(name), Some(*v));
+            assert_eq!(t.intern(name), *v);
+        }
+        assert_eq!(t.len(), interned.len());
     }
 
     #[test]

@@ -14,6 +14,22 @@
 //! d1 e1
 //! ```
 //!
+//! Exactly:
+//!
+//! - lines end at `\n`; a `\r` before it is whitespace like any other, so
+//!   CRLF text reads as LF text, and the last line needs no newline;
+//! - a line's first `#` starts a comment running to the line's end, even
+//!   inside a value (`a#b` is the value `a`);
+//! - fields are separated by runs of the chars `char::is_whitespace`
+//!   accepts: tab, LF, VT, FF, CR and space among ASCII, and the Unicode
+//!   `White_Space` chars beyond it (U+0085, U+00A0, U+1680, U+2000 to
+//!   U+200A, U+2028, U+2029, U+202F, U+205F and U+3000); every other
+//!   char is part of a value.
+//!
+//! These are the fields of `str::lines`, cut at `#` and split by
+//! `str::split_whitespace`, which the parser finds in one pass over the
+//! bytes.
+//!
 //! Used by the `cq-analyze --db` flag so the paper's bounds can be
 //! checked against user-supplied data, and by tests that want readable
 //! fixtures.
@@ -44,37 +60,37 @@ impl std::error::Error for DbParseError {}
 
 /// Parses the text format into a [`Database`].
 ///
-/// A line whose first whitespace-separated field is `relation` is a
-/// header and must name exactly one relation. Every other nonblank line
-/// is a tuple of the current block's relation, interned field by field
-/// as it is read; the relation is created at its first tuple (a header
-/// without tuples adds nothing), and the rows of a relation split over
-/// several blocks keep their order in the text. Symbol ids follow the
-/// order in which values first occur.
+/// A line whose first field is `relation` is a header and must name
+/// exactly one relation. Every other nonblank line is a tuple of the
+/// current block's relation, interned field by field as it is read; the
+/// relation is created at its first tuple (a header without tuples adds
+/// nothing), and the rows of a relation split over several blocks keep
+/// their order in the text. Symbol ids follow the order in which values
+/// first occur. Errors name the 1-based line they are on.
 pub fn parse_database(text: &str) -> Result<Database, DbParseError> {
     let mut symbols = SymbolTable::new();
-    let mut relations: Vec<Relation> = Vec::new();
+    // Each relation's schema and rows, flat and duplicates included,
+    // deduplicated once all are read.
+    let mut relations: Vec<(Schema, Vec<Value>)> = Vec::new();
     let mut by_name: FxHashMap<&str, usize> = FxHashMap::default();
     // The current block: its relation name and, from its first tuple
     // on, the relation's index in `relations`.
     let mut block: Option<(&str, Option<usize>)> = None;
-    let mut row: Vec<Value> = Vec::new();
-    for (i, raw) in text.lines().enumerate() {
-        let line = raw.find('#').map_or(raw, |p| &raw[..p]);
-        let mut fields = line.split_whitespace();
-        let Some(first) = fields.next() else {
+    let mut fields: Vec<(usize, usize)> = Vec::new();
+    let (mut at, mut line) = (0, 0);
+    while at < text.len() {
+        line += 1;
+        at = split_line(text, at, &mut fields);
+        let Some(&(start, end)) = fields.first() else {
             continue;
         };
-        let error = |message: String| DbParseError {
-            line: i + 1,
-            message,
-        };
-        if first == "relation" {
-            match (fields.next(), fields.next()) {
-                (Some(name), None) => block = Some((name, None)),
-                (None, _) => return Err(error("relation header without a name".into())),
-                (Some(_), Some(_)) => {
-                    let names = line.trim_start()["relation".len()..].trim();
+        let error = |message: String| DbParseError { line, message };
+        if &text[start..end] == "relation" {
+            match fields[1..] {
+                [(start, end)] => block = Some((&text[start..end], None)),
+                [] => return Err(error("relation header without a name".into())),
+                [(start, _), .., (_, end)] => {
+                    let names = &text[start..end];
                     return Err(error(format!("bad relation name {names:?}")));
                 }
             }
@@ -83,47 +99,99 @@ pub fn parse_database(text: &str) -> Result<Database, DbParseError> {
         let Some((name, ref mut index)) = block else {
             return Err(error("tuple before any `relation NAME` header".into()));
         };
-        row.clear();
-        row.extend(
-            std::iter::once(first)
-                .chain(fields)
-                .map(|f| symbols.intern(f)),
-        );
+        let width = fields.len();
         let ri = match *index {
             Some(ri) => {
-                let arity = relations[ri].arity();
-                if arity != row.len() {
+                let arity = relations[ri].0.arity();
+                if arity != width {
                     return Err(error(format!(
-                        "tuple arity {} does not match {name}'s arity {arity}",
-                        row.len()
+                        "tuple arity {width} does not match {name}'s arity {arity}"
                     )));
                 }
                 ri
             }
             None => {
                 let ri = *by_name.entry(name).or_insert_with(|| {
-                    relations.push(Relation::new(Schema::new(name, row.len())));
+                    relations.push((Schema::new(name, width), Vec::new()));
                     relations.len() - 1
                 });
-                let was = relations[ri].arity();
-                if was != row.len() {
+                let was = relations[ri].0.arity();
+                if was != width {
                     return Err(error(format!(
-                        "relation {name} re-declared with arity {} (was {was})",
-                        row.len()
+                        "relation {name} re-declared with arity {width} (was {was})"
                     )));
                 }
                 *index = Some(ri);
                 ri
             }
         };
-        relations[ri].insert(&row);
+        relations[ri].1.extend(
+            fields
+                .iter()
+                .map(|&(start, end)| symbols.intern(&text[start..end])),
+        );
     }
     let mut db = Database::new();
     *db.symbols_mut() = symbols;
-    for rel in relations {
-        db.add_relation(rel);
+    for (schema, rows) in relations {
+        db.add_relation(Relation::from_rows(schema, rows));
     }
     Ok(db)
+}
+
+/// Puts the byte ranges of the fields of the line starting at `at` into
+/// `fields`, and returns where the next line starts.
+///
+/// A line ends at `\n` or the end of the text, its code at the first
+/// `#`, and fields are separated by runs of the chars
+/// `char::is_whitespace` accepts. ASCII bytes are classed directly; a
+/// byte from `0x80` up leads a multi-byte char, which is decoded and
+/// tested whole, so `at` only ever stops on char boundaries.
+fn split_line(text: &str, mut at: usize, fields: &mut Vec<(usize, usize)>) -> usize {
+    let bytes = text.as_bytes();
+    fields.clear();
+    let mut start = at;
+    let code_end = loop {
+        // Printable ASCII but `#`: the bulk of the values, skipped in a
+        // tight loop; every other byte is classed below.
+        while bytes
+            .get(at)
+            .is_some_and(|&b| b != b'#' && (b'!'..=b'~').contains(&b))
+        {
+            at += 1;
+        }
+        let Some(&b) = bytes.get(at) else {
+            break at;
+        };
+        let gap = match b {
+            b'\n' | b'#' => break at,
+            b'\t'..=b'\r' | b' ' => 1,
+            0x80.. => {
+                let c = text[at..].chars().next().expect("a char starts here");
+                if !c.is_whitespace() {
+                    at += c.len_utf8();
+                    continue;
+                }
+                c.len_utf8()
+            }
+            _ => {
+                at += 1;
+                continue;
+            }
+        };
+        if at > start {
+            fields.push((start, at));
+        }
+        at += gap;
+        start = at;
+    };
+    if code_end > start {
+        fields.push((start, code_end));
+    }
+    match bytes[code_end..].iter().position(|&b| b == b'\n') {
+        Some(newline) => code_end + newline + 1,
+        None => bytes.len(),
+    }
 }
 
 /// Renders a database in the same text format (round-trips through

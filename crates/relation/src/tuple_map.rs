@@ -8,7 +8,7 @@
 //! boxed once, when first inserted.
 
 use crate::symbol::Value;
-use cq_util::FxHashMap;
+use cq_util::{FxBuildHasher, FxHashMap};
 
 /// A hash map from `&[Value]` tuples of one width to `V`.
 #[derive(Clone, Debug)]
@@ -31,12 +31,19 @@ enum Keys<V> {
 impl<V> TupleMap<V> {
     /// An empty map for tuples of `width` values.
     pub fn new(width: usize) -> Self {
+        TupleMap::with_capacity(width, 0)
+    }
+
+    /// An empty map for tuples of `width` values with room for
+    /// `capacity` keys before it grows.
+    pub fn with_capacity(width: usize, capacity: usize) -> Self {
+        let hasher = FxBuildHasher;
         let keys = if width <= 2 {
-            Keys::Narrow(FxHashMap::default())
+            Keys::Narrow(FxHashMap::with_capacity_and_hasher(capacity, hasher))
         } else if width <= 4 {
-            Keys::Packed(FxHashMap::default())
+            Keys::Packed(FxHashMap::with_capacity_and_hasher(capacity, hasher))
         } else {
-            Keys::Boxed(FxHashMap::default())
+            Keys::Boxed(FxHashMap::with_capacity_and_hasher(capacity, hasher))
         };
         TupleMap { width, keys }
     }
@@ -130,8 +137,13 @@ mod tests {
 
     #[test]
     fn packed_and_boxed_widths_agree() {
-        for width in [0, 1, 2, 3, 4, 5, 7] {
-            let mut m: TupleMap<usize> = TupleMap::new(width);
+        let widths = [0, 1, 2, 3, 4, 5, 7];
+        for (width, presized) in widths.into_iter().flat_map(|w| [(w, false), (w, true)]) {
+            let mut m: TupleMap<usize> = if presized {
+                TupleMap::with_capacity(width, 1)
+            } else {
+                TupleMap::new(width)
+            };
             assert!(matches!(m.keys, Keys::Boxed(_)) == (width > 4));
             let a: Vec<u32> = (0..width as u32).collect();
             let b: Vec<u32> = (0..width as u32).map(|i| i + 1).collect();

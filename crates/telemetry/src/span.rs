@@ -41,11 +41,14 @@ pub struct SpanEvent {
     pub start_micros: u64,
     /// Wall-clock duration in microseconds.
     pub duration_micros: u64,
+    /// Counts recorded on the span ([`Span::record`]), in order.
+    pub attrs: Vec<(&'static str, u64)>,
 }
 
 impl SpanEvent {
     /// The NDJSON rendering: one JSON object, no trailing newline.
-    /// `trace_id` and `parent` are omitted (not null) when absent.
+    /// `trace_id` and `parent` are omitted (not null) when absent; each
+    /// attribute follows `micros` as an integer field of its own.
     pub fn render(&self) -> String {
         let mut out = String::with_capacity(96);
         out.push_str("{\"name\":\"");
@@ -61,9 +64,13 @@ impl SpanEvent {
             out.push_str(&format!(",\"parent\":{parent}"));
         }
         out.push_str(&format!(
-            ",\"start_micros\":{},\"micros\":{}}}",
+            ",\"start_micros\":{},\"micros\":{}",
             self.start_micros, self.duration_micros
         ));
+        for (key, value) in &self.attrs {
+            out.push_str(&format!(",\"{key}\":{value}"));
+        }
+        out.push('}');
         out
     }
 }
@@ -151,6 +158,7 @@ pub struct Span {
     prev_parent: Option<u64>,
     start: Option<Instant>,
     start_micros: u64,
+    attrs: Vec<(&'static str, u64)>,
 }
 
 impl Span {
@@ -167,6 +175,7 @@ impl Span {
                 prev_parent: None,
                 start: None,
                 start_micros: 0,
+                attrs: Vec::new(),
             };
         }
         let id = NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed);
@@ -181,6 +190,15 @@ impl Span {
             prev_parent,
             start: Some(Instant::now()),
             start_micros: now_micros(),
+            attrs: Vec::new(),
+        }
+    }
+
+    /// Records `value` under `key` in the event this span emits; a
+    /// no-op for an inactive span. `key` must need no JSON escaping.
+    pub fn record(&mut self, key: &'static str, value: u64) {
+        if self.active {
+            self.attrs.push((key, value));
         }
     }
 
@@ -216,6 +234,7 @@ impl Drop for Span {
             parent_id: self.prev_parent,
             start_micros: self.start_micros,
             duration_micros,
+            attrs: std::mem::take(&mut self.attrs),
         });
     }
 }
@@ -480,17 +499,20 @@ mod tests {
     #[test]
     fn inactive_spans_are_free_and_idless() {
         // No sink installed in unit tests, no collector: inert.
-        let span = Span::enter("test.phase");
+        let mut span = Span::enter("test.phase");
         assert!(!span.active());
         assert_eq!(span.id(), 0);
+        span.record("bytes", 1);
+        assert!(span.attrs.is_empty());
     }
 
     #[test]
     fn collecting_context_nests_spans() {
         let mut ctx = TraceContext::enter(Some("trace-1"), true);
         {
-            let outer = Span::enter("test.outer");
+            let mut outer = Span::enter("test.outer");
             assert!(outer.active());
+            outer.record("rows", 3);
             let _inner = Span::enter("test.inner");
         }
         let events = ctx.take_collected();
@@ -498,8 +520,10 @@ mod tests {
         assert_eq!(events.len(), 2);
         assert_eq!(events[0].name, "test.inner");
         assert_eq!(events[0].parent_id, Some(events[1].span_id));
+        assert!(events[0].attrs.is_empty());
         assert_eq!(events[1].name, "test.outer");
         assert_eq!(events[1].parent_id, None);
+        assert_eq!(events[1].attrs, [("rows", 3)]);
         for event in &events {
             assert_eq!(event.trace_id.as_deref(), Some("trace-1"));
         }
@@ -549,6 +573,7 @@ mod tests {
             parent_id: Some(3),
             start_micros: 10,
             duration_micros: 25,
+            attrs: Vec::new(),
         };
         assert_eq!(
             event.render(),
@@ -558,11 +583,13 @@ mod tests {
         let rootless = SpanEvent {
             trace_id: None,
             parent_id: None,
+            attrs: vec![("bytes", 120), ("tuples", 4)],
             ..event
         };
         assert_eq!(
             rootless.render(),
-            "{\"name\":\"serve.execute\",\"span\":7,\"start_micros\":10,\"micros\":25}"
+            "{\"name\":\"serve.execute\",\"span\":7,\"start_micros\":10,\"micros\":25,\
+             \"bytes\":120,\"tuples\":4}"
         );
     }
 
@@ -584,6 +611,7 @@ mod tests {
                 parent_id: Some(1),
                 start_micros: 5,
                 duration_micros: 90,
+                attrs: Vec::new(),
             },
             SpanEvent {
                 name: "serve.request",
@@ -592,6 +620,7 @@ mod tests {
                 parent_id: None,
                 start_micros: 0,
                 duration_micros: 100,
+                attrs: Vec::new(),
             },
             SpanEvent {
                 name: "session.chase",
@@ -600,6 +629,7 @@ mod tests {
                 parent_id: Some(2),
                 start_micros: 6,
                 duration_micros: 10,
+                attrs: Vec::new(),
             },
         ];
         assert_eq!(
@@ -629,6 +659,7 @@ mod tests {
             parent_id: None,
             start_micros: 0,
             duration_micros: 5,
+            attrs: Vec::new(),
         };
         for _ in 0..2 {
             let sink = NdjsonSink::to_file(&path).unwrap();

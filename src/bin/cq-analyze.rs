@@ -222,7 +222,15 @@ fn read_input(path: &str) -> std::io::Result<String> {
     }
 }
 
+/// Reads and parses the `--db` file under a `relation.load` span, opened
+/// before any analysis span and so a root without a trace id.
 fn load_database(path: &str) -> Result<cqbounds::relation::Database, String> {
+    let mut span = cq_telemetry::Span::enter("relation.load");
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    cqbounds::relation::parse_database(&text).map_err(|e| format!("{path}: {e}"))
+    let db = cqbounds::relation::parse_database(&text).map_err(|e| format!("{path}: {e}"))?;
+    let tuples: usize = db.relations().map(|r| r.len()).sum();
+    span.record("bytes", text.len() as u64);
+    span.record("tuples", tuples as u64);
+    span.record("symbols", db.symbols().len() as u64);
+    Ok(db)
 }

@@ -6,11 +6,15 @@
 //! plain way, one line at a time through `Database::insert_named`, and
 //! both must agree: the same relations, arities, symbol ids, rows in
 //! first-occurrence order and `render_database` bytes, or an error on
-//! the same line. Generated texts mix comments, blank lines, headers
-//! with tabs and trailing comments, split and repeated blocks, duplicate
-//! rows and the errors the format has (a header without one name, a
-//! tuple before any header, an arity that changes). Arbitrary text must
-//! never make the parser panic.
+//! the same line. Generated texts mix comments (also right after a
+//! value), blank lines, every kind of separator `split_whitespace`
+//! knows (ASCII tab, VT, FF, CR and space, and U+0085, U+00A0, U+2028
+//! and U+3000), LF and CRLF line ends, a last line with or without its
+//! newline, split and repeated blocks, duplicate rows and the errors
+//! the format has (a header without one name, a tuple before any
+//! header, an arity that changes). A large seeded text grows the
+//! symbol table through many sizes with names that share long
+//! prefixes. Arbitrary text must never make the parser panic.
 
 use cqbounds::relation::{parse_database, render_database, Database};
 use proptest::prelude::*;
@@ -37,7 +41,9 @@ impl Lcg {
 
 const NAMES: [&str; 4] = ["R", "S", "edge", "T2"];
 const VALUES: [&str; 7] = ["a", "b", "c", "1", "é", "relations", "x→y"];
-const SPACE: [&str; 4] = [" ", "\t", "  ", " \t "];
+const SPACE: [&str; 11] = [
+    " ", "\t", "  ", " \t ", "\u{a0}", "\u{85}", "\u{2028}", "\u{3000}", "\x0b", "\x0c", "\r",
+];
 
 /// The whitespace-separated fields of `line` before any `#`.
 fn fields(line: &str) -> Vec<&str> {
@@ -108,8 +114,10 @@ fn line(rng: &mut Lcg, arity: &[usize; 4], block: &mut usize, out: &mut String) 
                 }
                 out.push_str(rng.pick(&VALUES));
             }
-            if rng.below(6) == 0 {
-                out.push_str(&format!("{}#{}", gap(rng), rng.pick(&VALUES)));
+            match rng.below(12) {
+                0 | 1 => out.push_str(&format!("{}#{}", gap(rng), rng.pick(&VALUES))),
+                2 => out.push_str(&format!("#{}", rng.pick(&VALUES))),
+                _ => {}
             }
         }
     }
@@ -128,6 +136,9 @@ fn generated(seed: u64) -> String {
     }
     for _ in 0..rng.below(60) {
         line(&mut rng, &arity, &mut block, &mut text);
+    }
+    if rng.below(4) == 0 {
+        text.pop(); // the last line without its `\n`
     }
     text
 }
@@ -235,4 +246,51 @@ fn generator_covers_successes_and_each_error() {
     ] {
         assert!(n >= 50, "{what}: {n} of 2000");
     }
+}
+
+/// A large seeded text against the reference: 21,990 distinct names,
+/// so the symbol table grows through every size up to 32,768 slots.
+/// Names run from 1 to 39 bytes, half of them past 8, in groups that
+/// share their first 8, 16 or 34 bytes and differ only at the end;
+/// some are not ASCII, and separators come from the whole pool.
+#[test]
+fn large_text_with_long_shared_prefixes_agrees_with_reference() {
+    const STEMS: [&str; 6] = [
+        "",
+        "k",
+        "shared_8",
+        "shared_prefix_16",
+        "é→x",
+        "a-considerably-longer-shared-stem-",
+    ];
+    let mut rng = Lcg(0x1a7e_5eed);
+    let name = |i: usize| format!("{}{i}", STEMS[i % STEMS.len()]);
+    let mut text = String::from("relation wide\n");
+    for row in 0..16_000usize {
+        if row == 8_000 {
+            text.push_str("relation pair # second block\r\n");
+        }
+        let width = if row < 8_000 { 3 } else { 2 };
+        for k in 0..width {
+            if k > 0 {
+                text.push_str(rng.pick(&SPACE));
+            }
+            // Mostly names in order, now and then one from anywhere.
+            let i = if rng.below(4) == 0 {
+                rng.below(24_000)
+            } else {
+                (row * 3 + k) / 2
+            };
+            text.push_str(&name(i));
+        }
+        text.push_str(if rng.below(3) == 0 { "\r\n" } else { "\n" });
+    }
+    let parsed = parse_database(&text).expect("the text parses");
+    let expected = reference(&text).expect("the reference reads it");
+    assert!(
+        parsed.symbols().len() >= 20_000,
+        "{}",
+        parsed.symbols().len()
+    );
+    assert_same(&parsed, &expected).unwrap();
 }

@@ -1,6 +1,6 @@
 //! End-to-end tests for the `cq-trace` telemetry consumer.
 //!
-//! Four acceptance properties, each against real processes:
+//! The acceptance properties, each against real processes:
 //!
 //! 1. **Cluster assembly is complete** — the per-worker NDJSON files of
 //!    a 3-worker `cq-cluster` run reconstruct every request's span
@@ -21,6 +21,10 @@
 //!    run without `--db` opens no `core.count.*` span (analysis never
 //!    counts), and a run with `--db` opens exactly one per input, as the
 //!    child of that input's `session.data_check`.
+//! 6. **Loading is traced once** — a `--db` run opens one root
+//!    `relation.load` span carrying the database's byte, tuple and
+//!    symbol counts, a run without data none, and the trace assembles
+//!    with no orphans.
 
 use cq_cluster::{ClusterClient, PlanMode, ServeChild, WorkerAddr};
 use cq_engine::serve::metrics_from_json;
@@ -326,9 +330,9 @@ fn flame_and_assemble_json_round_trip_from_a_traced_run() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The spans of a traced `cq-analyze --json` run over `inputs`, each
-/// as `(name, span, parent)`.
-fn traced_spans(dir: &Path, inputs: &[&str], db: Option<&str>) -> Vec<(String, i64, i64)> {
+/// The trace file of a `cq-analyze --json` run over `inputs`, one JSON
+/// event per line.
+fn traced_run(dir: &Path, inputs: &[&str], db: Option<&str>) -> PathBuf {
     let trace_path = dir.join(format!("analyze-{}.ndjson", db.is_some()));
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_cq-analyze"));
     cmd.args(inputs).arg("--json");
@@ -345,11 +349,23 @@ fn traced_spans(dir: &Path, inputs: &[&str], db: Option<&str>) -> Vec<(String, i
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
-    std::fs::read_to_string(&trace_path)
+    trace_path
+}
+
+/// The events in a trace file.
+fn trace_events(path: &Path) -> Vec<Json> {
+    std::fs::read_to_string(path)
         .unwrap()
         .lines()
-        .map(|line| {
-            let event = Json::parse(line).expect("one JSON object per line");
+        .map(|line| Json::parse(line).expect("one JSON object per line"))
+        .collect()
+}
+
+/// The spans of a traced run, each as `(name, span, parent)`.
+fn traced_spans(dir: &Path, inputs: &[&str], db: Option<&str>) -> Vec<(String, i64, i64)> {
+    trace_events(&traced_run(dir, inputs, db))
+        .into_iter()
+        .map(|event| {
             let name = event.get("name").and_then(Json::as_str).unwrap().to_owned();
             let span = event.get("span").and_then(Json::as_i64).unwrap();
             let parent = event.get("parent").and_then(Json::as_i64).unwrap_or(0);
@@ -405,6 +421,53 @@ fn count_spans_appear_once_per_data_check_and_never_without_data() {
     }
     let parents: HashSet<i64> = counts.iter().map(|&&(_, _, parent)| parent).collect();
     assert_eq!(parents, checks, "each data check counts once");
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Loading a `--db` database is one `relation.load` root per process,
+/// with no trace id and the loaded sizes as fields; a run without data
+/// loads nothing, and the trace still assembles without orphans.
+#[test]
+fn load_span_is_one_root_per_db_run_and_never_without_data() {
+    let dir = tmp("load-span");
+    let inputs = ["tests/fixtures/triangle.cq", "tests/fixtures/keyed_star.cq"];
+    let is_load = |e: &&Json| e.get("name").and_then(Json::as_str) == Some("relation.load");
+    let without = trace_events(&traced_run(&dir, &inputs, None));
+    assert_eq!(
+        without.iter().filter(is_load).count(),
+        0,
+        "no --db, no load"
+    );
+
+    let db = "tests/fixtures/triangle.db";
+    let trace_path = traced_run(&dir, &inputs, Some(db));
+    let events = trace_events(&trace_path);
+    let loads: Vec<&Json> = events.iter().filter(is_load).collect();
+    assert_eq!(loads.len(), 1, "one load per process: {loads:?}");
+    let load = loads[0];
+    assert!(load.get("parent").is_none() && load.get("trace_id").is_none());
+    let field = |key: &str| load.get(key).and_then(Json::as_i64);
+    let text = std::fs::read_to_string(db).unwrap();
+    let parsed = cqbounds::relation::parse_database(&text).unwrap();
+    let tuples: usize = parsed.relations().map(|r| r.len()).sum();
+    assert_eq!(field("bytes"), Some(text.len() as i64));
+    assert_eq!(field("tuples"), Some(tuples as i64));
+    assert_eq!(field("symbols"), Some(parsed.symbols().len() as i64));
+
+    let assemble = Command::new(env!("CARGO_BIN_EXE_cq-trace"))
+        .args(["assemble", "--json", "--require-complete"])
+        .arg(&trace_path)
+        .output()
+        .expect("run cq-trace assemble");
+    assert!(
+        assemble.status.success(),
+        "{}",
+        String::from_utf8_lossy(&assemble.stderr)
+    );
+    let report = Json::parse(String::from_utf8_lossy(&assemble.stdout).trim())
+        .expect("assemble --json emits one JSON object");
+    assert_eq!(report.get("orphans").and_then(Json::as_i64), Some(0));
 
     std::fs::remove_dir_all(&dir).ok();
 }
