@@ -172,7 +172,8 @@ impl BatchAnalyzer {
     /// Runs `produce` on every input, in the waves that
     /// [`Self::plan_waves`] plans on `keys_of`: each wave runs to
     /// completion before the next starts, and within a wave each input
-    /// runs on some worker thread under its trace id. Planning runs on
+    /// runs on some worker thread under its trace id (a wave of one input
+    /// runs on this thread, in a worker's empty context). Planning runs on
     /// this thread, under the same ids, and what it computes stays with
     /// the input (a session keeps the chase its keys needed), so the
     /// worker does not redo it. Results come back in input order
@@ -190,23 +191,30 @@ impl BatchAnalyzer {
             inputs.into_iter().map(|s| Mutex::new(Some(s))).collect();
         let sink: Mutex<Vec<Option<T>>> = Mutex::new((0..n).map(|_| None).collect());
         for wave in waves.iter().filter(|w| !w.is_empty()) {
-            let workers = self.workers_for(wave.len());
             let cursor = AtomicUsize::new(0);
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| loop {
-                        let w = cursor.fetch_add(1, Ordering::Relaxed);
-                        if w >= wave.len() {
-                            break;
-                        }
-                        let i = wave[w];
-                        let input = slots[i].lock().expect("slot poisoned").take();
-                        let input = input.expect("each input runs once");
-                        let result = traced(ids[i].as_deref(), || produce(input));
-                        sink.lock().expect("sink poisoned")[i] = Some(result);
-                    });
+            let work = || loop {
+                let w = cursor.fetch_add(1, Ordering::Relaxed);
+                if w >= wave.len() {
+                    break;
                 }
-            });
+                let i = wave[w];
+                let input = slots[i].lock().expect("slot poisoned").take();
+                let input = input.expect("each input runs once");
+                let result = traced(ids[i].as_deref(), || produce(input));
+                sink.lock().expect("sink poisoned")[i] = Some(result);
+            };
+            if wave.len() == 1 {
+                // One input needs no thread: run it here, in the empty
+                // trace context a fresh worker thread would start in.
+                let _ctx = TraceContext::enter(None, false);
+                work();
+            } else {
+                std::thread::scope(|scope| {
+                    for _ in 0..self.workers_for(wave.len()) {
+                        scope.spawn(work);
+                    }
+                });
+            }
         }
         sink.into_inner()
             .expect("sink poisoned")
@@ -442,6 +450,29 @@ mod tests {
         assert!(reports.iter().all(Result::is_ok));
         let stats = cache.stats();
         assert_eq!((stats.misses, stats.hits), (2, 4), "{stats:?}");
+    }
+
+    #[test]
+    fn a_panicking_input_propagates_whether_or_not_it_gets_a_thread() {
+        for n in [1, 3] {
+            let caught = std::panic::catch_unwind(|| {
+                BatchAnalyzer::with_threads(2).run(
+                    (0..n).collect(),
+                    |_| Vec::new(),
+                    |i: usize| assert!(i + 1 < n, "input {i} panics"),
+                )
+            });
+            assert!(caught.is_err(), "a panic in a wave of {n} was lost");
+        }
+        // A one-input wave runs on the caller's thread but not in its
+        // trace context: the caller's collector sees none of its spans.
+        let mut outer = TraceContext::enter(Some("outer"), true);
+        BatchAnalyzer::new().run(
+            vec![()],
+            |_| Vec::new(),
+            |()| drop(cq_telemetry::Span::enter("test.batch_input")),
+        );
+        assert_eq!(outer.take_collected(), Vec::new());
     }
 
     #[test]

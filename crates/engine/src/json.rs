@@ -9,6 +9,9 @@
 //! accepts any RFC 8259 document (it is not limited to what this
 //! workspace emits), reports errors with a byte offset, and bounds
 //! nesting depth so untrusted daemon input cannot overflow the stack.
+//! Parsing is linear in the length of the text: a string copies each run
+//! of plain bytes between escapes in one step, so a long line costs a
+//! worker time in proportion to its length, not its square.
 
 use std::fmt::Write as _;
 
@@ -57,6 +60,7 @@ impl Json {
     /// is nesting beyond `MAX_PARSE_DEPTH` (128) levels.
     pub fn parse(text: &str) -> Result<Json, JsonParseError> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
         };
@@ -197,6 +201,7 @@ impl std::fmt::Display for JsonParseError {
 impl std::error::Error for JsonParseError {}
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -352,16 +357,17 @@ impl<'a> Parser<'a> {
                 }
                 Some(c) if c < 0x20 => return Err(self.err("raw control character in string")),
                 Some(_) => {
-                    // Copy one UTF-8 scalar (input is a &str, so the
-                    // byte slice is valid UTF-8 by construction).
-                    let rest = &self.bytes[self.pos..];
-                    let step = std::str::from_utf8(rest)
-                        .expect("input was a &str")
-                        .chars()
-                        .next()
-                        .map_or(1, char::len_utf8);
-                    out.push_str(std::str::from_utf8(&rest[..step]).expect("scalar boundary"));
-                    self.pos += step;
+                    // Copy the whole run up to the next quote, backslash
+                    // or control byte at once. Those are ASCII, so the
+                    // run ends on a char boundary of the input `&str`.
+                    let start = self.pos;
+                    while self
+                        .peek()
+                        .is_some_and(|b| b != b'"' && b != b'\\' && b >= 0x20)
+                    {
+                        self.pos += 1;
+                    }
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }

@@ -286,10 +286,12 @@ impl AnalysisSession {
                 let trace = self.removal_trace()?;
                 let _p = phase("session.size_bound", "cq_session_size_bound_micros");
                 let cn = {
-                    let _lp = phase("session.coloring_lp", "cq_session_coloring_lp_micros");
+                    let mut lp = phase("session.coloring_lp", "cq_session_coloring_lp_micros");
                     match &self.cache {
                         Some(cache) => {
                             let form = self.coloring_form()?;
+                            lp.record("leaves", form.leaves as u64);
+                            lp.record("budget_hit", u64::from(form.budget_hit));
                             let _ = self.coloring_key.set(form.key);
                             let (cn, hit) = cache.color_number_in(trace.result(), form);
                             self.count(|s| {

@@ -32,9 +32,25 @@
 //! query-sized instance after one or two individualizations; highly
 //! symmetric inputs (cycles, cliques, grids) branch once per symmetry
 //! class, which is cheap at query scale.
+//!
+//! What a warm cache lookup pays for is therefore the cost per search
+//! node, so the search runs in one workspace per thread that each call
+//! resets rather than reallocates: the hypergraph as CSR incidence and
+//! member arrays, one pair of color buffers per search depth (a child
+//! writes its individualized coloring one level down instead of cloning
+//! its parent's), refinement scratch reused by every round, a counting
+//! pass for the branch cell, per-node orbit union-finds that absorb only
+//! the automorphisms found since the node last looked, and leaves that
+//! build their code in a reused buffer. The signature hashes, ranking,
+//! branch-cell rule, target order, orbit pruning and leaf budget define
+//! the codes, so every key and renaming is what the straightforward
+//! search computes; `canonical_forms_match_the_pinned_digest` in
+//! `tests/canonical_properties.rs` pins them on 2,443 hypergraphs.
 
 use crate::hypergraph::Hypergraph;
 use cq_util::{hash128, BitSet, Hasher128};
+use std::cell::RefCell;
+use std::cmp::Ordering;
 
 /// A renaming-invariant key for a `(hypergraph, marked vertices)` pair.
 ///
@@ -107,6 +123,12 @@ pub struct CanonicalForm {
     pub vertex_to_canonical: Vec<usize>,
     /// `edge_to_canonical[e]` = canonical position of original edge `e`.
     pub edge_to_canonical: Vec<usize>,
+    /// Leaves (discrete colorings) the search reached.
+    pub leaves: usize,
+    /// Whether the leaf budget (256) cut the search short. Keys stay
+    /// sound either way; a truncated search may give isomorphic copies
+    /// different keys, so their lookups can miss.
+    pub budget_hit: bool,
 }
 
 impl CanonicalForm {
@@ -159,64 +181,10 @@ pub fn canonical_key(h: &Hypergraph, marked: &BitSet) -> CanonicalKey {
 /// variables); isomorphisms must map marked vertices to marked vertices.
 /// Marked indices beyond the vertex count are ignored.
 pub fn canonical_form(h: &Hypergraph, marked: &BitSet) -> CanonicalForm {
-    let n = h.num_vertices();
-    let m = h.num_edges();
-    let incidence: Vec<Vec<usize>> = {
-        let mut inc = vec![Vec::new(); n];
-        for (e, verts) in h.edges().iter().enumerate() {
-            for v in verts.iter() {
-                inc[v].push(e);
-            }
-        }
-        inc
-    };
-
-    // Initial colors: vertices by (marked?, degree), edges by size —
-    // ranked over the sorted distinct values so the ids themselves are
-    // label-invariant.
-    let vertex_colors: Vec<u64> = rank_values(
-        &(0..n)
-            .map(|v| (u64::from(marked.contains(v)) << 48) | incidence[v].len() as u64)
-            .collect::<Vec<_>>(),
-    );
-    let edge_colors: Vec<u64> =
-        rank_values(&h.edges().iter().map(|e| e.len() as u64).collect::<Vec<_>>());
-
-    let degree_hash = {
-        let mut degrees: Vec<u64> = incidence.iter().map(|i| i.len() as u64).collect();
-        degrees.sort_unstable();
-        let mut sizes: Vec<u64> = h.edges().iter().map(|e| e.len() as u64).collect();
-        sizes.sort_unstable();
-        let mut hasher = Hasher128::new();
-        for d in degrees.iter().chain(&sizes) {
-            hasher.write_u64(*d);
-        }
-        hasher.write_u64(marked.iter().filter(|&v| v < n).count() as u64);
-        hasher.finish128() as u64
-    };
-
-    let mut search = Search {
-        h,
-        marked,
-        incidence,
-        best: None,
-        automorphisms: Vec::new(),
-        path: Vec::new(),
-        leaves: 0,
-    };
-    search.refine_and_branch(vertex_colors, edge_colors);
-    let (code, vertex_to_canonical, edge_to_canonical) = search.best.expect("search ran");
-
-    CanonicalForm {
-        key: CanonicalKey {
-            num_vertices: n as u32,
-            num_edges: m as u32,
-            degree_hash,
-            hash: hash128(code),
-        },
-        vertex_to_canonical,
-        edge_to_canonical,
+    thread_local! {
+        static SEARCH: RefCell<Search> = RefCell::new(Search::default());
     }
+    SEARCH.with(|search| search.borrow_mut().run(h, marked))
 }
 
 /// `true` iff the `new` coloring refines `old`: every `new` class lies
@@ -224,10 +192,11 @@ pub fn canonical_form(h: &Hypergraph, marked: &BitSet) -> CanonicalForm {
 /// holds automatically *unless* a hash collision merged classes —
 /// exactly the case the refinement loop must refuse to adopt (a
 /// coarsened partition could unwind an individualization split and
-/// make the branch search non-terminating).
-fn refines(old: &[u64], new: &[u64]) -> bool {
+/// make the branch search non-terminating). `owner` is scratch space.
+fn refines(old: &[u64], new: &[u64], owner: &mut Vec<u64>) -> bool {
     let classes = new.iter().max().map_or(0, |&c| c + 1) as usize;
-    let mut owner = vec![u64::MAX; classes];
+    owner.clear();
+    owner.resize(classes, u64::MAX);
     old.iter().zip(new).all(|(&o, &c)| {
         let slot = &mut owner[c as usize];
         if *slot == u64::MAX {
@@ -240,22 +209,20 @@ fn refines(old: &[u64], new: &[u64]) -> bool {
 }
 
 /// Assigns dense, label-invariant color ids: distinct values are sorted
-/// and each gets its rank. Returns one rank per input position.
-fn rank_values(values: &[u64]) -> Vec<u64> {
-    let mut order: Vec<u32> = (0..values.len() as u32).collect();
-    order.sort_unstable_by_key(|&i| values[i as usize]);
-    let mut ranks = vec![0u64; values.len()];
-    let mut rank = 0u64;
-    let mut prev: Option<u64> = None;
-    for &i in &order {
-        let v = values[i as usize];
-        if prev.is_some_and(|p| p != v) {
-            rank += 1;
+/// and each gets its rank, written to `ranks` (one per input position).
+/// Returns the number of distinct values. `sorted` is scratch space.
+fn rank_into(values: &[u64], sorted: &mut Vec<(u64, u32)>, ranks: &mut [u64]) -> u64 {
+    sorted.clear();
+    sorted.extend(values.iter().enumerate().map(|(i, &v)| (v, i as u32)));
+    sorted.sort_unstable();
+    let mut classes = 0u64;
+    for (k, &(v, i)) in sorted.iter().enumerate() {
+        if k == 0 || sorted[k - 1].0 != v {
+            classes += 1;
         }
-        prev = Some(v);
-        ranks[i as usize] = rank;
+        ranks[i as usize] = classes - 1;
     }
-    ranks
+    classes
 }
 
 /// Cap on emitted leaf candidates. Refinement discretizes realistic
@@ -269,25 +236,182 @@ fn rank_values(values: &[u64]) -> Vec<u64> {
 /// the same code, so exploration order is irrelevant).
 const LEAF_BUDGET: usize = 256;
 
-struct Search<'a> {
-    h: &'a Hypergraph,
-    marked: &'a BitSet,
-    incidence: Vec<Vec<usize>>,
-    /// Lexicographically least canonical code found so far, with its
-    /// vertex and edge renamings.
-    best: Option<(Vec<u64>, Vec<usize>, Vec<usize>)>,
-    /// Automorphisms discovered when two leaves carry identical codes
-    /// (`π[v]` = image of vertex `v`). Used for orbit pruning.
-    automorphisms: Vec<Vec<usize>>,
-    /// Individualized vertices on the current search path.
-    path: Vec<usize>,
-    leaves: usize,
+/// The colorings and branch state of one search-tree depth. A node
+/// owns its depth's level while its children run one level deeper, so
+/// the levels are allocated once per depth and reused by every node.
+#[derive(Default)]
+struct Level {
+    vertex: Vec<u64>,
+    edge: Vec<u64>,
+    /// The branch cell's members, in vertex order.
+    cell: Vec<u32>,
+    /// Branch targets explored so far.
+    tried: Vec<u32>,
+    /// Union-find parents over the vertices (empty until first needed):
+    /// the orbits of the automorphisms that fix the path to this node.
+    orbits: Vec<u32>,
+    /// Words of `Search::automorphisms` already merged into `orbits`.
+    absorbed: usize,
 }
 
-impl Search<'_> {
-    /// Refines the coloring to a fixpoint, then either emits a candidate
-    /// code (discrete partition) or branches on the first smallest
-    /// non-singleton vertex class.
+/// The search workspace: the hypergraph as CSR arrays, the per-depth
+/// levels and all refinement and leaf scratch. One lives per thread and
+/// is reset, not reallocated, by each [`canonical_form`] call.
+#[derive(Default)]
+struct Search {
+    n: usize,
+    m: usize,
+    /// `inc[inc_at[v]..inc_at[v + 1]]`: the edges containing vertex `v`.
+    inc_at: Vec<u32>,
+    inc: Vec<u32>,
+    /// `members[members_at[e]..members_at[e + 1]]`: edge `e`'s vertices.
+    members_at: Vec<u32>,
+    members: Vec<u32>,
+    /// The marked vertices below `n`, ascending.
+    marked: Vec<u32>,
+    levels: Vec<Level>,
+    // Refinement scratch.
+    vsig: Vec<u64>,
+    esig: Vec<u64>,
+    new_vertex: Vec<u64>,
+    new_edge: Vec<u64>,
+    sorted: Vec<(u64, u32)>,
+    owner: Vec<u64>,
+    buf: Vec<u64>,
+    // Leaf scratch: the code under construction, the edges' canonical
+    // member lists (laid out like `members`) and their sorted order.
+    code: Vec<u64>,
+    canonical_members: Vec<u32>,
+    edge_order: Vec<u32>,
+    inverse: Vec<u32>,
+    /// Lexicographically least canonical code found so far, with its
+    /// vertex and edge renamings (meaningful once `leaves > 0`).
+    best_code: Vec<u64>,
+    best_vertex: Vec<usize>,
+    best_edge: Vec<usize>,
+    /// Automorphisms discovered when two leaves carry identical codes,
+    /// `n` words each (`π[v]` = image of vertex `v`). Used for orbit
+    /// pruning.
+    automorphisms: Vec<u32>,
+    /// Individualized vertices on the current search path.
+    path: Vec<u32>,
+    leaves: usize,
+    budget_hit: bool,
+}
+
+impl Search {
+    /// Loads `(h, marked)` into the workspace, searches, and returns the
+    /// least code's form.
+    fn run(&mut self, h: &Hypergraph, marked: &BitSet) -> CanonicalForm {
+        self.load(h, marked);
+
+        let degree_hash = {
+            let mut hasher = Hasher128::new();
+            for at in [&self.inc_at, &self.members_at] {
+                self.buf.clear();
+                self.buf.extend(lengths(at));
+                self.buf.sort_unstable();
+                for &d in &self.buf {
+                    hasher.write_u64(d);
+                }
+            }
+            hasher.write_u64(self.marked.len() as u64);
+            hasher.finish128() as u64
+        };
+
+        // Initial colors: vertices by (marked?, degree), edges by size —
+        // ranked over the sorted distinct values so the ids themselves
+        // are label-invariant.
+        self.vsig.clear();
+        self.vsig.extend(lengths(&self.inc_at));
+        for &v in &self.marked {
+            self.vsig[v as usize] |= 1 << 48;
+        }
+        self.esig.clear();
+        self.esig.extend(lengths(&self.members_at));
+        let root = &mut self.levels[0];
+        rank_into(&self.vsig, &mut self.sorted, &mut root.vertex);
+        rank_into(&self.esig, &mut self.sorted, &mut root.edge);
+        self.search(0);
+
+        CanonicalForm {
+            key: CanonicalKey {
+                num_vertices: self.n as u32,
+                num_edges: self.m as u32,
+                degree_hash,
+                hash: hash128(self.best_code.iter().copied()),
+            },
+            vertex_to_canonical: std::mem::take(&mut self.best_vertex),
+            edge_to_canonical: std::mem::take(&mut self.best_edge),
+            leaves: self.leaves,
+            budget_hit: self.budget_hit,
+        }
+    }
+
+    /// Resets the workspace for `(h, marked)`: CSR incidence and edge
+    /// members, the marked list, a root level, and empty search state.
+    fn load(&mut self, h: &Hypergraph, marked: &BitSet) {
+        let (n, m) = (h.num_vertices(), h.num_edges());
+        (self.n, self.m) = (n, m);
+        self.members.clear();
+        self.members_at.clear();
+        self.members_at.push(0);
+        self.inc_at.clear();
+        self.inc_at.resize(n + 1, 0);
+        for verts in h.edges() {
+            for v in verts.iter() {
+                self.members.push(v as u32);
+                self.inc_at[v + 1] += 1;
+            }
+            self.members_at.push(self.members.len() as u32);
+        }
+        for v in 0..n {
+            self.inc_at[v + 1] += self.inc_at[v];
+        }
+        // Fill each vertex's incidence list in edge order; `buf[v]` is
+        // the next free slot in `v`'s list.
+        self.inc.resize(self.members.len(), 0);
+        self.buf.clear();
+        self.buf
+            .extend(self.inc_at[..n].iter().map(|&at| u64::from(at)));
+        for e in 0..m {
+            for &v in &self.members[self.members_at[e] as usize..self.members_at[e + 1] as usize] {
+                self.inc[self.buf[v as usize] as usize] = e as u32;
+                self.buf[v as usize] += 1;
+            }
+        }
+        self.canonical_members.resize(self.members.len(), 0);
+        self.new_vertex.resize(n, 0);
+        self.new_edge.resize(m, 0);
+        self.marked.clear();
+        self.marked
+            .extend(marked.iter().take_while(|&v| v < n).map(|v| v as u32));
+        self.automorphisms.clear();
+        self.path.clear();
+        self.leaves = 0;
+        self.budget_hit = false;
+        self.level(0);
+    }
+
+    /// Sizes depth `d`'s level for the loaded hypergraph and clears its
+    /// branch state.
+    fn level(&mut self, d: usize) {
+        if self.levels.len() <= d {
+            self.levels.push(Level::default());
+        }
+        let (n, m) = (self.n, self.m);
+        let level = &mut self.levels[d];
+        level.vertex.resize(n, 0);
+        level.edge.resize(m, 0);
+        level.cell.clear();
+        level.tried.clear();
+        level.orbits.clear();
+        level.absorbed = 0;
+    }
+
+    /// Refines depth `d`'s coloring to a fixpoint, then either emits a
+    /// candidate code (discrete partition) or branches on the first
+    /// smallest non-singleton vertex class.
     ///
     /// Branch targets are pruned by discovered automorphisms: if some
     /// recorded `π` fixes every vertex individualized so far and maps an
@@ -296,60 +420,83 @@ impl Search<'_> {
     /// This is the standard orbit pruning of canonical-labeling search —
     /// exact, not heuristic — and it is what keeps vertex-transitive
     /// inputs (cycles, cliques) near-linear instead of factorial.
-    fn refine_and_branch(&mut self, mut vertex_colors: Vec<u64>, mut edge_colors: Vec<u64>) {
+    fn search(&mut self, d: usize) {
         if self.leaves >= LEAF_BUDGET {
+            self.budget_hit = true;
             return;
         }
-        self.refine(&mut vertex_colors, &mut edge_colors);
-
-        match first_non_singleton_class(&vertex_colors) {
-            None => self.emit_candidate(&vertex_colors),
-            Some(class) => {
-                let mut tried: Vec<usize> = Vec::new();
-                for &target in &class {
-                    if self.leaves >= LEAF_BUDGET {
-                        break;
-                    }
-                    if self.orbit_covered(target, &tried) {
-                        continue;
-                    }
-                    tried.push(target);
-                    // Individualize: double all colors so a fresh even
-                    // color can slot in below the class's peers.
-                    let mut branched: Vec<u64> = vertex_colors.iter().map(|&c| 2 * c + 1).collect();
-                    branched[target] -= 1;
-                    self.path.push(target);
-                    self.refine_and_branch(rank_values(&branched), edge_colors.clone());
-                    self.path.pop();
-                }
-            }
+        self.refine(d);
+        if !self.branch_cell(d) {
+            self.emit_candidate(d);
+            return;
         }
+        for i in 0..self.levels[d].cell.len() {
+            if self.leaves >= LEAF_BUDGET {
+                self.budget_hit = true;
+                break;
+            }
+            let target = self.levels[d].cell[i];
+            if self.orbit_covered(d, target) {
+                continue;
+            }
+            self.levels[d].tried.push(target);
+            self.individualize(d, target as usize);
+            self.path.push(target);
+            self.search(d + 1);
+            self.path.pop();
+        }
+    }
+
+    /// Writes depth `d + 1`'s coloring: depth `d`'s with `target` split
+    /// off below the rest of its class. Colors are dense ranks, so this
+    /// is the ranking of `2c + 1` for every vertex but `2c` for `target`.
+    fn individualize(&mut self, d: usize, target: usize) {
+        self.level(d + 1);
+        let (upper, lower) = self.levels.split_at_mut(d + 1);
+        let (from, to) = (&upper[d], &mut lower[0]);
+        let split = from.vertex[target];
+        for (v, (out, &c)) in to.vertex.iter_mut().zip(&from.vertex).enumerate() {
+            *out = if c < split || v == target { c } else { c + 1 };
+        }
+        to.edge.copy_from_slice(&from.edge);
     }
 
     /// `true` when an automorphism that fixes the current path pointwise
-    /// puts `target` in the same orbit as an already-tried sibling.
-    fn orbit_covered(&self, target: usize, tried: &[usize]) -> bool {
-        if tried.is_empty() || self.automorphisms.is_empty() {
+    /// puts `target` in the same orbit as an already-tried sibling. The
+    /// node's orbits grow by the automorphisms found since its last
+    /// check; earlier ones are already merged.
+    fn orbit_covered(&mut self, d: usize, target: u32) -> bool {
+        let level = &mut self.levels[d];
+        if level.tried.is_empty() || self.automorphisms.is_empty() {
             return false;
         }
-        let n = self.incidence.len();
-        let mut orbits = cq_util::UnionFind::new(n);
-        for aut in &self.automorphisms {
-            if self.path.iter().any(|&p| aut[p] != p) {
+        let n = self.n;
+        if level.orbits.is_empty() {
+            level.orbits.extend(0..n as u32);
+        }
+        for aut in self.automorphisms[level.absorbed..].chunks_exact(n) {
+            if self.path.iter().any(|&p| aut[p as usize] != p) {
                 continue; // does not stabilize the current path
             }
             for (v, &w) in aut.iter().enumerate() {
-                orbits.union(v, w);
+                let (a, b) = (
+                    find(&mut level.orbits, v as u32),
+                    find(&mut level.orbits, w),
+                );
+                level.orbits[a.max(b) as usize] = a.min(b);
             }
         }
-        tried.iter().any(|&t| orbits.same(t, target))
+        level.absorbed = self.automorphisms.len();
+        let root = find(&mut level.orbits, target);
+        let Level { orbits, tried, .. } = level;
+        tried.iter().any(|&t| find(orbits, t) == root)
     }
 
-    /// WL refinement to a fixpoint. Signatures are 64-bit hashes of
-    /// `(length, own color, sorted multiset of neighbor colors)` rather
-    /// than materialized vectors — hashes of invariant inputs are
-    /// themselves invariant, so ranking by hash value stays
-    /// label-independent.
+    /// WL refinement of depth `d`'s coloring to a fixpoint. Signatures
+    /// are 64-bit hashes of `(length, own color, sorted multiset of
+    /// neighbor colors)` rather than materialized vectors — hashes of
+    /// invariant inputs are themselves invariant, so ranking by hash
+    /// value stays label-independent.
     ///
     /// Two collision defenses, both load-bearing:
     /// - the stream is length-prefixed with a nonzero salt, because
@@ -361,76 +508,87 @@ impl Search<'_> {
     ///   (hurting only the individualization depth) but can never
     ///   *coarsen* the partition — which would unwind individualization
     ///   splits and make the search tree infinite.
-    fn refine(&self, vertex_colors: &mut Vec<u64>, edge_colors: &mut Vec<u64>) {
-        use std::hash::Hasher as _;
-        let n = vertex_colors.len();
-        let m = edge_colors.len();
-        let mut vsig = vec![0u64; n];
-        let mut esig = vec![0u64; m];
-        let mut buf: Vec<u64> = Vec::new();
-        let mut vertex_classes = vertex_colors.iter().max().map_or(0, |&c| c + 1);
-        let mut edge_classes = edge_colors.iter().max().map_or(0, |&c| c + 1);
+    fn refine(&mut self, d: usize) {
+        let (n, m) = (self.n, self.m);
+        let Level { vertex, edge, .. } = &mut self.levels[d];
+        let mut vertex_classes = vertex.iter().max().map_or(0, |&c| c + 1);
+        let mut edge_classes = edge.iter().max().map_or(0, |&c| c + 1);
         // Each adopted round splits at least one class, so n + m rounds
         // bound the loop.
         for _ in 0..=n + m {
-            for v in 0..n {
-                let mut h = cq_util::FxHasher::default();
-                h.write_u64(0x9e37_79b9_7f4a_7c15 ^ self.incidence[v].len() as u64);
-                h.write_u64(vertex_colors[v]);
-                buf.clear();
-                buf.extend(self.incidence[v].iter().map(|&e| edge_colors[e]));
-                buf.sort_unstable();
-                for &c in &buf {
-                    h.write_u64(c);
-                }
-                vsig[v] = h.finish();
+            let cells = self.vsig.iter_mut().zip(vertex.iter());
+            for ((sig, &own), at) in cells.zip(self.inc_at.windows(2)) {
+                let incident = &self.inc[at[0] as usize..at[1] as usize];
+                let prefix = [0x9e37_79b9_7f4a_7c15 ^ incident.len() as u64, own];
+                let colors = incident.iter().map(|&e| edge[e as usize]);
+                *sig = signature(&prefix, colors, &mut self.buf);
             }
-            let new_vertex = rank_values(&vsig);
-            for (e, verts) in self.h.edges().iter().enumerate() {
-                let mut h = cq_util::FxHasher::default();
-                h.write_u64(0x517c_c1b7_2722_0a95 ^ edge_colors[e]);
-                buf.clear();
-                buf.extend(verts.iter().map(|v| new_vertex[v]));
-                buf.sort_unstable();
-                for &c in &buf {
-                    h.write_u64(c);
-                }
-                esig[e] = h.finish();
+            let vc_now = rank_into(&self.vsig, &mut self.sorted, &mut self.new_vertex);
+            let cells = self.esig.iter_mut().zip(edge.iter());
+            for ((sig, &own), at) in cells.zip(self.members_at.windows(2)) {
+                let verts = &self.members[at[0] as usize..at[1] as usize];
+                let colors = verts.iter().map(|&v| self.new_vertex[v as usize]);
+                *sig = signature(&[0x517c_c1b7_2722_0a95 ^ own], colors, &mut self.buf);
             }
-            let new_edge = rank_values(&esig);
-            let vc_now = new_vertex.iter().max().map_or(0, |&c| c + 1);
-            let ec_now = new_edge.iter().max().map_or(0, |&c| c + 1);
+            let ec_now = rank_into(&self.esig, &mut self.sorted, &mut self.new_edge);
             // Adopt only a round that strictly split something AND
             // whose new colorings genuinely refine the old ones. The
             // refinement check is what makes a collision merge
             // impossible to adopt even when masked by a simultaneous
             // split (counts alone can't tell merge+split from split).
             if vc_now + ec_now <= vertex_classes + edge_classes
-                || !refines(vertex_colors, &new_vertex)
-                || !refines(edge_colors, &new_edge)
+                || !refines(vertex, &self.new_vertex, &mut self.owner)
+                || !refines(edge, &self.new_edge, &mut self.owner)
             {
                 break; // fixpoint (or a collision stall)
             }
-            *vertex_colors = new_vertex;
-            *edge_colors = new_edge;
+            vertex.copy_from_slice(&self.new_vertex);
+            edge.copy_from_slice(&self.new_edge);
             vertex_classes = vc_now;
             edge_classes = ec_now;
         }
     }
 
-    /// Discrete partition: build the canonical code and keep it if it is
-    /// the least seen so far.
-    fn emit_candidate(&mut self, vertex_colors: &[u64]) {
+    /// Fills depth `d`'s branch cell: the smallest vertex class with ≥ 2
+    /// members, ties broken by color id, members in vertex order. Both
+    /// criteria are label-invariant (color ids are ranks of sorted
+    /// signatures), which canonicity requires — isomorphic inputs must
+    /// individualize the same cell. Returns `false` when the coloring is
+    /// discrete.
+    fn branch_cell(&mut self, d: usize) -> bool {
+        let level = &mut self.levels[d];
+        let counts = &mut self.buf;
+        counts.clear();
+        counts.resize(self.n, 0);
+        for &c in &level.vertex {
+            counts[c as usize] += 1;
+        }
+        let Some(color) = (0..counts.len())
+            .filter(|&c| counts[c] >= 2)
+            .min_by_key(|&c| (counts[c], c))
+        else {
+            return false;
+        };
+        level.cell.clear();
+        level
+            .cell
+            .extend((0..self.n as u32).filter(|&v| level.vertex[v as usize] == color as u64));
+        true
+    }
+
+    /// Discrete partition at depth `d`: build the canonical code and
+    /// keep it if it is the least seen so far.
+    fn emit_candidate(&mut self, d: usize) {
         self.leaves += 1;
-        let n = vertex_colors.len();
+        let (n, m) = (self.n, self.m);
         // vertex_to_canonical[v] = rank of v's (distinct) color
-        let vertex_to_canonical: Vec<usize> = vertex_colors.iter().map(|&c| c as usize).collect();
+        let canonical = &self.levels[d].vertex;
         debug_assert!({
             let mut seen = vec![false; n];
-            vertex_to_canonical.iter().all(|&c| {
-                let fresh = c < n && !seen[c];
-                if c < n {
-                    seen[c] = true;
+            canonical.iter().all(|&c| {
+                let fresh = (c as usize) < n && !seen[c as usize];
+                if (c as usize) < n {
+                    seen[c as usize] = true;
                 }
                 fresh
             })
@@ -439,75 +597,103 @@ impl Search<'_> {
         // Edges encoded as sorted canonical member lists, sorted
         // lexicographically (ties between duplicate edges are harmless:
         // the code is identical either way).
-        let mut encoded: Vec<(Vec<usize>, usize)> = self
-            .h
-            .edges()
-            .iter()
-            .enumerate()
-            .map(|(e, verts)| {
-                let mut members: Vec<usize> =
-                    verts.iter().map(|v| vertex_to_canonical[v]).collect();
-                members.sort_unstable();
-                (members, e)
-            })
-            .collect();
-        encoded.sort();
-        let mut edge_to_canonical = vec![0usize; encoded.len()];
-        for (pos, (_, e)) in encoded.iter().enumerate() {
-            edge_to_canonical[*e] = pos;
+        for (out, &v) in self.canonical_members.iter_mut().zip(&self.members) {
+            *out = canonical[v as usize] as u32;
         }
+        let at = &self.members_at;
+        for e in 0..m {
+            self.canonical_members[at[e] as usize..at[e + 1] as usize].sort_unstable();
+        }
+        let list =
+            |e: u32| &self.canonical_members[at[e as usize] as usize..at[e as usize + 1] as usize];
+        self.edge_order.clear();
+        self.edge_order.extend(0..m as u32);
+        self.edge_order
+            .sort_unstable_by(|&a, &b| list(a).cmp(list(b)).then(a.cmp(&b)));
 
-        let mut code: Vec<u64> = Vec::with_capacity(2 + n + 4 * encoded.len());
+        let code = &mut self.code;
+        code.clear();
         code.push(n as u64);
-        code.push(encoded.len() as u64);
-        let mut marked_canonical: Vec<u64> = self
-            .marked
-            .iter()
-            .filter(|&v| v < n)
-            .map(|v| vertex_to_canonical[v] as u64)
-            .collect();
-        marked_canonical.sort_unstable();
-        code.push(marked_canonical.len() as u64);
-        code.extend(marked_canonical);
-        for (members, _) in &encoded {
+        code.push(m as u64);
+        self.buf.clear();
+        self.buf
+            .extend(self.marked.iter().map(|&v| canonical[v as usize]));
+        self.buf.sort_unstable();
+        code.push(self.buf.len() as u64);
+        code.extend(&self.buf);
+        for &e in &self.edge_order {
+            let members = list(e);
             code.push(members.len() as u64);
-            code.extend(members.iter().map(|&v| v as u64));
+            code.extend(members.iter().map(|&v| u64::from(v)));
         }
 
-        match &self.best {
-            Some((best_code, best_v2c, _)) if *best_code == code => {
+        let order = if self.leaves == 1 {
+            Ordering::Less
+        } else {
+            code.as_slice().cmp(&self.best_code)
+        };
+        match order {
+            Ordering::Equal => {
                 // Two distinct labelings reaching the same code compose
                 // into an automorphism: π = current⁻¹ ∘ best maps the
                 // structure onto itself. Feed it to the orbit pruner.
-                let mut inv = vec![0usize; n];
-                for v in 0..n {
-                    inv[vertex_to_canonical[v]] = v;
+                self.inverse.resize(n, 0);
+                for (v, &c) in canonical.iter().enumerate() {
+                    self.inverse[c as usize] = v as u32;
                 }
-                let aut: Vec<usize> = (0..n).map(|v| inv[best_v2c[v]]).collect();
-                if aut.iter().enumerate().any(|(v, &w)| v != w) {
-                    self.automorphisms.push(aut);
+                let start = self.automorphisms.len();
+                self.automorphisms
+                    .extend(self.best_vertex.iter().map(|&c| self.inverse[c]));
+                let aut = &self.automorphisms[start..];
+                if aut.iter().enumerate().all(|(v, &w)| v as u32 == w) {
+                    self.automorphisms.truncate(start);
                 }
             }
-            Some((best_code, _, _)) if *best_code < code => {}
-            _ => self.best = Some((code, vertex_to_canonical, edge_to_canonical)),
+            Ordering::Greater => {}
+            Ordering::Less => {
+                std::mem::swap(&mut self.code, &mut self.best_code);
+                self.best_vertex.clear();
+                self.best_vertex
+                    .extend(canonical.iter().map(|&c| c as usize));
+                self.best_edge.resize(m, 0);
+                for (pos, &e) in self.edge_order.iter().enumerate() {
+                    self.best_edge[e as usize] = pos;
+                }
+            }
         }
     }
 }
 
-/// The members of the branch cell: the smallest vertex class with ≥ 2
-/// members, ties broken by color id. Both criteria are label-invariant
-/// (color ids are ranks of sorted signatures), which canonicity
-/// requires — isomorphic inputs must individualize the same cell.
-fn first_non_singleton_class(colors: &[u64]) -> Option<Vec<usize>> {
-    let mut classes: std::collections::BTreeMap<u64, Vec<usize>> = Default::default();
-    for (v, &c) in colors.iter().enumerate() {
-        classes.entry(c).or_default().push(v);
+/// The hash of a cell's signature: the `prefix` words, then its
+/// neighbors' `colors` as a sorted multiset (sorted in `buf`).
+fn signature(prefix: &[u64], colors: impl Iterator<Item = u64>, buf: &mut Vec<u64>) -> u64 {
+    use std::hash::Hasher as _;
+    let mut h = cq_util::FxHasher::default();
+    for &w in prefix {
+        h.write_u64(w);
     }
-    classes
-        .into_iter()
-        .filter(|(_, members)| members.len() >= 2)
-        .min_by_key(|(color, members)| (members.len(), *color))
-        .map(|(_, members)| members)
+    buf.clear();
+    buf.extend(colors);
+    buf.sort_unstable();
+    for &c in buf.iter() {
+        h.write_u64(c);
+    }
+    h.finish()
+}
+
+/// The list lengths of a CSR offset array.
+fn lengths(at: &[u32]) -> impl Iterator<Item = u64> + '_ {
+    at.windows(2).map(|w| u64::from(w[1] - w[0]))
+}
+
+/// The root of `x` in the union-find forest `parent`, halving the path.
+fn find(parent: &mut [u32], mut x: u32) -> u32 {
+    while parent[x as usize] != x {
+        let up = parent[parent[x as usize] as usize];
+        parent[x as usize] = up;
+        x = up;
+    }
+    x
 }
 
 #[cfg(test)]
@@ -706,6 +892,7 @@ mod tests {
 
     #[test]
     fn refines_detects_collision_merges() {
+        let refines = |old: &[u64], new: &[u64]| refines(old, new, &mut Vec::new());
         assert!(refines(&[0, 1, 1], &[0, 1, 2])); // genuine split
         assert!(refines(&[0, 1, 1], &[0, 1, 1])); // unchanged
         assert!(!refines(&[0, 1, 1], &[0, 0, 1])); // plain merge

@@ -310,16 +310,24 @@ pub fn fresh_trace_id() -> String {
 /// way, so `--metrics-file` and the `metrics` command always have
 /// phase latencies to report.
 pub struct Phase {
-    _span: Span,
+    span: Span,
     hist: Arc<Histogram>,
     start: Instant,
+}
+
+impl Phase {
+    /// Records a count on the phase's span ([`Span::record`]): a no-op
+    /// unless the span is active.
+    pub fn record(&mut self, key: &'static str, value: u64) {
+        self.span.record(key, value);
+    }
 }
 
 /// Opens a span named `span_name` and times the scope into the global
 /// histogram `hist_name` (microseconds).
 pub fn phase(span_name: &'static str, hist_name: &str) -> Phase {
     Phase {
-        _span: Span::enter(span_name),
+        span: Span::enter(span_name),
         hist: Metrics::global().histogram(hist_name),
         start: Instant::now(),
     }

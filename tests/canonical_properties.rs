@@ -233,3 +233,173 @@ fn marked_sets_are_canonicalized_too() {
     assert_ne!(key_of(3, &path3, &[0]), key_of(3, &path3, &[0, 1]));
     assert_ne!(key_of(3, &path3, &[]), key_of(3, &path3, &[0]));
 }
+
+/// A seeded generator for the known-answer corpus (independent of the
+/// proptest RNG, so the corpus never changes).
+struct Lcg(u64);
+
+impl Lcg {
+    fn below(&mut self, n: usize) -> usize {
+        self.0 = self
+            .0
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        ((self.0 >> 33) % n.max(1) as u64) as usize
+    }
+}
+
+fn cycle(k: usize) -> Vec<Vec<usize>> {
+    (0..k).map(|i| vec![i, (i + 1) % k]).collect()
+}
+
+fn clique(k: usize) -> Vec<Vec<usize>> {
+    (0..k)
+        .flat_map(|i| (i + 1..k).map(move |j| vec![i, j]))
+        .collect()
+}
+
+/// The 2 × k grid on vertices `r * k + c`.
+fn grid(k: usize) -> Vec<Vec<usize>> {
+    let v = |r: usize, c: usize| r * k + c;
+    let mut edges: Vec<Vec<usize>> = (0..2)
+        .flat_map(|r| (0..k - 1).map(move |c| vec![v(r, c), v(r, c + 1)]))
+        .collect();
+    edges.extend((0..k).map(|c| vec![v(0, c), v(1, c)]));
+    edges
+}
+
+/// A random hypergraph on up to 10 vertices: random edges of size 0–4,
+/// planted cycles and cliques, duplicated edges, vertices left isolated
+/// and a random marked subset (sometimes empty, sometimes everything).
+fn random_case(rng: &mut Lcg) -> (usize, Vec<Vec<usize>>, Vec<usize>) {
+    let n = 1 + rng.below(10);
+    let mut edges: Vec<Vec<usize>> = Vec::new();
+    for _ in 0..rng.below(12) {
+        match rng.below(8) {
+            0 if !edges.is_empty() => {
+                let dup = edges[rng.below(edges.len())].clone();
+                edges.push(dup);
+            }
+            1 => {
+                let k = (2 + rng.below(5)).min(n);
+                let off = rng.below(n - k + 1);
+                edges.extend(
+                    cycle(k)
+                        .into_iter()
+                        .map(|e| e.iter().map(|v| v + off).collect()),
+                );
+            }
+            2 => {
+                let k = (2 + rng.below(4)).min(n);
+                let off = rng.below(n - k + 1);
+                edges.extend(
+                    clique(k)
+                        .into_iter()
+                        .map(|e| e.iter().map(|v| v + off).collect()),
+                );
+            }
+            3 if rng.below(4) == 0 => edges.push(Vec::new()),
+            _ => {
+                let size = 1 + rng.below(4);
+                edges.push((0..size).map(|_| rng.below(n)).collect());
+            }
+        }
+    }
+    let marked = match rng.below(4) {
+        0 => Vec::new(),
+        1 => (0..n).collect(),
+        _ => (0..n).filter(|_| rng.below(2) == 0).collect(),
+    };
+    (n, edges, marked)
+}
+
+/// Known answer: one digest over the compact key and both renamings of
+/// every fixture query, the serve-warm templates (cycles 4–8, cliques
+/// 4–6, keyed stars 3–6, 2×3…2×8 grids), cliques K2–K8, a few highly
+/// symmetric graphs (two of which exhaust the leaf budget) and 2,400
+/// seeded random hypergraphs. A change to
+/// the search that moves any key or renaming (and with them every LP
+/// cache snapshot and cluster key route) changes the digest.
+#[test]
+fn canonical_forms_match_the_pinned_digest() {
+    use cqbounds::hypergraph::canonical_form;
+    use cqbounds::parse_program;
+    use cqbounds::util::Hasher128;
+
+    let mut cases: Vec<(usize, Vec<Vec<usize>>, Vec<usize>)> = Vec::new();
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures");
+    let mut paths: Vec<_> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().and_then(|e| e.to_str()) == Some("cq"))
+        .collect();
+    paths.sort();
+    assert!(
+        paths.len() >= 9,
+        "fixture corpus shrank? saw {}",
+        paths.len()
+    );
+    for path in &paths {
+        let (q, _) = parse_program(&std::fs::read_to_string(path).unwrap()).unwrap();
+        let edges = q.body().iter().map(|a| a.vars.clone()).collect();
+        cases.push((q.num_vars(), edges, q.head().to_vec()));
+    }
+    let all = |n: usize| (0..n).collect::<Vec<_>>();
+    for k in 4..=8 {
+        cases.push((k, cycle(k), all(k)));
+    }
+    for k in 2..=8 {
+        cases.push((k, clique(k), all(k)));
+        cases.push((k, clique(k), Vec::new()));
+    }
+    for k in 3..=6 {
+        let star = (1..=k).map(|leaf| vec![0, leaf]).collect();
+        cases.push((k + 1, star, all(k + 1)));
+    }
+    for k in 3..=8 {
+        cases.push((2 * k, grid(k), all(2 * k)));
+    }
+    // Symmetric enough to branch deep: three disjoint 5-cycles, the
+    // Petersen graph, and a 12-cycle with one marked vertex.
+    let c5x3 = (0..15).map(|i| vec![i, i / 5 * 5 + (i + 1) % 5]).collect();
+    cases.push((15, c5x3, Vec::new()));
+    let mut petersen: Vec<Vec<usize>> = (0..5).map(|i| vec![i, (i + 1) % 5]).collect();
+    petersen.extend((0..5).map(|i| vec![5 + i, 5 + (i + 2) % 5]));
+    petersen.extend((0..5).map(|i| vec![i, 5 + i]));
+    cases.push((10, petersen, Vec::new()));
+    cases.push((12, cycle(12), vec![3]));
+    // K24 exhausts the leaf budget, and so does K26 with a marked
+    // pendant edge, whose truncated search depends on exploration order.
+    cases.push((24, clique(24), Vec::new()));
+    let mut k26_tail = clique(26);
+    k26_tail.push(vec![0, 26]);
+    cases.push((27, k26_tail, vec![26]));
+    let mut rng = Lcg(0x6361_6e6f_6e69_6361);
+    cases.extend((0..2400).map(|_| random_case(&mut rng)));
+
+    let mut digest = Hasher128::new();
+    let mut truncated = 0;
+    for (n, edges, marked) in &cases {
+        let form = canonical_form(
+            &build(*n, edges),
+            &BitSet::from_iter(marked.iter().copied()),
+        );
+        truncated += usize::from(form.budget_hit);
+        for b in form.key.to_compact_string().bytes() {
+            digest.write_u64(u64::from(b));
+        }
+        for renaming in [&form.vertex_to_canonical, &form.edge_to_canonical] {
+            digest.write_usize(renaming.len());
+            for &c in renaming.iter() {
+                digest.write_usize(c);
+            }
+        }
+    }
+    assert_eq!(
+        format!("{:032x}", digest.finish128()),
+        "ed64cb3531efbb68ddb643bdd388794e",
+        "over {} cases",
+        cases.len()
+    );
+    assert_eq!(truncated, 2, "only K24 and K26 exhaust the budget");
+}

@@ -170,3 +170,47 @@ fn render_edges_are_documented() {
     assert!(Json::parse(&nested(MAX_DEPTH + 1, 1)).is_err());
     assert!(Json::parse(&nested(MAX_DEPTH + 1, 2)).is_err());
 }
+
+/// A 2 MiB string of ASCII runs, 2–4-byte UTF-8, every escape and
+/// `\u` surrogate pairs decodes to the value built alongside its text,
+/// and `render ∘ parse` round-trips it. Parsing is linear in the text;
+/// a scan that rereads the rest of the line per character would take
+/// minutes here.
+#[test]
+fn long_strings_parse_in_linear_time() {
+    // (JSON text, decoded text) pieces.
+    const PIECES: [(&str, &str); 18] = [
+        ("plain ASCII run ", "plain ASCII run "),
+        ("x", "x"),
+        ("é", "é"),
+        ("→", "→"),
+        ("😀", "😀"),
+        ("\\\"", "\""),
+        ("\\\\", "\\"),
+        ("\\/", "/"),
+        ("\\b", "\u{8}"),
+        ("\\f", "\u{c}"),
+        ("\\n", "\n"),
+        ("\\r", "\r"),
+        ("\\t", "\t"),
+        ("\\u00e9", "é"),
+        ("\\u0001", "\u{1}"),
+        ("\\u2192", "→"),
+        ("\\ud83e\\udd80", "🦀"),
+        ("\\uD83D\\uDE00", "😀"),
+    ];
+    let mut rng = Lcg(0x10ad);
+    let (mut text, mut expected) = (String::from("{\"id\":7,\"query\":\""), String::new());
+    while text.len() < 2 << 20 {
+        let (json, decoded) = PIECES[rng.below(PIECES.len())];
+        text.push_str(json);
+        expected.push_str(decoded);
+    }
+    text.push_str("\"}");
+
+    let parsed = Json::parse(&text).expect("valid document");
+    assert_eq!(parsed.get("id"), Some(&Json::Int(7)));
+    assert!(parsed.get("query").and_then(Json::as_str) == Some(expected.as_str()));
+    let rendered = parsed.render();
+    assert!(Json::parse(&rendered) == Ok(parsed));
+}

@@ -4,7 +4,10 @@
 //! the Unix-socket transport, the error paths the protocol promises
 //! never kill the process, the warm-cache serving win, and — the
 //! anti-drift anchor — a replay of every request/response pair in
-//! `docs/PROTOCOL.md` against the daemon's actual output.
+//! `docs/PROTOCOL.md` against the daemon's actual output. Its last
+//! tests drive `ServeEngine::handle_line` in process, on arbitrary
+//! bytes and on JSON of every shape: every line gets a well-formed
+//! answer and none panics.
 
 mod common;
 
@@ -882,4 +885,142 @@ fn pipelined_socket_requests_come_back_in_order() {
         .status();
     let status = child.wait().unwrap();
     assert!(status.success());
+}
+
+/// A seeded generator for the in-process request fuzzing below.
+struct Lcg(u64);
+
+impl Lcg {
+    fn below(&mut self, n: usize) -> usize {
+        self.0 = self
+            .0
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        ((self.0 >> 33) % n as u64) as usize
+    }
+
+    fn pick<T: Copy>(&mut self, options: &[T]) -> T {
+        options[self.below(options.len())]
+    }
+}
+
+/// Keys and strings drawn mostly from the protocol's own vocabulary, so
+/// that generated requests get past the envelope checks into commands.
+const KEYS: [&str; 12] = [
+    "id", "v", "cmd", "query", "queries", "name", "witness", "trace_id", "op", "path", "db", "x",
+];
+const STRINGS: [&str; 14] = [
+    "analyze",
+    "batch",
+    "stats",
+    "metrics",
+    "cache",
+    "save",
+    "load",
+    "S(X,Y,Z) :- R(X,Y), R(X,Z), R(Y,Z)",
+    "R2(X,Y,Z) :- R(X,Y), R(X,Z)\nkey R[1]",
+    "Q(X,Y,Z) :- R(X,Y,Z), S2(X,Z)\nR[1,2] -> R[3]",
+    "Q(X) :- R(X)",
+    "nope",
+    "",
+    "é😀\u{1}\"\\",
+];
+const INTS: [i64; 8] = [-1, 0, 1, 2, 3, 7, 1 << 40, i64::MAX];
+
+/// A JSON value of any shape, at most `depth` levels deep. Floats are
+/// never integral, so a value survives `render ∘ parse` unchanged.
+fn protocol_value(rng: &mut Lcg, depth: usize) -> Json {
+    match rng.below(if depth == 0 { 5 } else { 7 }) {
+        0 => Json::Null,
+        1 => Json::Bool(rng.below(2) == 1),
+        2 => Json::Int(rng.pick(&INTS)),
+        3 => Json::Float(rng.pick(&[-0.5, 1.5, 1e-9])),
+        4 => Json::str(rng.pick(&STRINGS)),
+        5 => Json::Arr(
+            (0..rng.below(4))
+                .map(|_| protocol_value(rng, depth - 1))
+                .collect(),
+        ),
+        _ => Json::Obj(
+            (0..rng.below(5))
+                .map(|_| (rng.pick(&KEYS).to_owned(), protocol_value(rng, depth - 1)))
+                .collect(),
+        ),
+    }
+}
+
+/// A request-shaped object: a command from the protocol (or not), an
+/// `id` of any shape, mostly well-typed `query`, `queries` and
+/// `witness` fields, and more fields of any shape.
+fn protocol_request(rng: &mut Lcg) -> Json {
+    let commands = if rng.below(4) > 0 {
+        &STRINGS[..5]
+    } else {
+        &STRINGS
+    };
+    let mut fields = vec![("cmd".to_owned(), Json::str(rng.pick(commands)))];
+    if rng.below(4) > 0 {
+        fields.push(("id".to_owned(), protocol_value(rng, 2)));
+    }
+    if rng.below(4) > 0 {
+        let query = |rng: &mut Lcg| Json::str(rng.pick(&STRINGS[7..]));
+        fields.push(("query".to_owned(), query(rng)));
+        let entries = (0..rng.below(4))
+            .map(|_| Json::Obj(vec![("query".to_owned(), query(rng))]))
+            .collect();
+        fields.push(("queries".to_owned(), Json::Arr(entries)));
+        if rng.below(2) == 0 {
+            fields.push(("witness".to_owned(), Json::Int(rng.pick(&INTS))));
+        }
+    }
+    for _ in 0..rng.below(3) {
+        fields.push((rng.pick(&KEYS).to_owned(), protocol_value(rng, 2)));
+    }
+    let at = rng.below(fields.len());
+    fields.swap(0, at);
+    Json::Obj(fields)
+}
+
+/// What every `handle_line` answer must be, whatever the line: one line
+/// of JSON with an `"ok"` field, echoing the request's `id` when it has
+/// one, and never the answer of a request that panicked.
+fn assert_well_answered(engine: &cq_engine::ServeEngine, line: &str) {
+    let response = engine.handle_line(line);
+    assert!(!response.contains('\n'), "{line:?} -> {response}");
+    let parsed = parse(&response);
+    assert!(
+        matches!(parsed.get("ok"), Some(Json::Bool(_))),
+        "{line:?} -> {response}"
+    );
+    assert!(
+        !response.contains("the request panicked"),
+        "{line:?} -> {response}"
+    );
+    let id = Json::parse(line).ok().and_then(|r| r.get("id").cloned());
+    if let Some(id) = id {
+        assert_eq!(parsed.get("id"), Some(&id), "{line:?} -> {response}");
+    }
+}
+
+proptest::proptest! {
+    /// Arbitrary bytes, read as the lossy UTF-8 the transport passes on,
+    /// get a well-formed answer.
+    #[test]
+    fn handle_line_answers_arbitrary_bytes(
+        bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..200)
+    ) {
+        let engine = cq_engine::ServeEngine::new().restrict_cache_paths().with_workers(2);
+        assert_well_answered(&engine, &String::from_utf8_lossy(&bytes));
+    }
+
+    /// Well-formed JSON of every shape, bare or request-shaped, gets a
+    /// well-formed answer. Cache paths are restricted, so no generated
+    /// `cache` request touches the file system.
+    #[test]
+    fn handle_line_answers_every_json_shape(seed in proptest::prelude::any::<u64>()) {
+        let engine = cq_engine::ServeEngine::new().restrict_cache_paths().with_workers(2);
+        let mut rng = Lcg(seed);
+        assert_well_answered(&engine, &protocol_value(&mut rng, 3).render());
+        assert_well_answered(&engine, &protocol_request(&mut rng).render());
+    }
 }

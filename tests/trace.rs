@@ -428,6 +428,33 @@ fn count_spans_appear_once_per_data_check_and_never_without_data() {
 /// Loading a `--db` database is one `relation.load` root per process,
 /// with no trace id and the loaded sizes as fields; a run without data
 /// loads nothing, and the trace still assembles without orphans.
+/// `session.coloring_lp` carries its canonical-form search's leaf count
+/// and whether the leaf budget bound: the 6-clique's search reaches 16
+/// leaves, well inside the budget.
+#[test]
+fn coloring_lp_span_records_the_canonical_search() {
+    let dir = tmp("coloring-lp");
+    let vars = ["A", "B", "C", "D", "E", "F"];
+    let atoms: Vec<String> = (0..6)
+        .flat_map(|i| (i + 1..6).map(move |j| (i, j)))
+        .map(|(i, j)| format!("E{i}_{j}({},{})", vars[i], vars[j]))
+        .collect();
+    let clique = dir.join("clique6.cq");
+    std::fs::write(
+        &clique,
+        format!("Q({}) :- {}\n", vars.join(","), atoms.join(", ")),
+    )
+    .unwrap();
+    let events = trace_events(&traced_run(&dir, &[clique.to_str().unwrap()], None));
+    let lps: Vec<&Json> = events
+        .iter()
+        .filter(|e| e.get("name").and_then(Json::as_str) == Some("session.coloring_lp"))
+        .collect();
+    assert_eq!(lps.len(), 1, "{events:?}");
+    assert_eq!(lps[0].get("leaves"), Some(&Json::Int(16)));
+    assert_eq!(lps[0].get("budget_hit"), Some(&Json::Int(0)));
+}
+
 #[test]
 fn load_span_is_one_root_per_db_run_and_never_without_data() {
     let dir = tmp("load-span");
