@@ -30,7 +30,7 @@
 
 use crate::revised::{Revised, SparseLu};
 use crate::simplex::{LpSolution, LpStatus, PivotRule};
-use crate::solver::SolverKind;
+use crate::solver::{SolveStats, SolverKind};
 use crate::LinearProgram;
 use cq_arith::Rational;
 use cq_telemetry::{phase, Metrics, Span};
@@ -49,21 +49,24 @@ pub fn solve_hybrid(lp: &LinearProgram, rule: PivotRule) -> LpSolution {
         let _p = phase("lp.canonicalize", "cq_lp_canonicalize_micros");
         Revised::new(lp)
     };
-    let (status, basis, float_pivots) = {
-        let _p = phase("lp.float_propose", "cq_lp_float_propose_micros");
+    let (status, basis, float) = {
+        let mut p = phase("lp.float_propose", "cq_lp_float_propose_micros");
         let mut float = ex.to_f64();
         let status = float.solve(rule);
-        (status, float.basis, float.stats.pivots)
+        p.record("pivots", float.stats.pivots as u64);
+        p.record("degenerate", float.stats.degenerate_pivots as u64);
+        p.record("bland", float.stats.bland_pivots as u64);
+        (status, float.basis, float.stats)
     };
     Metrics::global()
         .histogram("cq_lp_float_pivots")
-        .observe(float_pivots as u64);
+        .observe(float.pivots as u64);
     // Only a claimed optimum is worth verifying; infeasible and
     // unbounded claims, and giving up, all go to the exact engine.
     if status == Some(LpStatus::Optimal) {
         let sol = {
             let _p = phase("lp.exact_verify", "cq_lp_exact_verify_micros");
-            verify_basis(&ex, &basis, float_pivots)
+            verify_basis(&ex, &basis, &float)
         };
         if let Some(solution) = sol {
             Metrics::global()
@@ -80,17 +83,25 @@ pub fn solve_hybrid(lp: &LinearProgram, rule: PivotRule) -> LpSolution {
     Metrics::global()
         .counter("cq_lp_exact_fallbacks_total")
         .inc();
-    solution.stats.solver = SolverKind::HybridFloat;
-    solution.stats.float_pivots = float_pivots;
+    add_float_phase(&mut solution.stats, &float);
     solution.stats.exact_fallbacks = 1;
     solution
+}
+
+/// Marks `stats` as a hybrid solve's and adds the float phase's work,
+/// whose stats are `float`.
+fn add_float_phase(stats: &mut SolveStats, float: &SolveStats) {
+    stats.solver = SolverKind::HybridFloat;
+    stats.float_pivots = float.pivots;
+    stats.degenerate_pivots += float.degenerate_pivots;
+    stats.bland_pivots += float.bland_pivots;
 }
 
 /// Exact verification of a float-proposed basis. `Some(solution)` iff
 /// the basis certifies optimality under the contract in the module
 /// docs; any violation — singular basis, duplicate columns, primal or
 /// dual infeasibility — returns `None` and the caller falls back.
-fn verify_basis(ex: &Revised<'_>, basis: &[usize], float_pivots: usize) -> Option<LpSolution> {
+fn verify_basis(ex: &Revised<'_>, basis: &[usize], float: &SolveStats) -> Option<LpSolution> {
     if basis.len() != ex.m {
         return None;
     }
@@ -130,8 +141,7 @@ fn verify_basis(ex: &Revised<'_>, basis: &[usize], float_pivots: usize) -> Optio
 
     // Certified: emit the exact solution straight from the basis.
     let mut stats = ex.stats;
-    stats.solver = SolverKind::HybridFloat;
-    stats.float_pivots = float_pivots;
+    add_float_phase(&mut stats, float);
     stats.float_verified = true;
     Some(ex.optimal_solution(basis, &x_b, stats))
 }
@@ -202,14 +212,15 @@ mod tests {
         lp.set_objective_coeff(x, ri(1));
         lp.add_constraint(vec![(x, ri(1))], Relation::Le, ri(5));
         let ex = Revised::new(&lp);
+        let none = SolveStats::default();
         assert!(
-            verify_basis(&ex, &[1], 0).is_none(),
+            verify_basis(&ex, &[1], &none).is_none(),
             "slack basis not optimal"
         );
-        let v = verify_basis(&ex, &[0], 0).expect("x-basis is optimal");
+        let v = verify_basis(&ex, &[0], &none).expect("x-basis is optimal");
         assert_eq!(v.objective, ri(5));
         // Malformed bases are rejected, not panicked on.
-        assert!(verify_basis(&ex, &[], 0).is_none());
-        assert!(verify_basis(&ex, &[7], 0).is_none());
+        assert!(verify_basis(&ex, &[], &none).is_none());
+        assert!(verify_basis(&ex, &[7], &none).is_none());
     }
 }

@@ -18,8 +18,9 @@
 //!   lowest constant factors, right for the paper's small
 //!   combinatorial LPs;
 //! - the **sparse revised simplex** ([`revised`]) — an LU-factorized
-//!   basis with eta updates and periodic refactorization over a CSC
-//!   constraint matrix ([`sparse`]), which is what lets the entropy LPs
+//!   basis with eta updates and periodic refactorization, priced by
+//!   devex from the pivot row, over a constraint matrix held by row and
+//!   by column ([`sparse`]), which is what lets the entropy LPs
 //!   (`2^k − 1` variables, constraints touching 2–4 of them) scale past
 //!   the dense ceiling. It is written once, generic over its scalar,
 //!   and runs over rationals as this exact engine;

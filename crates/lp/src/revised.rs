@@ -4,15 +4,29 @@
 //! The dense tableau ([`crate::simplex`]) rewrites the whole
 //! `m × (n + slacks + artificials)` matrix on every pivot. This engine
 //! implements the *revised* method instead: the constraint matrix `A`
-//! stays in its original sparse column form ([`SparseMatrix`]) and each
+//! stays sparse ([`SparseMatrix`], held by column and by row) and each
 //! iteration reconstructs only what it needs from a factorization of the
 //! current basis `B`:
 //!
-//! - **BTRAN** solves `Bᵀy = c_B` to get the dual vector, from which the
-//!   reduced cost of column `j` is `d_j = c_j − y·A_j` — one sparse dot
-//!   product per priced column.
+//! - **Pricing** picks the entering column `q` from the reduced costs
+//!   `d_j = c_j − y·A_j` by **devex** (Harris, "Pivot selection methods
+//!   of the Devex LP code", *Math. Programming* 5, 1973): the improving
+//!   column with the largest `d_j²/w_j`, where `w_j` is an `f64`
+//!   reference weight, 1 when a phase starts, that approximates the
+//!   column's steepest-edge norm. With every weight at 1 this is
+//!   Dantzig's rule; the weights steer the run away from the long
+//!   degenerate stretches Dantzig's rule stalls in on the entropy
+//!   programs.
 //! - **FTRAN** solves `Bw = A_q` for the entering column, feeding the
 //!   ratio test and the basic-solution update.
+//! - **BTRAN** solves `Bᵀρ = e_r` for the row `r` that leaves, and the
+//!   **pivot row** `α_r = ρᵀA` is summed over the rows of `A` that `ρ`
+//!   reaches. It updates the reduced costs (`y += (d_q/α_rq)·ρ`, so
+//!   `d_j −= (d_q/α_rq)·α_rj`: only the row's columns move) and the
+//!   devex weights. The duals are computed afresh, by BTRAN of the
+//!   basic costs `c_B`, only when a phase starts and, for the drifting
+//!   `f64` scalar, at each refactorization and before a basis is
+//!   declared optimal.
 //!
 //! The factorization is a sparse LU computed by Gaussian elimination
 //! with Markowitz-style pivot selection (pick the column with fewest
@@ -30,11 +44,15 @@
 //!   `L` column, so the two `L` passes skip the rest;
 //! - FTRAN takes the entering column as its sparse entries, and its `U`
 //!   pass visits only the steps that column reaches;
-//! - BTRAN starts from the nonzero basic costs (one, on the entropy
-//!   programs), and an eta far longer than that list looks the listed
-//!   positions up in a per-eta bitset instead of walking its entries;
-//! - the work vectors (entering column, its nonzero positions, basic
-//!   costs, duals) are allocated once per solve.
+//! - BTRAN starts from its right-hand side's nonzeros (the one entry of
+//!   `e_r`), an eta far longer than that list looks the listed
+//!   positions up in a per-eta bitset instead of walking its entries,
+//!   and the rows it writes are listed, so the pivot row walks only the
+//!   rows of `A` where `ρ` is nonzero (about 10 of 4,628 at cycle-fd
+//!   k = 9);
+//! - the work vectors (entering column, `ρ`, their nonzero positions,
+//!   basic costs, reduced costs, weights, pivot row) are allocated once
+//!   per solve.
 //!
 //! Every visited step does the same scalar operations in the same order
 //! as a dense pass would, so the sparse paths change what a pivot
@@ -53,12 +71,21 @@
 //!   computes is trusted — only its final basis, which the hybrid
 //!   verifies exactly.
 //!
-//! Pricing honors the same [`PivotRule`]s as the dense engine: Bland's
-//! rule never cycles; Dantzig's rule (the practical default here) falls
-//! back to Bland after a degenerate stretch, so termination is
+//! Both scalars take the same pivot path on the paper's programs: the
+//! devex weights are `f64` over either scalar, and devex scores within
+//! a relative `1e-9` are ties, so float noise in the reduced costs does
+//! not reorder exact ties.
+//!
+//! Pricing honors the dense engine's [`PivotRule`]s: under
+//! [`PivotRule::Bland`] every entering column is the smallest improving
+//! index, which never cycles; under [`PivotRule::DantzigThenBland`] (the
+//! default here) pricing is devex, and Bland's rule takes over as the
+//! anti-cycling backstop after `max(64, m)` consecutive degenerate
+//! pivots, until a pivot moves the objective, so termination is
 //! guaranteed either way. Phases, canonicalization (negative RHS flips,
-//! slack/surplus/artificial layout) and tie-breaking mirror the dense
-//! engine, which is what the differential test layer leans on.
+//! slack/surplus/artificial layout) and ratio-test tie-breaking mirror
+//! the dense engine, which is what the differential test layer leans
+//! on.
 
 use crate::problem::{Constraint, LinearProgram, Objective, Relation};
 use crate::simplex::{LpSolution, LpStatus, PivotRule};
@@ -68,9 +95,23 @@ use cq_arith::Rational;
 use std::cmp::Ordering;
 use std::ops::{AddAssign, DivAssign, Neg};
 
-/// Consecutive degenerate (zero-step) pivots tolerated under Dantzig
-/// pricing before switching to Bland's rule (mirrors the dense engine).
-const DEGENERATE_SWITCH: usize = 64;
+/// The fewest consecutive degenerate (zero-step) pivots tolerated
+/// under devex pricing before Bland's rule takes over. The bound is the
+/// program's row count `m` when that is larger: devex on the paper's
+/// entropy programs runs degenerate stretches that end on their own but
+/// grow with the program (251 pivots at 1,812 rows on cycle-fd k = 8
+/// with two chords, 510 at 11,542 rows at k = 10), while Bland's rule,
+/// once it prices, takes far more pivots to leave the same vertex.
+/// Termination needs only a finite bound.
+const MIN_DEGENERATE_SWITCH: usize = 64;
+
+/// Devex scores within this relative margin of the best so far are
+/// ties, which the first column keeps. Scores are `f64` over either
+/// scalar, and the float run's reduced costs carry round-off that would
+/// otherwise break exact ties at random: on the cycle-fd k = 8 program
+/// with two chords that noise alone took the float run from the exact
+/// engine's 592 pivots to 1,141.
+const DEVEX_TIE: f64 = 1e-9;
 
 /// `f64` values with magnitude at or below this are treated as exact
 /// zeros (dropped from LU rows, skipped in FTRAN/BTRAN).
@@ -111,7 +152,17 @@ pub(crate) trait Scalar:
     /// Eta updates accumulated before the basis is refactorized.
     const REFACTOR_INTERVAL: usize;
 
+    /// Whether reduced costs updated from the pivot row drift from the
+    /// ones a fresh BTRAN of the basic costs gives. When they do, they
+    /// are recomputed at every refactorization and once more before the
+    /// run declares a basis optimal.
+    const UPDATES_DRIFT: bool;
+
     fn one() -> Self;
+
+    /// The nearest `f64`: devex weighs columns in floating point over
+    /// either scalar.
+    fn to_f64(&self) -> f64;
 
     /// Treated as zero: skipped in FTRAN/BTRAN, dropped from LU rows and
     /// eta columns, and a zero-length (degenerate) step.
@@ -154,8 +205,15 @@ impl Scalar for Rational {
     /// ever-larger numerators — so the interval is short.
     const REFACTOR_INTERVAL: usize = 32;
 
+    /// Exact updates are the fresh values.
+    const UPDATES_DRIFT: bool = false;
+
     fn one() -> Self {
         Rational::one()
+    }
+
+    fn to_f64(&self) -> f64 {
+        Rational::to_f64(self)
     }
 
     fn is_zero(&self) -> bool {
@@ -204,8 +262,14 @@ impl Scalar for f64 {
     /// rebuild pays for itself.
     const REFACTOR_INTERVAL: usize = 96;
 
+    const UPDATES_DRIFT: bool = true;
+
     fn one() -> Self {
         1.0
+    }
+
+    fn to_f64(&self) -> f64 {
+        *self
     }
 
     fn is_zero(&self) -> bool {
@@ -299,6 +363,8 @@ pub(crate) struct SparseLu<S> {
     /// The basis positions the last FTRAN wrote: a superset of its
     /// result's nonzeros.
     written: Vec<u64>,
+    /// The rows the last BTRAN wrote, likewise.
+    written_rows: Vec<u64>,
     /// FTRAN's right-hand side by row; all zero between solves.
     rhs: Vec<S>,
 }
@@ -409,6 +475,7 @@ impl<S: Scalar> SparseLu<S> {
             ut_step: Vec::new(),
             visit: vec![0; m.div_ceil(64)],
             written: vec![0; m.div_ceil(64)],
+            written_rows: vec![0; m.div_ceil(64)],
             rhs: vec![S::default(); m],
         };
         lu.u_start.push(0);
@@ -650,12 +717,14 @@ impl<S: Scalar> SparseLu<S> {
 
     /// Solves `Bᵀ y = c`: `c` is indexed by basis positions, `y` by
     /// constraint rows, and `nz` lists every position where `c` may be
-    /// nonzero. Every entry of `y` is written, and `c` is left all zero.
+    /// nonzero. Every entry of `y` is written, and `c` is left all zero;
+    /// `written_rows` is left holding a superset of `y`'s nonzero rows.
     pub(crate) fn btran(&mut self, c: &mut [S], nz: &[usize], y: &mut [S]) {
         for &p in nz {
             mark(&mut self.visit, self.col_step[p]);
         }
         y.fill(S::default());
+        self.written_rows.fill(0);
         // U forward, lowest marked step first; a step only marks later
         // ones.
         for word in 0..self.visit.len() {
@@ -674,10 +743,12 @@ impl<S: Scalar> SparseLu<S> {
                     mark(&mut self.visit, self.col_step[col]);
                 }
                 y[self.prow[k]] = zv;
+                mark(&mut self.written_rows, self.prow[k]);
             }
         }
         for (&k, span) in self.l_step.iter().zip(self.l_start.windows(2)).rev() {
             let prow = self.prow[k];
+            mark(&mut self.written_rows, prow);
             let mut acc = std::mem::take(&mut y[prow]);
             for e in span[0]..span[1] {
                 let i = self.l_row[e];
@@ -816,6 +887,22 @@ impl<S: Scalar> EtaFile<S> {
     }
 }
 
+/// Lists in `nz`, ascending, the indices set in `bits` whose entry of
+/// `x` is nonzero.
+fn list_nonzeros<S: Scalar>(bits: &[u64], x: &[S], nz: &mut Vec<usize>) {
+    nz.clear();
+    for (word, &bits) in bits.iter().enumerate() {
+        let mut bits = bits;
+        while bits != 0 {
+            let p = word * 64 + bits.trailing_zeros() as usize;
+            if !x[p].is_zero() {
+                nz.push(p);
+            }
+            bits &= bits - 1;
+        }
+    }
+}
+
 /// The factorized basis: `B = B₀ · E₁ ⋯ E_k` with `B₀` held as LU.
 struct Basis<S> {
     lu: SparseLu<S>,
@@ -849,22 +936,13 @@ impl<S: Scalar> Basis<S> {
     fn ftran(&mut self, a: &[(usize, S)], x: &mut [S], nz: &mut Vec<usize>) {
         self.lu.ftran(a, x);
         self.etas.ftran(x, &mut self.lu.written);
-        nz.clear();
-        for (word, &bits) in self.lu.written.iter().enumerate() {
-            let mut bits = bits;
-            while bits != 0 {
-                let p = word * 64 + bits.trailing_zeros() as usize;
-                if !x[p].is_zero() {
-                    nz.push(p);
-                }
-                bits &= bits - 1;
-            }
-        }
+        list_nonzeros(&self.lu.written, x, nz);
     }
 
     /// Solves `Bᵀ y = c` for `c` given by its `(position, value)`
-    /// entries, ascending; every entry of `y` is written.
-    fn btran(&mut self, c: &[(usize, S)], y: &mut [S]) {
+    /// entries, ascending; every entry of `y` is written, and `nz`
+    /// lists the ascending rows of its nonzeros.
+    fn btran(&mut self, c: &[(usize, S)], y: &mut [S], nz: &mut Vec<usize>) {
         self.c_nz.clear();
         for (p, v) in c {
             self.c[*p] = v.clone();
@@ -872,6 +950,7 @@ impl<S: Scalar> Basis<S> {
         }
         self.etas.btran(&mut self.c, &mut self.c_nz);
         self.lu.btran(&mut self.c, &self.c_nz, y);
+        list_nonzeros(&self.lu.written_rows, y, nz);
     }
 }
 
@@ -882,19 +961,84 @@ struct Work<S> {
     /// Ascending positions of `w`'s nonzeros.
     nz: Vec<usize>,
     /// The current phase's nonzero basic costs `(position, cost)`,
-    /// ascending: BTRAN's input.
+    /// ascending: BTRAN's input when the duals are computed afresh.
     c_b: Vec<(usize, S)>,
-    /// The BTRAN result, by row: the duals for pricing.
+    /// A BTRAN result, by row: the duals `y = B⁻ᵀc_B` when reduced costs
+    /// are recomputed, otherwise `ρ = B⁻ᵀe_r` for the pivot row.
     y: Vec<S>,
+    /// Ascending rows of `y`'s nonzeros.
+    y_nz: Vec<usize>,
+    /// Reduced costs `d_j = c_j − y·A_j` by column, kept current by the
+    /// pivot-row update; zero on basic columns.
+    d: Vec<S>,
+    /// Devex reference weights by column.
+    weight: Vec<f64>,
+    /// The pivot row of the current iteration.
+    row: PivotRow<S>,
 }
 
 impl<S: Scalar> Work<S> {
-    fn new(m: usize) -> Work<S> {
+    fn new(m: usize, cols: usize) -> Work<S> {
         Work {
             w: vec![S::default(); m],
             nz: Vec::with_capacity(m),
             c_b: Vec::new(),
             y: vec![S::default(); m],
+            y_nz: Vec::with_capacity(m),
+            d: vec![S::default(); cols],
+            weight: vec![1.0; cols],
+            row: PivotRow {
+                alpha: vec![S::default(); cols],
+                flagged: vec![0; cols.div_ceil(64)],
+            },
+        }
+    }
+}
+
+/// A pivot row `α_r = ρᵀA` by column, built from the rows of `A` that
+/// `ρ` reaches: nonzero only on the columns flagged in `flagged`.
+struct PivotRow<S> {
+    alpha: Vec<S>,
+    flagged: Vec<u64>,
+}
+
+impl<S: Scalar> PivotRow<S> {
+    /// Adds `ρ_i·A_i` for every listed row `i` over the nonbasic
+    /// columns below `limit`. Rows are walked in ascending order, so
+    /// each `α_rj` sums its terms in the order `ρ·A_j` would.
+    fn accumulate(
+        &mut self,
+        a: &SparseMatrix<S>,
+        rho: &[S],
+        rows: &[usize],
+        limit: usize,
+        in_basis: &[bool],
+    ) {
+        for &i in rows {
+            for (j, v) in a.row(i) {
+                if *j >= limit {
+                    break; // a row's columns ascend
+                }
+                if !in_basis[*j] {
+                    self.alpha[*j].add_mul(v, &rho[i]);
+                    mark(&mut self.flagged, *j);
+                }
+            }
+        }
+    }
+
+    /// Hands each nonzero `α_rj` to `f`, in ascending `j`, leaving the
+    /// row all zero.
+    fn drain(&mut self, mut f: impl FnMut(usize, S)) {
+        for (word, bits) in self.flagged.iter_mut().enumerate() {
+            while *bits != 0 {
+                let j = word * 64 + bits.trailing_zeros() as usize;
+                *bits &= *bits - 1;
+                let alpha = std::mem::take(&mut self.alpha[j]);
+                if !alpha.is_zero() {
+                    f(j, alpha);
+                }
+            }
         }
     }
 }
@@ -970,7 +1114,12 @@ impl<'a> Revised<'a> {
         let first_art = n + n_slack;
         let cols = first_art + n_art;
 
-        let mut a = SparseMatrix::zero(m, cols);
+        // The constraint matrix row by row (CSR): each row's structural
+        // entries, then its slack or surplus, then its artificial, which
+        // is ascending column order.
+        let mut row_start = Vec::with_capacity(m + 1);
+        row_start.push(0);
+        let mut entries: Vec<(usize, Rational)> = Vec::new();
         let mut b_rhs = Vec::with_capacity(m);
         let mut basis = Vec::with_capacity(m);
         let mut slack_cursor = n;
@@ -992,30 +1141,32 @@ impl<'a> Revised<'a> {
             let (negate, rel, rhs) = canonical[i].clone();
             for (j, d) in row.drain(..) {
                 if !d.is_zero() {
-                    a.push(j, i, if negate { -d } else { d });
+                    entries.push((j, if negate { -d } else { d }));
                 }
             }
             match rel {
                 Relation::Le => {
-                    a.push(slack_cursor, i, Rational::one());
+                    entries.push((slack_cursor, Rational::one()));
                     basis.push(slack_cursor);
                     slack_cursor += 1;
                 }
                 Relation::Ge => {
-                    a.push(slack_cursor, i, -Rational::one());
+                    entries.push((slack_cursor, -Rational::one()));
                     slack_cursor += 1;
-                    a.push(art_cursor, i, Rational::one());
+                    entries.push((art_cursor, Rational::one()));
                     basis.push(art_cursor);
                     art_cursor += 1;
                 }
                 Relation::Eq => {
-                    a.push(art_cursor, i, Rational::one());
+                    entries.push((art_cursor, Rational::one()));
                     basis.push(art_cursor);
                     art_cursor += 1;
                 }
             }
+            row_start.push(entries.len());
             b_rhs.push(rhs);
         }
+        let a = SparseMatrix::from_rows(cols, row_start, entries);
         let mut in_basis = vec![false; cols];
         for &j in &basis {
             in_basis[j] = true;
@@ -1044,7 +1195,7 @@ impl<'a> Revised<'a> {
             basis,
             in_basis,
             factors: None,
-            work: Work::new(0),
+            work: Work::new(0, 0),
             stats,
         }
     }
@@ -1068,7 +1219,7 @@ impl<'a> Revised<'a> {
             basis: self.basis.clone(),
             in_basis: self.in_basis.clone(),
             factors: None,
-            work: Work::new(0),
+            work: Work::new(0, 0),
             stats: self.stats,
         }
     }
@@ -1132,7 +1283,7 @@ impl<S: Scalar> Revised<'_, S> {
         // this first factorization is trivially sparse.
         self.factors = Basis::factorize(&self.a, &self.basis);
         self.factors.as_ref()?;
-        self.work = Work::new(self.m);
+        self.work = Work::new(self.m, self.cols);
         if self.first_art < self.cols {
             // Phase 1 only has work to do when some artificial starts
             // positive; an all-zero artificial start (e.g. equalities
@@ -1194,8 +1345,16 @@ impl<S: Scalar> Revised<'_, S> {
 
     /// Simplex iterations maximizing `costs·x` over columns `< limit`:
     /// `Optimal` or `Unbounded` for this phase, `None` if the run gave up.
+    ///
+    /// The reduced costs are computed once from a fresh BTRAN of the
+    /// basic costs and then updated from each pivot row (see
+    /// [`Revised::update_pricing`]); a drifting scalar recomputes them at
+    /// every refactorization and before it declares the basis optimal.
+    /// The entering column is the devex choice, or Bland's under
+    /// [`PivotRule::Bland`] and while the anti-cycling backstop holds.
     fn optimize(&mut self, costs: &[S], limit: usize, rule: PivotRule) -> Option<LpStatus> {
         let cap = S::iteration_cap(self.m, self.cols);
+        let backstop = MIN_DEGENERATE_SWITCH.max(self.m);
         let mut degenerate_streak = 0usize;
         let c_b = &mut self.work.c_b;
         c_b.clear();
@@ -1204,35 +1363,26 @@ impl<S: Scalar> Revised<'_, S> {
                 c_b.push((r, costs[j].clone()));
             }
         }
+        // Each phase starts a fresh reference framework: its nonbasic
+        // columns, each of weight 1.
+        self.work.weight.fill(1.0);
+        self.reprice(costs, limit)?;
+        let mut fresh = true;
         loop {
             if self.stats.pivots >= cap {
                 return None;
             }
-            let factors = self.factors.as_mut()?;
-            let work = &mut self.work;
-            factors.btran(&work.c_b, &mut work.y);
-            let use_bland = rule == PivotRule::Bland || degenerate_streak >= DEGENERATE_SWITCH;
-            let mut entering: Option<(usize, S)> = None;
-            for (j, cost) in costs.iter().enumerate().take(limit) {
-                if self.in_basis[j] {
+            let bland = rule == PivotRule::Bland || degenerate_streak >= backstop;
+            let Some(q) = self.entering(limit, bland) else {
+                if S::UPDATES_DRIFT && !fresh {
+                    self.reprice(costs, limit)?;
+                    fresh = true;
                     continue;
                 }
-                // d = c_j − y·A_j
-                let mut d = -self.a.dot_col(j, &work.y);
-                d += cost;
-                if d.is_positive() {
-                    if use_bland {
-                        entering = Some((j, d));
-                        break;
-                    }
-                    if entering.as_ref().is_none_or(|(_, bd)| d > *bd) {
-                        entering = Some((j, d));
-                    }
-                }
-            }
-            let Some((q, _)) = entering else {
                 return Some(LpStatus::Optimal);
             };
+            let factors = self.factors.as_mut()?;
+            let work = &mut self.work;
             factors.ftran(self.a.col(q), &mut work.w, &mut work.nz);
             // Ratio test; ties go to the smallest basis column index
             // (Bland-compatible, mirrors the dense engine).
@@ -1256,9 +1406,14 @@ impl<S: Scalar> Revised<'_, S> {
             };
             if theta.is_zero() {
                 degenerate_streak += 1;
+                self.stats.degenerate_pivots += 1;
             } else {
                 degenerate_streak = 0;
             }
+            if bland {
+                self.stats.bland_pivots += 1;
+            }
+            self.update_pricing(r, q, limit)?;
             let c_b = &mut self.work.c_b;
             let cost = &costs[q];
             match c_b.binary_search_by_key(&r, |e| e.0) {
@@ -1269,8 +1424,101 @@ impl<S: Scalar> Revised<'_, S> {
                 Err(at) if *cost != S::default() => c_b.insert(at, (r, cost.clone())),
                 Err(_) => {}
             }
+            let refactorizations = self.stats.refactorizations;
             self.pivot(r, q, &theta);
+            fresh = false;
+            if S::UPDATES_DRIFT && self.stats.refactorizations > refactorizations {
+                self.reprice(costs, limit)?;
+                fresh = true;
+            }
         }
+    }
+
+    /// Recomputes the reduced costs of the columns below `limit` from a
+    /// fresh BTRAN of the basic costs. `None` without factors (a
+    /// singular refactorization gave up).
+    fn reprice(&mut self, costs: &[S], limit: usize) -> Option<()> {
+        let factors = self.factors.as_mut()?;
+        let work = &mut self.work;
+        factors.btran(&work.c_b, &mut work.y, &mut work.y_nz);
+        for (j, cost) in costs.iter().enumerate().take(limit) {
+            work.d[j] = if self.in_basis[j] {
+                S::default()
+            } else {
+                let mut d = -self.a.dot_col(j, &work.y);
+                d += cost;
+                d
+            };
+        }
+        Some(())
+    }
+
+    /// The improving column to enter, or `None` if there is none. Under
+    /// `bland` it is the smallest such index; otherwise the devex
+    /// choice, the largest `d_j²/w_j` (the first among equals, up to
+    /// [`DEVEX_TIE`]). With every weight at 1 that is Dantzig's largest
+    /// reduced cost.
+    fn entering(&self, limit: usize, bland: bool) -> Option<usize> {
+        let Work { d, weight, .. } = &self.work;
+        let mut best: Option<(usize, f64)> = None;
+        for j in 0..limit {
+            if self.in_basis[j] || !d[j].is_positive() {
+                continue;
+            }
+            if bland {
+                return Some(j);
+            }
+            let dj = d[j].to_f64();
+            let score = dj * dj / weight[j];
+            if best.is_none_or(|(_, top)| score > top * (1.0 + DEVEX_TIE)) {
+                best = Some((j, score));
+            }
+        }
+        best.map(|(j, _)| j)
+    }
+
+    /// Leaves `ρ = B⁻ᵀe_r` in `work.y` and the pivot row `α_r = ρᵀA`,
+    /// over the nonbasic columns below `limit`, in `work.row`. `None`
+    /// without factors.
+    fn pivot_row(&mut self, r: usize, limit: usize) -> Option<()> {
+        let factors = self.factors.as_mut()?;
+        let work = &mut self.work;
+        factors.btran(&[(r, S::one())], &mut work.y, &mut work.y_nz);
+        work.row
+            .accumulate(&self.a, &work.y, &work.y_nz, limit, &self.in_basis);
+        Some(())
+    }
+
+    /// Updates the pricing state for the pivot that brings `q` in at
+    /// basis position `r`, before the basis changes. With `θ_d =
+    /// d_q/α_rq`, the duals move by `y += θ_d·ρ`, so each reduced cost
+    /// moves by `d_j −= θ_d·α_rj`: only the pivot row's columns change,
+    /// `q` drops to 0, and the leaving column rises to `−θ_d`. Devex
+    /// (Harris 1973, in Forrest and Goldfarb's form) raises each
+    /// weight to `w_j = max(w_j, (α_rj/α_rq)²·w_q)` and gives the leaving
+    /// column `max(w_q/α_rq², 1)`.
+    fn update_pricing(&mut self, r: usize, q: usize, limit: usize) -> Option<()> {
+        self.pivot_row(r, limit)?;
+        let leaving = self.basis[r];
+        let Work {
+            w, d, weight, row, ..
+        } = &mut self.work;
+        // α_rq as FTRAN computed it: the pivot element itself.
+        let alpha_q = &w[r];
+        let mut step = std::mem::take(&mut d[q]);
+        step /= alpha_q;
+        let alpha_q = alpha_q.to_f64();
+        let weight_q = weight[q];
+        row.drain(|j, alpha| {
+            if j != q {
+                d[j].sub_mul(&step, &alpha);
+                let ratio = alpha.to_f64() / alpha_q;
+                weight[j] = weight[j].max(ratio * ratio * weight_q);
+            }
+        });
+        weight[leaving] = (weight_q / (alpha_q * alpha_q)).max(1.0);
+        d[leaving] = -step;
+        Some(())
     }
 
     /// After a feasible phase 1, exchanges every basic artificial (at
@@ -1286,21 +1534,21 @@ impl<S: Scalar> Revised<'_, S> {
             if self.basis[r] < self.first_art {
                 continue;
             }
-            let Some(factors) = self.factors.as_mut() else {
+            // Row r of B⁻¹A: the first column that can pivot on it enters.
+            if self.pivot_row(r, self.first_art).is_none() {
                 return;
-            };
-            let work = &mut self.work;
-            // Row r of B⁻¹.
-            factors.btran(&[(r, S::one())], &mut work.y);
-            let rho = &work.y;
-            let q = (0..self.first_art).find(|&j| {
-                if self.in_basis[j] {
-                    return false;
+            }
+            let mut q = None;
+            self.work.row.drain(|j, alpha| {
+                if q.is_none() && (alpha.is_pivot() || (-alpha).is_pivot()) {
+                    q = Some(j);
                 }
-                let d = self.a.dot_col(j, rho);
-                d.is_pivot() || (-d).is_pivot()
             });
             if let Some(q) = q {
+                let Some(factors) = self.factors.as_mut() else {
+                    return;
+                };
+                let work = &mut self.work;
                 factors.ftran(self.a.col(q), &mut work.w, &mut work.nz);
                 debug_assert!(!work.w[r].is_zero());
                 self.pivot(r, q, &S::default());
@@ -1611,6 +1859,64 @@ mod tests {
         }
     }
 
+    #[test]
+    fn updated_reduced_costs_equal_fresh_ones_exactly() {
+        // The exact run never recomputes its reduced costs within a
+        // phase: at the optimum, the ones the pivot rows kept must equal
+        // a fresh BTRAN's, and none may improve.
+        let mut next = xorshift(0x51ab_1e5e_ed00_0001);
+        let mut pivoted = 0;
+        for case in 0..40 {
+            let mut lp = LinearProgram::maximize();
+            let vars: Vec<_> = (0..3 + next(5))
+                .map(|i| lp.add_var(format!("x{i}")))
+                .collect();
+            for &v in &vars {
+                lp.set_objective_coeff(v, ri(next(5) as i64));
+            }
+            for _ in 0..2 + next(6) {
+                let mut coeffs = Vec::new();
+                for &v in &vars {
+                    if next(3) != 0 {
+                        coeffs.push((v, ri(next(7) as i64 - 2)));
+                    }
+                }
+                lp.add_constraint(coeffs, Relation::Le, ri(next(4) as i64));
+            }
+            let mut rv = Revised::new(&lp);
+            if rv.solve(PivotRule::DantzigThenBland) != Some(LpStatus::Optimal) {
+                continue;
+            }
+            pivoted += usize::from(rv.stats.pivots > 0);
+            let (limit, costs) = (rv.first_art, rv.phase2.clone());
+            let kept = rv.work.d[..limit].to_vec();
+            rv.reprice(&costs, limit).expect("factorized");
+            assert_eq!(kept, rv.work.d[..limit], "case {case}:\n{lp}");
+            assert!(kept.iter().all(|d| !d.is_positive()), "case {case}");
+        }
+        assert!(pivoted >= 20, "only {pivoted} cases pivoted");
+    }
+
+    #[test]
+    fn bland_pivots_count_what_bland_priced() {
+        let mut lp = LinearProgram::maximize();
+        let x = lp.add_var("x");
+        let y = lp.add_var("y");
+        lp.set_objective_coeff(x, ri(3));
+        lp.set_objective_coeff(y, ri(5));
+        lp.add_constraint(vec![(x, ri(1))], Relation::Le, ri(4));
+        lp.add_constraint(vec![(y, ri(2))], Relation::Le, ri(12));
+        lp.add_constraint(vec![(x, ri(3)), (y, ri(2))], Relation::Le, ri(18));
+        let bland = solve_revised(&lp, PivotRule::Bland).stats;
+        assert!(bland.pivots > 0);
+        assert_eq!(bland.bland_pivots, bland.pivots, "{bland:?}");
+        let devex = solve_revised(&lp, PivotRule::DantzigThenBland).stats;
+        assert_eq!(devex.bland_pivots, 0, "{devex:?}");
+        // With every weight at 1 devex enters y (reduced cost 5), as
+        // Dantzig would, and is optimal after two pivots.
+        assert_eq!((devex.pivots, devex.degenerate_pivots), (2, 0), "{devex:?}");
+    }
+
     /// Factorizes the square matrix with the given dense columns.
     fn factorize<S: Scalar>(dense: &[Vec<S>]) -> Option<SparseLu<S>> {
         let cols: Vec<Vec<(usize, S)>> = dense
@@ -1753,7 +2059,9 @@ mod tests {
                 assert!(clear(&basis.lu), "case {case}: FTRAN scratch left set");
                 assert_close(&mul(&b, &x), &rhs, "B·ftran(v)");
                 let mut y = vec![S::default(); m];
-                basis.btran(&entries(&rhs), &mut y);
+                basis.btran(&entries(&rhs), &mut y, &mut nz);
+                let want: Vec<usize> = (0..m).filter(|&i| !y[i].is_zero()).collect();
+                assert_eq!(nz, want, "case {case}: BTRAN nonzero list");
                 assert!(zero(&basis.c), "case {case}: BTRAN input not consumed");
                 assert!(clear(&basis.lu), "case {case}: BTRAN scratch left set");
                 assert_close(&mul_t(&b, &y), &rhs, "Bᵀ·btran(c)");
@@ -1767,7 +2075,9 @@ mod tests {
             basis.ftran(&[(p, S::one())], &mut x, &mut nz);
             assert_close(&mul(&b, &x), &unit, "B·ftran(e_p)");
             let mut y = vec![S::default(); m];
-            basis.btran(&[(p, S::one())], &mut y);
+            basis.btran(&[(p, S::one())], &mut y, &mut nz);
+            let want: Vec<usize> = (0..m).filter(|&i| !y[i].is_zero()).collect();
+            assert_eq!(nz, want, "case {case}: BTRAN nonzero list of a unit vector");
             assert!(zero(&basis.c), "case {case}: BTRAN input not consumed");
             assert_close(&mul_t(&b, &y), &unit, "Bᵀ·btran(e_p)");
             // Column 0 replaced by the sum of two others: singular.

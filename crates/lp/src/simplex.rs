@@ -14,16 +14,26 @@ use cq_arith::Rational;
 /// Pivot-selection strategy.
 ///
 /// Bland's rule is the termination-safe default (the paper's LPs are
-/// highly degenerate). Dantzig's rule (most-negative reduced cost) often
-/// pivots fewer times in practice; we guard it against cycling by
-/// switching to Bland after a degenerate stretch.
+/// highly degenerate). A greedy rule pivots far fewer times in practice;
+/// each engine guards its greedy rule against cycling by handing
+/// pricing to Bland after a degenerate stretch.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum PivotRule {
-    /// Smallest-index improving column; never cycles.
+    /// Smallest-index improving column, in every engine; never cycles.
     #[default]
     Bland,
-    /// Most-negative reduced cost, falling back to Bland after 64
-    /// consecutive degenerate (zero-improvement) pivots.
+    /// A greedy rule with Bland's rule as the anti-cycling backstop.
+    ///
+    /// - The dense tableau prices by Dantzig's rule (most-negative
+    ///   reduced cost) and switches to Bland after 64 consecutive
+    ///   degenerate (zero-improvement) pivots.
+    /// - The revised simplex, exact and as the hybrid's `f64` phase,
+    ///   prices by devex (the largest `d_j²/w_j` over reference weights
+    ///   `w_j`, which starts out as Dantzig's choice) and switches to
+    ///   Bland after `max(64, m)` consecutive degenerate pivots, `m`
+    ///   the row count.
+    ///
+    /// Either way Bland prices until a pivot moves the objective.
     DantzigThenBland,
 }
 

@@ -119,6 +119,16 @@ pub struct SolveStats {
     /// Basis refactorizations (sparse engine only: the eta file was
     /// folded back into a fresh LU).
     pub refactorizations: usize,
+    /// Pivots of the revised simplex that left the objective unchanged
+    /// (a zero step), over every run of this solve: the hybrid's float
+    /// phase and any exact run together. 0 for the dense tableau.
+    pub degenerate_pivots: usize,
+    /// Pivots of the revised simplex whose entering column Bland's rule
+    /// chose: every pivot under [`crate::PivotRule::Bland`], and under
+    /// `DantzigThenBland` those of the anti-cycling backstop. Over every
+    /// run of this solve, like `degenerate_pivots`; 0 for the dense
+    /// tableau.
+    pub bland_pivots: usize,
     /// Nonzero coefficient mentions in the constraints, as written: a
     /// variable mentioned twice in one constraint counts twice, even if
     /// the mentions sum to zero. This is the input sparsity the `Auto`
@@ -246,9 +256,10 @@ pub(crate) fn constraint_nonzeros(lp: &LinearProgram) -> usize {
 }
 
 /// Solves `lp` with the chosen engine and pivot rule. `rule` is honored
-/// by both engines; [`PivotRule::DantzigThenBland`] is the sparse
-/// engine's recommended default (Bland's guarantee still backstops
-/// degenerate stretches).
+/// by every engine; [`PivotRule::DantzigThenBland`] is the revised
+/// engines' recommended default, under which they price by devex and
+/// the dense tableau by Dantzig's rule (Bland's guarantee still
+/// backstops degenerate stretches in all three).
 pub fn solve_lp(lp: &LinearProgram, solver: Solver, rule: PivotRule) -> LpSolution {
     let solution = match solver.resolve(lp) {
         SolverKind::DenseTableau => crate::simplex::solve_with(lp, rule),
@@ -269,8 +280,9 @@ pub fn solve_lp(lp: &LinearProgram, solver: Solver, rule: PivotRule) -> LpSoluti
 
 /// Solves `lp` with the chosen engine under that engine's default pivot
 /// rule: Bland for the dense tableau (the historical default, never
-/// cycles), Dantzig-then-Bland for the sparse engine (fewer pivots in
-/// practice, same termination guarantee).
+/// cycles), [`PivotRule::DantzigThenBland`] for the exact revised and
+/// hybrid engines, which then price by devex (far fewer pivots on the
+/// degenerate entropy programs, same termination guarantee).
 pub fn solve_auto(lp: &LinearProgram, solver: Solver) -> LpSolution {
     let rule = match solver.resolve(lp) {
         SolverKind::DenseTableau => PivotRule::Bland,

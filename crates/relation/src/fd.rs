@@ -54,7 +54,27 @@ impl Fd {
     }
 
     /// Checks the dependency on a relation instance.
+    ///
+    /// A single-position left side over ids no larger than a small
+    /// multiple of the row count (the common case: a key over interned
+    /// values) is checked without hashing, in one array indexed by the
+    /// key's value id; any other left side is keyed in a [`TupleMap`].
     pub fn holds_on(&self, rel: &Relation) -> bool {
+        if let [key] = self.lhs[..] {
+            let max_id = rel.iter().map(|row| row[key].id()).max().unwrap_or(0) as usize;
+            if max_id <= DENSE_KEY_IDS_PER_ROW * rel.len() + DENSE_KEY_SLACK {
+                // Ids stay below `u32::MAX` (the symbol table's bound),
+                // so that id marks a key not yet seen.
+                let mut seen = vec![u32::MAX; max_id + 1];
+                return rel.iter().all(|row| {
+                    let (slot, value) = (&mut seen[row[key].id() as usize], row[self.rhs].id());
+                    if *slot == u32::MAX {
+                        *slot = value;
+                    }
+                    *slot == value
+                });
+            }
+        }
         let mut seen: TupleMap<Value> = TupleMap::with_capacity(self.lhs.len(), rel.len());
         let mut key = Vec::with_capacity(self.lhs.len());
         rel.iter().all(|row| {
@@ -80,6 +100,13 @@ impl fmt::Display for Fd {
         )
     }
 }
+
+/// [`Fd::holds_on`] checks a single-position left side in an array of
+/// one slot per value id when the largest key id is at most this many
+/// per row, plus [`DENSE_KEY_SLACK`]: the array then costs at most a
+/// few words per row, where a hash map would cost more.
+const DENSE_KEY_IDS_PER_ROW: usize = 8;
+const DENSE_KEY_SLACK: usize = 1024;
 
 /// A set of functional dependencies over a database's relations.
 #[derive(Clone, Debug, Default)]
@@ -210,18 +237,47 @@ mod tests {
         assert!(Fd::new("R", vec![0, 1], 1).is_trivial());
     }
 
+    /// Key ids far above the row count (a small relation over a large
+    /// symbol table) fall back to hashing and decide the same way.
+    #[test]
+    fn single_position_fd_over_sparse_ids() {
+        let mut t = SymbolTable::new();
+        for i in 0..DENSE_KEY_SLACK + 100 {
+            t.intern(&format!("filler{i}"));
+        }
+        let mut r = Relation::new(Schema::new("R", 2));
+        let row = |t: &mut SymbolTable, k: &str, v: &str| [t.intern(k), t.intern(v)];
+        r.insert(row(&mut t, "k", "1"));
+        r.insert(row(&mut t, "j", "2"));
+        assert!(Fd::new("R", vec![0], 1).holds_on(&r));
+        r.insert(row(&mut t, "k", "2"));
+        assert!(!Fd::new("R", vec![0], 1).holds_on(&r));
+    }
+
     #[test]
     fn holds_on_instance() {
         let (_, r) = rel_with(&[&["a", "1"], &["a", "1"], &["b", "2"]]);
         assert!(Fd::new("R", vec![0], 1).holds_on(&r));
         let (_, r2) = rel_with(&[&["a", "1"], &["a", "2"]]);
         assert!(!Fd::new("R", vec![0], 1).holds_on(&r2));
+        // Violated after other keys came between.
+        let (_, r3) = rel_with(&[&["a", "1"], &["b", "2"], &["c", "3"], &["b", "1"]]);
+        assert!(!Fd::new("R", vec![0], 1).holds_on(&r3));
+        // The dependent position first, a key value also a dependent one.
+        let (_, r4) = rel_with(&[&["1", "a"], &["a", "b"], &["1", "a"]]);
+        assert!(Fd::new("R", vec![1], 0).holds_on(&r4));
+        let (_, r5) = rel_with(&[&["1", "a"], &["2", "a"]]);
+        assert!(!Fd::new("R", vec![1], 0).holds_on(&r5));
+        let empty = Relation::new(Schema::new("R", 2));
+        assert!(Fd::new("R", vec![0], 1).holds_on(&empty));
     }
 
     #[test]
     fn compound_fd_on_instance() {
         let (_, r) = rel_with(&[&["a", "b", "1"], &["a", "c", "2"], &["a", "b", "1"]]);
         assert!(Fd::new("R", vec![0, 1], 2).holds_on(&r));
+        // The pair is a key where its first position alone is not.
+        assert!(!Fd::new("R", vec![0], 2).holds_on(&r));
         let (_, bad) = rel_with(&[&["a", "b", "1"], &["a", "b", "2"]]);
         assert!(!Fd::new("R", vec![0, 1], 2).holds_on(&bad));
     }

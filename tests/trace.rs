@@ -25,6 +25,9 @@
 //!    `relation.load` span carrying the database's byte, tuple and
 //!    symbol counts, a run without data none, and the trace assembles
 //!    with no orphans.
+//! 7. **The float phase reports its pivots** — on cycle-fd k = 9 each
+//!    `lp.float_propose` span carries its pivot, degenerate-pivot and
+//!    Bland-pivot counts, and the Bland backstop prices none.
 
 use cq_cluster::{ClusterClient, PlanMode, ServeChild, WorkerAddr};
 use cq_engine::serve::metrics_from_json;
@@ -339,9 +342,11 @@ fn traced_run(dir: &Path, inputs: &[&str], db: Option<&str>) -> PathBuf {
     if let Some(db) = db {
         cmd.args(["--db", db]);
     }
+    // The default LP routing, whose hybrid solves trace a float phase.
     let out = cmd
         .env("CQ_TRACE", &trace_path)
         .env_remove("CQ_HYBRID_TRACE")
+        .env_remove("CQ_LP_ENGINE")
         .output()
         .expect("run cq-analyze");
     assert!(
@@ -425,9 +430,6 @@ fn count_spans_appear_once_per_data_check_and_never_without_data() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Loading a `--db` database is one `relation.load` root per process,
-/// with no trace id and the loaded sizes as fields; a run without data
-/// loads nothing, and the trace still assembles without orphans.
 /// `session.coloring_lp` carries its canonical-form search's leaf count
 /// and whether the leaf budget bound: the 6-clique's search reaches 16
 /// leaves, well inside the budget.
@@ -455,6 +457,9 @@ fn coloring_lp_span_records_the_canonical_search() {
     assert_eq!(lps[0].get("budget_hit"), Some(&Json::Int(0)));
 }
 
+/// Loading a `--db` database is one `relation.load` root per process,
+/// with no trace id and the loaded sizes as fields; a run without data
+/// loads nothing, and the trace still assembles without orphans.
 #[test]
 fn load_span_is_one_root_per_db_run_and_never_without_data() {
     let dir = tmp("load-span");
@@ -495,6 +500,43 @@ fn load_span_is_one_root_per_db_run_and_never_without_data() {
     let report = Json::parse(String::from_utf8_lossy(&assemble.stdout).trim())
         .expect("assemble --json emits one JSON object");
     assert_eq!(report.get("orphans").and_then(Json::as_i64), Some(0));
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// cycle-fd k = 9 (the 9-cycle plus `T(X0,X1,X2)` under
+/// `T[1,2] -> T[3]`) solves two hybrid LPs: Proposition 6.10 in
+/// I-measure coordinates and the Proposition 6.9 Shannon program. Each
+/// float phase records its pivots, how many were degenerate, and how
+/// many the Bland backstop priced: none, since devex ends every
+/// degenerate stretch on its own.
+#[test]
+fn float_propose_spans_record_the_pivot_counts() {
+    let dir = tmp("float-propose");
+    let k = 9;
+    let vars: Vec<String> = (0..k).map(|i| format!("X{i}")).collect();
+    let atoms: Vec<String> = (0..k)
+        .map(|i| format!("R{i}({},{})", vars[i], vars[(i + 1) % k]))
+        .collect();
+    let program = dir.join("cycle_fd9.cq");
+    std::fs::write(
+        &program,
+        format!(
+            "Q({}) :- {}, T(X0,X1,X2)\nT[1,2] -> T[3]\n",
+            vars.join(","),
+            atoms.join(", ")
+        ),
+    )
+    .unwrap();
+    let events = trace_events(&traced_run(&dir, &[program.to_str().unwrap()], None));
+    let counts: Vec<[Option<i64>; 3]> = events
+        .iter()
+        .filter(|e| e.get("name").and_then(Json::as_str) == Some("lp.float_propose"))
+        .map(|e| ["pivots", "degenerate", "bland"].map(|key| e.get(key).and_then(Json::as_i64)))
+        .collect();
+    // (pivots, degenerate, bland): Prop 6.10, then Prop 6.9.
+    let expected = [[Some(7), Some(3), Some(0)], [Some(513), Some(508), Some(0)]];
+    assert_eq!(counts, expected, "{events:?}");
 
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -10,10 +10,11 @@
 //!
 //! Pinned here, and nowhere else:
 //!
-//! 1. **Proposition 6.9 on cycle-fd, k = 8 and 9** (`Solver::Auto`, the
-//!    production path of `entropy_upper_bound_with_stats`): the engine
-//!    `Auto` picks, the float pivot count, a verified float basis, zero
-//!    exact pivots and zero exact fallbacks.
+//! 1. **Proposition 6.9 on cycle-fd, k = 8 and 9, and on k = 8 with two
+//!    chords** (`Solver::Auto`, the production path of
+//!    `entropy_upper_bound_with_stats`): the engine `Auto` picks, the
+//!    float pivot count, a verified float basis, zero exact pivots and
+//!    zero exact fallbacks.
 //! 2. **The h-coordinate Proposition 6.10 program at k = 8**: `Auto`
 //!    picks the hybrid engine, its float basis verifies after a pinned
 //!    number of float pivots and without exact ones, and its objective
@@ -31,6 +32,9 @@
 //!    sizes, so a change to the route rule or the plan's costs fails
 //!    here.
 //!
+//! On every program of items 1 and 2, devex pricing ends its degenerate
+//! stretches on its own: the Bland backstop prices no pivot.
+//!
 //! The Proposition 6.10 program the engine actually solves (I-measure
 //! coordinates) has its counts pinned beside it, in
 //! `cq_core::entropy_lp`'s `prop_6_10_work_counts_on_cycle_fd`.
@@ -38,7 +42,8 @@
 //! The hybrid-engine counts hold for the default engine routing. Under
 //! `CQ_LP_ENGINE=exact`, `Auto` must pick the exact revised simplex
 //! instead, and items 1 and 2 check that routing, the program shapes,
-//! the objectives and the exact engine's pivots.
+//! the objectives and the exact engine's pivot counts, which equal the
+//! float phase's: both scalars take the same pivot path.
 
 mod common;
 
@@ -66,13 +71,14 @@ fn expected_large_engine() -> SolverKind {
 
 /// The cycle-fd program: the k-cycle plus `T(X0,X1,X2)` under the
 /// compound FD `T[1,2] -> T[3]` (the family the benchmark's entropy
-/// workload serves).
-fn cycle_fd(k: usize) -> String {
+/// workload serves), with `extra` atoms appended to the body.
+fn cycle_fd(k: usize, extra: &[&str]) -> String {
     let vars: Vec<String> = (0..k).map(|i| format!("X{i}")).collect();
     let mut body: Vec<String> = (0..k)
         .map(|i| format!("R{i}({},{})", vars[i], vars[(i + 1) % k]))
         .collect();
     body.push("T(X0,X1,X2)".into());
+    body.extend(extra.iter().map(|atom| atom.to_string()));
     format!(
         "Q({}) :- {}\nT[1,2] -> T[3]",
         vars.join(","),
@@ -92,32 +98,42 @@ fn cycle_query(k: usize) -> ConjunctiveQuery {
 #[test]
 fn prop_6_9_on_cycle_fd_stays_on_the_verified_float_path() {
     let expected = expected_large_engine();
-    // (k, rows, columns, float pivots): the columns are the 2^k - 1
-    // nonempty variable sets, the rows the atom normalizations, the FD
-    // equality and the elemental Shannon inequalities.
-    for (k, rows, cols, float_pivots) in [(8, 1810, 255, 287), (9, 4628, 511, 701)] {
-        let (q, fds) = parse_program(&cycle_fd(k)).unwrap();
+    // (k, extra atoms, rows, columns, s(Q), pivots): the columns are the
+    // 2^k - 1 nonempty variable sets, the rows the atom normalizations,
+    // the FD equality and the elemental Shannon inequalities. The two
+    // chords took 6,181 float pivots under Dantzig pricing with an
+    // early Bland switch, against 287 without them.
+    let chords: &[&str] = &["C0(X0,X4)", "C1(X1,X5)"];
+    for (k, extra, rows, cols, bound, pivots) in [
+        (8, &[][..], 1810, 255, "4", 253),
+        (9, &[][..], 4628, 511, "4", 513),
+        (8, chords, 1812, 255, "7/2", 592),
+    ] {
+        let (q, fds) = parse_program(&cycle_fd(k, extra)).unwrap();
         let chased = chase(&q, &fds).query;
         let vfds = chased.variable_fds(&fds);
         let lp = build_entropy_upper_lp(&chased, &vfds);
         assert_eq!(Solver::Auto.resolve(&lp), expected, "k = {k}: routing");
 
         let (value, stats) = entropy_upper_bound_with_stats(&chased, &vfds);
-        assert_eq!(value.to_string(), "4", "k = {k}: s(Q)");
+        assert_eq!(value.to_string(), bound, "k = {k} {extra:?}: s(Q)");
         assert_eq!(stats.solver, expected, "k = {k}: solve() honors Auto");
         assert_eq!(
             (stats.rows, stats.cols),
             (rows, cols),
-            "k = {k}: program shape"
+            "k = {k} {extra:?}: program shape"
         );
+        assert_eq!(stats.bland_pivots, 0, "k = {k} {extra:?}: {stats:?}");
         if expected == SolverKind::HybridFloat {
-            assert!(stats.float_verified, "k = {k}: {stats:?}");
-            assert_eq!(stats.exact_fallbacks, 0, "k = {k}: {stats:?}");
+            assert!(stats.float_verified, "k = {k} {extra:?}: {stats:?}");
+            assert_eq!(stats.exact_fallbacks, 0, "k = {k} {extra:?}: {stats:?}");
             assert_eq!(
                 stats.pivots, 0,
-                "k = {k}: a verified basis needs no exact pivot"
+                "k = {k} {extra:?}: a verified basis needs no exact pivot"
             );
-            assert_eq!(stats.float_pivots, float_pivots, "k = {k}: {stats:?}");
+            assert_eq!(stats.float_pivots, pivots, "k = {k} {extra:?}: {stats:?}");
+        } else {
+            assert_eq!(stats.pivots, pivots, "k = {k} {extra:?}: {stats:?}");
         }
     }
 }
@@ -148,7 +164,9 @@ fn h_coordinate_prop_6_10_program_verifies_its_float_basis() {
         );
         assert_eq!(auto.stats.float_pivots, 254, "{:?}", auto.stats);
     }
+    assert_eq!(auto.stats.bland_pivots, 0, "{:?}", auto.stats);
     assert_eq!(exact.stats.pivots, 254, "{:?}", exact.stats);
+    assert_eq!(exact.stats.bland_pivots, 0, "{:?}", exact.stats);
 }
 
 /// 100 queries: 20 relabeled copies each of five templates — two
