@@ -1,4 +1,5 @@
-//! Counting `|Q(D)|` by sum-product variable elimination.
+//! Counting `|Q(D)|` by sum-product variable elimination, the one way
+//! [`crate::eval::count_answers`] counts.
 //!
 //! Each body atom becomes a *factor*: its rows consistent with repeated
 //! variables, projected onto its distinct variables, each with weight 1.
@@ -9,8 +10,10 @@
 //! - an existential variable is summed out in the Boolean semiring
 //!   (`∃`), so the factors over the head that remain say which head
 //!   tuples have a witness;
-//! - a head variable is summed out in ℕ (checked `+` and `×`), so the
-//!   last scalar is the number of distinct head tuples.
+//! - a head variable is summed out in ℕ (`+` and `×` saturating at
+//!   `u64::MAX`), so the last scalar is the number of distinct head
+//!   tuples, or `u64::MAX` when there are at least that many (see
+//!   [`crate::eval::count_answers`] for why saturation is exact below).
 //!
 //! Summing out `v` combines the factors that mention it, `F_v`, into one
 //! over `S`, the other variables of those factors. A step does one of
@@ -37,14 +40,13 @@
 //! matrix product (bitset rows ORed together in the Boolean phase) and an
 //! absorbed one is a dot product or a row sum per row of `g`.
 //!
-//! The plan ([`Elimination::new`]) is symbolic: it fixes the order, each
-//! step's factors and action, and a cost, from the query and the
-//! relation sizes alone. The cost bounds every step that joins `F_v`
-//! (collapse, materialise) by the cover product of its bag `S ∪ {v}`
-//! over the atoms beneath `F_v` (the product of relation sizes over an
-//! integral edge cover, the paper's §3.1 quantity), and every absorb by
-//! the rows of `g`. [`crate::eval::count_answers`] compares it with the
-//! planned search's cost, measured the same way.
+//! The plan ([`Elimination::new`]) is symbolic: it fixes the order and
+//! each step's factors and action from the query and the relation sizes
+//! alone. When several factors cover `S`, the step absorbs into the one
+//! with the fewest rows, bounded for a materialised factor by the cover
+//! product of its scope over the atoms beneath it (the product of
+//! relation sizes over an integral edge cover, the paper's §3.1
+//! quantity).
 
 use crate::eval::{atom_columns, RowIndex};
 use crate::query::{Atom, ConjunctiveQuery, VarIdx};
@@ -88,8 +90,6 @@ struct Shape {
 /// The elimination plan for one query over given relation sizes.
 pub(crate) struct Elimination {
     steps: Vec<PlanStep>,
-    /// Σ over steps of their bounds; `None` on overflow.
-    cost: Option<u64>,
 }
 
 impl Elimination {
@@ -124,7 +124,6 @@ impl Elimination {
             })
             .collect();
         let mut steps = Vec::new();
-        let mut cost = Some(0u64);
         for v in order {
             let inputs: Vec<usize> = live(&shapes)
                 .filter(|(_, s)| s.scope.contains(&v))
@@ -155,13 +154,6 @@ impl Elimination {
                 _ if isolated => Action::Collapse,
                 _ => Action::Materialize,
             };
-            let mut bag = scope.clone();
-            bag.push(v);
-            let step_cost = match action {
-                Action::Absorb(g) => Some(shapes[g].as_ref().expect("live factor").bound),
-                _ => cover_product(&bag, &atoms, body, sizes),
-            };
-            cost = cost.zip(step_cost).and_then(|(c, s)| c.checked_add(s));
             for &id in &inputs {
                 shapes[id] = None;
             }
@@ -190,17 +182,12 @@ impl Elimination {
                 action,
             });
         }
-        Elimination { steps, cost }
-    }
-
-    /// The plan's cost, `None` when it overflows `u64`.
-    pub(crate) fn cost(&self) -> Option<u64> {
-        self.cost
+        Elimination { steps }
     }
 
     /// Runs the plan on `rels` (atom `i` over `rels[i]`, every arity
-    /// checked): `|Q(D)|`, or `None` when a weight overflows `u64`.
-    pub(crate) fn run(&self, q: &ConjunctiveQuery, rels: &[&Relation]) -> Option<u64> {
+    /// checked): `|Q(D)|`, saturated at `u64::MAX`.
+    pub(crate) fn run(&self, q: &ConjunctiveQuery, rels: &[&Relation]) -> u64 {
         let mut factors: Vec<Option<Factor>> = q
             .body()
             .iter()
@@ -221,7 +208,7 @@ impl Elimination {
         let mut answer: u64 = 1;
         for step in &self.steps {
             if factors.iter().flatten().any(|f| f.is_empty()) {
-                return Some(0);
+                return 0;
             }
             let inputs: Vec<Factor> = step
                 .inputs
@@ -237,10 +224,10 @@ impl Elimination {
             match step.action {
                 Action::Absorb(g) => {
                     let g = factors[g].as_mut().expect("live factor");
-                    ctx.absorb(&inputs, g)?;
+                    ctx.absorb(&inputs, g);
                 }
                 Action::Materialize => {
-                    let Summed::Factor(f) = ctx.join(&inputs, &step.scope, Sink::Factor)? else {
+                    let Summed::Factor(f) = ctx.join(&inputs, &step.scope, Sink::Factor) else {
                         unreachable!("a factor sink yields a factor");
                     };
                     factors.push(Some(f));
@@ -257,22 +244,22 @@ impl Elimination {
                         // One factor and nothing to keep distinct: whether
                         // it has a row, or the sum of its weights.
                         ([f], []) if step.boolean => u64::from(!f.is_empty()),
-                        ([f], []) => f.weights.iter().try_fold(0u64, |s, &w| s.checked_add(w))?,
-                        _ => match ctx.join(&inputs, &out, Sink::Count)? {
+                        ([f], []) => f.weights.iter().fold(0u64, |s, &w| s.saturating_add(w)),
+                        _ => match ctx.join(&inputs, &out, Sink::Count) {
                             Summed::Count(count) => count,
                             Summed::Factor(_) => unreachable!("a count sink yields a count"),
                         },
                     };
-                    answer = answer.checked_mul(count)?;
+                    answer = answer.saturating_mul(count);
                 }
             }
         }
         // Every variable is summed out; what is left are the factors of
         // nullary atoms, and an empty one means no answers.
         if factors.iter().flatten().any(|f| f.is_empty()) {
-            return Some(0);
+            return 0;
         }
-        Some(answer)
+        answer
     }
 }
 
@@ -288,12 +275,7 @@ fn live(shapes: &[Option<Shape>]) -> impl Iterator<Item = (usize, &Shape)> + '_ 
 /// variables, then the smaller relation, then the lower index): an upper
 /// bound on the rows of the join of `atoms` projected onto `vars`.
 /// `None` on overflow.
-pub(crate) fn cover_product(
-    vars: &[VarIdx],
-    atoms: &[usize],
-    body: &[Atom],
-    sizes: &[usize],
-) -> Option<u64> {
+fn cover_product(vars: &[VarIdx], atoms: &[usize], body: &[Atom], sizes: &[usize]) -> Option<u64> {
     let mut uncovered: Vec<VarIdx> = vars.to_vec();
     let mut product: u64 = 1;
     while !uncovered.is_empty() {
@@ -510,16 +492,16 @@ fn probes<'f>(factors: &[&'f Factor], bound: &mut [bool]) -> Vec<Probe<'f>> {
 
 /// Depth-first join over `probes`: calls `visit` with each full
 /// assignment and the product of its rows' weights times `weight`
-/// (`None` once it overflows), until `visit` breaks.
+/// (saturating), until `visit` breaks.
 fn descend(
     probes: &[Probe],
     assignment: &mut [Option<Value>],
     key: &mut Vec<Value>,
     weight: u64,
-    visit: &mut impl FnMut(&[Option<Value>], Option<u64>) -> ControlFlow<()>,
+    visit: &mut impl FnMut(&[Option<Value>], u64) -> ControlFlow<()>,
 ) -> ControlFlow<()> {
     let Some((p, rest)) = probes.split_first() else {
-        return visit(assignment, Some(weight));
+        return visit(assignment, weight);
     };
     key.clear();
     key.extend(p.key_vars.iter().map(|&v| assignment[v].expect("bound")));
@@ -528,9 +510,7 @@ fn descend(
         for &(pos, v) in &p.binds {
             assignment[v] = Some(values[pos]);
         }
-        let Some(w) = weight.checked_mul(p.factor.weights[row as usize]) else {
-            return visit(assignment, None);
-        };
+        let w = weight.saturating_mul(p.factor.weights[row as usize]);
         descend(rest, assignment, key, w, visit)?;
     }
     ControlFlow::Continue(())
@@ -576,8 +556,7 @@ impl StepCtx {
     /// variables with `out`, one group of its rows (by their values on
     /// `out`) at a time; the rest of `out` is accumulated per group, in a
     /// dense array over value ids when it is one variable with few ids.
-    /// `None` on overflow.
-    fn join(&self, inputs: &[&Factor], out: &[VarIdx], sink: Sink) -> Option<Summed> {
+    fn join(&self, inputs: &[&Factor], out: &[VarIdx], sink: Sink) -> Summed {
         if let [f, h] = inputs {
             if binary_inputs(inputs, self.var, self.domain) {
                 let (u, w) = (f.other(self.var), h.other(self.var));
@@ -639,7 +618,6 @@ impl StepCtx {
         let group_pos: Vec<usize> = group_vars.iter().map(|&v| lead.position(v)).collect();
         for g in 0..groups.num_groups() {
             let rows = groups.group(g);
-            let mut overflow = false;
             for &row in rows {
                 let values = lead.row(row as usize);
                 for (p, &v) in lead.scope.iter().enumerate() {
@@ -651,16 +629,9 @@ impl StepCtx {
                     &mut key,
                     lead.weights[row as usize],
                     &mut |a, w| {
-                        let Some(w) = w else {
-                            overflow = true;
-                            return ControlFlow::Break(());
-                        };
                         tuple.clear();
                         tuple.extend(rest_vars.iter().map(|&v| a[v].expect("bound")));
-                        if acc.add(&tuple, w, self.boolean).is_none() {
-                            overflow = true;
-                            return ControlFlow::Break(());
-                        }
+                        acc.add(&tuple, w, self.boolean);
                         if self.boolean && rest_vars.is_empty() {
                             ControlFlow::Break(()) // the group has its witness
                         } else {
@@ -668,42 +639,35 @@ impl StepCtx {
                         }
                     },
                 );
-                if overflow {
-                    return None;
-                }
                 if flow.is_break() {
                     break;
                 }
             }
             let first = lead.row(rows[0] as usize);
-            let mut sum = Some(0u64);
             acc.drain(|r, w| match sink {
-                Sink::Count => {
-                    sum = sum.and_then(|s| s.checked_add(if self.boolean { 1 } else { w }));
-                }
+                Sink::Count => total = total.saturating_add(if self.boolean { 1 } else { w }),
                 Sink::Factor => {
                     made.rows.extend(group_pos.iter().map(|&p| first[p]));
                     made.rows.extend_from_slice(r);
                     made.weights.push(w);
                 }
             });
-            total = total.checked_add(sum?)?;
         }
-        Some(Summed::of(sink, made, total))
+        Summed::of(sink, made, total)
     }
 
     /// Multiplies into each row of `g` the sum over `var` of the product
     /// of `inputs` (all of whose other variables `g` binds), dropping
-    /// the rows where it is 0. `None` on overflow.
-    fn absorb(&self, inputs: &[&Factor], g: &mut Factor) -> Option<()> {
+    /// the rows where it is 0.
+    fn absorb(&self, inputs: &[&Factor], g: &mut Factor) {
         let sums = match BitRows::for_step(inputs, self.var, self.domain) {
             Some(bits) => bits.sums(g, self.boolean),
             None if binary_inputs(inputs, self.var, self.domain) => match inputs {
-                [f] => self.row_sums(f, g)?,
-                [f, h] => self.dot_sums(f, h, g)?,
-                _ => self.probe_sums(inputs, g)?,
+                [f] => self.row_sums(f, g),
+                [f, h] => self.dot_sums(f, h, g),
+                _ => self.probe_sums(inputs, g),
             },
-            None => self.probe_sums(inputs, g)?,
+            None => self.probe_sums(inputs, g),
         };
         let width = g.scope.len();
         let mut kept = 0;
@@ -711,27 +675,25 @@ impl StepCtx {
             if sum == 0 {
                 continue;
             }
-            let w = g.weights[i].checked_mul(sum)?;
             g.rows.copy_within(i * width..(i + 1) * width, kept * width);
-            g.weights[kept] = w;
+            g.weights[kept] = g.weights[i].saturating_mul(sum);
             kept += 1;
         }
         g.rows.truncate(kept * width);
         g.weights.truncate(kept);
-        Some(())
     }
 
     /// `Σ_v f(u, v) · h(v, w)` over two-variable factors with `u ≠ w`,
     /// one `u` at a time into a dense accumulator over `w`'s ids: the
     /// matrix product (Boolean or ℕ), kept as a factor over `(u, w)` or
     /// counted (its rows in the Boolean phase, its weights in ℕ).
-    fn product(&self, f: &Factor, h: &Factor, sink: Sink) -> Option<Summed> {
+    fn product(&self, f: &Factor, h: &Factor, sink: Sink) -> Summed {
         let u = f.other(self.var);
         let by_u = Csr::new(f, u, self.domain);
         let words = self.domain.div_ceil(64);
         if self.boolean {
             if let Some(bits) = BitPart::new(h, h.other(self.var), self.domain, words) {
-                return Some(self.bit_product(f, &by_u, h, &bits, words, sink));
+                return self.bit_product(f, &by_u, h, &bits, words, sink);
             }
         }
         let by_v = Csr::new(h, self.var, self.domain);
@@ -750,23 +712,19 @@ impl StepCtx {
             for (&v, &a) in vs.iter().zip(a) {
                 let (ws, b) = by_v.get(v);
                 for (w, &b) in ws.iter().zip(b) {
-                    acc.add(std::slice::from_ref(w), a.checked_mul(b)?, self.boolean)?;
+                    acc.add(std::slice::from_ref(w), a.saturating_mul(b), self.boolean);
                 }
             }
-            let mut sum = Some(0u64);
             acc.drain(|r, w| match sink {
-                Sink::Count => {
-                    sum = sum.and_then(|s| s.checked_add(if self.boolean { 1 } else { w }));
-                }
+                Sink::Count => total = total.saturating_add(if self.boolean { 1 } else { w }),
                 Sink::Factor => {
                     made.rows.push(x);
                     made.rows.push(r[0]);
                     made.weights.push(w);
                 }
             });
-            total = total.checked_add(sum?)?;
         }
-        Some(Summed::of(sink, made, total))
+        Summed::of(sink, made, total)
     }
 
     /// [`Self::product`] in the Boolean semiring on `h`'s bitset rows:
@@ -826,7 +784,7 @@ impl StepCtx {
     /// The per-row sums of [`Self::absorb`] for one two-variable input
     /// `f(x, v)`: `Σ_v f(x, v)` at each row's `x`, from one pass over
     /// `f` into an array over `x`'s ids.
-    fn row_sums(&self, f: &Factor, g: &Factor) -> Option<Vec<u64>> {
+    fn row_sums(&self, f: &Factor, g: &Factor) -> Vec<u64> {
         let x = f.other(self.var);
         let (fx, gx) = (f.position(x), g.position(x));
         let mut by_x = vec![0u64; self.domain];
@@ -835,14 +793,12 @@ impl StepCtx {
             *slot = if self.boolean {
                 1
             } else {
-                slot.checked_add(f.weights[i])?
+                slot.saturating_add(f.weights[i])
             };
         }
-        Some(
-            (0..g.len())
-                .map(|i| by_x[g.row(i)[gx].id() as usize])
-                .collect(),
-        )
+        (0..g.len())
+            .map(|i| by_x[g.row(i)[gx].id() as usize])
+            .collect()
     }
 
     /// The per-row sums of [`Self::absorb`] for two two-variable inputs
@@ -851,7 +807,7 @@ impl StepCtx {
     /// array over `v`'s ids once per value of its variable (`g`'s rows
     /// are visited grouped on it), and the other's run under each row is
     /// summed against it.
-    fn dot_sums(&self, f: &Factor, h: &Factor, g: &Factor) -> Option<Vec<u64>> {
+    fn dot_sums(&self, f: &Factor, h: &Factor, g: &Factor) -> Vec<u64> {
         let by_f = Csr::new(f, f.other(self.var), self.domain);
         let by_h = Csr::new(h, h.other(self.var), self.domain);
         // Scatter the input with more rows per value of its variable.
@@ -879,7 +835,7 @@ impl StepCtx {
                 for (v, &w) in vs.iter().zip(ws) {
                     let s = scatter[v.id() as usize];
                     if s != 0 {
-                        sum = sum.checked_add(s.checked_mul(w)?)?;
+                        sum = sum.saturating_add(s.saturating_mul(w));
                         if self.boolean {
                             break;
                         }
@@ -891,12 +847,12 @@ impl StepCtx {
                 scatter[v.id() as usize] = 0;
             }
         }
-        Some(sums)
+        sums
     }
 
     /// The per-row sums of [`Self::absorb`] by a join of `inputs` under
     /// each row of `g`.
-    fn probe_sums(&self, inputs: &[&Factor], g: &Factor) -> Option<Vec<u64>> {
+    fn probe_sums(&self, inputs: &[&Factor], g: &Factor) -> Vec<u64> {
         let num_vars = inputs
             .iter()
             .chain([&g])
@@ -916,18 +872,18 @@ impl StepCtx {
             for (p, &v) in g.scope.iter().enumerate() {
                 assignment[v] = Some(row[p]);
             }
-            let mut sum: Option<u64> = Some(0);
+            let mut sum: u64 = 0;
             let _ = descend(&probes, &mut assignment, &mut key, 1, &mut |_, w| {
-                sum = sum.zip(w).and_then(|(s, w)| s.checked_add(w));
-                if sum.is_none() || self.boolean {
+                sum = sum.saturating_add(w);
+                if self.boolean {
                     ControlFlow::Break(())
                 } else {
                     ControlFlow::Continue(())
                 }
             });
-            sums.push(sum?);
+            sums.push(sum);
         }
-        Some(sums)
+        sums
     }
 }
 
@@ -1075,9 +1031,9 @@ impl Acc {
         }
     }
 
-    /// Adds `w` under `tuple` (ℕ), or marks `tuple` (Boolean). `None` on
-    /// overflow.
-    fn add(&mut self, tuple: &[Value], w: u64, boolean: bool) -> Option<()> {
+    /// Adds `w` under `tuple` (ℕ, saturating), or marks `tuple`
+    /// (Boolean).
+    fn add(&mut self, tuple: &[Value], w: u64, boolean: bool) {
         let slot = match self {
             Acc::Unit(sum) => sum.get_or_insert(0),
             Acc::Dense { sums, touched } => {
@@ -1098,8 +1054,7 @@ impl Acc {
                 &mut sums[at as usize]
             }
         };
-        *slot = if boolean { 1 } else { slot.checked_add(w)? };
-        Some(())
+        *slot = if boolean { 1 } else { slot.saturating_add(w) };
     }
 
     /// Calls `emit` with each accumulated tuple and its sum, and empties

@@ -9,22 +9,14 @@
 //!   range of it), with a group's rows in relation order. Correct for
 //!   every conjunctive query (projections, repeated variables, repeated
 //!   relations).
-//! - [`count_answers`] — `|Q(D)|` without building `Q(D)`, by one of two
-//!   routes that [`count_route`] picks from the query and the relation
-//!   sizes alone:
-//!   - [`count_by_elimination`] — sum-product variable elimination along
-//!     a min-fill order with the existential variables first: `∃` over
-//!     those, checked `Σ` over the head. Each step sums one variable out
-//!     of the factors that mention it, and multiplies the result into a
-//!     factor that covers the rest of their variables when there is one,
-//!     so the triangle is `Σ_{E(x,y)} |out(x) ∩ out(y)|` on bitset rows;
-//!   - [`count_by_search`] — the planned search without the output: full
-//!     queries count satisfying assignments; projections group the search
-//!     on the head values its first atom binds and deduplicate only the
-//!     remaining head values, one group at a time.
-//!
-//!   The route rule compares cover products (see [`count_route`]); the
-//!   count opens a `core.count.eliminate` or `core.count.search` span.
+//! - [`count_answers`] — `|Q(D)|` without building `Q(D)`, by
+//!   sum-product variable elimination along a min-fill order with the
+//!   existential variables first: `∃` over those, saturating `Σ` over the
+//!   head. Each step sums one variable out of the factors that mention
+//!   it, and multiplies the result into a factor that covers the rest of
+//!   their variables when there is one, so the triangle is
+//!   `Σ_{E(x,y)} |out(x) ∩ out(y)|` on bitset rows. It is the one way
+//!   answers are counted; the count opens a `core.count.eliminate` span.
 //! - [`join_project_plan`] / [`evaluate_by_plan`] — the Corollary 4.8
 //!   plan for queries whose head contains all variables: each atom is
 //!   reduced to a relation over its distinct variables, then the atoms
@@ -35,12 +27,11 @@
 //! The semantics follow §2 of the paper: `Q(D)` contains `θ(u0)` for
 //! every substitution `θ : var(Q) → U_D` with `θ(uj) ∈ R_{ij}` for all j.
 
-use crate::eliminate::{cover_product, Elimination};
+use crate::eliminate::Elimination;
 use crate::query::{Atom, ConjunctiveQuery, VarIdx};
 use cq_relation::{natural_join, Database, Relation, Schema, TupleMap, Value};
 use cq_telemetry::Span;
 use std::fmt;
-use std::ops::ControlFlow;
 
 /// Evaluates `q` over `db`, returning the output relation (named `Q`,
 /// one column per head position).
@@ -62,25 +53,30 @@ use std::ops::ControlFlow;
 pub fn evaluate(q: &ConjunctiveQuery, db: &Database) -> Relation {
     let out_schema = Schema::with_attrs("Q", q.head().iter().map(|&v| q.var_name(v).to_owned()));
     let mut out = Relation::new(out_schema);
-    if let Some(plan) = Plan::new(q, db, &[]) {
+    if let Some(plan) = Plan::new(q, db) {
         let mut row = Vec::with_capacity(q.head().len());
-        plan.search(&plan.steps, |assignment, _| {
+        plan.search(|assignment| {
             row.clear();
             row.extend(q.head().iter().map(|&v| bound(assignment, v)));
             out.insert(&row);
-            ControlFlow::Continue(())
         });
     }
     out
 }
 
-/// `|Q(D)|`, always equal to `evaluate(q, db).len()`, computed without
-/// building the output relation, by variable elimination
-/// ([`count_by_elimination`]) or by the planned search
-/// ([`count_by_search`]), whichever [`count_route`] picks. The count
-/// opens one span, `core.count.eliminate` or `core.count.search`, named
-/// after the route; an elimination that overflows `u64` is finished by
-/// the search inside the same span.
+/// `|Q(D)|`, equal to `evaluate(q, db).len()` whenever that is below
+/// `u64::MAX`, computed without building the output relation, by
+/// variable elimination (see the `eliminate` module). The count opens
+/// one span, `core.count.eliminate`.
+///
+/// The weights of the ℕ phase saturate at `u64::MAX` instead of
+/// overflowing, so the result is `min(|Q(D)|, 2^64 − 1)` (clamped to
+/// `usize::MAX` on narrower targets): exact for every answer below
+/// `u64::MAX`. Every weight is a positive count of partial answers, so a
+/// row carrying a saturated weight either drops out of a later join or
+/// contributes to the answer, and if it contributes, the true answer is
+/// at least that weight. The result therefore saturates exactly when
+/// `|Q(D)| ≥ 2^64 − 1`.
 ///
 /// ```
 /// use cq_core::{count_answers, parse_query};
@@ -95,197 +91,14 @@ pub fn evaluate(q: &ConjunctiveQuery, db: &Database) -> Relation {
 /// # Panics
 /// As [`evaluate`].
 pub fn count_answers(q: &ConjunctiveQuery, db: &Database) -> usize {
-    let Some((rels, elimination)) = elimination_plan(q, db) else {
-        let _span = Span::enter("core.count.eliminate");
+    let rels = body_relations(q, db);
+    let _span = Span::enter("core.count.eliminate");
+    let Some(rels) = rels else {
         return 0;
     };
-    match route(q, &rels, &elimination) {
-        CountRoute::Eliminate => {
-            let _span = Span::enter("core.count.eliminate");
-            elimination
-                .run(q, &rels)
-                .and_then(|n| usize::try_from(n).ok())
-                .unwrap_or_else(|| count_by_search(q, db))
-        }
-        CountRoute::Search => {
-            let _span = Span::enter("core.count.search");
-            count_by_search(q, db)
-        }
-    }
-}
-
-/// How [`count_answers`] counts `|Q(D)|`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CountRoute {
-    /// Sum-product variable elimination ([`count_by_elimination`]).
-    Eliminate,
-    /// The planned search ([`count_by_search`]).
-    Search,
-}
-
-/// The route [`count_answers`] takes for `q` over `db`: a function of
-/// the query and the sizes of its relations only, with nothing a caller
-/// can set. Both routes get a cost from the same quantity, the *cover
-/// product* of a variable set (the product of relation sizes over an
-/// integral edge cover of the set by body atoms, §3.1's bound on a
-/// join's projection, found greedily):
-///
-/// - elimination costs, per step, the cover product of the step's bag
-///   (the variable and the factors' other variables, covered by the atoms
-///   beneath those factors) when the step joins its factors, or the rows
-///   of the factor it multiplies into when that factor covers the rest;
-/// - the search costs the cover product of each prefix of its atom order
-///   (all of them for a projection; for a full query, all but the last,
-///   whose matching rows are counted, not enumerated).
-///
-/// Elimination is taken when its cost is at most the search's, or the
-/// search's overflows `u64` and its own does not; the search is taken
-/// when elimination's cost overflows. A body atom over an absent or empty
-/// relation makes every cost 0, and elimination answers 0 at once.
-///
-/// # Panics
-/// As [`evaluate`].
-pub fn count_route(q: &ConjunctiveQuery, db: &Database) -> CountRoute {
-    match elimination_plan(q, db) {
-        Some((rels, elimination)) => route(q, &rels, &elimination),
-        None => CountRoute::Eliminate,
-    }
-}
-
-/// `|Q(D)|` by sum-product variable elimination along a min-fill order
-/// of the primal graph with the existential variables first: `∃` over
-/// the existential variables, checked `Σ` over the head (see the
-/// `eliminate` module). `None` when a weight overflows `u64`.
-///
-/// # Panics
-/// As [`evaluate`].
-pub fn count_by_elimination(q: &ConjunctiveQuery, db: &Database) -> Option<usize> {
-    let Some((rels, elimination)) = elimination_plan(q, db) else {
-        return Some(0);
-    };
-    elimination
-        .run(q, &rels)
-        .and_then(|n| usize::try_from(n).ok())
-}
-
-/// The body's relations, one per atom, and the elimination plan over
-/// their sizes; `None` when some relation is absent or empty.
-fn elimination_plan<'a>(
-    q: &ConjunctiveQuery,
-    db: &'a Database,
-) -> Option<(Vec<&'a Relation>, Elimination)> {
-    if let Err(e) = check_arities(q, db) {
-        panic!("{e}");
-    }
-    let rels: Vec<&Relation> = q
-        .body()
-        .iter()
-        .map(|atom| db.relation(&atom.relation).filter(|rel| !rel.is_empty()))
-        .collect::<Option<_>>()?;
     let sizes: Vec<usize> = rels.iter().map(|rel| rel.len()).collect();
-    let elimination = Elimination::new(q, &sizes);
-    Some((rels, elimination))
-}
-
-/// [`count_route`]'s rule.
-fn route(q: &ConjunctiveQuery, rels: &[&Relation], elimination: &Elimination) -> CountRoute {
-    let Some(eliminate) = elimination.cost() else {
-        return CountRoute::Search;
-    };
-    let sizes: Vec<usize> = rels.iter().map(|rel| rel.len()).collect();
-    let order = atom_order(q.body(), rels);
-    let prefixes = if q.is_join_query() {
-        order.len().saturating_sub(1)
-    } else {
-        order.len()
-    };
-    let mut vars: Vec<VarIdx> = Vec::new();
-    let mut search: Option<u64> = Some(0);
-    for i in 0..prefixes {
-        vars.extend(&q.body()[order[i]].vars);
-        vars.sort_unstable();
-        vars.dedup();
-        let cover = cover_product(&vars, &order[..=i], q.body(), &sizes);
-        search = search.zip(cover).and_then(|(s, c)| s.checked_add(c));
-    }
-    match search {
-        Some(search) if search < eliminate => CountRoute::Search,
-        _ => CountRoute::Eliminate,
-    }
-}
-
-/// `|Q(D)|` by the planned search that [`evaluate`] runs, without
-/// building the output relation.
-///
-/// A full query (every variable of the body in the head) has one answer
-/// per satisfying assignment, so its search counts the last step's
-/// matching rows without binding them. A projection counts its distinct
-/// head variables' tuples (repeating a head variable repeats a column,
-/// not an answer): its search groups the first atom's rows on the head
-/// values they bind and deduplicates the remaining head values in one
-/// set cleared after each group, so the set only ever holds one group's
-/// answers. A group whose atom binds the whole head counts 1 at its
-/// first witness; a Boolean query is one such group and counts 0 or 1.
-///
-/// # Panics
-/// As [`evaluate`].
-pub fn count_by_search(q: &ConjunctiveQuery, db: &Database) -> usize {
-    if q.is_join_query() {
-        let Some(plan) = Plan::new(q, db, &[]) else {
-            return 0;
-        };
-        let Some((last, init)) = plan.steps.split_last() else {
-            return 1; // empty body: the empty substitution
-        };
-        let mut count = 0;
-        plan.search(init, |assignment, key| {
-            count += last.candidates(assignment, key).len();
-            ControlFlow::Continue(())
-        });
-        return count;
-    }
-    let mut head: Vec<VarIdx> = q.head().to_vec();
-    head.sort_unstable();
-    head.dedup();
-    // The first step's rows are grouped on the head variables it binds;
-    // the rest of the head is deduplicated within each group.
-    let Some(plan) = Plan::new(q, db, &head) else {
-        return 0;
-    };
-    let Some((first, rest)) = plan.steps.split_first() else {
-        return 1; // empty body: the empty substitution
-    };
-    let rest_head: Vec<VarIdx> = head
-        .iter()
-        .copied()
-        .filter(|&v| first.binds.iter().all(|&(_, b)| b != v))
-        .collect();
-    let mut assignment = vec![None; plan.num_vars];
-    let mut key = Vec::new();
-    let mut seen: TupleMap<()> = TupleMap::new(rest_head.len());
-    let mut tuple = Vec::with_capacity(rest_head.len());
-    let mut count = 0;
-    for g in 0..first.index.num_groups() {
-        seen.clear();
-        for &row in first.index.group(g) {
-            first.bind(row, &mut assignment);
-            let flow = descend(rest, &mut assignment, &mut key, &mut |assignment, _| {
-                tuple.clear();
-                tuple.extend(rest_head.iter().map(|&v| bound(assignment, v)));
-                seen.insert(&tuple, ());
-                if rest_head.is_empty() {
-                    ControlFlow::Break(()) // the group has its one answer
-                } else {
-                    ControlFlow::Continue(())
-                }
-            });
-            if flow.is_break() {
-                break;
-            }
-        }
-        count += seen.len();
-    }
-    count
+    let count = Elimination::new(q, &sizes).run(q, &rels);
+    usize::try_from(count).unwrap_or(usize::MAX)
 }
 
 /// A body atom whose relation has a different arity in the database.
@@ -329,13 +142,28 @@ pub fn check_arities(q: &ConjunctiveQuery, db: &Database) -> Result<(), ArityErr
     Ok(())
 }
 
+/// The body's relations, one per atom; `None` when some relation is
+/// absent or empty (`Q(D)` is then empty).
+///
+/// # Panics
+/// As [`evaluate`].
+fn body_relations<'a>(q: &ConjunctiveQuery, db: &'a Database) -> Option<Vec<&'a Relation>> {
+    if let Err(e) = check_arities(q, db) {
+        panic!("{e}");
+    }
+    q.body()
+        .iter()
+        .map(|atom| db.relation(&atom.relation).filter(|rel| !rel.is_empty()))
+        .collect()
+}
+
 fn bound(assignment: &[Option<Value>], v: VarIdx) -> Value {
     assignment[v].expect("variable bound by an earlier step")
 }
 
-/// The search plan shared by [`evaluate`] and [`count_answers`]: body
-/// atoms in greedy connected order, each with its rows indexed on the
-/// positions bound when it is reached.
+/// The search plan of [`evaluate`]: body atoms in greedy connected
+/// order, each with its rows indexed on the positions bound when it is
+/// reached.
 struct Plan<'a> {
     steps: Vec<Step<'a>>,
     num_vars: usize,
@@ -343,8 +171,7 @@ struct Plan<'a> {
 
 struct Step<'a> {
     /// Variables at the indexed positions, in position order: those bound
-    /// by earlier steps, or for the first step the `group` variables it
-    /// binds (empty for a full scan).
+    /// by earlier steps (none for the first step, a full scan).
     key_vars: Vec<VarIdx>,
     /// The atom's relation.
     rel: &'a Relation,
@@ -357,18 +184,9 @@ struct Step<'a> {
 
 impl<'a> Plan<'a> {
     /// `None` when some body atom's relation is absent or empty (the
-    /// output is then empty). The first step's rows are indexed on the
-    /// positions binding the variables of `group` (a full scan when it
-    /// binds none of them).
-    fn new(q: &ConjunctiveQuery, db: &'a Database, group: &[VarIdx]) -> Option<Self> {
-        if let Err(e) = check_arities(q, db) {
-            panic!("{e}");
-        }
-        let atom_rels: Vec<&Relation> = q
-            .body()
-            .iter()
-            .map(|atom| db.relation(&atom.relation).filter(|rel| !rel.is_empty()))
-            .collect::<Option<_>>()?;
+    /// output is then empty).
+    fn new(q: &ConjunctiveQuery, db: &'a Database) -> Option<Self> {
+        let atom_rels = body_relations(q, db)?;
         let order = atom_order(q.body(), &atom_rels);
 
         let mut bound: Vec<bool> = vec![false; q.num_vars()];
@@ -386,9 +204,6 @@ impl<'a> Plan<'a> {
                     equal.push((pos, first));
                 } else {
                     binds.push((pos, v));
-                    if steps.is_empty() && group.contains(&v) {
-                        key_pos.push(pos);
-                    }
                 }
             }
             let rel = atom_rels[ai];
@@ -409,36 +224,31 @@ impl<'a> Plan<'a> {
         })
     }
 
-    /// Depth-first search over `steps` (a prefix of the plan): calls
-    /// `visit` with each assignment satisfying them, in row order, and a
-    /// scratch key buffer, until `visit` breaks.
-    fn search(
-        &self,
-        steps: &[Step<'a>],
-        mut visit: impl FnMut(&[Option<Value>], &mut Vec<Value>) -> ControlFlow<()>,
-    ) {
+    /// Depth-first search: calls `visit` with each assignment satisfying
+    /// every step, in row order.
+    fn search(&self, mut visit: impl FnMut(&[Option<Value>])) {
         let mut assignment = vec![None; self.num_vars];
         let mut key = Vec::new();
-        let _ = descend(steps, &mut assignment, &mut key, &mut visit);
+        descend(&self.steps, &mut assignment, &mut key, &mut visit);
     }
 }
 
-fn descend<F: FnMut(&[Option<Value>], &mut Vec<Value>) -> ControlFlow<()>>(
+fn descend(
     steps: &[Step],
     assignment: &mut [Option<Value>],
     key: &mut Vec<Value>,
-    visit: &mut F,
-) -> ControlFlow<()> {
+    visit: &mut impl FnMut(&[Option<Value>]),
+) {
     let Some((step, rest)) = steps.split_first() else {
-        return visit(assignment, key);
+        visit(assignment);
+        return;
     };
     // Variables bound here are rebound before any deeper step reads
     // them, so backtracking needs no reset.
     for &row in step.candidates(assignment, key) {
         step.bind(row, assignment);
-        descend(rest, assignment, key, visit)?;
+        descend(rest, assignment, key, visit);
     }
-    ControlFlow::Continue(())
 }
 
 /// Row numbers grouped by their values at some key positions, in one

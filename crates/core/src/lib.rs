@@ -98,8 +98,8 @@ pub use entropy_lp::{
     entropy_upper_bound_zhang_yeung, MAX_ENTROPY_LP_VARS,
 };
 pub use eval::{
-    atom_relation, check_arities, count_answers, count_by_elimination, count_by_search,
-    count_route, evaluate, evaluate_by_plan, join_project_plan, ArityError, CountRoute,
+    atom_relation, check_arities, count_answers, evaluate, evaluate_by_plan, join_project_plan,
+    ArityError,
 };
 // LP solver observability, re-exported so engine layers can consume
 // per-solve stats without a direct cq-lp dependency.

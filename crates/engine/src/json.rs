@@ -29,6 +29,9 @@ pub enum Json {
     /// Integers stay exact; everything measured in this workspace
     /// (counts, sizes) is a `usize`.
     Int(i64),
+    /// An integer above `i64::MAX`, such as an answer count saturated at
+    /// `u64::MAX`.
+    Uint(u64),
     /// Approximate quantities (`rmax^C` style bound values). Non-finite
     /// values serialize as `null`, which JSON cannot represent otherwise.
     Float(f64),
@@ -43,7 +46,7 @@ impl Json {
     }
 
     pub fn int(n: usize) -> Json {
-        Json::Int(n as i64)
+        i64::try_from(n).map_or(Json::Uint(n as u64), Json::Int)
     }
 
     /// A `u64` counter, saturating at `i64::MAX`.
@@ -99,7 +102,11 @@ impl Json {
 
     /// The integer payload as a `usize`, if nonnegative.
     pub fn as_usize(&self) -> Option<usize> {
-        self.as_i64().and_then(|n| usize::try_from(n).ok())
+        match self {
+            Json::Int(n) => usize::try_from(*n).ok(),
+            Json::Uint(n) => usize::try_from(*n).ok(),
+            _ => None,
+        }
     }
 
     /// The elements, if this is an array.
@@ -122,6 +129,9 @@ impl Json {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Json::Int(n) => {
+                let _ = write!(out, "{n}");
+            }
+            Json::Uint(n) => {
                 let _ = write!(out, "{n}");
             }
             Json::Float(x) => {
@@ -402,12 +412,15 @@ impl<'a> Parser<'a> {
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
         if !float {
-            // Integers stay exact while they fit; RFC 8259 places no
-            // range limit, so an overflowing integer (u64 ids,
-            // snowflakes) degrades to the float path below instead of
-            // rejecting the document.
+            // Integers stay exact while they fit in an `i64` or a `u64`;
+            // RFC 8259 places no range limit, so a larger integer
+            // degrades to the float path below instead of rejecting the
+            // document.
             if let Ok(n) = text.parse::<i64>() {
                 return Ok(Json::Int(n));
+            }
+            if let Ok(n) = text.parse::<u64>() {
+                return Ok(Json::Uint(n));
             }
         }
         text.parse::<f64>()
@@ -452,11 +465,19 @@ mod tests {
         assert_eq!(Json::parse("-42").unwrap(), Json::Int(-42));
         assert_eq!(Json::parse("1.5").unwrap(), Json::Float(1.5));
         assert_eq!(Json::parse("2e3").unwrap(), Json::Float(2000.0));
-        // Out-of-i64-range integers are valid JSON: they degrade to
-        // floats rather than failing the whole document.
+        // Integers past i64 stay exact up to u64::MAX (a saturated
+        // count renders and reads back as itself); past that they are
+        // valid JSON too, and degrade to floats rather than failing the
+        // whole document.
+        assert_eq!(Json::int(usize::MAX).render(), "18446744073709551615");
         assert_eq!(
             Json::parse("18446744073709551615").unwrap(),
-            Json::Float(18446744073709551615.0)
+            Json::Uint(u64::MAX)
+        );
+        assert_eq!(Json::Uint(u64::MAX).as_usize(), Some(usize::MAX));
+        assert_eq!(
+            Json::parse("18446744073709551616").unwrap(),
+            Json::Float(18446744073709551616.0)
         );
         assert_eq!(Json::parse("\"hi\"").unwrap(), Json::str("hi"));
     }

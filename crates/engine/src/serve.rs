@@ -1249,6 +1249,17 @@ mod tests {
     }
 
     #[test]
+    fn witness_whose_count_passes_u64_is_answered() {
+        let engine = ServeEngine::new();
+        // 4 * 65,536 tuples fit the budget; the 2^64 answers saturate the
+        // count instead of overflowing it.
+        let resp = parse(&engine.handle_line(
+            r#"{"cmd":"analyze","query":"Q(A,B,C,D) :- R(A), S(B), T(C), U(D)","witness":65536}"#,
+        ));
+        assert_eq!(resp.get("ok"), Some(&Json::Bool(true)));
+    }
+
+    #[test]
     fn batch_keeps_queries_aligned_and_caps_size() {
         let engine = ServeEngine::new();
         let resp = parse(&engine.handle_line(&format!(

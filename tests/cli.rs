@@ -431,6 +431,21 @@ fn witness_over_the_tuple_budget_fails_with_the_budget() {
 }
 
 #[test]
+fn witness_whose_count_passes_u64_answers_with_the_saturated_count() {
+    // Four unary atoms at M = 65,536: 262,144 tuples, inside the budget,
+    // and 65,536^4 = 2^64 answers, one more than `measured` can hold.
+    let (stdout, stderr, ok) = run_cli(
+        &["-", "--witness", "65536", "--json"],
+        Some("Q(A,B,C,D) :- R(A), S(B), T(C), U(D)\n"),
+    );
+    assert!(ok, "{stderr}");
+    assert!(
+        stdout.contains("\"measured\":18446744073709551615"),
+        "{stdout}"
+    );
+}
+
+#[test]
 fn parse_errors_fail_cleanly() {
     let (_, stderr, ok) = run_cli(&["-"], Some("not a query\n"));
     assert!(!ok);

@@ -1,28 +1,21 @@
 //! `count_answers` against the evaluators that list `Q(D)`.
 //!
 //! `cq_core::count_answers` computes `|Q(D)|` without building the
-//! output relation, by one of two routes that `count_route` picks from
-//! the query and the relation sizes: sum-product variable elimination
-//! (`count_by_elimination`: `∃` over the existential variables, checked
-//! `Σ` over the head) or the planned search that `evaluate` also runs
-//! (`count_by_search`: full queries count satisfying assignments;
-//! projections group the search on the head values its first atom binds
-//! and deduplicate the rest of the head one group at a time). Every check
-//! below calls both routes directly, so each is tested whichever one the
-//! route rule picks, and requires
-//! `count_answers == count_by_elimination == count_by_search ==
-//! evaluate(..).len() == evaluate_wcoj(..).len()`; the generic-join
-//! evaluator is the oracle that shares no planner. The random layer runs
-//! on random query × database instances, without dependencies and with
-//! random key FDs, and tries each query with the heads the generator
-//! never makes: empty, with repeated variables, wider than the four
-//! values a packed key holds, each atom's variables (when that atom is
-//! the first, every group stops at its first witness), and each atom's
-//! variables plus a variable outside it (deduplicated within groups).
-//! Fixed queries cover group keys with repeated and more than four
-//! variables, absent and empty relations, nullary atoms, and a seeded
-//! graph test runs the projected paths and the cycles at a size where
-//! groups hold many answers and the bitset rows are used.
+//! output relation, by sum-product variable elimination (`∃` over the
+//! existential variables, saturating `Σ` over the head). Every check
+//! below requires `count_answers == evaluate(..).len() ==
+//! evaluate_wcoj(..).len()`; the generic-join evaluator is the oracle
+//! that shares no planner. The random layer runs on random query ×
+//! database instances, without dependencies and with random key FDs,
+//! and tries each query with the heads the generator never makes: empty,
+//! with repeated variables, wider than the four values a packed key
+//! holds, each atom's variables, and each atom's variables plus a
+//! variable outside it. Fixed queries cover keys with repeated and more
+//! than four variables, absent and empty relations, nullary atoms, and a
+//! seeded graph test runs the projected paths and the cycles at a size
+//! where the bitset rows are used. A cross product of four unary
+//! relations pins the count at and just past `u64::MAX`, where the
+//! weights saturate.
 //!
 //! The random layer runs on the default proptest config, so CI's
 //! scheduled deep job runs it at 4096 cases.
@@ -30,11 +23,8 @@
 mod common;
 
 use common::{random_database, random_query};
-use cqbounds::core::{
-    count_answers, count_by_elimination, count_by_search, evaluate, evaluate_wcoj, parse_query,
-    Atom, ConjunctiveQuery,
-};
-use cqbounds::relation::{Database, FdSet, Relation, Schema};
+use cqbounds::core::{count_answers, evaluate, evaluate_wcoj, parse_query, Atom, ConjunctiveQuery};
+use cqbounds::relation::{Database, FdSet, Relation, Schema, Value};
 use proptest::prelude::*;
 
 fn with_head(q: &ConjunctiveQuery, head: Vec<usize>) -> ConjunctiveQuery {
@@ -70,20 +60,17 @@ fn head_variants(q: &ConjunctiveQuery) -> Vec<ConjunctiveQuery> {
     variants
 }
 
-/// Every count of `|Q(D)|`: `count_answers`, each route called
-/// directly, and both evaluators' listed sizes; `Err` names the first
-/// that differs from `evaluate`.
+/// Every count of `|Q(D)|`: `count_answers` and both evaluators'
+/// listed sizes; `Err` names the first that differs from `evaluate`.
 fn counts_agree(q: &ConjunctiveQuery, db: &Database) -> Result<usize, String> {
     let listed = evaluate(q, db).len();
     let counts = [
-        ("count_answers", Some(count_answers(q, db))),
-        ("count_by_elimination", count_by_elimination(q, db)),
-        ("count_by_search", Some(count_by_search(q, db))),
-        ("evaluate_wcoj", Some(evaluate_wcoj(q, db).len())),
+        ("count_answers", count_answers(q, db)),
+        ("evaluate_wcoj", evaluate_wcoj(q, db).len()),
     ];
     for (name, count) in counts {
-        if count != Some(listed) {
-            return Err(format!("{name} {count:?} vs evaluate {listed} on {q}"));
+        if count != listed {
+            return Err(format!("{name} {count} vs evaluate {listed} on {q}"));
         }
     }
     Ok(listed)
@@ -191,7 +178,7 @@ fn grouped_projections_count_each_group_once() {
                 &["c", "c", "a"],
             ],
         ),
-        // Rows no R row joins: S is the larger relation, so R is first.
+        // Rows no R row joins, which make S the larger relation.
         (
             "S",
             &[
@@ -222,7 +209,7 @@ fn grouped_projections_count_each_group_once() {
 
 #[test]
 fn group_keys_wider_than_four_values_use_the_boxed_keys() {
-    // R, the first step, binds five head variables, so its groups are keyed
+    // R, the join's lead, binds five head variables, so its groups are keyed
     // on five values; F is deduplicated per group, or — with F gone from
     // the head — every group stops at its first witness.
     let db = db_from(&[
@@ -282,8 +269,7 @@ fn projected_paths_on_a_seeded_graph_match_generic_join() {
         let q = parse_query(text).unwrap();
         let counted = count_answers(&q, &db);
         assert_eq!(counted, evaluate_wcoj(&q, &db).len(), "{text}");
-        assert_eq!(count_by_elimination(&q, &db), Some(counted), "{text}");
-        assert_eq!(count_by_search(&q, &db), counted, "{text}");
+        assert_eq!(counted, evaluate(&q, &db).len(), "{text}");
         assert!(counted > 0, "{text}");
     }
 }
@@ -306,8 +292,6 @@ fn cycles_grids_and_stars_on_a_seeded_graph_agree() {
         let q = parse_query(text).unwrap();
         for q in [with_head(&q, Vec::new()), q] {
             let listed = evaluate(&q, &db).len();
-            assert_eq!(count_by_elimination(&q, &db), Some(listed), "{q}");
-            assert_eq!(count_by_search(&q, &db), listed, "{q}");
             assert_eq!(count_answers(&q, &db), listed, "{q}");
         }
     }
@@ -325,8 +309,34 @@ fn nullary_atoms_count_as_their_relation() {
     db.add_relation(Relation::new(Schema::new("T", 0)));
     assert_counts_agree(&q, &db);
     db.insert_named("T", &[]);
-    assert_eq!(count_by_elimination(&q, &db), Some(2));
+    assert_eq!(count_answers(&q, &db), 2);
     assert_counts_agree(&q, &db);
+}
+
+/// `Q(A,B,C,D) :- R(A), S(B), T(C), U(D)` over four unary relations of
+/// the same `n` values: `n^4` answers.
+fn unary_cross_product(n: usize) -> (ConjunctiveQuery, Database) {
+    let q = parse_query("Q(A,B,C,D) :- R(A), S(B), T(C), U(D)").unwrap();
+    let mut db = Database::new();
+    let values: Vec<Value> = (0..n).map(|i| db.intern(&format!("v{i}"))).collect();
+    for name in ["R", "S", "T", "U"] {
+        let mut rel = Relation::new(Schema::new(name, 1));
+        for &v in &values {
+            rel.insert([v]);
+        }
+        db.add_relation(rel);
+    }
+    (q, db)
+}
+
+#[test]
+fn counts_saturate_exactly_at_u64_max() {
+    // 65,535^4 is just below 2^64 − 1: counted exactly.
+    let (q, db) = unary_cross_product(65_535);
+    assert_eq!(count_answers(&q, &db) as u128, 65_535u128.pow(4));
+    // 65,536^4 = 2^64 does not fit: the count saturates.
+    let (q, db) = unary_cross_product(65_536);
+    assert_eq!(count_answers(&q, &db), usize::MAX);
 }
 
 /// Random key FDs for `q`'s relations: each relation of arity at least

@@ -9,7 +9,8 @@
 //!   its depth limit of 128 levels, which must be an error rather than a
 //!   stack overflow;
 //! - **`parse ∘ render` is the identity** on generated values: every
-//!   variant, integers over the whole `i64` range, non-integral finite
+//!   variant, integers over the whole `i64` range and above it up to
+//!   `u64::MAX` (`Json::Uint`), non-integral finite
 //!   floats, strings with quotes, backslashes, control characters and
 //!   astral-plane characters, nested arrays and objects with repeated
 //!   keys. (A float with an integral value renders as an integer and a
@@ -56,7 +57,7 @@ fn string(rng: &mut Lcg) -> String {
 
 /// A random value at most `depth` levels deep.
 fn value(rng: &mut Lcg, depth: usize) -> Json {
-    let kinds = if depth == 0 { 5 } else { 7 };
+    let kinds = if depth == 0 { 6 } else { 8 };
     match rng.below(kinds) {
         0 => Json::Null,
         1 => Json::Bool(rng.below(2) == 1),
@@ -71,7 +72,8 @@ fn value(rng: &mut Lcg, depth: usize) -> Json {
             Json::Float(x)
         }
         4 => Json::Str(string(rng)),
-        5 => Json::Arr((0..rng.below(4)).map(|_| value(rng, depth - 1)).collect()),
+        5 => Json::Uint(rng.next() | 1 << 63),
+        6 => Json::Arr((0..rng.below(4)).map(|_| value(rng, depth - 1)).collect()),
         _ => Json::Obj(
             (0..rng.below(4))
                 .map(|_| {
@@ -160,7 +162,7 @@ fn render_edges_are_documented() {
     assert_eq!(Json::Float(2.0).render(), "2");
     assert_eq!(Json::parse("2"), Ok(Json::Int(2)));
     assert_eq!(Json::Float(f64::NAN).render(), "null");
-    // Integers past i64 degrade to floats instead of failing.
+    // Integers past u64 degrade to floats instead of failing.
     assert_eq!(
         Json::parse("18446744073709551616"),
         Ok(Json::Float(18446744073709551616.0))

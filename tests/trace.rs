@@ -19,8 +19,9 @@
 //!    still leaves no orphan spans.
 //! 5. **Counting is traced only where it runs** — a `cq-analyze --json`
 //!    run without `--db` opens no `core.count.*` span (analysis never
-//!    counts), and a run with `--db` opens exactly one per input, as the
-//!    child of that input's `session.data_check`.
+//!    counts), and a run with `--db` opens exactly one per input, the
+//!    elimination count's `core.count.eliminate`, as the child of that
+//!    input's `session.data_check`.
 //! 6. **Loading is traced once** — a `--db` run opens one root
 //!    `relation.load` span carrying the database's byte, tuple and
 //!    symbol counts, a run without data none, and the trace assembles
@@ -380,8 +381,8 @@ fn traced_spans(dir: &Path, inputs: &[&str], db: Option<&str>) -> Vec<(String, i
 }
 
 /// A run without `--db` never counts, so it must not pay for a count
-/// route either; a run with `--db` counts each input once, under its
-/// data check.
+/// plan either; a run with `--db` counts each input once, by
+/// elimination, under its data check.
 #[test]
 fn count_spans_appear_once_per_data_check_and_never_without_data() {
     let dir = tmp("count-spans");
@@ -418,10 +419,7 @@ fn count_spans_appear_once_per_data_check_and_never_without_data() {
     assert_eq!(checks.len(), inputs.len(), "{with:?}");
     assert_eq!(counts.len(), inputs.len(), "one count per input: {with:?}");
     for (name, _, parent) in &counts {
-        assert!(
-            name == "core.count.eliminate" || name == "core.count.search",
-            "{name}"
-        );
+        assert_eq!(name, "core.count.eliminate");
         assert!(checks.contains(parent), "{name} under a data check");
     }
     let parents: HashSet<i64> = counts.iter().map(|&&(_, _, parent)| parent).collect();
