@@ -17,11 +17,32 @@
 //!   nonnegativity of **every I-measure atom** `I(S | [k]\S) ≥ 0`; its
 //!   optimum equals the color number `C(Q)` exactly, for arbitrary FDs.
 //!
-//! Proposition 6.9 keeps one LP variable per `h(S)`, `2^k − 1` in all,
-//! under `k(k−1)·2^{k−3}` sparse elemental inequalities (each touches at
-//! most 4 variables), so `cq_lp` routes it to its sparse engines
-//! automatically (see `docs/SOLVER.md`). Proposition 6.10 is solved in
-//! **I-measure coordinates** instead: its variables are the atoms
+//! Stated over every subset, Proposition 6.9 has one LP variable per
+//! `h(S)`, `2^k − 1` in all, under `k(k−1)·2^{k−3}` sparse elemental
+//! inequalities (each touches at most 4 variables), so `cq_lp` routes it
+//! to its sparse engines automatically (see `docs/SOLVER.md`).
+//! [`build_entropy_upper_lp`] builds that program and stays as the
+//! oracle; [`entropy_upper_bound`] solves it over **FD-closed sets**
+//! only. Write `cl(S)` for the closure of `S` under the FDs. Every
+//! feasible `h` has `h(S) = h(cl(S))`: for `lhs → t` and `S ⊇ lhs`,
+//! submodularity gives `h(S ∪ t) − h(S) ≤ h(lhs ∪ t) − h(lhs) = 0`, and
+//! monotonicity gives `≥ 0`. Conversely, a solution `g` over closed sets
+//! extends to `h(S) = g(cl(S))`, which satisfies every row of the full
+//! program. So the closed program has one column per closed set other
+//! than `cl(∅)` (whose entropy is 0), the objective `h(cl(u_0))`, the
+//! normalizations `h(cl(u_j)) ≤ 1`, and no FD rows, which closure makes
+//! trivial. Its elemental rows are the images of the full program's:
+//! since `cl(S ∪ X) = cl(cl(S) ∪ X)`, the row of `(i, j, S)` is the row
+//! of `(i, j, cl(S))`, so only closed `S` are enumerated. With
+//! `A = cl(S ∪ i)` and `A' = cl(S ∪ j)`, the row is
+//! `h(A) + h(A') − h(S) − h(cl(A ∪ A')) ≥ 0`; when `A ⊆ A'`, it reduces
+//! to the monotone row `h(A) − h(S) ≥ 0`, and when `i` or `j` is
+//! already in `S`, to nothing. Each distinct row is
+//! emitted once. On cycle-fd k = 9 this takes the program from
+//! 4,628 × 511 to 4,193 × 447.
+//!
+//! Proposition 6.10 is solved in **I-measure coordinates** instead: its
+//! variables are the atoms
 //! `y_S = I(S | [k]\S) ≥ 0` themselves, and `h(T) = Σ_{S∩T≠∅} y_S`
 //! (Yeung's I-measure; the map is invertible by Möbius inversion, so the
 //! optimum is the same number). The `2^k − 1` atom inequalities become
@@ -57,7 +78,7 @@
 use crate::query::{ConjunctiveQuery, VarFd};
 use cq_arith::Rational;
 use cq_lp::{LinearProgram, Relation as LpRel, SolveStats, Solver, VarId};
-use cq_util::{mask_from, popcount, subsets_of};
+use cq_util::{full_mask, mask_elems, mask_from, popcount, subsets_of};
 
 /// Hard cap on variables (the LP needs `2^k − 1` columns, so this is a
 /// memory bound, not a speed estimate — raised from 16 when the sparse
@@ -236,6 +257,128 @@ fn build_color_number_atom_lp(q: &ConjunctiveQuery, var_fds: &[VarFd]) -> Linear
     lp
 }
 
+/// The FD closure of every mask over `k` variables: `closure[S]` is the
+/// least superset of `S` that contains `t` whenever it contains the
+/// left side of some `lhs → t` in `var_fds`.
+fn closure_table(k: usize, var_fds: &[VarFd]) -> Vec<u32> {
+    let fds: Vec<(u32, u32)> = var_fds
+        .iter()
+        .map(|fd| (mask_from(fd.lhs.iter().copied()), 1 << fd.rhs))
+        .filter(|&(lhs, t)| lhs & t == 0)
+        .collect();
+    let close = |mut s: u32| loop {
+        let grown = fds
+            .iter()
+            .filter(|&&(lhs, _)| s & lhs == lhs)
+            .fold(s, |m, &(_, t)| m | t);
+        if grown == s {
+            return s;
+        }
+        s = grown;
+    };
+    let mut closure = vec![close(0); 1 << k];
+    for s in 1..closure.len() {
+        // cl(S) ⊇ cl(S minus its lowest element) ∪ S, so start there.
+        let rest = s & (s - 1);
+        closure[s] = close(closure[rest] | s as u32);
+    }
+    closure
+}
+
+/// The Proposition 6.9 program over FD-closed sets (see the module
+/// docs): one column `h(C)` per closed `C ≠ cl(∅)`, largest mask first,
+/// objective `h(cl(u_0))`, one `h(cl(u_j)) ≤ 1` per distinct closed atom
+/// set, no FD rows, and each distinct image of an elemental inequality
+/// once. Rows that only restate `h(C) ≥ 0` are left to the variable
+/// bounds. Same optimum as [`build_entropy_upper_lp`].
+fn build_closed_entropy_upper_lp(q: &ConjunctiveQuery, var_fds: &[VarFd]) -> LinearProgram {
+    let k = q.num_vars();
+    assert!(
+        k <= MAX_ENTROPY_LP_VARS,
+        "entropy LPs need 2^k variables; {k} query variables exceeds the cap of {MAX_ENTROPY_LP_VARS}"
+    );
+    let full = full_mask(k);
+    let closure = closure_table(k, var_fds);
+    // h(cl(∅)) = h(∅) = 0, so that set gets no column.
+    let zero = closure[0];
+    let mut lp = LinearProgram::maximize();
+    // Columns run from the full set down. Devex breaks pricing ties by
+    // the smaller index, so larger sets enter first; that cut float
+    // pivots on every cycle-fd program and by 15% over 40 random ones
+    // (docs/SOLVER.md).
+    let mut col: Vec<Option<VarId>> = vec![None; 1 << k];
+    for s in (0..=full).rev() {
+        if closure[s as usize] == s && s != zero {
+            col[s as usize] = Some(lp.add_var(format!("h{s:b}")));
+        }
+    }
+    let terms = |masks: &[(u32, i64)]| -> Vec<(VarId, Rational)> {
+        masks
+            .iter()
+            .filter_map(|&(mask, sign)| col[mask as usize].map(|v| (v, Rational::int(sign))))
+            .collect()
+    };
+    let head = closure[mask_from(q.head_var_set().iter()) as usize];
+    if let Some(v) = col[head as usize] {
+        lp.set_objective_coeff(v, Rational::one());
+    }
+    let mut normalized: Vec<u32> = Vec::new();
+    for atom in q.body() {
+        let c = closure[mask_from(atom.var_set().iter()) as usize];
+        if c != zero && !normalized.contains(&c) {
+            normalized.push(c);
+            lp.add_constraint(terms(&[(c, 1)]), LpRel::Le, Rational::one());
+        }
+    }
+    // H(X_i | rest) ≥ 0: cl(full − i) is full − i itself unless it is
+    // full, so distinct i give distinct rows.
+    for i in 0..k {
+        let rest = closure[(full & !(1 << i)) as usize];
+        if rest != full && rest != zero {
+            lp.add_constraint(terms(&[(full, 1), (rest, -1)]), LpRel::Ge, Rational::zero());
+        }
+    }
+    // I(X_i; X_j | X_S) ≥ 0 maps to the row of (i, j, cl(S)), so only
+    // closed S = t are enumerated. `grown` holds the distinct sets
+    // cl(t ∪ {i}) for i ∉ t, each flagged when some row of t reduces to
+    // the monotone `h(A) − h(t) ≥ 0`: two variables with the same closure
+    // A, or A inside another variable's closure.
+    let mut grown: Vec<(u32, bool)> = Vec::with_capacity(k);
+    for t in 0..=full {
+        if closure[t as usize] != t {
+            continue;
+        }
+        grown.clear();
+        for i in mask_elems(full & !t) {
+            let a = closure[(t | 1 << i) as usize];
+            match grown.iter_mut().find(|(b, _)| *b == a) {
+                Some(entry) => entry.1 = true,
+                None => grown.push((a, false)),
+            }
+        }
+        for x in 0..grown.len() {
+            for y in x + 1..grown.len() {
+                let (a, b) = (grown[x].0, grown[y].0);
+                if a & !b == 0 {
+                    grown[x].1 = true;
+                } else if b & !a == 0 {
+                    grown[y].1 = true;
+                } else {
+                    let ab = closure[(a | b) as usize];
+                    let row = terms(&[(a, 1), (b, 1), (t, -1), (ab, -1)]);
+                    lp.add_constraint(row, LpRel::Ge, Rational::zero());
+                }
+            }
+        }
+        if t != zero {
+            for &(a, _) in grown.iter().filter(|(_, monotone)| *monotone) {
+                lp.add_constraint(terms(&[(a, 1), (t, -1)]), LpRel::Ge, Rational::zero());
+            }
+        }
+    }
+    lp
+}
+
 /// Solves the I-measure-coordinate Proposition 6.10 program with
 /// `solver`.
 fn solve_color_number_atom_lp(
@@ -264,7 +407,7 @@ pub fn entropy_upper_bound_with_stats(
     q: &ConjunctiveQuery,
     var_fds: &[VarFd],
 ) -> (Rational, SolveStats) {
-    let sol = build_entropy_upper_lp(q, var_fds).solve();
+    let sol = build_closed_entropy_upper_lp(q, var_fds).solve();
     assert!(
         sol.is_optimal(),
         "Proposition 6.9 LP is feasible and bounded"
@@ -526,6 +669,138 @@ R[1,2] -> R[4]",
             assert_eq!(stats.cols, cols, "k = {k}");
             assert_eq!(stats.float_pivots, float_pivots, "k = {k}");
         }
+    }
+
+    /// Without FDs every set is closed, so the closed program is the
+    /// full one: same columns, and the same rows less the FD equalities
+    /// there are none of.
+    #[test]
+    fn closed_program_without_fds_has_the_oracle_shape() {
+        for text in [
+            "S(X,Y,Z) :- R(X,Y), R(X,Z), R(Y,Z)",
+            "Q(X) :- R(X,Y), S(Y,Z)",
+            "Q(A,B,C,D) :- R(A,B), S(B,C), T(C,D), U(D,A)",
+            "Q(A,B,C,D,E) :- R(A,B,C), S(C,D), T(D,E)",
+        ] {
+            let q = parse_query(text).unwrap();
+            let closed = build_closed_entropy_upper_lp(&q, &[]);
+            let full = build_entropy_upper_lp(&q, &[]);
+            assert_eq!(closed.num_vars(), full.num_vars(), "{text}");
+            assert_eq!(closed.num_constraints(), full.num_constraints(), "{text}");
+        }
+    }
+
+    /// `cl(S)` by applying the FDs until nothing changes.
+    fn naive_closure(mut s: u32, var_fds: &[VarFd]) -> u32 {
+        loop {
+            let mut grown = s;
+            for fd in var_fds {
+                if fd.lhs.iter().all(|&v| s >> v & 1 == 1) {
+                    grown |= 1 << fd.rhs;
+                }
+            }
+            if grown == s {
+                return s;
+            }
+            s = grown;
+        }
+    }
+
+    /// On programs whose closed sets are a strict sublattice — among them
+    /// the two random programs on which the full program's devex walk
+    /// took 7,402 and 17,371 float pivots, and an FD cycle `X ↔ Y` that
+    /// gives two variables the same closure — the closed program has no
+    /// empty and no duplicate row, and its columns are exactly the
+    /// closed sets other than `cl(∅)`, each used by some row.
+    #[test]
+    fn closed_program_rows_are_distinct_and_columns_closed() {
+        for text in [
+            cycle_fd(6).as_str(),
+            "Q(X,Y,Z) :- R(X,Y,Z), S2(X,Z)\nR[1,2] -> R[3]",
+            "Q(X,Y,Z,W) :- R(X,Y), S(Y,Z), T(Z,W)\nR[1] -> R[2]\nR[2] -> R[1]",
+            "Q(V3,V2,V7,V0,V6,V1,V4,V5) :- A0(V4,V3,V1), A1(V4,V1), A2(V7,V4,V2), \
+             A3(V1,V6,V0), A4(V6,V5), A5(V7,V1,V3), A6(V7,V0)\n\
+             A2[1,2] -> A2[3]\nA3[1,2] -> A3[3]\nA4[1] -> A4[2]",
+            "Q(V5,V4,V0) :- A0(V6,V5,V1), A1(V7,V4,V5), A2(V1,V7,V5), A3(V1,V7), \
+             A4(V3,V7,V2), A5(V6,V1,V4), A6(V3,V0)\n\
+             A0[1,2] -> A0[3]\nA1[1,2] -> A1[3]\nA2[1] -> A2[2]\nA3[1] -> A3[2]\n\
+             A5[1] -> A5[2]\nA6[1] -> A6[2]",
+        ] {
+            let (q, fds) = parse_program(text).unwrap();
+            let chased = chase(&q, &fds).query;
+            let vfds = chased.variable_fds(&fds);
+            let k = chased.num_vars();
+            let closure = closure_table(k, &vfds);
+            for s in 0..1u32 << k {
+                assert_eq!(closure[s as usize], naive_closure(s, &vfds), "{text}");
+            }
+            let lp = build_closed_entropy_upper_lp(&chased, &vfds);
+            let closed = (1..1u32 << k)
+                .filter(|&s| naive_closure(s, &vfds) == s)
+                .count();
+            assert_eq!(lp.num_vars(), closed, "{text}");
+            assert!(closed < (1 << k) - 1, "{text}: no FD shrinks the lattice");
+
+            let mut rows = std::collections::HashSet::new();
+            let mut used = std::collections::HashSet::new();
+            for row in lp.constraints() {
+                let key = row_key(&lp, &row.coeffs, row.rel, &row.rhs, Some);
+                assert!(!key.0.is_empty(), "{text}: empty row");
+                assert!(rows.insert(key), "{text}: duplicate row {row:?}");
+                used.extend(row.coeffs.iter().map(|&(v, _)| v));
+            }
+            assert_eq!(used.len(), closed, "{text}: a column no row uses");
+            for v in used {
+                let mask = u32::from_str_radix(&lp.var_name(v)[1..], 2).unwrap();
+                assert_eq!(naive_closure(mask, &vfds), mask, "{text}: column h{mask:b}");
+            }
+
+            // The rows are exactly the distinct images under h(S) =
+            // h(cl(S)) of the full program's rows, less those that become
+            // empty or only restate some h(C) >= 0.
+            let full = build_entropy_upper_lp(&chased, &vfds);
+            let zero = naive_closure(0, &vfds);
+            let images: std::collections::HashSet<_> = full
+                .constraints()
+                .iter()
+                .map(|row| {
+                    row_key(&full, &row.coeffs, row.rel, &row.rhs, |s| {
+                        Some(naive_closure(s, &vfds)).filter(|&c| c != zero)
+                    })
+                })
+                .filter(|(terms, rel, rhs)| {
+                    let bound = terms.len() == 1 && terms[0].1 == "1" && rel == ">=" && rhs == "0";
+                    !terms.is_empty() && !bound
+                })
+                .collect();
+            assert!(rows == images, "{text}: rows are not the closed images");
+        }
+    }
+
+    /// A row as its `(set, coefficient)` terms, relation and right-hand
+    /// side, with each term's set (read from its `h…` column name) sent
+    /// through `map`: terms on the same set are summed, zero sums and
+    /// unmapped sets dropped.
+    fn row_key(
+        lp: &LinearProgram,
+        coeffs: &[(VarId, Rational)],
+        rel: LpRel,
+        rhs: &Rational,
+        map: impl Fn(u32) -> Option<u32>,
+    ) -> (Vec<(u32, String)>, String, String) {
+        let mut terms = std::collections::BTreeMap::<u32, Rational>::new();
+        for (v, c) in coeffs {
+            let mask = u32::from_str_radix(&lp.var_name(*v)[1..], 2).unwrap();
+            if let Some(set) = map(mask) {
+                *terms.entry(set).or_insert_with(Rational::zero) += c;
+            }
+        }
+        let terms = terms
+            .into_iter()
+            .filter(|(_, c)| !c.is_zero())
+            .map(|(set, c)| (set, c.to_string()))
+            .collect();
+        (terms, rel.to_string(), rhs.to_string())
     }
 
     #[test]

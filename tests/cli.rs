@@ -141,13 +141,13 @@ fn lp_engine_pin_reaches_the_binary() {
     assert_eq!(hybrid_report, exact_report, "the pin changes no bound");
     assert_eq!(
         hybrid_stats,
-        "\"solver_stats\":{\"pivots\":13,\"refactorizations\":0,\"dense_solves\":1,\
+        "\"solver_stats\":{\"pivots\":9,\"refactorizations\":0,\"dense_solves\":1,\
          \"sparse_solves\":0,\"hybrid_solves\":1,\"float_pivots\":1,\"float_verified\":1,\
          \"exact_fallbacks\":0}"
     );
     assert_eq!(
         exact_stats,
-        "\"solver_stats\":{\"pivots\":14,\"refactorizations\":0,\"dense_solves\":1,\
+        "\"solver_stats\":{\"pivots\":10,\"refactorizations\":0,\"dense_solves\":1,\
          \"sparse_solves\":1,\"hybrid_solves\":0,\"float_pivots\":0,\"float_verified\":0,\
          \"exact_fallbacks\":0}"
     );

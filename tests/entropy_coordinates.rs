@@ -1,5 +1,6 @@
-//! The Proposition 6.10 program in its two coordinate systems must agree.
+//! The entropy programs the engine solves must agree with their oracles.
 //!
+//! **Proposition 6.10, two coordinate systems.**
 //! `color_number_entropy_lp` solves the program in I-measure coordinates
 //! (one column per atom `y_S`, one row per query atom); the oracle
 //! `build_color_number_entropy_lp` states it over the entropies `h(S)`
@@ -8,13 +9,23 @@
 //! their optima must be the same rational on every query and every set
 //! of variable-level FDs — simple, compound, and trivial (`rhs ∈ lhs`).
 //!
-//! The property runs on the *default* proptest config, so
+//! **Proposition 6.9, closed sets against all sets.** `entropy_upper_bound`
+//! solves the Shannon program over FD-closed variable sets only, with
+//! each elemental inequality mapped through the closure and emitted once;
+//! the oracle `build_entropy_upper_lp` keeps one column per subset and the
+//! FD equalities, and is solved here by the exact revised simplex. Every
+//! feasible `h` of the full program has `h(S) = h(cl(S))`, so the optima
+//! must be the same rational on the same random queries and FDs.
+//!
+//! Both properties run on the *default* proptest config, so
 //! `PROPTEST_CASES` scales it, and CI's scheduled deep job also runs it
-//! with `CQ_LP_ENGINE=exact`, which sends the atom program to the exact
+//! with `CQ_LP_ENGINE=exact`, which sends the atom program, and every
+//! closed program large enough for `Auto`'s sparse routing, to the exact
 //! revised engine instead of the hybrid.
 
 use cqbounds::core::{
-    build_color_number_entropy_lp, color_number_entropy_lp, Atom, ConjunctiveQuery, VarFd,
+    build_color_number_entropy_lp, build_entropy_upper_lp, color_number_entropy_lp,
+    entropy_upper_bound, Atom, ConjunctiveQuery, VarFd,
 };
 use cqbounds::lp::Solver;
 use proptest::prelude::*;
@@ -59,5 +70,12 @@ proptest! {
             .solve_with_solver(Solver::RevisedSparse);
         prop_assert!(oracle.is_optimal(), "{q} {var_fds:?}: oracle not optimal");
         prop_assert_eq!(color_number_entropy_lp(&q, &var_fds), oracle.objective);
+    }
+
+    #[test]
+    fn closed_and_full_shannon_programs_agree((q, var_fds) in arb_query_with_fds()) {
+        let oracle = build_entropy_upper_lp(&q, &var_fds).solve_with_solver(Solver::RevisedSparse);
+        prop_assert!(oracle.is_optimal(), "{q} {var_fds:?}: oracle not optimal");
+        prop_assert_eq!(entropy_upper_bound(&q, &var_fds), oracle.objective);
     }
 }

@@ -533,7 +533,7 @@ fn float_propose_spans_record_the_pivot_counts() {
         .map(|e| ["pivots", "degenerate", "bland"].map(|key| e.get(key).and_then(Json::as_i64)))
         .collect();
     // (pivots, degenerate, bland): Prop 6.10, then Prop 6.9.
-    let expected = [[Some(7), Some(3), Some(0)], [Some(513), Some(508), Some(0)]];
+    let expected = [[Some(7), Some(3), Some(0)], [Some(419), Some(415), Some(0)]];
     assert_eq!(counts, expected, "{events:?}");
 
     std::fs::remove_dir_all(&dir).ok();

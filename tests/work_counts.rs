@@ -10,11 +10,14 @@
 //!
 //! Pinned here, and nowhere else:
 //!
-//! 1. **Proposition 6.9 on cycle-fd, k = 8 and 9, and on k = 8 with two
-//!    chords** (`Solver::Auto`, the production path of
-//!    `entropy_upper_bound_with_stats`): the engine `Auto` picks, the
-//!    float pivot count, a verified float basis, zero exact pivots and
-//!    zero exact fallbacks.
+//! 1. **Proposition 6.9 on cycle-fd, k = 8 and 9, on k = 8 with two
+//!    chords, and on two random programs** (`Solver::Auto`, the
+//!    production path of `entropy_upper_bound_with_stats`, which solves
+//!    the program over FD-closed variable sets): the value, the program
+//!    shape, the engine `Auto` picks, the float pivot count, a verified
+//!    float basis, zero exact pivots and zero exact fallbacks. Over all
+//!    subsets the random programs ran into devex's degenerate tail, at
+//!    7,402 and 17,371 float pivots.
 //! 2. **The h-coordinate Proposition 6.10 program at k = 8**: `Auto`
 //!    picks the hybrid engine, its float basis verifies after a pinned
 //!    number of float pivots and without exact ones, and its objective
@@ -92,45 +95,70 @@ fn cycle_query(k: usize) -> ConjunctiveQuery {
     ConjunctiveQuery::new(vars, (0..k).collect(), body)
 }
 
+/// `rnd/q270`, a random 8-variable program with simple and compound FDs.
+/// The full Proposition 6.9 program took 7,402 float pivots there, 5,330
+/// of them Bland-priced, in devex's degenerate tail.
+const RANDOM_Q270: &str = "Q(V3,V2,V7,V0,V6,V1,V4,V5) :- A0(V4,V3,V1), A1(V4,V1), \
+    A2(V7,V4,V2), A3(V1,V6,V0), A4(V6,V5), A5(V7,V1,V3), A6(V7,V0)
+A2[1,2] -> A2[3]
+A3[1,2] -> A3[3]
+A4[1] -> A4[2]";
+
+/// A random program from the same corpus on which the full program took
+/// 17,371 float pivots, 13,671 of them Bland-priced.
+const RANDOM_17371: &str = "Q(V5,V4,V0) :- A0(V6,V5,V1), A1(V7,V4,V5), A2(V1,V7,V5), \
+    A3(V1,V7), A4(V3,V7,V2), A5(V6,V1,V4), A6(V3,V0)
+A0[1,2] -> A0[3]
+A1[1,2] -> A1[3]
+A2[1] -> A2[2]
+A3[1] -> A3[2]
+A5[1] -> A5[2]
+A6[1] -> A6[2]";
+
 #[test]
 fn prop_6_9_on_cycle_fd_stays_on_the_verified_float_path() {
     let expected = expected_large_engine();
-    // (k, extra atoms, rows, columns, s(Q), pivots): the columns are the
-    // 2^k - 1 nonempty variable sets, the rows the atom normalizations,
-    // the FD equality and the elemental Shannon inequalities. The two
-    // chords took 6,181 float pivots under Dantzig pricing with an
-    // early Bland switch, against 287 without them.
+    // (program, rows, columns, s(Q), pivots) of the program that
+    // entropy_upper_bound solves: one column per FD-closed variable set,
+    // the distinct closed atom normalizations and the distinct closed
+    // images of the elemental Shannon inequalities. The full program over
+    // all 2^k - 1 sets had, in the same order, 1,810 x 255, 4,628 x 511,
+    // 1,812 x 255, 1,810 x 255 and 1,812 x 255, and took 253, 513, 592,
+    // 7,402 and 17,371 float pivots. The two chords took 6,181 float
+    // pivots under Dantzig pricing with an early Bland switch.
     let chords: &[&str] = &["C0(X0,X4)", "C1(X1,X5)"];
-    for (k, extra, rows, cols, bound, pivots) in [
-        (8, &[][..], 1810, 255, "4", 253),
-        (9, &[][..], 4628, 511, "4", 513),
-        (8, chords, 1812, 255, "7/2", 592),
+    for (text, rows, cols, bound, pivots) in [
+        (cycle_fd(8, &[]), 1647, 223, "4", 210),
+        (cycle_fd(9, &[]), 4193, 447, "4", 419),
+        (cycle_fd(8, chords), 1649, 223, "7/2", 224),
+        (RANDOM_Q270.to_string(), 1197, 153, "5/2", 138),
+        (RANDOM_17371.to_string(), 583, 77, "2", 96),
     ] {
-        let (q, fds) = parse_program(&cycle_fd(k, extra)).unwrap();
+        let (q, fds) = parse_program(&text).unwrap();
         let chased = chase(&q, &fds).query;
         let vfds = chased.variable_fds(&fds);
         let lp = build_entropy_upper_lp(&chased, &vfds);
-        assert_eq!(Solver::Auto.resolve(&lp), expected, "k = {k}: routing");
+        assert_eq!(Solver::Auto.resolve(&lp), expected, "{text}: routing");
 
         let (value, stats) = entropy_upper_bound_with_stats(&chased, &vfds);
-        assert_eq!(value.to_string(), bound, "k = {k} {extra:?}: s(Q)");
-        assert_eq!(stats.solver, expected, "k = {k}: solve() honors Auto");
+        assert_eq!(value.to_string(), bound, "{text}: s(Q)");
+        assert_eq!(stats.solver, expected, "{text}: solve() honors Auto");
         assert_eq!(
             (stats.rows, stats.cols),
             (rows, cols),
-            "k = {k} {extra:?}: program shape"
+            "{text}: program shape"
         );
-        assert_eq!(stats.bland_pivots, 0, "k = {k} {extra:?}: {stats:?}");
+        assert_eq!(stats.bland_pivots, 0, "{text}: {stats:?}");
         if expected == SolverKind::HybridFloat {
-            assert!(stats.float_verified, "k = {k} {extra:?}: {stats:?}");
-            assert_eq!(stats.exact_fallbacks, 0, "k = {k} {extra:?}: {stats:?}");
+            assert!(stats.float_verified, "{text}: {stats:?}");
+            assert_eq!(stats.exact_fallbacks, 0, "{text}: {stats:?}");
             assert_eq!(
                 stats.pivots, 0,
-                "k = {k} {extra:?}: a verified basis needs no exact pivot"
+                "{text}: a verified basis needs no exact pivot"
             );
-            assert_eq!(stats.float_pivots, pivots, "k = {k} {extra:?}: {stats:?}");
+            assert_eq!(stats.float_pivots, pivots, "{text}: {stats:?}");
         } else {
-            assert_eq!(stats.pivots, pivots, "k = {k} {extra:?}: {stats:?}");
+            assert_eq!(stats.pivots, pivots, "{text}: {stats:?}");
         }
     }
 }
