@@ -243,14 +243,6 @@ impl Rational {
         self.signum() > 0
     }
 
-    /// `true` iff the denominator is 1.
-    pub fn is_integer(&self) -> bool {
-        match &self.0 {
-            Small { den, .. } => *den == 1,
-            Big(b) => b.1.is_one(),
-        }
-    }
-
     /// Sign as -1, 0 or 1.
     pub fn signum(&self) -> i32 {
         match &self.0 {
@@ -285,36 +277,6 @@ impl Rational {
         }
     }
 
-    /// Largest integer `<= self`.
-    pub fn floor(&self) -> BigInt {
-        match &self.0 {
-            &Small { num, den } => num.div_euclid(den).into(),
-            Big(b) => {
-                let (q, r) = b.0.div_rem(&b.1);
-                if r.is_negative() {
-                    &q - &BigInt::one()
-                } else {
-                    q
-                }
-            }
-        }
-    }
-
-    /// Smallest integer `>= self`.
-    pub fn ceil(&self) -> BigInt {
-        match &self.0 {
-            &Small { num, den } => (-(-num).div_euclid(den)).into(),
-            Big(b) => {
-                let (q, r) = b.0.div_rem(&b.1);
-                if r.is_positive() {
-                    &q + &BigInt::one()
-                } else {
-                    q
-                }
-            }
-        }
-    }
-
     /// Integer power (negative exponents via reciprocal).
     pub fn pow(&self, exp: i32) -> Rational {
         if exp < 0 {
@@ -343,40 +305,6 @@ impl Rational {
             &Small { num, den } => num as f64 / den as f64,
             Big(b) => big_to_f64(&b.0, &b.1),
         }
-    }
-
-    /// The exact rational value of a finite `f64` (`None` for NaN/±inf).
-    ///
-    /// Every finite float is a dyadic rational `m · 2^e`, so the result
-    /// round-trips: `Rational::from_f64_approx(x).unwrap().to_f64() == x`.
-    /// The name says "approx" because the *intended* real number is
-    /// usually only approximated by `x` itself — e.g. warm-starting the
-    /// exact simplex from a float basis.
-    pub fn from_f64_approx(x: f64) -> Option<Rational> {
-        if !x.is_finite() {
-            return None;
-        }
-        if x == 0.0 {
-            return Some(Rational::zero());
-        }
-        let bits = x.to_bits();
-        let exp = ((bits >> 52) & 0x7ff) as i64;
-        let frac = bits & ((1u64 << 52) - 1);
-        // Subnormals have an implicit leading 0 and a fixed exponent;
-        // normals an implicit leading 1. Either way `x = ±m · 2^e`.
-        let (m, e) = if exp == 0 {
-            (frac, -1074i64)
-        } else {
-            (frac | (1u64 << 52), exp - 1075)
-        };
-        let m = BigInt::from(m);
-        let m = if bits >> 63 == 1 { -m } else { m };
-        let two = BigInt::from(2u64);
-        Some(if e >= 0 {
-            Rational::from(&m * &two.pow(e as u32))
-        } else {
-            Rational::new(m, two.pow((-e) as u32))
-        })
     }
 
     /// The minimum of two rationals (by value).
@@ -655,16 +583,6 @@ mod tests {
     }
 
     #[test]
-    fn floor_ceil() {
-        assert_eq!(rat("7/2").floor(), BigInt::from(3));
-        assert_eq!(rat("7/2").ceil(), BigInt::from(4));
-        assert_eq!(rat("-7/2").floor(), BigInt::from(-4));
-        assert_eq!(rat("-7/2").ceil(), BigInt::from(-3));
-        assert_eq!(rat("4").floor(), BigInt::from(4));
-        assert_eq!(rat("4").ceil(), BigInt::from(4));
-    }
-
-    #[test]
     fn pow_and_recip() {
         assert_eq!(rat("2/3").pow(2), rat("4/9"));
         assert_eq!(rat("2/3").pow(-2), rat("9/4"));
@@ -719,29 +637,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn from_f64_approx_roundtrip() {
-        for x in [
-            0.0,
-            -0.0,
-            1.5,
-            -22.0 / 7.0,
-            2f64.powi(600),
-            2f64.powi(-600),
-            f64::MIN_POSITIVE,
-            5e-324, // smallest subnormal
-            f64::MAX,
-        ] {
-            let r = Rational::from_f64_approx(x).expect("finite input");
-            assert_eq!(r.to_f64(), x, "round-trip failed for {x}");
-        }
-        assert_eq!(Rational::from_f64_approx(0.5), Some(Rational::ratio(1, 2)));
-        assert_eq!(Rational::from_f64_approx(-3.0), Some(Rational::int(-3)));
-        assert!(Rational::from_f64_approx(f64::NAN).is_none());
-        assert!(Rational::from_f64_approx(f64::INFINITY).is_none());
-        assert!(Rational::from_f64_approx(f64::NEG_INFINITY).is_none());
-    }
-
     fn arb_rational() -> impl Strategy<Value = Rational> {
         (any::<i32>(), 1..10_000i64).prop_map(|(p, q)| Rational::ratio(p as i64, q))
     }
@@ -775,14 +670,6 @@ mod tests {
         #[test]
         fn parse_roundtrip(a in arb_rational()) {
             prop_assert_eq!(a.to_string().parse::<Rational>().unwrap(), a);
-        }
-
-        #[test]
-        fn floor_ceil_bracket(a in arb_rational()) {
-            let fl = Rational::from(a.floor());
-            let ce = Rational::from(a.ceil());
-            prop_assert!(fl <= a && a <= ce);
-            prop_assert!(&ce - &fl <= Rational::one());
         }
 
         #[test]
@@ -925,11 +812,6 @@ mod tests {
             let neg = -&a;
             check_canonical(&neg)?;
             prop_assert_eq!(&neg + &a, Rational::zero());
-            let (q, r) = an.div_rem(&ad);
-            let floor = if r.is_negative() { &q - &BigInt::one() } else { q.clone() };
-            let ceil = if r.is_positive() { &q + &BigInt::one() } else { q };
-            prop_assert_eq!(a.floor(), floor);
-            prop_assert_eq!(a.ceil(), ceil);
             let cube = a.pow(3);
             check_canonical(&cube)?;
             prop_assert!(equals_oracle(&cube, &an.pow(3), &ad.pow(3)));

@@ -48,9 +48,18 @@
 //! optimum is the same number). The `2^k − 1` atom inequalities become
 //! plain variable bounds, each FD `lhs → t` deletes the atoms it forces
 //! to 0 (its equality reads `Σ_{t∈S, S∩lhs=∅} y_S = 0`), and what is left
-//! is one `≤ 1` row per query atom over at most `2^k − 1` columns. A few
-//! pivots solve it where the `h`-coordinate program
-//! ([`build_color_number_entropy_lp`], kept as the oracle the
+//! is one `≤ 1` row per query atom over the live atoms. Every column
+//! has nonnegative coefficients: `y_S` has objective `[S ∩ u_0 ≠ ∅]`
+//! and enters row `j` iff `S ∩ u_j ≠ ∅`. So a live `S` that misses the
+//! head adds nothing, and a live `S` that meets it is dominated by any
+//! live `S' ⊊ S` that also meets it: `y_{S'}` enters no row that `y_S`
+//! misses, for the same objective, so moving weight from `y_S` to
+//! `y_{S'}` keeps a solution feasible at the same value. The program
+//! keeps only the inclusion-minimal live sets that meet the head, which
+//! one upward sweep over the masks finds in `k·2^k` bit operations. On
+//! cycle-fd they are the `k − 1` live singletons, against 895 live
+//! atoms at k = 10. A few pivots solve it where the `h`-coordinate
+//! program ([`build_color_number_entropy_lp`], kept as the oracle the
 //! differential and work-count tests use) needs about `2^k`. The
 //! engine-level caps on `k` live at `cq_engine::session`.
 //!
@@ -213,18 +222,19 @@ pub fn build_color_number_entropy_lp(q: &ConjunctiveQuery, var_fds: &[VarFd]) ->
     b.lp
 }
 
-/// The Proposition 6.10 program in I-measure coordinates: one column
-/// `y_S ≥ 0` per nonempty `S ⊆ [k]` that no FD deletes (`lhs → t`
-/// deletes every `S` with `t ∈ S` and `S ∩ lhs = ∅`), one row
-/// `Σ_{S∩u_j≠∅} y_S ≤ 1` per query atom, objective `Σ_{S∩u_0≠∅} y_S`.
-/// Same optimum as [`build_color_number_entropy_lp`].
+/// The Proposition 6.10 program in I-measure coordinates over the
+/// minimal live atoms that meet the head (see the module docs): one
+/// column `y_S ≥ 0` per such `S`, in increasing mask order, one row
+/// `Σ_{S∩u_j≠∅} y_S ≤ 1` per query atom, objective `Σ_S y_S`. A set is
+/// live when no FD deletes it (`lhs → t` deletes every `S` with `t ∈ S`
+/// and `S ∩ lhs = ∅`). Same optimum as [`build_color_number_entropy_lp`].
 fn build_color_number_atom_lp(q: &ConjunctiveQuery, var_fds: &[VarFd]) -> LinearProgram {
     let k = q.num_vars();
     assert!(
         k <= MAX_ENTROPY_LP_VARS,
         "entropy LPs need 2^k variables; {k} query variables exceeds the cap of {MAX_ENTROPY_LP_VARS}"
     );
-    let full: u32 = ((1u64 << k) - 1) as u32;
+    let full = full_mask(k);
     let head = mask_from(q.head_var_set().iter());
     let atoms: Vec<u32> = q
         .body()
@@ -237,14 +247,20 @@ fn build_color_number_atom_lp(q: &ConjunctiveQuery, var_fds: &[VarFd]) -> Linear
         .collect();
     let mut lp = LinearProgram::maximize();
     let mut rows: Vec<Vec<(VarId, Rational)>> = vec![Vec::new(); atoms.len()];
+    // covers[S]: some subset of S (S itself included) is live and meets
+    // the head. Masks run upwards, so every S∖x is settled before S.
+    let mut covers = vec![false; 1 << k];
     for s in 1..=full {
-        if fds.iter().any(|&(lhs, t)| s & t != 0 && s & lhs == 0) {
+        if mask_elems(s).any(|x| covers[(s & !(1 << x)) as usize]) {
+            covers[s as usize] = true;
             continue;
         }
-        let y = lp.add_var(format!("y{s:b}"));
-        if s & head != 0 {
-            lp.set_objective_coeff(y, Rational::one());
+        if s & head == 0 || fds.iter().any(|&(lhs, t)| s & t != 0 && s & lhs == 0) {
+            continue;
         }
+        covers[s as usize] = true;
+        let y = lp.add_var(format!("y{s:b}"));
+        lp.set_objective_coeff(y, Rational::one());
         for (row, &u) in rows.iter_mut().zip(&atoms) {
             if s & u != 0 {
                 row.push((y, Rational::one()));
@@ -419,10 +435,9 @@ pub fn entropy_upper_bound_with_stats(
 /// nonnegative I-measure atoms, for arbitrary FDs. Apply to `chase(Q)`.
 ///
 /// Solved in I-measure coordinates (see the module docs): one
-/// constraint per query atom and up to `2^k − 1` columns, typically
-/// about three quarters of the matrix nonzero. That is too dense for `Solver::Auto`'s sparse
-/// routing, so the program goes straight to the engine `Auto` uses for
-/// large programs (`Solver::large_program`): the hybrid float/exact
+/// constraint per query atom and one column per inclusion-minimal live
+/// atom that meets the head. The program goes to the engine `Auto` uses
+/// for large programs (`Solver::large_program`): the hybrid float/exact
 /// simplex, or the exact revised simplex under `CQ_LP_ENGINE=exact`.
 pub fn color_number_entropy_lp(q: &ConjunctiveQuery, var_fds: &[VarFd]) -> Rational {
     color_number_entropy_lp_with_stats(q, var_fds).0
@@ -648,15 +663,16 @@ R[1,2] -> R[4]",
     }
 
     /// Exact work counts of the Proposition 6.10 solve on chased cycle-fd
-    /// k = 9, 10, 11 under the default large-program engine. The columns
-    /// are `2^k − 1` minus the `2^{k−3}` atoms the FD deletes; the float
-    /// pivot counts are deterministic (the `h`-coordinate program needed
-    /// `2^k − 1` of them), so a change in either is a change in the
-    /// program or in the simplex, never noise.
+    /// k = 9 to 14 under the default large-program engine; k = 14 is the
+    /// engine's `ENTROPY_COLOR_VAR_CAP`. The columns are the `k − 1` live
+    /// singletons (the FD deletes `{X2}`, and every other live set holds
+    /// one of them); the float pivot counts are deterministic (the
+    /// `h`-coordinate program needed `2^k − 1` of them), so a change in
+    /// either is a change in the program or in the simplex, never noise.
     #[test]
     fn prop_6_10_work_counts_on_cycle_fd() {
         let engine = cq_lp::auto_large_engine(None);
-        for (k, cols, float_pivots) in [(9, 447, 7), (10, 895, 9), (11, 1791, 9)] {
+        for (k, float_pivots) in [(9, 7), (10, 9), (11, 9), (12, 11), (14, 13)] {
             let (q, fds) = parse_program(&cycle_fd(k)).unwrap();
             let chased = chase(&q, &fds).query;
             let vfds = chased.variable_fds(&fds);
@@ -666,8 +682,70 @@ R[1,2] -> R[4]",
             assert!(stats.float_verified, "k = {k}: {stats:?}");
             assert_eq!(stats.exact_fallbacks, 0, "k = {k}");
             assert_eq!(stats.rows, k + 1, "k = {k}");
-            assert_eq!(stats.cols, cols, "k = {k}");
+            assert_eq!(stats.cols, k - 1, "k = {k}");
             assert_eq!(stats.float_pivots, float_pivots, "k = {k}");
+        }
+    }
+
+    /// The atom program's columns are exactly the inclusion-minimal sets
+    /// among the live nonempty `S` that meet the head, found here by
+    /// checking every subset of every mask, and its optimum is the
+    /// `h`-coordinate oracle's. The cases include an FD cycle `X ↔ Y`
+    /// (neither singleton is live), an FD whose right side is the only
+    /// head variable (the one column is a pair), and an empty head (no
+    /// columns at all, optimum 0).
+    #[test]
+    fn atom_program_columns_are_the_minimal_live_sets_meeting_the_head() {
+        let boolean = {
+            let mut b = crate::query::QueryBuilder::new();
+            b.head(&[]).atom("R", &["X", "Y"]).atom("S", &["Y", "Z"]);
+            (b.build(), cq_relation::FdSet::new())
+        };
+        let cases = [
+            parse_program(&cycle_fd(6)).unwrap(),
+            parse_program(include_str!("../../../tests/fixtures/compound.cq")).unwrap(),
+            parse_program("Q(X,Y,Z,W) :- R(X,Y), S(Y,Z), T(Z,W)\nR[1] -> R[2]\nR[2] -> R[1]")
+                .unwrap(),
+            parse_program("Q(Y) :- R(X,Y), S(X,Z)\nR[1] -> R[2]").unwrap(),
+            boolean,
+        ];
+        for (q, fds) in cases {
+            let chased = chase(&q, &fds).query;
+            let vfds = chased.variable_fds(&fds);
+            let k = chased.num_vars();
+            let head = mask_from(chased.head_var_set().iter());
+            let good = |s: u32| {
+                s & head != 0
+                    && !vfds
+                        .iter()
+                        .any(|fd| s >> fd.rhs & 1 == 1 && fd.lhs.iter().all(|&v| s >> v & 1 == 0))
+            };
+            let minimal: Vec<u32> = (1..1u32 << k)
+                .filter(|&s| good(s) && !subsets_of(s).any(|t| t != s && good(t)))
+                .collect();
+            // Every column meets the head, so some atom row uses it.
+            let lp = build_color_number_atom_lp(&chased, &vfds);
+            let used: std::collections::BTreeSet<VarId> = lp
+                .constraints()
+                .iter()
+                .flat_map(|row| row.coeffs.iter().map(|&(v, _)| v))
+                .collect();
+            assert_eq!(used.len(), lp.num_vars(), "{chased}");
+            let cols: Vec<u32> = used
+                .into_iter()
+                .map(|v| u32::from_str_radix(&lp.var_name(v)[1..], 2).unwrap())
+                .collect();
+            assert_eq!(cols, minimal, "{chased}");
+
+            let oracle = build_color_number_entropy_lp(&chased, &vfds).solve();
+            let (value, stats) =
+                solve_color_number_atom_lp(&chased, &vfds, cq_lp::auto_large_engine(None));
+            assert_eq!(value, oracle.objective, "{chased}");
+            assert_eq!(stats.solver, SolverKind::HybridFloat, "{chased}");
+            assert!(stats.float_verified, "{chased}: {stats:?}");
+            if head == 0 {
+                assert!(cols.is_empty() && value.is_zero(), "{chased}");
+            }
         }
     }
 

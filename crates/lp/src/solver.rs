@@ -97,10 +97,11 @@ impl Solver {
 
     /// The engine `Auto` picks for large sparse programs under the
     /// current `CQ_LP_ENGINE` (see [`auto_large_engine`]). For callers
-    /// whose program is large but too dense for `Auto`'s density test
-    /// to pick it — the Proposition 6.10 program in I-measure
-    /// coordinates is the case in point — and which should still follow
-    /// the same `CQ_LP_ENGINE` pin.
+    /// that want that engine whatever the program's size and density,
+    /// and which should still follow the same `CQ_LP_ENGINE` pin: the
+    /// Proposition 6.10 program in I-measure coordinates is the case in
+    /// point, whose few minimal columns `Auto` would send to the dense
+    /// tableau.
     pub fn large_program() -> Solver {
         auto_large_engine(std::env::var("CQ_LP_ENGINE").ok().as_deref())
     }

@@ -2,7 +2,8 @@
 //!
 //! **Proposition 6.10, two coordinate systems.**
 //! `color_number_entropy_lp` solves the program in I-measure coordinates
-//! (one column per atom `y_S`, one row per query atom); the oracle
+//! (one row per query atom, and one column per atom `y_S` whose set is
+//! inclusion-minimal among the live sets that meet the head); the oracle
 //! `build_color_number_entropy_lp` states it over the entropies `h(S)`
 //! with one row per I-measure atom, and is solved here by the exact
 //! revised simplex. The two are related by an invertible Möbius map, so

@@ -37,7 +37,8 @@
 //! stretches on its own: the Bland backstop prices no pivot.
 //!
 //! The Proposition 6.10 program the engine actually solves (I-measure
-//! coordinates) has its counts pinned beside it, in
+//! coordinates, over the minimal live atoms that meet the head) has its
+//! counts pinned beside it, up to the k = 14 cap, in
 //! `cq_core::entropy_lp`'s `prop_6_10_work_counts_on_cycle_fd`.
 //!
 //! The hybrid-engine counts hold for the default engine routing. Under
