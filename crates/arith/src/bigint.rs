@@ -88,7 +88,7 @@ impl BigInt {
     ///
     /// # Panics
     /// Panics if `other` is zero.
-    pub fn div_rem(&self, other: &BigInt) -> (BigInt, BigInt) {
+    fn div_rem(&self, other: &BigInt) -> (BigInt, BigInt) {
         assert!(!other.is_zero(), "division by zero BigInt");
         if mag_cmp(&self.mag, &other.mag) == Ordering::Less {
             return (BigInt::zero(), self.clone());
@@ -173,15 +173,6 @@ impl BigInt {
             0 => Some(0),
             1 => Some(self.mag[0]),
             _ => None,
-        }
-    }
-
-    /// Base-2 logarithm rounded down; `None` for non-positive values.
-    pub fn ilog2(&self) -> Option<usize> {
-        if self.is_positive() {
-            Some(self.bits() - 1)
-        } else {
-            None
         }
     }
 }
@@ -728,13 +719,11 @@ mod tests {
     }
 
     #[test]
-    fn bits_and_ilog2() {
+    fn bit_lengths() {
         assert_eq!(BigInt::zero().bits(), 0);
         assert_eq!(big("1").bits(), 1);
         assert_eq!(big("255").bits(), 8);
         assert_eq!(big("256").bits(), 9);
-        assert_eq!(big("256").ilog2(), Some(8));
-        assert_eq!(big("-4").ilog2(), None);
     }
 
     fn arb_bigint() -> impl Strategy<Value = BigInt> {

@@ -50,7 +50,7 @@ impl ShardPlanner {
     }
 
     /// The worker index for input `i` with program text `text`.
-    pub fn worker_for(&self, i: usize, text: &str) -> usize {
+    fn worker_for(&self, i: usize, text: &str) -> usize {
         match self.mode {
             PlanMode::RoundRobin => i % self.workers,
             PlanMode::ByCanonicalKey => match cq_core::parse_program(text) {

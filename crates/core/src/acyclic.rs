@@ -15,13 +15,14 @@
 //!   final projection is applied at the end (the classical algorithm;
 //!   output-linear for full queries).
 
-use crate::eval::atom_relation;
+use crate::eval::{atom_relation, project_head};
 use crate::query::ConjunctiveQuery;
-use cq_relation::{natural_join, Database, Relation, Value};
+use cq_relation::{natural_join, Database, Relation, TupleMap};
 use cq_util::{BitSet, FxHashSet};
 
-/// A join tree over body-atom indices: `parent[i]` is the parent of atom
-/// `i` (`usize::MAX` for the root), and `order` lists atoms leaves-first.
+/// A join tree over body-atom indices (or, for decomposition-guided
+/// evaluation, over bags): `parent[i]` is the parent of atom `i`
+/// (`usize::MAX` for the root), and `order` lists atoms leaves-first.
 #[derive(Clone, Debug)]
 pub struct JoinTree {
     /// Parent atom index per atom (root: `usize::MAX`).
@@ -175,15 +176,17 @@ pub fn semijoin(left: &Relation, right: &Relation) -> Relation {
         }
         return left.clone();
     }
-    let rcols: Vec<usize> = shared.iter().map(|&(_, r)| r).collect();
-    let lcols: Vec<usize> = shared.iter().map(|&(l, _)| l).collect();
-    let mut keys: FxHashSet<Box<[Value]>> = FxHashSet::default();
+    let mut keys: TupleMap<()> = TupleMap::new(shared.len());
+    let mut key = Vec::with_capacity(shared.len());
     for row in right.iter() {
-        keys.insert(rcols.iter().map(|&c| row[c]).collect());
+        key.clear();
+        key.extend(shared.iter().map(|&(_, r)| row[r]));
+        keys.insert(&key, ());
     }
     left.select(|row| {
-        let key: Box<[Value]> = lcols.iter().map(|&c| row[c]).collect();
-        keys.contains(&key)
+        key.clear();
+        key.extend(shared.iter().map(|&(l, _)| row[l]));
+        keys.get(&key).is_some()
     })
 }
 
@@ -195,42 +198,36 @@ pub fn semijoin(left: &Relation, right: &Relation) -> Relation {
 /// Panics if `q` is cyclic (check [`is_acyclic`] first).
 pub fn evaluate_yannakakis(q: &ConjunctiveQuery, db: &Database) -> Relation {
     let tree = gyo_join_tree(q).expect("Yannakakis requires an acyclic query");
-    let mut rels: Vec<Relation> = (0..q.num_atoms())
-        .map(|i| atom_relation(q, &q.body()[i], db))
-        .collect();
-    // upward semijoins (leaves first)
-    for &i in &tree.order {
-        let p = tree.parent[i];
-        if p != usize::MAX {
-            rels[p] = semijoin(&rels[p], &rels[i]);
-        }
-    }
-    // downward semijoins (root first)
-    for &i in tree.order.iter().rev() {
-        let p = tree.parent[i];
-        if p != usize::MAX {
-            rels[i] = semijoin(&rels[i], &rels[p]);
-        }
-    }
-    // join leaves-first into parents
-    for &i in &tree.order {
-        let p = tree.parent[i];
-        if p != usize::MAX {
-            rels[p] = natural_join(&rels[p], &rels[i], "⋈");
-        }
-    }
-    let full = &rels[tree.root()];
-    // project to the head (columns by variable name, repeats allowed)
-    let cols: Vec<usize> = q
-        .head()
+    let rels = q
+        .body()
         .iter()
-        .map(|&v| {
-            full.schema()
-                .position(q.var_name(v))
-                .expect("head variable in join result")
-        })
+        .map(|atom| atom_relation(q, atom, db))
         .collect();
-    full.project(&cols, "Q")
+    project_head(q, &yannakakis(&tree, rels))
+}
+
+/// The Yannakakis passes over `tree`, whose node `i` holds `rels[i]`:
+/// upward semijoins (leaves first), downward semijoins (root first),
+/// then each node joined into its parent, leaves first. Returns the
+/// root's relation, the join of every node reachable from it. Also the
+/// bag-tree pass of [`crate::decomp_eval`].
+pub(crate) fn yannakakis(tree: &JoinTree, mut rels: Vec<Relation>) -> Relation {
+    let edges = || {
+        tree.order
+            .iter()
+            .map(|&i| (i, tree.parent[i]))
+            .filter(|&(_, p)| p != usize::MAX)
+    };
+    for (i, p) in edges() {
+        rels[p] = semijoin(&rels[p], &rels[i]);
+    }
+    for (i, p) in edges().rev() {
+        rels[i] = semijoin(&rels[i], &rels[p]);
+    }
+    for (i, p) in edges() {
+        rels[p] = natural_join(&rels[p], &rels[i], "⋈");
+    }
+    rels.swap_remove(tree.root())
 }
 
 #[cfg(test)]

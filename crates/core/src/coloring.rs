@@ -71,15 +71,6 @@ impl Coloring {
         self.labels.len()
     }
 
-    /// All colors used anywhere.
-    pub fn colors_used(&self) -> BitSet {
-        let mut s = BitSet::new();
-        for l in &self.labels {
-            s.union_with(l);
-        }
-        s
-    }
-
     /// Union of labels over a set of variables.
     pub fn union_over<I: IntoIterator<Item = VarIdx>>(&self, vars: I) -> BitSet {
         let mut s = BitSet::new();
@@ -123,27 +114,6 @@ impl Coloring {
             BigInt::from(numerator),
             BigInt::from(denominator),
         ))
-    }
-
-    /// Pointwise union of two colorings over the same variables, after
-    /// shifting `other`'s colors past `self`'s (used by Theorem 7.2's
-    /// combination step: unions of valid colorings are valid).
-    pub fn disjoint_union(&self, other: &Coloring) -> Coloring {
-        assert_eq!(self.num_vars(), other.num_vars());
-        let shift = self.colors_used().iter().max().map_or(0, |m| m + 1);
-        let labels = self
-            .labels
-            .iter()
-            .zip(&other.labels)
-            .map(|(a, b)| {
-                let mut s = a.clone();
-                for c in b.iter() {
-                    s.insert(c + shift);
-                }
-                s
-            })
-            .collect();
-        Coloring { labels }
     }
 }
 
@@ -463,19 +433,6 @@ mod tests {
         // all disjoint
         assert!(c.label(0).is_disjoint(c.label(1)));
         assert!(c.label(1).is_disjoint(c.label(2)));
-    }
-
-    #[test]
-    fn disjoint_union_combines() {
-        let mut a = Coloring::empty(2);
-        a.label_mut(0).insert(0);
-        let mut b = Coloring::empty(2);
-        b.label_mut(1).insert(0);
-        let u = a.disjoint_union(&b);
-        assert_eq!(u.label(0).len(), 1);
-        assert_eq!(u.label(1).len(), 1);
-        assert!(u.label(0).is_disjoint(u.label(1)));
-        assert_eq!(u.colors_used().len(), 2);
     }
 
     #[test]

@@ -19,10 +19,12 @@
 //! differential suite (`tests/decomp_differential.rs`) pins the result
 //! against [`crate::eval::evaluate`] on fixtures and random instances.
 
+use crate::acyclic::{yannakakis, JoinTree};
+use crate::eval::project_head;
 use crate::query::{Atom, ConjunctiveQuery};
 use crate::wcoj::evaluate_wcoj;
 use cq_hypergraph::{hypertree_capped, HypertreeDecomposition};
-use cq_relation::{natural_join, Database, Relation, Schema};
+use cq_relation::{Database, Relation, Schema};
 use std::fmt;
 
 pub use crate::acyclic::semijoin;
@@ -113,42 +115,27 @@ pub fn evaluate_with_decomposition(
         rels.push(evaluate_wcoj(&bag_q, db));
     }
 
-    // Root the bag tree at 0; BFS order puts parents before children.
-    let n = htd.num_bags();
-    let mut parent = vec![usize::MAX; n];
-    let mut order = Vec::with_capacity(n);
-    let mut seen = vec![false; n];
+    // Root the bag tree at 0; reversed BFS order puts children first.
+    let mut parent = vec![usize::MAX; htd.num_bags()];
+    let mut order = vec![0];
+    let mut seen = vec![false; htd.num_bags()];
     seen[0] = true;
-    let mut queue = std::collections::VecDeque::from([0usize]);
-    while let Some(v) = queue.pop_front() {
-        order.push(v);
+    let mut next = 0;
+    while let Some(&v) = order.get(next) {
+        next += 1;
         for &u in htd.neighbors(v) {
             if !seen[u] {
                 seen[u] = true;
                 parent[u] = v;
-                queue.push_back(u);
+                order.push(u);
             }
         }
     }
-
-    // Yannakakis over the bag tree: upward semijoins (leaves first),
-    // downward semijoins (root first), then joins leaves-first.
-    for &v in order.iter().rev() {
-        if parent[v] != usize::MAX {
-            rels[parent[v]] = semijoin(&rels[parent[v]], &rels[v]);
-        }
-    }
-    for &v in &order {
-        if parent[v] != usize::MAX {
-            rels[v] = semijoin(&rels[v], &rels[parent[v]]);
-        }
-    }
-    for &v in order.iter().rev() {
-        if parent[v] != usize::MAX {
-            rels[parent[v]] = natural_join(&rels[parent[v]], &rels[v], "⋈");
-        }
-    }
-    Ok(project_head(q, &rels[0]))
+    order.reverse();
+    Ok(project_head(
+        q,
+        &yannakakis(&JoinTree { parent, order }, rels),
+    ))
 }
 
 /// Evaluates `q` through [`decompose`]. Our own decompositions always
@@ -166,21 +153,6 @@ fn true_relation() -> Relation {
     let mut r = Relation::new(Schema::with_attrs("⊤", std::iter::empty::<String>()));
     r.insert(Vec::new());
     r
-}
-
-/// Projects the full join down to the head variable list (repeats
-/// allowed), matching the reference evaluator's output schema.
-fn project_head(q: &ConjunctiveQuery, full: &Relation) -> Relation {
-    let cols: Vec<usize> = q
-        .head()
-        .iter()
-        .map(|&v| {
-            full.schema()
-                .position(q.var_name(v))
-                .expect("head variable in join result")
-        })
-        .collect();
-    full.project(&cols, "Q")
 }
 
 #[cfg(test)]

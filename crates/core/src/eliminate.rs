@@ -47,8 +47,13 @@
 //! product of its scope over the atoms beneath it (the product of
 //! relation sizes over an integral edge cover, the paper's §3.1
 //! quantity).
+//!
+//! The generic join under every step ([`probes`] orders the factors and
+//! indexes each on the variables bound before it, [`descend`] walks them
+//! depth-first) is also how `Q(D)` is listed: [`crate::eval::evaluate`]
+//! runs it once over the factors of all the atoms.
 
-use crate::eval::{atom_columns, RowIndex};
+use crate::eval::atom_columns;
 use crate::query::{Atom, ConjunctiveQuery, VarIdx};
 use cq_hypergraph::{min_fill_ordering_first, Graph};
 use cq_relation::{Relation, TupleMap, Value};
@@ -299,7 +304,7 @@ fn cover_product(vars: &[VarIdx], atoms: &[usize], body: &[Atom], sizes: &[usize
 }
 
 /// A factor: distinct rows over `scope`, each with a positive weight.
-struct Factor {
+pub(crate) struct Factor {
     scope: Vec<VarIdx>,
     /// `scope.len()` values per row.
     rows: Vec<Value>,
@@ -309,7 +314,7 @@ struct Factor {
 impl Factor {
     /// Atom `atom` over `rel`: the rows whose repeated variables agree,
     /// projected onto its distinct variables, with weight 1.
-    fn of_atom(atom: &Atom, rel: &Relation) -> Factor {
+    pub(crate) fn of_atom(atom: &Atom, rel: &Relation) -> Factor {
         let (scope, pos, equal) = atom_columns(atom);
         let mut rows = Vec::with_capacity(rel.len() * scope.len());
         for row in rel.iter() {
@@ -358,12 +363,80 @@ impl Factor {
     fn index(&self, key: &[VarIdx]) -> RowIndex {
         let key_pos: Vec<usize> = key.iter().map(|&v| self.position(v)).collect();
         let width = self.scope.len().max(1);
-        RowIndex::new(self.rows.chunks_exact(width), self.len(), &key_pos, &[])
+        RowIndex::new(self.rows.chunks_exact(width), self.len(), &key_pos)
     }
 
     /// The variable of a two-variable factor other than `v`.
     fn other(&self, v: VarIdx) -> VarIdx {
         self.scope[1 - self.position(v)]
+    }
+}
+
+/// Row numbers grouped by their values at some key positions, in one
+/// buffer: each key maps to a group `g`, whose rows are
+/// `rows[starts[g]..starts[g + 1]]`, in row order within a group.
+struct RowIndex {
+    groups: TupleMap<u32>,
+    starts: Vec<u32>,
+    rows: Vec<u32>,
+}
+
+impl RowIndex {
+    /// Indexes the `len` rows of `rows` on the positions `key_pos`.
+    fn new<'r>(rows: impl Iterator<Item = &'r [Value]>, len: usize, key_pos: &[usize]) -> RowIndex {
+        assert!(len < u32::MAX as usize, "relation too large to index");
+        let mut groups: TupleMap<u32> = TupleMap::new(key_pos.len());
+        // Each row's group; then `sizes` becomes the fill cursor.
+        let mut group_of: Vec<u32> = Vec::with_capacity(len);
+        let mut sizes: Vec<u32> = Vec::new();
+        let mut key = Vec::with_capacity(key_pos.len());
+        for row in rows {
+            key.clear();
+            key.extend(key_pos.iter().map(|&p| row[p]));
+            let g = *groups.get_or_insert_with(&key, || {
+                sizes.push(0);
+                (sizes.len() - 1) as u32
+            });
+            sizes[g as usize] += 1;
+            group_of.push(g);
+        }
+        let mut starts = Vec::with_capacity(sizes.len() + 1);
+        let mut total = 0;
+        for size in &mut sizes {
+            let start = total;
+            total += *size;
+            starts.push(start);
+            *size = start;
+        }
+        starts.push(total);
+        let mut rows = vec![0; total as usize];
+        for (i, &g) in group_of.iter().enumerate() {
+            let at = &mut sizes[g as usize];
+            rows[*at as usize] = i as u32;
+            *at += 1;
+        }
+        RowIndex {
+            groups,
+            starts,
+            rows,
+        }
+    }
+
+    /// Number of groups.
+    fn num_groups(&self) -> usize {
+        self.starts.len() - 1
+    }
+
+    /// Numbers of the rows in group `g`.
+    fn group(&self, g: usize) -> &[u32] {
+        &self.rows[self.starts[g] as usize..self.starts[g + 1] as usize]
+    }
+
+    /// Numbers of the rows whose key is `key` (none when it is absent).
+    fn get(&self, key: &[Value]) -> &[u32] {
+        self.groups
+            .get(key)
+            .map_or(&[], |&g| self.group(g as usize))
     }
 }
 
@@ -445,7 +518,7 @@ fn dense(domain: usize, rows: usize) -> bool {
 }
 
 /// A factor in a join: indexed on the variables bound before it.
-struct Probe<'f> {
+pub(crate) struct Probe<'f> {
     factor: &'f Factor,
     key_vars: Vec<VarIdx>,
     index: RowIndex,
@@ -456,7 +529,7 @@ struct Probe<'f> {
 /// Orders `factors` for a join after the variables marked in `bound`:
 /// at each turn the factor with the most bound variables, then the fewer
 /// rows; each is indexed on its bound variables. Marks what they bind.
-fn probes<'f>(factors: &[&'f Factor], bound: &mut [bool]) -> Vec<Probe<'f>> {
+pub(crate) fn probes<'f>(factors: &[&'f Factor], bound: &mut [bool]) -> Vec<Probe<'f>> {
     let mut left: Vec<&Factor> = factors.to_vec();
     let mut out = Vec::with_capacity(left.len());
     while !left.is_empty() {
@@ -493,7 +566,7 @@ fn probes<'f>(factors: &[&'f Factor], bound: &mut [bool]) -> Vec<Probe<'f>> {
 /// Depth-first join over `probes`: calls `visit` with each full
 /// assignment and the product of its rows' weights times `weight`
 /// (saturating), until `visit` breaks.
-fn descend(
+pub(crate) fn descend(
     probes: &[Probe],
     assignment: &mut [Option<Value>],
     key: &mut Vec<Value>,

@@ -61,19 +61,6 @@ impl EntropyVector {
         EntropyVector { k, h }
     }
 
-    /// Builds an entropy vector directly from per-subset entropies
-    /// (`h[0]` must be 0). Mainly for tests and LP round-trips.
-    pub fn from_raw(k: usize, h: Vec<f64>) -> Self {
-        assert_eq!(h.len(), 1 << k);
-        assert!(h[0].abs() < 1e-12, "H(∅) must be 0");
-        EntropyVector { k, h }
-    }
-
-    /// Number of attributes.
-    pub fn num_attrs(&self) -> usize {
-        self.k
-    }
-
     /// The full mask `{0..k}`.
     pub fn full_mask(&self) -> u32 {
         ((1u64 << self.k) - 1) as u32

@@ -2,13 +2,14 @@
 //!
 //! Two ways to list or count `Q(D)`, plus the Corollary 4.8 plan:
 //!
-//! - [`evaluate`] — the planned search: index-nested-loop backtracking
-//!   over body atoms in a greedy connected order, with per-atom hash
-//!   indexes on the positions bound at that point of the order. Each
-//!   index is one buffer of row numbers grouped by key (a key maps to a
-//!   range of it), with a group's rows in relation order. Correct for
-//!   every conjunctive query (projections, repeated variables, repeated
-//!   relations).
+//! - [`evaluate`] — the factor join of the `eliminate` module, run once
+//!   over every atom: each atom becomes a factor (its rows consistent
+//!   with repeated variables, projected onto its distinct variables),
+//!   the factors are ordered greedily by the variables they share with
+//!   those before them and indexed on those variables, and a depth-first
+//!   index-nested-loop join lists every assignment, whose head tuple is
+//!   inserted into the output. Correct for every conjunctive query
+//!   (projections, repeated variables, repeated relations).
 //! - [`count_answers`] — `|Q(D)|` without building `Q(D)`, by
 //!   sum-product variable elimination along a min-fill order with the
 //!   existential variables first: `∃` over those, saturating `Σ` over the
@@ -27,11 +28,12 @@
 //! The semantics follow §2 of the paper: `Q(D)` contains `θ(u0)` for
 //! every substitution `θ : var(Q) → U_D` with `θ(uj) ∈ R_{ij}` for all j.
 
-use crate::eliminate::Elimination;
+use crate::eliminate::{descend, probes, Elimination, Factor};
 use crate::query::{Atom, ConjunctiveQuery, VarIdx};
-use cq_relation::{natural_join, Database, Relation, Schema, TupleMap, Value};
+use cq_relation::{natural_join, Database, Relation, Schema, Value};
 use cq_telemetry::Span;
 use std::fmt;
+use std::ops::ControlFlow;
 
 /// Evaluates `q` over `db`, returning the output relation (named `Q`,
 /// one column per head position).
@@ -53,14 +55,28 @@ use std::fmt;
 pub fn evaluate(q: &ConjunctiveQuery, db: &Database) -> Relation {
     let out_schema = Schema::with_attrs("Q", q.head().iter().map(|&v| q.var_name(v).to_owned()));
     let mut out = Relation::new(out_schema);
-    if let Some(plan) = Plan::new(q, db) {
-        let mut row = Vec::with_capacity(q.head().len());
-        plan.search(|assignment| {
-            row.clear();
-            row.extend(q.head().iter().map(|&v| bound(assignment, v)));
-            out.insert(&row);
-        });
-    }
+    let Some(rels) = body_relations(q, db) else {
+        return out;
+    };
+    // Every relation is nonempty here, so a nullary atom holds; it is
+    // left out because its factor has no row for the join to index.
+    let factors: Vec<Factor> = q
+        .body()
+        .iter()
+        .zip(rels)
+        .filter(|(atom, _)| !atom.vars.is_empty())
+        .map(|(atom, rel)| Factor::of_atom(atom, rel))
+        .collect();
+    let factors: Vec<&Factor> = factors.iter().collect();
+    let probes = probes(&factors, &mut vec![false; q.num_vars()]);
+    let mut assignment: Vec<Option<Value>> = vec![None; q.num_vars()];
+    let mut row = Vec::with_capacity(q.head().len());
+    let _ = descend(&probes, &mut assignment, &mut Vec::new(), 1, &mut |a, _| {
+        row.clear();
+        row.extend(q.head().iter().map(|&v| a[v].expect("head variable bound")));
+        out.insert(&row);
+        ControlFlow::Continue(())
+    });
     out
 }
 
@@ -157,236 +173,6 @@ fn body_relations<'a>(q: &ConjunctiveQuery, db: &'a Database) -> Option<Vec<&'a 
         .collect()
 }
 
-fn bound(assignment: &[Option<Value>], v: VarIdx) -> Value {
-    assignment[v].expect("variable bound by an earlier step")
-}
-
-/// The search plan of [`evaluate`]: body atoms in greedy connected
-/// order, each with its rows indexed on the positions bound when it is
-/// reached.
-struct Plan<'a> {
-    steps: Vec<Step<'a>>,
-    num_vars: usize,
-}
-
-struct Step<'a> {
-    /// Variables at the indexed positions, in position order: those bound
-    /// by earlier steps (none for the first step, a full scan).
-    key_vars: Vec<VarIdx>,
-    /// The atom's relation.
-    rel: &'a Relation,
-    /// The rows consistent with the atom's repeated variables, indexed
-    /// on the key positions.
-    index: RowIndex,
-    /// Positions that newly bind a variable (first occurrence).
-    binds: Vec<(usize, VarIdx)>,
-}
-
-impl<'a> Plan<'a> {
-    /// `None` when some body atom's relation is absent or empty (the
-    /// output is then empty).
-    fn new(q: &ConjunctiveQuery, db: &'a Database) -> Option<Self> {
-        let atom_rels = body_relations(q, db)?;
-        let order = atom_order(q.body(), &atom_rels);
-
-        let mut bound: Vec<bool> = vec![false; q.num_vars()];
-        let mut steps = Vec::with_capacity(order.len());
-        for ai in order {
-            let atom = &q.body()[ai];
-            let mut key_pos: Vec<usize> = Vec::new();
-            // (position, earlier position of the same unbound variable)
-            let mut equal: Vec<(usize, usize)> = Vec::new();
-            let mut binds: Vec<(usize, VarIdx)> = Vec::new();
-            for (pos, &v) in atom.vars.iter().enumerate() {
-                if bound[v] {
-                    key_pos.push(pos);
-                } else if let Some(&(first, _)) = binds.iter().find(|&&(_, b)| b == v) {
-                    equal.push((pos, first));
-                } else {
-                    binds.push((pos, v));
-                }
-            }
-            let rel = atom_rels[ai];
-            let index = RowIndex::new(rel.iter(), rel.len(), &key_pos, &equal);
-            for &(_, v) in &binds {
-                bound[v] = true;
-            }
-            steps.push(Step {
-                key_vars: key_pos.iter().map(|&p| atom.vars[p]).collect(),
-                rel,
-                index,
-                binds,
-            });
-        }
-        Some(Plan {
-            steps,
-            num_vars: q.num_vars(),
-        })
-    }
-
-    /// Depth-first search: calls `visit` with each assignment satisfying
-    /// every step, in row order.
-    fn search(&self, mut visit: impl FnMut(&[Option<Value>])) {
-        let mut assignment = vec![None; self.num_vars];
-        let mut key = Vec::new();
-        descend(&self.steps, &mut assignment, &mut key, &mut visit);
-    }
-}
-
-fn descend(
-    steps: &[Step],
-    assignment: &mut [Option<Value>],
-    key: &mut Vec<Value>,
-    visit: &mut impl FnMut(&[Option<Value>]),
-) {
-    let Some((step, rest)) = steps.split_first() else {
-        visit(assignment);
-        return;
-    };
-    // Variables bound here are rebound before any deeper step reads
-    // them, so backtracking needs no reset.
-    for &row in step.candidates(assignment, key) {
-        step.bind(row, assignment);
-        descend(rest, assignment, key, visit);
-    }
-}
-
-/// Row numbers grouped by their values at some key positions, in one
-/// buffer: each key maps to a group `g`, whose rows are
-/// `rows[starts[g]..starts[g + 1]]`, in row order within a group.
-pub(crate) struct RowIndex {
-    groups: TupleMap<u32>,
-    starts: Vec<u32>,
-    rows: Vec<u32>,
-}
-
-impl RowIndex {
-    /// Indexes the `len` rows of `rows` on the positions `key_pos`,
-    /// keeping the rows whose positions in each `equal` pair agree.
-    pub(crate) fn new<'r>(
-        rows: impl Iterator<Item = &'r [Value]>,
-        len: usize,
-        key_pos: &[usize],
-        equal: &[(usize, usize)],
-    ) -> RowIndex {
-        const SKIP: u32 = u32::MAX;
-        assert!(len < SKIP as usize, "relation too large to index");
-        let mut groups: TupleMap<u32> = TupleMap::new(key_pos.len());
-        // Each row's group (or SKIP); then `sizes` becomes the fill cursor.
-        let mut group_of: Vec<u32> = Vec::with_capacity(len);
-        let mut sizes: Vec<u32> = Vec::new();
-        let mut key = Vec::with_capacity(key_pos.len());
-        for row in rows {
-            if !equal.iter().all(|&(p, first)| row[p] == row[first]) {
-                group_of.push(SKIP);
-                continue;
-            }
-            key.clear();
-            key.extend(key_pos.iter().map(|&p| row[p]));
-            let g = *groups.get_or_insert_with(&key, || {
-                sizes.push(0);
-                (sizes.len() - 1) as u32
-            });
-            sizes[g as usize] += 1;
-            group_of.push(g);
-        }
-        let mut starts = Vec::with_capacity(sizes.len() + 1);
-        let mut total = 0;
-        for size in &mut sizes {
-            let start = total;
-            total += *size;
-            starts.push(start);
-            *size = start;
-        }
-        starts.push(total);
-        let mut rows = vec![0; total as usize];
-        for (i, &g) in group_of.iter().enumerate() {
-            if g != SKIP {
-                let at = &mut sizes[g as usize];
-                rows[*at as usize] = i as u32;
-                *at += 1;
-            }
-        }
-        RowIndex {
-            groups,
-            starts,
-            rows,
-        }
-    }
-
-    /// Number of groups.
-    pub(crate) fn num_groups(&self) -> usize {
-        self.starts.len() - 1
-    }
-
-    /// Numbers of the rows in group `g`.
-    pub(crate) fn group(&self, g: usize) -> &[u32] {
-        &self.rows[self.starts[g] as usize..self.starts[g + 1] as usize]
-    }
-
-    /// Numbers of the rows whose key is `key` (none when it is absent).
-    pub(crate) fn get(&self, key: &[Value]) -> &[u32] {
-        self.groups
-            .get(key)
-            .map_or(&[], |&g| self.group(g as usize))
-    }
-}
-
-impl Step<'_> {
-    /// Numbers of the rows agreeing with `assignment` on the indexed
-    /// positions.
-    fn candidates(&self, assignment: &[Option<Value>], key: &mut Vec<Value>) -> &[u32] {
-        key.clear();
-        key.extend(self.key_vars.iter().map(|&v| bound(assignment, v)));
-        self.index.get(key)
-    }
-
-    /// Binds the variables this step introduces to their values in row
-    /// number `row`.
-    fn bind(&self, row: u32, assignment: &mut [Option<Value>]) {
-        let row = self.rel.row(row as usize);
-        for &(pos, v) in &self.binds {
-            assignment[v] = Some(row[pos]);
-        }
-    }
-}
-
-/// Greedy connected atom order: prefer the atom sharing the most bound
-/// variables (ties broken by relation size).
-fn atom_order(body: &[Atom], rels: &[&Relation]) -> Vec<usize> {
-    let m = body.len();
-    let mut remaining: Vec<usize> = (0..m).collect();
-    let mut order = Vec::with_capacity(m);
-    let mut bound: Vec<bool> = Vec::new();
-    let is_bound = |v: VarIdx, bound: &Vec<bool>| *bound.get(v).unwrap_or(&false);
-    let mark = |v: VarIdx, bound: &mut Vec<bool>| {
-        if v >= bound.len() {
-            bound.resize(v + 1, false);
-        }
-        bound[v] = true;
-    };
-    while !remaining.is_empty() {
-        let &best = remaining
-            .iter()
-            .max_by_key(|&&ai| {
-                let shared = body[ai]
-                    .vars
-                    .iter()
-                    .filter(|&&v| is_bound(v, &bound))
-                    .count();
-                // prefer more shared vars; among those, smaller relations
-                (shared, std::cmp::Reverse(rels[ai].len()))
-            })
-            .unwrap();
-        remaining.retain(|&x| x != best);
-        for &v in &body[best].vars {
-            mark(v, &mut bound);
-        }
-        order.push(best);
-    }
-    order
-}
-
 /// Reduces one atom to a relation over its *distinct* variables:
 /// rows inconsistent with repeated variables are filtered, duplicate
 /// columns dropped, and columns renamed to variable names.
@@ -480,7 +266,12 @@ pub fn evaluate_by_plan(q: &ConjunctiveQuery, db: &Database) -> (Relation, Vec<u
         intermediates.push(acc.as_ref().unwrap().len());
     }
     let joined = acc.expect("query has at least one atom");
-    // project to head order (head may repeat variables)
+    (project_head(q, &joined), intermediates)
+}
+
+/// Projects a join over `q`'s variables (columns named by variable) to
+/// the head, repeats allowed: the output schema of [`evaluate`].
+pub(crate) fn project_head(q: &ConjunctiveQuery, joined: &Relation) -> Relation {
     let cols: Vec<usize> = q
         .head()
         .iter()
@@ -488,11 +279,10 @@ pub fn evaluate_by_plan(q: &ConjunctiveQuery, db: &Database) -> (Relation, Vec<u
             joined
                 .schema()
                 .position(q.var_name(v))
-                .expect("every variable appears in the join result")
+                .expect("head variable in join result")
         })
         .collect();
-    let out = joined.project(&cols, "Q");
-    (out, intermediates)
+    joined.project(&cols, "Q")
 }
 
 #[cfg(test)]

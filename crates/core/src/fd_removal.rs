@@ -176,7 +176,8 @@ pub fn pull_back_coloring(trace: &RemovalTrace, coloring: &Coloring) -> Coloring
 ///
 /// Returns the transformed database, which satisfies
 /// `|R'_j(D')| = |R_j(D)|` for every relation and `|Q'(D')| = |Q(D)|`
-/// (both checked by the E05 experiment).
+/// (both checked by the unit test
+/// `transform_database_preserves_sizes_and_output`).
 pub fn transform_database(trace: &RemovalTrace, db: &Database) -> Result<Database, String> {
     let mut db = db.clone();
     for (t, step) in trace.steps.iter().enumerate() {

@@ -28,7 +28,7 @@ use cq_relation::{Database, Fd, FdSet, Relation, Schema};
 use cq_util::BitSet;
 
 /// `GF(p)` helpers (p prime, p < 2^31).
-pub mod gf {
+mod gf {
     /// Addition mod p.
     pub fn add(a: u64, b: u64, p: u64) -> u64 {
         (a + b) % p

@@ -25,7 +25,7 @@ impl Clause {
     }
 
     /// `true` when the clause is Horn (at most one positive literal).
-    pub fn is_horn(&self) -> bool {
+    fn is_horn(&self) -> bool {
         self.pos.len() <= 1
     }
 }

@@ -38,8 +38,8 @@
 use crate::constructions::worst_case_database;
 use crate::query::{ConjunctiveQuery, VarIdx};
 use crate::size_bounds::size_bound_simple_fds;
-use cq_hypergraph::{Graph, TreeDecomposition};
-use cq_relation::{Database, FdSet, Relation, Value};
+use cq_hypergraph::TreeDecomposition;
+use cq_relation::{Database, FdSet, Relation, TupleMap, Value};
 use cq_util::{BitSet, FxHashMap};
 
 /// Theorem 5.5's width bound for a single keyed join: `j(ω+1) − 1`.
@@ -53,34 +53,7 @@ pub fn proposition_5_7_bound(ell: usize, n: usize, tw: usize) -> usize {
     ell.pow((n - 1) as u32) * (1 + tw.max(2)) - 1
 }
 
-/// Builds the Gaifman graph of a set of relations over a shared mapping
-/// (extending `vertex_of` with any new values).
-pub fn gaifman_over(rels: &[&Relation], vertex_of: &mut FxHashMap<Value, usize>) -> Graph {
-    let mut edges: Vec<(usize, usize)> = Vec::new();
-    let mut max_v = vertex_of.values().copied().max().map_or(0, |m| m + 1);
-    for rel in rels {
-        for row in rel.iter() {
-            let verts: Vec<usize> = row
-                .iter()
-                .map(|&v| {
-                    *vertex_of.entry(v).or_insert_with(|| {
-                        let id = max_v;
-                        max_v += 1;
-                        id
-                    })
-                })
-                .collect();
-            for (i, &a) in verts.iter().enumerate() {
-                for &b in &verts[i + 1..] {
-                    if a != b {
-                        edges.push((a, b));
-                    }
-                }
-            }
-        }
-    }
-    Graph::from_edges(max_v, &edges)
-}
+pub use cq_relation::gaifman_over;
 
 /// The constructive Theorem 5.5: transforms a tree decomposition of
 /// `⟨left, right⟩` into one of the keyed join result.
@@ -111,15 +84,18 @@ pub fn keyed_join_decomposition(
     );
     let mut td = td.clone();
     // Index the right side by its key for pair enumeration.
-    let mut right_index: FxHashMap<Box<[Value]>, &[Value]> = FxHashMap::default();
+    let mut right_index: TupleMap<&[Value]> = TupleMap::new(right_attrs.len());
+    let mut key = Vec::with_capacity(right_attrs.len());
     for row in right.iter() {
-        let key: Box<[Value]> = right_attrs.iter().map(|&p| row[p]).collect();
-        right_index.insert(key, row);
+        key.clear();
+        key.extend(right_attrs.iter().map(|&p| row[p]));
+        *right_index.get_or_insert_with(&key, || row) = row;
     }
     let left_attrs: Vec<usize> = on.iter().map(|&(l, _)| l).collect();
     for t in left.iter() {
-        let key: Box<[Value]> = left_attrs.iter().map(|&p| t[p]).collect();
-        let Some(u) = right_index.get(&key) else {
+        key.clear();
+        key.extend(left_attrs.iter().map(|&p| t[p]));
+        let Some(&u) = right_index.get(&key) else {
             continue;
         };
         let t_verts = BitSet::from_iter(t.iter().map(|v| vertex_of[v]));
@@ -213,7 +189,7 @@ mod tests {
     use super::*;
     use crate::eval::evaluate;
     use crate::parser::{parse_program, parse_query};
-    use cq_hypergraph::{decomposition_from_ordering, min_fill_ordering, treewidth_exact};
+    use cq_hypergraph::{decomposition_from_ordering, min_fill_ordering, treewidth_exact, Graph};
     use cq_relation::equi_join;
 
     #[test]

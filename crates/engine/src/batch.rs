@@ -19,9 +19,8 @@
 use crate::cache::{LpCache, LpKind};
 use crate::report::{AnalysisReport, ReportOptions};
 use crate::session::{AnalysisSession, WitnessTooLarge};
-use cq_core::{ArityError, ConjunctiveQuery, ParseError};
+use cq_core::{ArityError, ParseError};
 use cq_hypergraph::CanonicalKey;
-use cq_relation::FdSet;
 use cq_telemetry::TraceContext;
 use std::collections::HashMap;
 use std::fmt;
@@ -137,35 +136,6 @@ impl BatchAnalyzer {
                 }
                 Ok(session.report(opts))
             },
-        )
-    }
-
-    /// Analyzes already-built queries (the query generators' path —
-    /// no parsing involved).
-    ///
-    /// # Panics
-    /// Panics if the database of `opts` does not fit some query (see
-    /// [`AnalysisSession::check_database`]).
-    pub fn analyze_queries(
-        &self,
-        items: &[(String, ConjunctiveQuery, FdSet)],
-        opts: &ReportOptions<'_>,
-    ) -> Vec<AnalysisReport> {
-        let sessions = items
-            .iter()
-            .map(|(name, query, fds)| {
-                self.attach(AnalysisSession::from_parts(
-                    name,
-                    query.clone(),
-                    fds.clone(),
-                ))
-            })
-            .collect();
-        let data = opts.database.is_some();
-        self.run(
-            sessions,
-            |session| session.cache_keys(data),
-            |session| session.report(opts),
         )
     }
 

@@ -54,5 +54,5 @@ pub use report::{
 pub use serve::{ServeEngine, ServeStats, MAX_BATCH, MAX_LINE_BYTES, PROTOCOL_VERSION};
 pub use session::{
     AnalysisSession, DataCheck, ExactDataBound, ProductDataBound, SessionStats, WidthTally,
-    WitnessTooLarge, ENTROPY_BOUND_DENSE_CAP, ENTROPY_BOUND_VAR_CAP, ENTROPY_COLOR_VAR_CAP,
+    WitnessTooLarge, ENTROPY_BOUND_VAR_CAP, ENTROPY_COLOR_VAR_CAP,
 };

@@ -8,8 +8,7 @@
 
 use crate::json::{obj, Json};
 use crate::session::{
-    AnalysisSession, DataCheck, QueryWidths, ENTROPY_BOUND_DENSE_CAP, ENTROPY_BOUND_VAR_CAP,
-    ENTROPY_COLOR_VAR_CAP,
+    AnalysisSession, DataCheck, QueryWidths, ENTROPY_BOUND_VAR_CAP, ENTROPY_COLOR_VAR_CAP,
 };
 use cq_core::{LpWork, TwPreservation};
 use cq_relation::Database;
@@ -57,9 +56,9 @@ pub struct EntropyReport {
     pub color_number: Option<String>,
     /// The Prop 6.9 Shannon upper bound on the exponent.
     pub exponent: Option<String>,
-    /// Heuristic size note: set when the `2^k`-variable programs were
-    /// skipped above the practical ceiling, or solved beyond the old
-    /// dense-tableau caps (the former hard threshold is now advisory).
+    /// Size note: set when a program was skipped because the chased
+    /// query has too many variables (Prop 6.9 above
+    /// [`ENTROPY_BOUND_VAR_CAP`], both above [`ENTROPY_COLOR_VAR_CAP`]).
     pub warning: Option<String>,
 }
 
@@ -228,9 +227,8 @@ impl AnalysisSession {
     }
 }
 
-/// The heuristic entropy-LP size note (see `EntropyReport::warning`).
-/// `None` while the chased query is within the old dense-tableau
-/// comfort zone.
+/// The entropy-LP size note (see `EntropyReport::warning`): `None` while
+/// both programs are solved.
 fn entropy_size_warning(k: usize) -> Option<String> {
     if k > ENTROPY_COLOR_VAR_CAP {
         Some(format!(
@@ -242,12 +240,6 @@ fn entropy_size_warning(k: usize) -> Option<String> {
             "Prop 6.9 Shannon LP skipped above {ENTROPY_BOUND_VAR_CAP} variables \
              (k(k-1)*2^(k-3) constraints); Prop 6.10 solved at {k} variables via \
              the hybrid float/exact simplex"
-        ))
-    } else if k > ENTROPY_BOUND_DENSE_CAP {
-        Some(format!(
-            "large entropy LPs ({k} variables, 2^k LP columns): beyond the old \
-             dense-tableau cap of {ENTROPY_BOUND_DENSE_CAP}, solved via the \
-             hybrid float/exact simplex"
         ))
     } else {
         None
@@ -555,5 +547,27 @@ mod tests {
         assert!(text.contains("compound dependencies"), "{text}");
         assert!(text.contains("Prop 6.10"), "{text}");
         assert!(text.contains("Prop 6.9"), "{text}");
+    }
+
+    #[test]
+    fn entropy_warning_names_the_skipped_programs() {
+        for k in 0..=20 {
+            let warning = entropy_size_warning(k);
+            match k {
+                0..=9 => assert_eq!(warning, None, "k = {k}"),
+                10..=14 => assert!(
+                    warning.as_deref().is_some_and(|w| w
+                        .starts_with("Prop 6.9 Shannon LP skipped above 9 variables")
+                        && w.contains(&format!("Prop 6.10 solved at {k} variables"))),
+                    "k = {k}: {warning:?}"
+                ),
+                _ => assert!(
+                    warning.as_deref().is_some_and(
+                        |w| w.starts_with(&format!("entropy LPs skipped: {k} variables"))
+                    ),
+                    "k = {k}: {warning:?}"
+                ),
+            }
+        }
     }
 }

@@ -46,20 +46,14 @@ use std::sync::Arc;
 pub const ENTROPY_COLOR_VAR_CAP: usize = 14;
 
 /// Variable cap for the Proposition 6.9 Shannon upper bound (the
-/// elemental family has `k(k−1)·2^{k−3}` constraints). Raised from
-/// [`ENTROPY_BOUND_DENSE_CAP`] with the sparse engine, then to 9 with the
-/// hybrid engine. On cycle-fd, the program over FD-closed sets that
+/// elemental family has `k(k−1)·2^{k−3}` constraints). Raised from 6
+/// (the dense tableau's ceiling) with the sparse engine, then to 9 with
+/// the hybrid engine. On cycle-fd, the program over FD-closed sets that
 /// `entropy_upper_bound` solves takes about 20 ms at k = 9, 75 ms at
 /// k = 10 and 0.4 s at k = 11 (in process, release build, best of 5 on a
 /// shared 2-vCPU VM): each extra variable costs four to five times the
 /// last, so raising the cap is its own behaviour change.
 pub const ENTROPY_BOUND_VAR_CAP: usize = 9;
-
-/// The Proposition 6.9 ceiling of the dense-tableau era. Between this
-/// and [`ENTROPY_BOUND_VAR_CAP`] the LP still solves (sparse engine),
-/// and the report carries a heuristic size warning instead of the old
-/// hard skip.
-pub const ENTROPY_BOUND_DENSE_CAP: usize = 6;
 
 /// Variable cap for the exact treewidth search in
 /// [`AnalysisSession::query_widths`]; it lives beside the search.

@@ -60,13 +60,6 @@ impl TreeDecomposition {
         &self.edges
     }
 
-    /// Adds a new bag, returning its index.
-    pub fn add_bag(&mut self, bag: BitSet) -> usize {
-        self.bags.push(bag);
-        self.adj.push(Vec::new());
-        self.bags.len() - 1
-    }
-
     /// Connects two bags in the tree.
     pub fn add_tree_edge(&mut self, a: usize, b: usize) {
         self.edges.push((a, b));
@@ -93,7 +86,7 @@ impl TreeDecomposition {
     ///
     /// # Panics
     /// Panics if the bags are not connected in the tree.
-    pub fn path_between(&self, from: usize, to: usize) -> Vec<usize> {
+    fn path_between(&self, from: usize, to: usize) -> Vec<usize> {
         let mut parent = vec![usize::MAX; self.bags.len()];
         let mut queue = std::collections::VecDeque::from([from]);
         let mut seen = BitSet::with_capacity(self.bags.len());
@@ -309,13 +302,17 @@ mod tests {
             .unwrap_err();
         assert!(err.contains("no bags"), "{err}");
         // A vertex in no bag: named in the error.
-        let mut td = TreeDecomposition::with_bags(vec![BitSet::from_iter([0])]);
-        let err = td.validate(&g).unwrap_err();
+        let err = TreeDecomposition::with_bags(vec![BitSet::from_iter([0])])
+            .validate(&g)
+            .unwrap_err();
         assert!(err.contains("vertex 1"), "{err}");
         // Right edge count but a disconnected bag tree: a doubled edge
         // between bags 0 and 1 leaves bag 2 unreachable.
-        td.add_bag(BitSet::from_iter([0, 1]));
-        td.add_bag(BitSet::from_iter([1]));
+        let mut td = TreeDecomposition::with_bags(vec![
+            BitSet::from_iter([0]),
+            BitSet::from_iter([0, 1]),
+            BitSet::from_iter([1]),
+        ]);
         td.add_tree_edge(0, 1);
         td.add_tree_edge(1, 0);
         let err = td.validate(&g).unwrap_err();

@@ -92,12 +92,6 @@ impl Graph {
         }
     }
 
-    /// `true` when `other` is a subgraph of `self` under the identity
-    /// embedding (every edge of `other` is an edge of `self`).
-    pub fn contains_subgraph(&self, other: &Graph) -> bool {
-        other.edges().all(|(a, b)| self.has_edge(a, b))
-    }
-
     /// `true` when `other` embeds into `self` via the injective vertex map
     /// `embed` (edge-preserving).
     pub fn contains_embedded(&self, other: &Graph, embed: &[usize]) -> bool {
@@ -231,14 +225,5 @@ mod tests {
         assert!(!host.contains_embedded(&tri, &[0, 1, 3]));
         // non-injective embedding rejected
         assert!(!host.contains_embedded(&tri, &[0, 1, 1]));
-    }
-
-    #[test]
-    fn subgraph_check() {
-        let host = Graph::complete(4);
-        assert!(host.contains_subgraph(&Graph::cycle(4)));
-        let mut bigger = Graph::new(5);
-        bigger.add_edge(0, 4);
-        assert!(!host.contains_subgraph(&bigger));
     }
 }

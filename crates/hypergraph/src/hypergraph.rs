@@ -70,26 +70,6 @@ impl Hypergraph {
         }
         g
     }
-
-    /// `true` if every vertex lies in at least one hyperedge.
-    pub fn covers_all_vertices(&self) -> bool {
-        let mut covered = BitSet::with_capacity(self.num_vertices);
-        for e in &self.edges {
-            covered.union_with(e);
-        }
-        (0..self.num_vertices).all(|v| covered.contains(v))
-    }
-
-    /// Vertices of the hypergraph that appear in no edge.
-    pub fn isolated_vertices(&self) -> Vec<usize> {
-        let mut covered = BitSet::with_capacity(self.num_vertices);
-        for e in &self.edges {
-            covered.union_with(e);
-        }
-        (0..self.num_vertices)
-            .filter(|&v| !covered.contains(v))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -117,12 +97,10 @@ mod tests {
     }
 
     #[test]
-    fn vertex_growth_and_coverage() {
+    fn vertices_grow_with_edges() {
         let mut h = Hypergraph::new(2);
         h.add_edge_from([0, 5]);
         assert_eq!(h.num_vertices(), 6);
-        assert!(!h.covers_all_vertices());
-        assert_eq!(h.isolated_vertices(), vec![1, 2, 3, 4]);
     }
 
     #[test]

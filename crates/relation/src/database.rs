@@ -55,11 +55,6 @@ impl Database {
         self.relations.get(name)
     }
 
-    /// Mutable lookup.
-    pub fn relation_mut(&mut self, name: &str) -> Option<&mut Relation> {
-        self.relations.get_mut(name)
-    }
-
     /// Iterates over relations in name order.
     pub fn relations(&self) -> impl Iterator<Item = &Relation> + '_ {
         self.relations.values()
@@ -119,32 +114,11 @@ impl Database {
                 .collect()
         };
         let mut vertex_of: FxHashMap<Value, usize> = FxHashMap::default();
-        let mut value_of: Vec<Value> = Vec::new();
-        let mut g = Graph::new(0);
-        for rel in rels {
-            for row in rel.iter() {
-                let verts: Vec<usize> = row
-                    .iter()
-                    .map(|&v| {
-                        *vertex_of.entry(v).or_insert_with(|| {
-                            value_of.push(v);
-                            value_of.len() - 1
-                        })
-                    })
-                    .collect();
-                for (i, &a) in verts.iter().enumerate() {
-                    for &b in &verts[i + 1..] {
-                        g.add_edge(a, b);
-                    }
-                }
-            }
-        }
-        // ensure isolated values still appear as vertices
-        let mut g2 = Graph::new(value_of.len());
-        for (a, b) in g.edges() {
-            g2.add_edge(a, b);
-        }
-        (g2, value_of)
+        let g = gaifman_over(&rels, &mut vertex_of);
+        let mut value_of: Vec<(usize, Value)> =
+            vertex_of.into_iter().map(|(v, i)| (i, v)).collect();
+        value_of.sort_unstable_by_key(|&(i, _)| i);
+        (g, value_of.into_iter().map(|(_, v)| v).collect())
     }
 
     /// Renders a relation as text (deterministic order) for reports.
@@ -159,6 +133,31 @@ impl Database {
         }
         out
     }
+}
+
+/// Builds the Gaifman graph of `rels` (values adjacent iff they
+/// co-occur in some tuple) over a shared mapping: a value already in
+/// `vertex_of` keeps its vertex, a new one takes the next free number.
+/// Every mapped value is a vertex, isolated or not.
+pub fn gaifman_over(rels: &[&Relation], vertex_of: &mut FxHashMap<Value, usize>) -> Graph {
+    let mut edges: Vec<(usize, usize)> = Vec::new();
+    let mut max_v = vertex_of.values().copied().max().map_or(0, |m| m + 1);
+    let mut verts: Vec<usize> = Vec::new();
+    for rel in rels {
+        for row in rel.iter() {
+            verts.clear();
+            verts.extend(row.iter().map(|&v| {
+                *vertex_of.entry(v).or_insert_with(|| {
+                    max_v += 1;
+                    max_v - 1
+                })
+            }));
+            for (i, &a) in verts.iter().enumerate() {
+                edges.extend(verts[i + 1..].iter().map(|&b| (a, b)));
+            }
+        }
+    }
+    Graph::from_edges(max_v, &edges)
 }
 
 #[cfg(test)]

@@ -43,11 +43,6 @@ impl Fd {
         }
     }
 
-    /// `true` when the left side is a single attribute (paper: "simple").
-    pub fn is_simple(&self) -> bool {
-        self.lhs.len() == 1
-    }
-
     /// `true` when the dependency is trivially satisfied (`rhs ∈ lhs`).
     pub fn is_trivial(&self) -> bool {
         self.lhs.contains(&self.rhs)
@@ -159,11 +154,6 @@ impl FdSet {
         self.fds.is_empty()
     }
 
-    /// `true` when every dependency is simple (single-attribute LHS).
-    pub fn all_simple(&self) -> bool {
-        self.fds.iter().all(Fd::is_simple)
-    }
-
     /// Armstrong closure of an attribute set for one relation: the set of
     /// positions functionally determined by `attrs`.
     pub fn closure(&self, relation: &str, attrs: &[usize]) -> FxHashSet<usize> {
@@ -191,14 +181,6 @@ impl FdSet {
     /// Checks all dependencies against an instance.
     pub fn holds_on(&self, rel: &Relation) -> bool {
         self.for_relation(rel.name()).all(|fd| fd.holds_on(rel))
-    }
-
-    /// The positions of `relation` that are *keyed positions* (single
-    /// attributes that are keys), per the paper's §2 definition.
-    pub fn keyed_positions(&self, relation: &str, arity: usize) -> Vec<usize> {
-        (0..arity)
-            .filter(|&p| self.is_key(relation, &[p], arity))
-            .collect()
     }
 }
 
@@ -232,8 +214,6 @@ mod tests {
     fn fd_normalization() {
         let fd = Fd::new("R", vec![2, 0, 2], 1);
         assert_eq!(fd.lhs, vec![0, 2]);
-        assert!(!fd.is_simple());
-        assert!(Fd::new("R", vec![0], 1).is_simple());
         assert!(Fd::new("R", vec![0, 1], 1).is_trivial());
     }
 
@@ -309,10 +289,8 @@ mod tests {
         let mut fds = FdSet::new();
         fds.add_key("R", &[0], 3);
         assert_eq!(fds.len(), 2); // R[0]->R[1], R[0]->R[2]
-        assert!(fds.all_simple());
         assert!(fds.is_key("R", &[0], 3));
         assert!(!fds.is_key("R", &[1], 3));
-        assert_eq!(fds.keyed_positions("R", 3), vec![0]);
     }
 
     #[test]
@@ -340,9 +318,7 @@ mod tests {
     fn compound_key() {
         let mut fds = FdSet::new();
         fds.add_key("R", &[0, 1], 4);
-        assert!(!fds.all_simple());
         assert!(fds.is_key("R", &[0, 1], 4));
-        assert!(fds.keyed_positions("R", 4).is_empty());
     }
 
     #[test]

@@ -9,11 +9,13 @@
 //! - [`Schema`]/[`Relation`] — deduplicated tuple sets with projection and
 //!   selection, stored flat (one value vector per relation, tuples in
 //!   insertion order) and deduplicated through a [`TupleMap`], the
-//!   workspace's one tuple-keyed map (the evaluator in `cq-core` indexes
-//!   and deduplicates with it too);
+//!   workspace's one tuple-keyed map (`cq-core`'s joins, semijoins and
+//!   keyed-join lookups index with it too);
 //! - [`Fd`]/[`FdSet`] — functional dependencies, keys, Armstrong closure
 //!   and instance checking (§2 of the paper);
-//! - [`Database`] — named relations, `rmax(D)`, and Gaifman graphs;
+//! - [`Database`] — named relations, `rmax(D)`, and Gaifman graphs
+//!   ([`gaifman_over`] builds one over any relations and a shared value
+//!   numbering);
 //! - hash [`equi_join`]s, [`keyed_join`]s (Theorem 5.5's setting) and
 //!   [`natural_join`]s (used by the Corollary 4.8 join-project plans).
 //!
@@ -30,7 +32,7 @@ pub mod symbol;
 pub mod textio;
 pub mod tuple_map;
 
-pub use database::Database;
+pub use database::{gaifman_over, Database};
 pub use fd::{Fd, FdSet};
 pub use join::{equi_join, keyed_join, natural_join};
 pub use relation::Relation;

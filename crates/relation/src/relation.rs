@@ -182,11 +182,6 @@ impl Relation {
     pub fn column_values(&self, col: usize) -> FxHashSet<Value> {
         self.iter().map(|r| r[col]).collect()
     }
-
-    /// All distinct values appearing anywhere in the relation.
-    pub fn active_domain(&self) -> FxHashSet<Value> {
-        self.iter().flat_map(|r| r.iter().copied()).collect()
-    }
 }
 
 #[cfg(test)]
@@ -297,6 +292,5 @@ mod tests {
         r.insert(vals(&mut t, &["a", "c"]));
         assert_eq!(r.column_values(0).len(), 1);
         assert_eq!(r.column_values(1).len(), 2);
-        assert_eq!(r.active_domain().len(), 3);
     }
 }

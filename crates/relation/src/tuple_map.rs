@@ -1,8 +1,9 @@
 //! A hash map keyed by value tuples of one fixed width.
 //!
 //! Relations deduplicate their rows through it, FD checks key it on a
-//! dependency's left side, and `cq-core`'s evaluator indexes plan steps
-//! and deduplicates answers with it. Up to two values pack into a `u64`
+//! dependency's left side, and `cq-core` indexes the factors of its
+//! join, keys semijoins and keyed-join lookups, and accumulates sums
+//! with it. Up to two values pack into a `u64`
 //! of their dense ids and up to four into a `u128`, so the common keys
 //! hash as one or two words and cost no allocation; wider tuples are
 //! boxed once, when first inserted.

@@ -51,7 +51,6 @@ pub use metrics::{
     MetricsSnapshot, BUCKETS,
 };
 pub use span::{
-    emit_event, fresh_trace_id, header_event, init_tracing, install_sink, next_span_id, now_micros,
-    phase, render_span_tree, tracing_enabled, NdjsonSink, Phase, Span, SpanEvent, TraceContext,
-    TraceSink, TraceTarget,
+    emit_event, fresh_trace_id, init_tracing, next_span_id, now_micros, phase, render_span_tree,
+    tracing_enabled, NdjsonSink, Phase, Span, SpanEvent, TraceContext, TraceSink, TraceTarget,
 };

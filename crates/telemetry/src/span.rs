@@ -18,7 +18,7 @@
 use std::cell::RefCell;
 use std::fs::File;
 use std::io::{BufWriter, Write};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
@@ -111,7 +111,7 @@ pub fn next_span_id() -> u64 {
 
 /// Installs the process-wide sink. Returns `false` (leaving the
 /// existing sink in place) if one was already installed.
-pub fn install_sink(sink: Box<dyn TraceSink>) -> bool {
+fn install_sink(sink: Box<dyn TraceSink>) -> bool {
     SINK.set(sink).is_ok()
 }
 
@@ -354,7 +354,7 @@ pub enum TraceTarget {
 ///   a one-line deprecation note on stderr;
 /// - `--trace` with neither variable set → stderr;
 /// - otherwise tracing stays off.
-pub fn trace_target_from_env(flag: bool) -> Option<TraceTarget> {
+fn trace_target_from_env(flag: bool) -> Option<TraceTarget> {
     if let Ok(value) = std::env::var("CQ_TRACE") {
         return Some(match value.as_str() {
             "stderr" | "" => TraceTarget::Stderr,
@@ -371,7 +371,8 @@ pub fn trace_target_from_env(flag: bool) -> Option<TraceTarget> {
     flag.then_some(TraceTarget::Stderr)
 }
 
-/// Installs an [`NdjsonSink`] per [`trace_target_from_env`]. Returns
+/// Installs an [`NdjsonSink`] where `CQ_TRACE` or the binary's
+/// `--trace` flag points it (see `trace_target_from_env`). Returns
 /// whether tracing is now enabled. Binaries call this once at startup.
 pub fn init_tracing(flag: bool) -> std::io::Result<bool> {
     match trace_target_from_env(flag) {
@@ -397,7 +398,7 @@ pub struct NdjsonSink {
 impl NdjsonSink {
     /// Opens the sink. File targets open in **append** mode (repeated
     /// runs pointed at one path accumulate instead of clobbering each
-    /// other) and start with a [`header_event`] line so consumers can
+    /// other) and start with a `trace.header` line so consumers can
     /// segment a multi-run file at process boundaries.
     pub fn open(target: &TraceTarget) -> std::io::Result<NdjsonSink> {
         let out = match target {
@@ -414,10 +415,6 @@ impl NdjsonSink {
             out: Mutex::new(out),
         })
     }
-
-    pub fn to_file(path: &Path) -> std::io::Result<NdjsonSink> {
-        NdjsonSink::open(&TraceTarget::File(path.to_path_buf()))
-    }
 }
 
 /// The per-process header line a file sink writes on open: a
@@ -428,7 +425,7 @@ impl NdjsonSink {
 /// several process runs appended to contains one header per run;
 /// span ids are only unique within a run, so consumers segment on
 /// these lines before resolving parent pointers.
-pub fn header_event() -> String {
+fn header_event() -> String {
     let mut out = String::with_capacity(128);
     out.push_str("{\"name\":\"trace.header\"");
     out.push_str(&format!(",\"span\":{}", next_span_id()));
@@ -670,7 +667,7 @@ mod tests {
             attrs: Vec::new(),
         };
         for _ in 0..2 {
-            let sink = NdjsonSink::to_file(&path).unwrap();
+            let sink = NdjsonSink::open(&TraceTarget::File(path.clone())).unwrap();
             sink.emit(&event);
         }
         let text = std::fs::read_to_string(&path).unwrap();

@@ -126,14 +126,6 @@ impl BitSet {
         self.normalize();
     }
 
-    /// In-place difference: `self -= other`.
-    pub fn difference_with(&mut self, other: &BitSet) {
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a &= !*b;
-        }
-        self.normalize();
-    }
-
     /// Returns `self | other` as a new set.
     pub fn union(&self, other: &BitSet) -> BitSet {
         let mut s = self.clone();
@@ -151,7 +143,10 @@ impl BitSet {
     /// Returns `self - other` as a new set.
     pub fn difference(&self, other: &BitSet) -> BitSet {
         let mut s = self.clone();
-        s.difference_with(other);
+        for (a, b) in s.words.iter_mut().zip(&other.words) {
+            *a &= !*b;
+        }
+        s.normalize();
         s
     }
 

@@ -52,15 +52,6 @@ impl UnionFind {
         root
     }
 
-    /// Representative of `x`'s set without mutation (no compression).
-    pub fn find_const(&self, x: usize) -> usize {
-        let mut root = x;
-        while self.parent[root] != root {
-            root = self.parent[root];
-        }
-        root
-    }
-
     /// Merges the sets of `a` and `b`; returns `true` if they were distinct.
     pub fn union(&mut self, a: usize, b: usize) -> bool {
         let (ra, rb) = (self.find(a), self.find(b));
@@ -126,15 +117,5 @@ mod tests {
         assert_eq!(uf.find(0), 2);
         assert_eq!(uf.find(1), 2);
         assert_eq!(uf.find(3), 3);
-    }
-
-    #[test]
-    fn find_const_matches_find() {
-        let mut uf = UnionFind::new(6);
-        uf.union(0, 5);
-        uf.union(5, 3);
-        let r = uf.find(3);
-        assert_eq!(uf.find_const(0), r);
-        assert_eq!(uf.find_const(5), r);
     }
 }

@@ -4,8 +4,10 @@
 //! output relation, by sum-product variable elimination (`∃` over the
 //! existential variables, saturating `Σ` over the head). Every check
 //! below requires `count_answers == evaluate(..).len() ==
-//! evaluate_wcoj(..).len()`; the generic-join evaluator is the oracle
-//! that shares no planner. The random layer runs on random query ×
+//! evaluate_wcoj(..).len()`, and `evaluate`'s rows to be
+//! `evaluate_wcoj`'s as sets. `evaluate` lists `Q(D)` through the
+//! elimination's factor join, so the generic-join evaluator is the
+//! oracle that shares no code with either. The random layer runs on random query ×
 //! database instances, without dependencies and with random key FDs,
 //! and tries each query with the heads the generator never makes: empty,
 //! with repeated variables, wider than the four values a packed key
@@ -62,18 +64,28 @@ fn head_variants(q: &ConjunctiveQuery) -> Vec<ConjunctiveQuery> {
 
 /// Every count of `|Q(D)|`: `count_answers` and both evaluators'
 /// listed sizes; `Err` names the first that differs from `evaluate`.
+/// `evaluate`'s rows must also be `evaluate_wcoj`'s, as sets.
 fn counts_agree(q: &ConjunctiveQuery, db: &Database) -> Result<usize, String> {
-    let listed = evaluate(q, db).len();
+    let listed = evaluate(q, db);
+    let oracle = evaluate_wcoj(q, db);
     let counts = [
         ("count_answers", count_answers(q, db)),
-        ("evaluate_wcoj", evaluate_wcoj(q, db).len()),
+        ("evaluate_wcoj", oracle.len()),
     ];
     for (name, count) in counts {
-        if count != listed {
-            return Err(format!("{name} {count} vs evaluate {listed} on {q}"));
+        if count != listed.len() {
+            return Err(format!(
+                "{name} {count} vs evaluate {} on {q}",
+                listed.len()
+            ));
         }
     }
-    Ok(listed)
+    if let Some(row) = listed.iter().find(|row| !oracle.contains(row)) {
+        return Err(format!(
+            "evaluate lists {row:?}, evaluate_wcoj does not, on {q}"
+        ));
+    }
+    Ok(listed.len())
 }
 
 fn assert_counts_agree(q: &ConjunctiveQuery, db: &Database) {

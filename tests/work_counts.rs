@@ -30,8 +30,9 @@
 //! 4. **The counts of the five data-check shapes** (triangle, 4-cycle,
 //!    projected 3-path, 2×3 grid, keyed star, on seeded databases of the
 //!    benchmark's sizes): `count_answers`, which counts by variable
-//!    elimination, agrees with the planned search's listed
-//!    `evaluate(..).len()` on each, and each count is positive.
+//!    elimination, agrees with `evaluate(..).len()`, which lists `Q(D)`
+//!    through the elimination's factor join, on each, and each count is
+//!    positive.
 //!
 //! On every program of items 1 and 2, devex pricing ends its degenerate
 //! stretches on its own: the Bland backstop prices no pivot.
